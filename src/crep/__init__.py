@@ -14,7 +14,6 @@ from .baselines import (
     SetCapacity,
     braess_compare,
     gramian_h2_squared,
-    h2_norm_squared,
     linear_stability,
     metrics_bundle,
     order_parameter,
@@ -35,6 +34,7 @@ from .errors import (
 )
 from .escape import (
     DEFAULT_EPS,
+    Analysis,
     CrepReport,
     crep,
     crep_from_moments,
@@ -59,11 +59,9 @@ from .linearize import (
     spectral_reduce,
 )
 from .network import (
-    IncidenceMatrix,
     Line,
     Network,
     Node,
-    incidence,
     load_network,
     network_from_arrays,
     network_from_dict,

@@ -17,19 +17,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CrepError, DegenerateSystemError
-from .escape import DEFAULT_EPS, CrepReport, crep_from_moments
+from .escape import DEFAULT_EPS, Analysis, CrepReport
 from .hitting import HittingTimeEstimate, SimConfig, estimate_hitting_time
-from .linearize import (
-    LinearizedModel,
-    SpectralReduction,
-    build_linearization,
-    solve_lyapunov,
-    spectral_reduce,
-)
+from .linearize import ZERO_EIG_TOL, LinearizedModel
 from .network import Network
-from .powerflow import SynchronousState, solve_synchronous_state
+from .powerflow import SynchronousState
 
-_ZERO_MODE_TOL = 1e-9
 #: relative difference below which a metric counts as unchanged
 _UNCHANGED_RTOL = 1e-12
 
@@ -52,24 +45,20 @@ class MetricsBundle:
 def linear_stability(model: LinearizedModel) -> float:
     """Smallest |Re| over the nonzero eigenvalues of the full Jacobian.
 
-    Eigenvalues with magnitude below 1e-9 are treated as the structural zero
-    mode; finding more than one of them raises :class:`DegenerateSystemError`.
+    Eigenvalues with magnitude below ``ZERO_EIG_TOL`` times max(1, largest
+    magnitude) are treated as the structural zero mode; finding more than one
+    of them raises :class:`DegenerateSystemError`.
     """
     eigvals = np.linalg.eigvals(model.sys_matrix)
-    nonzero = eigvals[np.abs(eigvals) > _ZERO_MODE_TOL]
+    zero_tol = ZERO_EIG_TOL * max(1.0, float(np.max(np.abs(eigvals))))
+    nonzero = eigvals[np.abs(eigvals) > zero_tol]
     n_zero = eigvals.size - nonzero.size
     if n_zero > 1:
         raise DegenerateSystemError(
-            f"{n_zero} eigenvalues below {_ZERO_MODE_TOL:.0e}; expected at most the "
+            f"{n_zero} eigenvalues below {zero_tol:.1e}; expected at most the "
             "structural zero mode"
         )
     return float(np.min(np.abs(nonzero.real)))
-
-
-def h2_norm_squared(reduction: SpectralReduction) -> float:
-    """Squared H2 norm of the reduced system: trace of the output covariance."""
-    report = solve_lyapunov(reduction)
-    return float(np.trace(report.q_y))
 
 
 def gramian_h2_squared(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -120,15 +109,19 @@ def phase_cohesiveness(state: SynchronousState) -> float:
 
 def metrics_bundle(net: Network, eps: float = DEFAULT_EPS) -> MetricsBundle:
     """Compute every metric of :class:`MetricsBundle` for one network."""
-    state = solve_synchronous_state(net)
-    model = build_linearization(net, state)
-    reduction = spectral_reduce(model, net)
-    variance = solve_lyapunov(reduction)
-    report = crep_from_moments(
-        state.output_phase_diffs, variance.sigma2_delta, variance.sigma2_omega, eps
-    )
+    return _bundle(Analysis(net, eps))
+
+
+def _bundle(analysis: Analysis) -> MetricsBundle:
+    """The metrics of an analysis.
+
+    Reads ``report`` first, so a failing pipeline stage raises its own error
+    before :func:`linear_stability` runs.
+    """
+    report = analysis.report
+    variance, state = analysis.variance, analysis.state
     return MetricsBundle(
-        min_re_mu=linear_stability(model),
+        min_re_mu=linear_stability(analysis.model),
         h2_squared=float(np.trace(variance.q_y)),
         trace_q_delta=float(np.sum(variance.sigma2_delta)),
         trace_q_omega=float(np.sum(variance.sigma2_omega)),

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 
@@ -23,13 +24,9 @@ from .baselines import (
     AddLine,
     BraessScenario,
     SetCapacity,
+    _bundle,
     braess_compare,
-    centroid_magnitude,
-    linear_stability,
     metrics_bundle,
-    order_parameter,
-    order_parameter_reference,
-    phase_cohesiveness,
 )
 from .errors import (
     AllCensoredError,
@@ -41,9 +38,8 @@ from .errors import (
     NoFeasiblePointError,
     SynchronousStateError,
 )
-from .escape import DEFAULT_EPS, crep_from_moments
+from .escape import DEFAULT_EPS, Analysis
 from .hitting import SimConfig, estimate_hitting_time
-from .linearize import build_linearization, solve_lyapunov, spectral_reduce
 from .network import Network, load_network, save_network
 from .optimizer import (
     DecisionSpec,
@@ -52,7 +48,7 @@ from .optimizer import (
     apply_decision,
     optimize,
 )
-from .powerflow import DEFAULT_MAX_ITER, DEFAULT_TOL, solve_synchronous_state
+from .powerflow import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -83,6 +79,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jsonable(obj):
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -120,95 +118,36 @@ def _load(path) -> Network:
         raise UsageError(f"network file not found: {path}") from exc
 
 
-def _crep_dict(report) -> dict:
-    return {
-        "f_delta": report.f_delta,
-        "f_omega": report.f_omega,
-        "phi": report.phi,
-        "phi_delta": report.phi_delta,
-        "phi_omega": report.phi_omega,
-        "argmax_line": report.argmax_line,
-        "argmax_node": report.argmax_node,
-        "epsilon": report.epsilon,
-    }
-
-
-def _bundle_dict(bundle) -> dict:
-    return {
-        "min_re_mu": bundle.min_re_mu,
-        "h2_squared": bundle.h2_squared,
-        "trace_q_delta": bundle.trace_q_delta,
-        "trace_q_omega": bundle.trace_q_omega,
-        "cohesiveness": bundle.cohesiveness,
-        "gamma": bundle.gamma,
-        "gamma_reference": bundle.gamma_reference,
-        "centroid_magnitude": bundle.centroid_magnitude,
-        "crep": _crep_dict(bundle.crep),
-    }
-
-
-def _estimate_dict(est) -> dict:
-    return {
-        "mean": est.mean,
-        "half_width": est.half_width,
-        "n_exited": est.n_exited,
-        "n_censored": est.n_censored,
-        "exit_line_histogram": est.exit_line_histogram,
-        "exit_node_histogram": est.exit_node_histogram,
-    }
-
-
 # -- analyze -----------------------------------------------------------------
 
 
 def cmd_analyze(args) -> int:
     net = _load(args.network)
+    analysis = Analysis(net, args.eps, args.tol, args.max_iter)
     timings = {}
     total_start = time.perf_counter()
+    for key, stage in (("power_flow", "state"), ("linearize", "reduction"),
+                       ("variance", "variance")):
+        start = time.perf_counter()
+        getattr(analysis, stage)
+        timings[key] = time.perf_counter() - start
 
     start = time.perf_counter()
-    state = solve_synchronous_state(net, tol=args.tol, max_iter=args.max_iter)
-    timings["power_flow"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    model = build_linearization(net, state)
-    reduction = spectral_reduce(model, net)
-    timings["linearize"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    variance = solve_lyapunov(reduction)
-    timings["variance"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    report = crep_from_moments(
-        state.output_phase_diffs, variance.sigma2_delta, variance.sigma2_omega, args.eps
-    )
-    metrics = {
-        "min_re_mu": linear_stability(model),
-        "h2_squared": float(np.trace(variance.q_y)),
-        "trace_q_delta": float(np.sum(variance.sigma2_delta)),
-        "trace_q_omega": float(np.sum(variance.sigma2_omega)),
-        "cohesiveness": phase_cohesiveness(state),
-        "gamma": order_parameter(state),
-        "gamma_reference": order_parameter_reference(state),
-        "centroid_magnitude": centroid_magnitude(state),
-    }
+    bundle = _bundle(analysis)
     timings["metrics"] = time.perf_counter() - start
     timings["total"] = time.perf_counter() - total_start
 
+    variance = analysis.variance
+    metrics = _jsonable(bundle)
     doc = {
         "network": {**_network_digest(args.network), "n": net.n, "m": net.m},
         "config": {"eps": args.eps, "tol": args.tol, "max_iter": args.max_iter},
-        "state": {
-            "phase": state.phase,
-            "output_phase_diffs": state.output_phase_diffs,
-            "residual": state.residual,
-        },
+        "state": analysis.state,
         "variance": {
             "sigma2_delta": variance.sigma2_delta,
             "sigma2_omega": variance.sigma2_omega,
         },
-        "crep": _crep_dict(report),
+        "crep": metrics.pop("crep"),
         "metrics": metrics,
         "timings": timings,
     }
@@ -274,20 +213,8 @@ def cmd_sweep(args) -> int:
         except (SynchronousStateError, DegenerateSystemError, LyapunovSolveError):
             rows.append([repr(float(value))] + [""] * len(metrics) + ["false"])
             continue
-        values_by_name = {
-            "phi": bundle.crep.phi,
-            "phi_delta": bundle.crep.phi_delta,
-            "phi_omega": bundle.crep.phi_omega,
-            "trace_q_delta": bundle.trace_q_delta,
-            "trace_q_omega": bundle.trace_q_omega,
-            "h2_squared": bundle.h2_squared,
-            "min_re_mu": bundle.min_re_mu,
-            "cohesiveness": bundle.cohesiveness,
-            "gamma": bundle.gamma,
-        }
-        rows.append(
-            [repr(float(value))] + [repr(float(values_by_name[m])) for m in metrics] + ["true"]
-        )
+        cells = [getattr(bundle if hasattr(bundle, m) else bundle.crep, m) for m in metrics]
+        rows.append([repr(float(value))] + [repr(float(c)) for c in cells] + ["true"])
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -329,16 +256,8 @@ def cmd_hitting_time(args) -> int:
     estimate = estimate_hitting_time(net, cfg, n_workers=args.workers)
     doc = {
         "network": {**_network_digest(args.network), "n": net.n, "m": net.m},
-        "config": {
-            "dt": cfg.dt,
-            "t_max": cfg.t_max,
-            "n_samples": cfg.n_samples,
-            "eps": cfg.eps,
-            "master_seed": cfg.master_seed,
-            "exit_mode": cfg.exit_mode,
-            "backend": backend,
-        },
-        "estimate": _estimate_dict(estimate),
+        "config": {**asdict(cfg), "backend": backend},
+        "estimate": estimate,
     }
     _emit(doc, args.out)
     return EXIT_OK
@@ -437,14 +356,7 @@ def cmd_optimize(args) -> int:
             "seed": args.seed,
             "max_evals": args.max_evals,
         },
-        "result": {
-            "theta": result.theta,
-            "objective_initial": result.objective_initial,
-            "objective_final": result.objective_final,
-            "feasible": result.feasible,
-            "evaluations": result.evaluations,
-            "history": [[i, v] for i, v in result.history],
-        },
+        "result": result,
         "network_out": str(network_out),
     }
     _emit(doc, args.out)
@@ -498,15 +410,7 @@ def cmd_braess(args) -> int:
     sim_doc = None
     if args.with_hitting_time:
         sim = _sim_config(args)
-        sim_doc = {
-            "dt": sim.dt,
-            "t_max": sim.t_max,
-            "n_samples": sim.n_samples,
-            "eps": sim.eps,
-            "master_seed": sim.master_seed,
-            "exit_mode": sim.exit_mode,
-            "backend": _kernels.default_backend(),
-        }
+        sim_doc = {**asdict(sim), "backend": _kernels.default_backend()}
 
     verdict = braess_compare(
         BraessScenario(net, change), eps=args.eps, sim=sim, n_workers=args.workers
@@ -514,17 +418,7 @@ def cmd_braess(args) -> int:
     doc = {
         "network": {**_network_digest(args.network), "n": net.n, "m": net.m},
         "config": {"eps": args.eps, "change": change_doc, "sim": sim_doc},
-        "before": _bundle_dict(verdict.before),
-        "after": _bundle_dict(verdict.after),
-        "hitting_before": _estimate_dict(verdict.hitting_before)
-        if verdict.hitting_before
-        else None,
-        "hitting_after": _estimate_dict(verdict.hitting_after)
-        if verdict.hitting_after
-        else None,
-        "verdicts": verdict.verdicts,
-        "paradox_metrics": list(verdict.paradox_metrics),
-        "capacity_added": verdict.capacity_added,
+        **_jsonable(verdict),
     }
     _emit(doc, args.out)
     return EXIT_OK

@@ -11,13 +11,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .linearize import build_linearization, solve_lyapunov, spectral_reduce
+from .linearize import (
+    LinearizedModel,
+    SpectralReduction,
+    VarianceReport,
+    build_linearization,
+    solve_lyapunov,
+    spectral_reduce,
+)
 from .network import Network, network_from_arrays
-from .powerflow import DEFAULT_MAX_ITER, DEFAULT_TOL, solve_synchronous_state
+from .powerflow import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    SynchronousState,
+    solve_synchronous_state,
+)
 
 #: default frequency tolerance (rad/s)
 DEFAULT_EPS = 0.02
@@ -108,6 +121,47 @@ def crep_from_moments(
     )
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """The metric pipeline of one network, each stage computed on first read.
+
+    ``state`` -> ``model`` -> ``reduction`` -> ``variance`` -> ``report``:
+    power flow, linearization, spectral reduction, Lyapunov solve and escape
+    probabilities.  Reading a stage runs the stages it depends on, once; a
+    stage's errors (see :func:`crep`) surface on the read that runs it.
+    """
+
+    net: Network
+    eps: float = DEFAULT_EPS
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
+
+    @cached_property
+    def state(self) -> SynchronousState:
+        return solve_synchronous_state(self.net, tol=self.tol, max_iter=self.max_iter)
+
+    @cached_property
+    def model(self) -> LinearizedModel:
+        return build_linearization(self.net, self.state)
+
+    @cached_property
+    def reduction(self) -> SpectralReduction:
+        return spectral_reduce(self.model, self.net)
+
+    @cached_property
+    def variance(self) -> VarianceReport:
+        return solve_lyapunov(self.reduction)
+
+    @cached_property
+    def report(self) -> CrepReport:
+        return crep_from_moments(
+            self.state.output_phase_diffs,
+            self.variance.sigma2_delta,
+            self.variance.sigma2_omega,
+            self.eps,
+        )
+
+
 def crep(
     net: Network,
     eps: float = DEFAULT_EPS,
@@ -120,13 +174,7 @@ def crep(
     metric is undefined because the synchronous state does not exist or is
     marginally stable.
     """
-    state = solve_synchronous_state(net, tol=tol, max_iter=max_iter)
-    model = build_linearization(net, state)
-    reduction = spectral_reduce(model, net)
-    variance = solve_lyapunov(reduction)
-    return crep_from_moments(
-        state.output_phase_diffs, variance.sigma2_delta, variance.sigma2_omega, eps
-    )
+    return Analysis(net, eps, tol, max_iter).report
 
 
 class SmibClosedForm(NamedTuple):

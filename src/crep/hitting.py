@@ -43,6 +43,9 @@ class SimConfig:
     exit_mode: str = "both"
 
     def __post_init__(self):
+        for name in ("dt", "t_max", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.dt <= 0.0:
             raise ValueError("dt must be > 0")
         if self.t_max < self.dt:

@@ -17,9 +17,10 @@ import scipy.linalg
 
 from .errors import DegenerateSystemError, LyapunovSolveError
 from .network import Network
-from .powerflow import SynchronousState
+from .powerflow import SynchronousState, _cos_laplacian
 
-#: eigenvalues below this are treated as the structural zero mode
+#: eigenvalues below this times max(1, largest eigenvalue magnitude) are
+#: treated as the structural zero mode
 ZERO_EIG_TOL = 1e-10
 #: relative ceiling on ||A2 Q + Q A2^T + B2 B2^T||_max
 LYAP_RESIDUAL_TOL = 1e-8
@@ -27,12 +28,10 @@ LYAP_RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class LinearizedModel:
-    """State-space matrices of the linearization at a synchronous state."""
+    """System matrix and cosine-weighted Laplacian at a synchronous state."""
 
-    laplacian: np.ndarray      # (n, n) weights l_ij cos(gap_ij)
-    sys_matrix: np.ndarray     # (2n, 2n)
-    input_matrix: np.ndarray   # (2n, n)
-    output_matrix: np.ndarray  # (m+n, 2n)
+    laplacian: np.ndarray   # (n, n) weights l_ij cos(gap_ij)
+    sys_matrix: np.ndarray  # (2n, 2n)
 
 
 @dataclass(frozen=True)
@@ -57,31 +56,15 @@ class VarianceReport:
 
 
 def build_linearization(net: Network, state: SynchronousState) -> LinearizedModel:
-    """Assemble (A, B, C) and the cosine-weighted Laplacian at ``state``."""
-    n, m = net.n, net.m
-    lap = np.zeros((n, n))
-    weights = net.capacity * np.cos(state.output_phase_diffs)
-    for k in range(m):
-        a, b = net.line_from[k], net.line_to[k]
-        w = weights[k]
-        lap[a, b] -= w
-        lap[b, a] -= w
-        lap[a, a] += w
-        lap[b, b] += w
-
+    """Assemble the system matrix A and the cosine-weighted Laplacian at ``state``."""
+    n = net.n
+    lap = _cos_laplacian(net, state.output_phase_diffs)
     inv_m = 1.0 / net.inertia
     sys_matrix = np.zeros((2 * n, 2 * n))
     sys_matrix[:n, n:] = np.eye(n)
     sys_matrix[n:, :n] = -inv_m[:, None] * lap
     sys_matrix[n:, n:] = -np.diag(inv_m * net.damping)
-
-    input_matrix = np.zeros((2 * n, n))
-    input_matrix[n:, :] = np.diag(inv_m * net.noise)
-
-    output_matrix = np.zeros((m + n, 2 * n))
-    output_matrix[:m, :n] = net.incidence_array.T
-    output_matrix[m:, n:] = np.eye(n)
-    return LinearizedModel(lap, sys_matrix, input_matrix, output_matrix)
+    return LinearizedModel(lap, sys_matrix)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -106,13 +89,14 @@ def spectral_reduce(model: LinearizedModel, net: Network) -> SpectralReduction:
     sym = inv_sqrt_m[:, None] * model.laplacian * inv_sqrt_m[None, :]
     sym = 0.5 * (sym + sym.T)
     eigvals, vectors = scipy.linalg.eigh(sym)
-    if eigvals[0] > ZERO_EIG_TOL:
+    zero_tol = ZERO_EIG_TOL * max(1.0, float(eigvals[-1]))
+    if eigvals[0] > zero_tol:
         raise DegenerateSystemError(
             f"no structural zero mode found (smallest eigenvalue {eigvals[0]:.3e})"
         )
     eigvals = eigvals.copy()
     eigvals[0] = 0.0
-    if n >= 2 and eigvals[1] <= ZERO_EIG_TOL:
+    if n >= 2 and eigvals[1] <= zero_tol:
         raise DegenerateSystemError(
             f"second smallest eigenvalue {eigvals[1]:.3e} is numerically zero; "
             "the synchronous state is marginally stable"

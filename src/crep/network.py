@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -37,6 +38,9 @@ class Node:
     noise: float
 
     def __post_init__(self):
+        for name in ("power", "inertia", "damping", "noise"):
+            if not math.isfinite(getattr(self, name)):
+                raise NetworkValidationError(f"node {self.id}: {name} must be finite")
         if self.inertia <= 0.0:
             raise NetworkValidationError(f"node {self.id}: inertia must be > 0")
         if self.damping <= 0.0:
@@ -57,6 +61,10 @@ class Line:
         if self.from_node == self.to_node:
             raise NetworkValidationError(
                 f"line ({self.from_node},{self.to_node}): self-loops are not allowed"
+            )
+        if not math.isfinite(self.capacity):
+            raise NetworkValidationError(
+                f"line ({self.from_node},{self.to_node}): capacity must be finite"
             )
         if self.capacity <= 0.0:
             raise NetworkValidationError(
@@ -229,18 +237,6 @@ class Network:
                 for line in self.lines
             ],
         }
-
-
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """n-by-m matrix with entries in {-1, 0, +1}; column k marks line k's ends."""
-
-    entries: np.ndarray
-
-
-def incidence(net: Network) -> IncidenceMatrix:
-    """Incidence matrix of the network graph, column order = line order."""
-    return IncidenceMatrix(net.incidence_array)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -19,10 +19,8 @@ import scipy.optimize
 
 from .baselines import order_parameter, phase_cohesiveness
 from .errors import CrepError, InfeasibleSpecError, NoFeasiblePointError
-from .escape import DEFAULT_EPS, crep_from_moments, escape_prob_freq
-from .linearize import build_linearization, solve_lyapunov, spectral_reduce
+from .escape import DEFAULT_EPS, Analysis
 from .network import Network
-from .powerflow import solve_synchronous_state
 
 BUDGET_TOL = 1e-9
 
@@ -185,31 +183,28 @@ def current_values(net: Network, spec: DecisionSpec) -> np.ndarray:
     return source[idx].copy()
 
 
+#: objective -> its natural value, read from the stages of a network's Analysis
+#: that it needs (the state-only objectives never linearize)
+_OBJECTIVES = {
+    ObjectiveKind.crep_phi: lambda a: a.report.phi,
+    ObjectiveKind.crep_phi_delta: lambda a: a.report.phi_delta,
+    ObjectiveKind.crep_phi_omega: lambda a: a.report.phi_omega,
+    ObjectiveKind.trace_q_delta: lambda a: float(np.sum(a.variance.sigma2_delta)),
+    ObjectiveKind.trace_q_omega: lambda a: float(np.sum(a.variance.sigma2_omega)),
+    ObjectiveKind.max_sigma2_omega: lambda a: float(np.max(a.variance.sigma2_omega)),
+    ObjectiveKind.phase_cohesiveness: lambda a: phase_cohesiveness(a.state),
+    ObjectiveKind.order_parameter: lambda a: order_parameter(a.state),
+}
+
+
 def _objective_value(net: Network, kind: ObjectiveKind, eps: float) -> float:
     """Natural objective value; raises CrepError when the state is inadmissible."""
-    kind = ObjectiveKind(kind)
-    state = solve_synchronous_state(net)
-    if kind is ObjectiveKind.phase_cohesiveness:
-        return phase_cohesiveness(state)
-    if kind is ObjectiveKind.order_parameter:
-        return order_parameter(state)
-    model = build_linearization(net, state)
-    reduction = spectral_reduce(model, net)
-    variance = solve_lyapunov(reduction)
-    if kind is ObjectiveKind.trace_q_delta:
-        return float(np.sum(variance.sigma2_delta))
-    if kind is ObjectiveKind.trace_q_omega:
-        return float(np.sum(variance.sigma2_omega))
-    if kind is ObjectiveKind.max_sigma2_omega:
-        return float(np.max(variance.sigma2_omega))
-    report = crep_from_moments(
-        state.output_phase_diffs, variance.sigma2_delta, variance.sigma2_omega, eps
-    )
-    return {
-        ObjectiveKind.crep_phi: report.phi,
-        ObjectiveKind.crep_phi_delta: report.phi_delta,
-        ObjectiveKind.crep_phi_omega: report.phi_omega,
-    }[kind]
+    return _OBJECTIVES[ObjectiveKind(kind)](Analysis(net, eps))
+
+
+def _penalty(kind: ObjectiveKind) -> float:
+    """Value of a network without an admissible synchronous state."""
+    return 1.0 if kind in CREP_KINDS else math.inf
 
 
 def evaluate_objective(net: Network, kind: ObjectiveKind, eps: float = DEFAULT_EPS) -> float:
@@ -223,7 +218,7 @@ def evaluate_objective(net: Network, kind: ObjectiveKind, eps: float = DEFAULT_E
     try:
         return _objective_value(net, kind, eps)
     except CrepError:
-        return 1.0 if kind in CREP_KINDS else math.inf
+        return _penalty(kind)
 
 
 @dataclass(frozen=True)
@@ -290,9 +285,8 @@ def optimize(
             feasible = True
             score = -natural if maximize else natural
         except CrepError:
-            natural = 1.0 if kind in CREP_KINDS else math.inf
+            natural = score = _penalty(kind)
             feasible = False
-            score = 1.0 if kind in CREP_KINDS else math.inf
         key = (score, 0 if feasible else 1)
         if key < (best["score"], 0 if best["feasible"] else 1):
             best.update(score=score, feasible=feasible, theta=theta.copy(), natural=natural)
@@ -399,17 +393,11 @@ def min_max_sigma_equivalence_check(
         theta = project_to_budget_box(
             rng.uniform(spec.lower, spec.upper), spec.lower, spec.upper, spec.budget
         )
-        candidate = apply_decision(net, spec, theta)
+        analysis = Analysis(apply_decision(net, spec, theta), eps)
         try:
-            state = solve_synchronous_state(candidate)
-            model = build_linearization(candidate, state)
-            variance = solve_lyapunov(spectral_reduce(model, candidate))
+            sigma2, f_omega = analysis.variance.sigma2_omega, analysis.report.f_omega
         except CrepError:
             continue
-        sigma2 = variance.sigma2_omega
-        f_omega = np.array(
-            [escape_prob_freq(math.sqrt(float(v)), eps) for v in sigma2]
-        )
         if int(np.argmax(f_omega)) != int(np.argmax(sigma2)):
             return False
         f_norms.append(float(np.max(f_omega)))

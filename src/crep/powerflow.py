@@ -41,18 +41,18 @@ def _mismatch(net: Network, phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weighted_laplacian(net: Network, phase: np.ndarray) -> np.ndarray:
-    """Laplacian with weights l_ij * cos(phase_i - phase_j)."""
-    n = net.n
-    lap = np.zeros((n, n))
-    weights = net.capacity * np.cos(phase[net.line_from] - phase[net.line_to])
-    for k in range(net.m):
-        a, b = net.line_from[k], net.line_to[k]
-        w = weights[k]
-        lap[a, b] -= w
-        lap[b, a] -= w
-        lap[a, a] += w
-        lap[b, b] += w
+def _cos_laplacian(net: Network, gaps: np.ndarray) -> np.ndarray:
+    """Laplacian with weights l_k cos(gap_k) on line k.
+
+    Off-diagonal entries are assigned (lines are unique); each diagonal entry
+    sums its lines' weights in line order.
+    """
+    weights = net.capacity * np.cos(gaps)
+    lap = np.zeros((net.n, net.n))
+    lap[net.line_from, net.line_to] = -weights
+    lap[net.line_to, net.line_from] = -weights
+    ends = np.column_stack((net.line_from, net.line_to)).ravel()
+    np.add.at(lap, (ends, ends), np.repeat(weights, 2))
     return lap
 
 
@@ -78,7 +78,7 @@ def solve_synchronous_state(
     for _ in range(max_iter):
         if norm <= tol:
             break
-        jac = _weighted_laplacian(net, phase)[1:, 1:]
+        jac = _cos_laplacian(net, phase[net.line_from] - phase[net.line_to])[1:, 1:]
         try:
             step = np.linalg.solve(jac, mism[1:])
         except np.linalg.LinAlgError as exc:

@@ -46,6 +46,21 @@ def random_connected_network(rng, n_min=2, n_max=8, extra_edge_prob=0.4,
     raise RuntimeError("could not build an admissible random network")
 
 
+def stagewise_pipeline(net, eps=crep.DEFAULT_EPS):
+    """The metric pipeline written out one stage function at a time.
+
+    Returns (state, model, variance, report): the reference that every entry
+    point built on ``crep.Analysis`` must reproduce exactly.
+    """
+    state = crep.solve_synchronous_state(net)
+    model = crep.build_linearization(net, state)
+    variance = crep.solve_lyapunov(crep.spectral_reduce(model, net))
+    report = crep.crep_from_moments(
+        state.output_phase_diffs, variance.sigma2_delta, variance.sigma2_omega, eps
+    )
+    return state, model, variance, report
+
+
 def two_node_net(p=1.0, cap=2.0, inertia=(1.0, 1.0), damping=(1.0, 1.0),
                  noise=(0.0, 0.0)):
     return crep.network_from_arrays(

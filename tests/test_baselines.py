@@ -12,7 +12,6 @@ from crep import (
     SimConfig,
     braess_compare,
     gramian_h2_squared,
-    h2_norm_squared,
     linear_stability,
     metrics_bundle,
     network_from_arrays,
@@ -28,12 +27,7 @@ from conftest import random_connected_network, two_node_net
 def _model_from_sys(a):
     a = np.asarray(a, dtype=float)
     k = a.shape[0] // 2
-    return LinearizedModel(
-        laplacian=np.zeros((k, k)),
-        sys_matrix=a,
-        input_matrix=np.zeros((a.shape[0], k)),
-        output_matrix=np.zeros((k, a.shape[0])),
-    )
+    return LinearizedModel(laplacian=np.zeros((k, k)), sys_matrix=a)
 
 
 def _state(phase, line_from=(), line_to=()):
@@ -63,6 +57,15 @@ def test_linear_stability_critically_damped_mode():
 
 def test_linear_stability_two_node_network():
     net = network_from_arrays([0.0, 0.0], [1.0] * 2, [1.0] * 2, [0.1] * 2, [(1, 2, 2.0)])
+    state = crep.solve_synchronous_state(net)
+    model = crep.build_linearization(net, state)
+    assert linear_stability(model) == pytest.approx(0.5, rel=1e-9)
+
+
+def test_linear_stability_ignores_zero_mode_of_stiff_network():
+    # the same network with capacity 2e8: the computed zero mode (~3e-9) is
+    # roundoff relative to |mu| ~ 2e4 and must not count as a decay rate
+    net = network_from_arrays([0.0, 0.0], [1.0] * 2, [1.0] * 2, [0.1] * 2, [(1, 2, 2e8)])
     state = crep.solve_synchronous_state(net)
     model = crep.build_linearization(net, state)
     assert linear_stability(model) == pytest.approx(0.5, rel=1e-9)
@@ -108,16 +111,6 @@ def test_h2_matches_smib_trace():
     a = np.array([[0.0, 1.0], [-2.0, -1.5]])
     b = np.array([[0.0], [0.5]])
     assert gramian_h2_squared(a, b, np.eye(2)) == pytest.approx(0.125, rel=1e-12)
-
-
-def test_h2_of_reduction_equals_variance_traces():
-    rng = np.random.default_rng(35)
-    net = random_connected_network(rng)
-    state = crep.solve_synchronous_state(net)
-    reduction = crep.spectral_reduce(crep.build_linearization(net, state), net)
-    report = crep.solve_lyapunov(reduction)
-    expected = float(np.sum(report.sigma2_delta) + np.sum(report.sigma2_omega))
-    assert h2_norm_squared(reduction) == pytest.approx(expected, rel=1e-9)
 
 
 def test_order_parameter_values():

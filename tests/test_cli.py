@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import crep
 from crep import save_network, smib_network
 from crep.cli import main
 
-from conftest import ring5_net, two_node_net
+from conftest import random_connected_network, ring5_net, stagewise_pipeline, two_node_net
 
 
 def write_net(tmp_path, net, name="net.json"):
@@ -49,6 +50,35 @@ def test_analyze_invalid_network(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"nodes": [], "lines": []}')
     assert main(["analyze", str(path)]) == 1
+
+
+def test_analyze_non_finite_parameter_exit_code(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    text = open(write_net(tmp_path, two_node_net())).read()
+    path.write_text(text.replace('"inertia": 1.0', '"inertia": NaN', 1))
+    assert main(["analyze", str(path)]) == 1
+    assert "inertia must be finite" in capsys.readouterr().err
+
+
+def test_analyze_report_reproduces_the_stagewise_pipeline(tmp_path):
+    rng = np.random.default_rng(39)
+    for i in range(4):
+        path = write_net(tmp_path, random_connected_network(rng), f"net{i}.json")
+        out = str(tmp_path / f"report{i}.json")
+        assert main(["analyze", path, "--out", out]) == 0
+        doc = json.loads(open(out).read())
+        state, model, variance, report = stagewise_pipeline(crep.load_network(path))
+        assert doc["variance"] == {
+            "sigma2_delta": variance.sigma2_delta.tolist(),
+            "sigma2_omega": variance.sigma2_omega.tolist(),
+        }
+        expected = {f.name: getattr(report, f.name) for f in fields(report)}
+        expected.update(f_delta=report.f_delta.tolist(), f_omega=report.f_omega.tolist())
+        assert doc["crep"] == expected
+        assert doc["state"]["phase"] == state.phase.tolist()
+        assert doc["metrics"]["min_re_mu"] == crep.linear_stability(model)
+        assert list(doc["timings"]) == ["power_flow", "linearize", "variance", "metrics",
+                                        "total"]
 
 
 def _sweep_column(tmp_path, netfile, param, spec, metric="phi_delta"):

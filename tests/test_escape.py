@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from crep import (
     smib_network,
 )
 
-from conftest import random_connected_network
+from conftest import random_connected_network, stagewise_pipeline
 
 HALF_PI = math.pi / 2
 
@@ -195,6 +196,37 @@ def test_crep_propagates_state_errors():
     )
     with pytest.raises(crep.SynchronousStateError):
         crep_metric(overloaded)
+
+
+def assert_reports_identical(report, expected):
+    for field in fields(expected):
+        value, want = getattr(report, field.name), getattr(expected, field.name)
+        assert np.array_equal(value, want), field.name
+
+
+@pytest.mark.parametrize("eps", [crep.DEFAULT_EPS, 0.05])
+def test_every_entry_point_reproduces_the_stagewise_pipeline(eps):
+    rng = np.random.default_rng(36)
+    for _ in range(8):
+        net = random_connected_network(rng)
+        state, model, variance, expected = stagewise_pipeline(net, eps)
+        analysis = crep.Analysis(net, eps)
+        bundle = crep.metrics_bundle(net, eps)
+        for report in (crep_metric(net, eps), analysis.report, bundle.crep):
+            assert_reports_identical(report, expected)
+        assert np.array_equal(analysis.variance.q_y, variance.q_y)
+        assert bundle.min_re_mu == crep.linear_stability(model)
+        assert bundle.h2_squared == float(np.trace(variance.q_y))
+        assert bundle.trace_q_delta == float(np.sum(variance.sigma2_delta))
+        assert bundle.trace_q_omega == float(np.sum(variance.sigma2_omega))
+        assert bundle.cohesiveness == crep.phase_cohesiveness(state)
+
+
+def test_analysis_runs_each_stage_once():
+    analysis = crep.Analysis(random_connected_network(np.random.default_rng(37)))
+    assert analysis.report is analysis.report
+    assert analysis.model is analysis.model
+    assert analysis.reduction is analysis.reduction
 
 
 def test_smib_analytic_values():

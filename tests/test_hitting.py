@@ -25,6 +25,13 @@ def test_config_validation():
         SimConfig(exit_mode="sideways")
 
 
+@pytest.mark.parametrize("field", ["dt", "t_max", "eps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SimConfig(**{field: value})
+
+
 def test_zero_noise_trajectory_is_censored():
     net = two_node_net(p=0.5, noise=(0.0, 0.0))
     state = solve_synchronous_state(net)

@@ -7,6 +7,7 @@ import scipy.linalg
 
 from crep import (
     DegenerateSystemError,
+    crep,
     SpectralReduction,
     build_linearization,
     network_from_arrays,
@@ -17,7 +18,9 @@ from crep import (
     spectral_reduce,
 )
 
-from conftest import random_connected_network, two_node_net
+from crep.powerflow import _cos_laplacian
+
+from conftest import random_connected_network, ring5_net, two_node_net
 
 
 def pipeline(net):
@@ -63,6 +66,59 @@ def test_laplacian_vanishes_near_domain_boundary():
     )
     model = build_linearization(net, state)
     assert abs(model.laplacian[0, 1]) < 1e-7
+
+
+def _loop_laplacian(net, gaps):
+    lap = np.zeros((net.n, net.n))
+    for k in range(net.m):
+        a, b = net.line_from[k], net.line_to[k]
+        w = net.capacity[k] * np.cos(gaps[k])
+        lap[a, b] -= w
+        lap[b, a] -= w
+        lap[a, a] += w
+        lap[b, b] += w
+    return lap
+
+
+def test_cos_laplacian_matches_per_line_loop_bitwise():
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        net = random_connected_network(rng, n_max=12, extra_edge_prob=2.0)
+        flip = rng.random(net.m) < 0.5
+        lines = [
+            (line.to_node, line.from_node, line.capacity) if f
+            else (line.from_node, line.to_node, line.capacity)
+            for line, f in zip(net.lines, flip)
+        ]
+        flipped = network_from_arrays(
+            net.power, net.inertia, net.damping, net.noise, lines
+        )
+        for case in (net, flipped):
+            gaps = rng.uniform(-3.0, 3.0, case.m)
+            assert np.array_equal(_cos_laplacian(case, gaps), _loop_laplacian(case, gaps))
+            state = solve_synchronous_state(case)
+            assert np.array_equal(
+                build_linearization(case, state).laplacian,
+                _loop_laplacian(case, state.output_phase_diffs),
+            )
+
+
+@pytest.mark.parametrize("scale", [1e5, 1e6])
+def test_stiff_network_variances_match_gibbs_oracle(scale):
+    # b_i^2 / d_i = eta for all i: the stationary law is Gibbs, so the
+    # frequency variances are eta / (2 m_i) and the gap variances eta / 2
+    # times the effective resistances of the cos-weighted graph
+    eta = 0.05
+    base = ring5_net()
+    net = base.with_arrays(noise=np.sqrt(eta * base.damping), capacity=base.capacity * scale)
+    state = solve_synchronous_state(net)
+    report = solve_lyapunov(spectral_reduce(build_linearization(net, state), net))
+    c = net.incidence_array
+    lap = c @ np.diag(net.capacity * np.cos(state.output_phase_diffs)) @ c.T
+    resistance = np.diag(c.T @ np.linalg.pinv(lap) @ c)
+    assert np.allclose(report.sigma2_omega, eta / (2.0 * net.inertia), rtol=1e-8, atol=0)
+    assert np.allclose(report.sigma2_delta, 0.5 * eta * resistance, rtol=1e-8, atol=0)
+    assert 0.0 < crep(net).phi < 1.0
 
 
 def test_system_matrix_block_structure():

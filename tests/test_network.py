@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ import crep
 from crep import (
     NetworkParseError,
     NetworkValidationError,
-    incidence,
     load_network,
     network_from_arrays,
     save_network,
@@ -36,6 +37,24 @@ def test_power_imbalance_rejected(tmp_network_file):
     doc = minimal_doc()
     doc["nodes"][1]["power"] = -0.5
     with pytest.raises(NetworkValidationError, match="power imbalance"):
+        load_network(tmp_network_file(doc))
+
+
+@pytest.mark.parametrize("field", ["power", "inertia", "damping", "noise"])
+def test_nan_node_parameter_in_file_rejected(tmp_network_file, field):
+    doc = minimal_doc()
+    doc["nodes"][0][field] = math.nan
+    path = tmp_network_file(doc)
+    assert "NaN" in open(path).read()
+    with pytest.raises(NetworkValidationError, match=f"node 1: {field} must be finite"):
+        load_network(path)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_capacity_rejected(tmp_network_file, value):
+    doc = minimal_doc()
+    doc["lines"][0]["capacity"] = value
+    with pytest.raises(NetworkValidationError, match=r"line \(1,2\): capacity must be finite"):
         load_network(tmp_network_file(doc))
 
 
@@ -130,11 +149,11 @@ def test_incidence_path():
         [(1, 2, 2.0), (2, 3, 2.0)],
     )
     expected = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
-    assert np.array_equal(incidence(net).entries, expected)
+    assert np.array_equal(net.incidence_array, expected)
 
 
 def test_incidence_single_line():
-    assert np.array_equal(incidence(two_node_net()).entries, np.array([[1.0], [-1.0]]))
+    assert np.array_equal(two_node_net().incidence_array, np.array([[1.0], [-1.0]]))
 
 
 def test_incidence_triangle():
@@ -143,14 +162,14 @@ def test_incidence_triangle():
         [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)],
     )
     expected = np.array([[1.0, 0.0, -1.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
-    assert np.array_equal(incidence(net).entries, expected)
+    assert np.array_equal(net.incidence_array, expected)
 
 
 def test_incidence_columns_sum_to_zero():
     rng = np.random.default_rng(4)
     for _ in range(10):
         net = random_connected_network(rng)
-        cols = incidence(net).entries.sum(axis=0)
+        cols = net.incidence_array.sum(axis=0)
         assert np.array_equal(cols, np.zeros(net.m))
 
 
@@ -177,8 +196,8 @@ def test_line_reordering_permutes_per_line_quantities():
     assert np.allclose(sigma_p, sigma[perm], rtol=1e-12)
     assert np.allclose(f_delta_p, f_delta[perm], rtol=1e-10)
     assert phi == pytest.approx(phi_p, rel=1e-12)
-    inc = incidence(net).entries
-    inc_p = incidence(net_p).entries
+    inc = net.incidence_array
+    inc_p = net_p.incidence_array
     assert np.array_equal(inc_p, inc[:, perm])
 
 
@@ -191,7 +210,7 @@ def test_line_flip_negates_column_and_preserves_metrics():
     net_f = network_from_arrays(power, *args, flipped)
 
     assert np.array_equal(
-        incidence(net_f).entries[:, 0], -incidence(net).entries[:, 0]
+        net_f.incidence_array[:, 0], -net.incidence_array[:, 0]
     )
     sigma, f_delta, phi = _line_quantities(net)
     sigma_f, f_delta_f, phi_f = _line_quantities(net_f)

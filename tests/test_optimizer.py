@@ -21,7 +21,7 @@ from crep import (
     project_to_budget_box,
 )
 
-from conftest import ring5_net, two_node_net
+from conftest import random_connected_network, ring5_net, stagewise_pipeline, two_node_net
 
 
 def _projection_oracle(x, lower, upper, budget):
@@ -143,6 +143,47 @@ def test_evaluate_objective_variance_kinds():
     assert evaluate_objective(net, ObjectiveKind.max_sigma2_omega) == pytest.approx(
         float(np.max(var.sigma2_omega)), rel=1e-12
     )
+
+
+def test_every_objective_reproduces_the_stagewise_pipeline():
+    rng = np.random.default_rng(38)
+    for _ in range(6):
+        net = random_connected_network(rng)
+        state, _, variance, report = stagewise_pipeline(net)
+        expected = {
+            ObjectiveKind.crep_phi: report.phi,
+            ObjectiveKind.crep_phi_delta: report.phi_delta,
+            ObjectiveKind.crep_phi_omega: report.phi_omega,
+            ObjectiveKind.trace_q_delta: float(np.sum(variance.sigma2_delta)),
+            ObjectiveKind.trace_q_omega: float(np.sum(variance.sigma2_omega)),
+            ObjectiveKind.max_sigma2_omega: float(np.max(variance.sigma2_omega)),
+            ObjectiveKind.phase_cohesiveness: crep.phase_cohesiveness(state),
+            ObjectiveKind.order_parameter: crep.order_parameter(state),
+        }
+        assert set(expected) == set(ObjectiveKind)
+        for kind, value in expected.items():
+            assert evaluate_objective(net, kind) == value, kind
+
+
+def test_state_only_objectives_never_linearize():
+    # a marginally stable state: the state exists, its reduction does not
+    degenerate = two_node_net(p=0.0, cap=1e-14, noise=(0.1, 0.1))
+    with pytest.raises(crep.DegenerateSystemError):
+        crep.Analysis(degenerate).reduction
+    assert evaluate_objective(degenerate, ObjectiveKind.phase_cohesiveness) == 0.0
+    assert evaluate_objective(degenerate, ObjectiveKind.order_parameter) == 1.0
+    assert evaluate_objective(degenerate, ObjectiveKind.trace_q_delta) == math.inf
+
+
+def test_variance_objectives_never_compute_escape_probabilities(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("escape probabilities computed")
+
+    monkeypatch.setattr(crep.escape, "crep_from_moments", forbidden)
+    net = ring5_net()
+    for kind in (ObjectiveKind.trace_q_delta, ObjectiveKind.trace_q_omega,
+                 ObjectiveKind.max_sigma2_omega):
+        assert math.isfinite(evaluate_objective(net, kind))
 
 
 def test_maximizing_order_parameter_over_generation():

@@ -18,7 +18,8 @@ class SynchronousStateError(CrepError):
 
 
 class NoConvergence(SynchronousStateError):
-    """Newton iteration exhausted its budget without meeting the tolerance."""
+    """Newton iteration stalled (no halving of a step lowered the mismatch)
+    or exhausted its budget without meeting the tolerance."""
 
 
 class OutOfDomain(SynchronousStateError):

@@ -79,6 +79,9 @@ class DecisionSpec:
             raise InfeasibleSpecError("indices must be distinct")
         if self.lower.shape != (k,) or self.upper.shape != (k,):
             raise InfeasibleSpecError("lower/upper must have one entry per index")
+        for name in ("lower", "upper", "budget"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InfeasibleSpecError(f"{name} must be finite")
         if np.any(self.lower > self.upper):
             raise InfeasibleSpecError("lower bound exceeds upper bound")
         if not (
@@ -133,9 +136,15 @@ def project_to_budget_box(
         raise InfeasibleSpecError("budget outside the box sum range")
     lo = float(np.min(x - upper)) - 1.0
     hi = float(np.max(x - lower)) + 1.0
+    # clip(x - tau, lower, upper) as three ufuncs into one buffer: np.clip's
+    # Python wrapper costs more than the arithmetic on a short vector
+    buf = np.empty_like(x)
     for _ in range(200):
         tau = 0.5 * (lo + hi)
-        s = float(np.clip(x - tau, lower, upper).sum())
+        np.subtract(x, tau, out=buf)
+        np.maximum(buf, lower, out=buf)
+        np.minimum(buf, upper, out=buf)
+        s = float(np.add.reduce(buf))
         if s > budget:
             lo = tau
         else:

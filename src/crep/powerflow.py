@@ -4,6 +4,13 @@ Solves ``P_i = sum_j l_ij sin(delta_i - delta_j)`` for the phase vector with
 node 1 as reference, by damped Newton iteration on the reduced system.  Inside
 the security domain (every line phase gap strictly below pi/2) the reduced
 Jacobian is positive definite and the solution, when it exists, is unique.
+
+Each Newton step is damped by halving until the max-norm mismatch decreases.
+The full step solves J s = -F, so it is a descent direction; when all
+``_MAX_HALVINGS`` trial steps still fail to lower the mismatch, J is
+numerically singular along the path, which is the saddle-node of a network
+without an admissible state.  The solver then raises :class:`NoConvergence`
+at once instead of spending its remaining iterations on vanishing steps.
 """
 from __future__ import annotations
 
@@ -63,10 +70,12 @@ def solve_synchronous_state(
 ) -> SynchronousState:
     """Find the in-domain synchronous state of ``net``.
 
-    Raises :class:`NoConvergence` when the Newton iteration does not reach
-    ``tol`` within ``max_iter`` steps and :class:`OutOfDomain` when the
-    converged phases put some line gap outside (-pi/2, pi/2).  Either error
-    means no admissible synchronous state was found for these parameters.
+    Raises :class:`NoConvergence` when no halving of a Newton step lowers
+    the mismatch (the message names the iteration and the residual) or when
+    the iteration does not reach ``tol`` within ``max_iter`` steps, and
+    :class:`OutOfDomain` when the converged phases put some line gap outside
+    (-pi/2, pi/2).  Either error means no admissible synchronous state was
+    found for these parameters.
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
@@ -75,7 +84,7 @@ def solve_synchronous_state(
     mism = _mismatch(net, phase)
     norm = float(np.max(np.abs(mism)))
 
-    for _ in range(max_iter):
+    for iteration in range(1, max_iter + 1):
         if norm <= tol:
             break
         jac = _cos_laplacian(net, phase[net.line_from] - phase[net.line_to])[1:, 1:]
@@ -93,6 +102,11 @@ def solve_synchronous_state(
             if trial_norm < norm:
                 break
             scale *= 0.5
+        else:
+            raise NoConvergence(
+                f"no damped Newton step reduced the mismatch at iteration {iteration} "
+                f"(residual {norm:.3e} > tol {tol:.3e})"
+            )
         phase, mism, norm = trial, trial_mism, trial_norm
     else:
         if norm > tol:

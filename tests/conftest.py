@@ -1,6 +1,7 @@
 """Shared fixtures and independent reference implementations for the tests."""
 import math
 
+import numpy as np
 import pytest
 
 import crep
@@ -59,6 +60,88 @@ def stagewise_pipeline(net, eps=crep.DEFAULT_EPS):
         state.output_phase_diffs, variance.sigma2_delta, variance.sigma2_omega, eps
     )
     return state, model, variance, report
+
+
+def reference_synchronous_state(net, tol=1e-10, max_iter=50, max_halvings=30):
+    """Damped Newton power flow that accepts a failed line search.
+
+    When no halving lowers the mismatch, the last, 2**-(max_halvings-1)-scaled
+    trial is taken anyway and the iteration runs on to ``max_iter``.  Where
+    this loop converges, ``crep.solve_synchronous_state`` (which stops at the
+    first failed line search) must return the same bits.  Returns (phase,
+    output_phase_diffs, residual); raises ``crep.SynchronousStateError`` when
+    no admissible state is found.
+    """
+    def mismatch(phase):
+        flow = net.capacity * np.sin(phase[net.line_from] - phase[net.line_to])
+        out = net.power.copy()
+        np.subtract.at(out, net.line_from, flow)
+        np.add.at(out, net.line_to, flow)
+        return out
+
+    def jacobian(phase):
+        weights = net.capacity * np.cos(phase[net.line_from] - phase[net.line_to])
+        lap = np.zeros((net.n, net.n))
+        lap[net.line_from, net.line_to] = -weights
+        lap[net.line_to, net.line_from] = -weights
+        ends = np.column_stack((net.line_from, net.line_to)).ravel()
+        np.add.at(lap, (ends, ends), np.repeat(weights, 2))
+        return lap[1:, 1:]
+
+    phase = np.zeros(net.n)
+    mism = mismatch(phase)
+    norm = float(np.max(np.abs(mism)))
+    for _ in range(max_iter):
+        if norm <= tol:
+            break
+        try:
+            step = np.linalg.solve(jacobian(phase), mism[1:])
+        except np.linalg.LinAlgError as exc:
+            raise crep.NoConvergence("singular Jacobian") from exc
+        scale = 1.0
+        for _ in range(max_halvings):
+            trial = phase.copy()
+            trial[1:] += scale * step
+            trial_mism = mismatch(trial)
+            trial_norm = float(np.max(np.abs(trial_mism)))
+            if trial_norm < norm:
+                break
+            scale *= 0.5
+        phase, mism, norm = trial, trial_mism, trial_norm
+    else:
+        if norm > tol:
+            raise crep.NoConvergence("no convergence")
+    diffs = phase[net.line_from] - phase[net.line_to]
+    if net.m and float(np.max(np.abs(diffs))) >= math.pi / 2 - 1e-12:
+        raise crep.OutOfDomain("out of domain")
+    phase = phase - phase[0]
+    return phase, phase[net.line_from] - phase[net.line_to], norm
+
+
+def reference_projection(x, lower, upper, budget):
+    """The budget-box projection's bisection written with ``np.clip``.
+
+    ``crep.project_to_budget_box`` must return the same bits.
+    """
+    x = np.asarray(x, dtype=float)
+    lo = float(np.min(x - upper)) - 1.0
+    hi = float(np.max(x - lower)) + 1.0
+    for _ in range(200):
+        tau = 0.5 * (lo + hi)
+        s = float(np.clip(x - tau, lower, upper).sum())
+        if s > budget:
+            lo = tau
+        else:
+            hi = tau
+        if hi - lo < 1e-15 * max(1.0, abs(hi), abs(lo)):
+            break
+    theta = np.clip(x - 0.5 * (lo + hi), lower, upper)
+    free = (theta > lower) & (theta < upper)
+    gap = budget - float(theta.sum())
+    if np.any(free) and gap != 0.0:
+        theta[free] += gap / int(np.count_nonzero(free))
+        theta = np.clip(theta, lower, upper)
+    return theta
 
 
 def two_node_net(p=1.0, cap=2.0, inertia=(1.0, 1.0), damping=(1.0, 1.0),

@@ -21,7 +21,13 @@ from crep import (
     project_to_budget_box,
 )
 
-from conftest import random_connected_network, ring5_net, stagewise_pipeline, two_node_net
+from conftest import (
+    random_connected_network,
+    reference_projection,
+    ring5_net,
+    stagewise_pipeline,
+    two_node_net,
+)
 
 
 def _projection_oracle(x, lower, upper, budget):
@@ -80,6 +86,21 @@ def test_projection_is_identity_on_feasible_points():
     assert np.allclose(theta, x, atol=1e-12)
 
 
+def test_projection_matches_the_clip_loop_bitwise():
+    rng = np.random.default_rng(51)
+    for trial in range(600):
+        k = int(rng.integers(2, 40))
+        lower = rng.uniform(-1.0, 1.0, k)
+        upper = lower + rng.uniform(0.0, 3.0, k)
+        budget = float(
+            (lower.sum(), upper.sum())[trial % 2] if trial < 40
+            else rng.uniform(lower.sum(), upper.sum())
+        )
+        x = rng.normal(0.0, 2.0, k) * 10.0 ** rng.uniform(-3.0, 2.0)
+        theta = project_to_budget_box(x, lower, upper, budget)
+        assert theta.tobytes() == reference_projection(x, lower, upper, budget).tobytes()
+
+
 def test_spec_validation():
     with pytest.raises(InfeasibleSpecError):
         DecisionSpec("capacity", (1,), 1.0, np.array([0.0]), np.array([1.0]))
@@ -91,6 +112,21 @@ def test_spec_validation():
         DecisionSpec("inertia", (1,), 5.0, np.array([1.0]), np.array([2.0]))
     with pytest.raises(InfeasibleSpecError):
         DecisionSpec("inertia", (1,), 1.5, np.array([2.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize(
+    "field, lower, upper, budget",
+    [
+        ("upper", [0.0, 0.0], [math.inf, 2.0], 1.0),
+        ("lower", [-math.inf, 0.0], [1.0, 2.0], 1.0),
+        ("lower", [math.nan, 0.0], [1.0, 2.0], 1.0),
+        ("budget", [0.0, 0.0], [2.0, 2.0], math.nan),
+    ],
+    ids=["inf-upper", "minus-inf-lower", "nan-lower", "nan-budget"],
+)
+def test_spec_rejects_non_finite_bounds_and_budget(field, lower, upper, budget):
+    with pytest.raises(InfeasibleSpecError, match=f"^{field} must be finite$"):
+        DecisionSpec("generation", (1, 2), budget, lower, upper)
 
 
 def test_spec_network_validation():

@@ -12,7 +12,13 @@ from crep import (
     synchronous_output,
 )
 
-from conftest import random_connected_network, two_node_net
+import crep.powerflow
+from conftest import (
+    random_connected_network,
+    reference_synchronous_state,
+    ring5_net,
+    two_node_net,
+)
 
 ARCSIN_HALF = math.asin(0.5)
 
@@ -110,3 +116,58 @@ def test_single_node_network():
 def test_tol_must_be_positive():
     with pytest.raises(ValueError):
         solve_synchronous_state(two_node_net(), tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        two_node_net(p=3.0, cap=2.0),
+        two_node_net(p=2.0 + 1e-6, cap=2.0),
+        ring5_net(caps=(0.2,) * 5),
+    ],
+    ids=["overload", "marginal-overload", "ring5-caps-x0.2"],
+)
+def test_infeasible_flow_stops_at_first_failed_line_search(monkeypatch, net):
+    # a full halving sequence without descent ends the solve at once, not
+    # after max_iter iterations of 2**-29-scaled steps (900-1272 evaluations)
+    calls = 0
+    mismatch = crep.powerflow._mismatch
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return mismatch(*args)
+
+    monkeypatch.setattr(crep.powerflow, "_mismatch", counting)
+    with pytest.raises(NoConvergence, match=r"no damped Newton step .* at iteration \d+"):
+        solve_synchronous_state(net)
+    assert calls < 500
+
+
+def test_early_stop_keeps_every_state_bitwise():
+    # capacities scaled across the feasibility boundary: success or failure
+    # and every successful state match the reference loop, which accepts a
+    # failed line search and runs on
+    rng = np.random.default_rng(404)
+    solved = stopped_early = 0
+    for _ in range(300):
+        base = random_connected_network(rng)
+        scale = math.exp(rng.uniform(math.log(0.01), math.log(3.0)))
+        net = base.with_arrays(capacity=base.capacity * scale)
+        try:
+            expected = reference_synchronous_state(net)
+        except SynchronousStateError:
+            expected = None
+        try:
+            state = solve_synchronous_state(net)
+        except SynchronousStateError as exc:
+            state = None
+            stopped_early += "no damped Newton step" in str(exc)
+        assert (state is None) == (expected is None)
+        if state is not None:
+            solved += 1
+            phase, diffs, residual = expected
+            assert np.array_equal(state.phase, phase)
+            assert np.array_equal(state.output_phase_diffs, diffs)
+            assert state.residual == residual
+    assert solved >= 100 and stopped_early >= 100

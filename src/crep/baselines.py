@@ -45,6 +45,10 @@ class MetricsBundle:
 def linear_stability(model: LinearizedModel) -> float:
     """Smallest |Re| over the nonzero eigenvalues of the full Jacobian.
 
+    The reference definition of ``min_re_mu``, from dense ``eigvals`` of the
+    2n Jacobian.  The analysis pipeline does not call it: it reads
+    :attr:`VarianceReport.min_re_mu` off the Schur form of the Lyapunov solve.
+
     Eigenvalues with magnitude below ``ZERO_EIG_TOL`` times max(1, largest
     magnitude) are treated as the structural zero mode; finding more than one
     of them raises :class:`DegenerateSystemError`.
@@ -115,13 +119,14 @@ def metrics_bundle(net: Network, eps: float = DEFAULT_EPS) -> MetricsBundle:
 def _bundle(analysis: Analysis) -> MetricsBundle:
     """The metrics of an analysis.
 
-    Reads ``report`` first, so a failing pipeline stage raises its own error
-    before :func:`linear_stability` runs.
+    Every metric comes from the analysis's cached stages; ``min_re_mu`` is
+    the one the Lyapunov solve reads off its Schur form, so no second
+    eigen-factorization of the Jacobian runs.
     """
     report = analysis.report
     variance, state = analysis.variance, analysis.state
     return MetricsBundle(
-        min_re_mu=linear_stability(analysis.model),
+        min_re_mu=variance.min_re_mu,
         h2_squared=float(np.trace(variance.q_y)),
         trace_q_delta=float(np.sum(variance.sigma2_delta)),
         trace_q_omega=float(np.sum(variance.sigma2_omega)),

@@ -6,7 +6,8 @@ output (line phase gaps and node frequencies) does.  Transforming with the
 orthogonal eigenbasis of ``M^{-1/2} L_c M^{-1/2}`` isolates the structural
 zero mode in the first coordinate; dropping that coordinate leaves a Hurwitz
 (2n-1)-dimensional system whose Lyapunov equation yields the stationary
-output covariance.
+output covariance; the real Schur form that solves it also gives the
+slowest decay rate min |Re mu|.
 """
 from __future__ import annotations
 
@@ -53,6 +54,10 @@ class VarianceReport:
     q_y: np.ndarray           # (m+n, m+n)
     sigma2_delta: np.ndarray  # (m,) per-line phase-gap variances
     sigma2_omega: np.ndarray  # (n,) per-node frequency variances
+    #: smallest |Re mu| over the spectrum of A2, read off the diagonal of the
+    #: real Schur form the solve factors; A2's spectrum is the full
+    #: Jacobian's less its structural zero mode
+    min_re_mu: float
 
 
 def build_linearization(net: Network, state: SynchronousState) -> LinearizedModel:
@@ -129,12 +134,34 @@ def spectral_reduce(model: LinearizedModel, net: Network) -> SpectralReduction:
 def solve_lyapunov(reduction: SpectralReduction) -> VarianceReport:
     """Stationary covariance of the reduced system and of the output.
 
-    Solves ``A2 Q + Q A2^T + B2 B2^T = 0`` by the Schur (Bartels-Stewart)
-    method and validates the residual against :data:`LYAP_RESIDUAL_TOL`.
+    Solves ``A2 Q + Q A2^T + B2 B2^T = 0`` by the Bartels-Stewart method on
+    one real Schur form ``A2 = U R U^T``, the same sequence of calls as
+    ``scipy.linalg.solve_continuous_lyapunov``, and validates the residual
+    against :data:`LYAP_RESIDUAL_TOL`.  The diagonal of ``R`` holds Re mu of
+    every eigenvalue of A2 (a complex pair's real part on both entries of
+    its 2x2 block), so the same factorization gives ``min_re_mu``.
+
+    Raises :class:`LyapunovSolveError` when LAPACK ``trsyl`` had to perturb
+    A2 because an eigenvalue pair sums to about zero (stiff networks), when
+    it reports an illegal argument, or when the residual exceeds its bound.
     """
     a2 = reduction.reduced_sys
     forcing = reduction.reduced_input @ reduction.reduced_input.T
-    q_x = scipy.linalg.solve_continuous_lyapunov(a2, -forcing)
+    r, u = scipy.linalg.schur(a2, output="real")
+    f = u.T.dot((-forcing).dot(u))
+    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (r, f))
+    y, y_scale, info = trsyl(r, r, f, tranb="T")
+    if info < 0:
+        raise LyapunovSolveError(f"LAPACK trsyl rejected argument {-info}")
+    if info == 1:
+        raise LyapunovSolveError(
+            "A2 has an eigenvalue pair whose sum is numerically zero; trsyl "
+            "would perturb it and return an inaccurate covariance"
+        )
+    min_re_mu = float(np.min(np.abs(np.diag(r))))
+    y *= y_scale
+    q_x = u.dot(y).dot(u.T)
+    del r, u, f, y  # release the factorization before the (m+n)^2 products
     q_x = 0.5 * (q_x + q_x.T)
 
     residual = float(np.max(np.abs(a2 @ q_x + q_x @ a2.T + forcing)))
@@ -154,4 +181,5 @@ def solve_lyapunov(reduction: SpectralReduction) -> VarianceReport:
         q_y=q_y,
         sigma2_delta=diag[:m],
         sigma2_omega=diag[m:],
+        min_re_mu=min_re_mu,
     )

@@ -184,6 +184,16 @@ def test_braess_labels_failing_side():
         braess_compare(scenario)
 
 
+def test_metrics_bundle_runs_no_second_eigen_factorization(monkeypatch):
+    def fail(model):
+        raise AssertionError("metrics_bundle must read min_re_mu off the Lyapunov solve")
+
+    monkeypatch.setattr(crep.baselines, "linear_stability", fail)
+    net = random_connected_network(np.random.default_rng(38))
+    bundle = metrics_bundle(net)
+    assert bundle.min_re_mu == crep.Analysis(net).variance.min_re_mu
+
+
 def test_metrics_bundle_fields_consistent():
     rng = np.random.default_rng(37)
     net = random_connected_network(rng)

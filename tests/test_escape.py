@@ -215,7 +215,7 @@ def test_every_entry_point_reproduces_the_stagewise_pipeline(eps):
         for report in (crep_metric(net, eps), analysis.report, bundle.crep):
             assert_reports_identical(report, expected)
         assert np.array_equal(analysis.variance.q_y, variance.q_y)
-        assert bundle.min_re_mu == crep.linear_stability(model)
+        assert bundle.min_re_mu == variance.min_re_mu
         assert bundle.h2_squared == float(np.trace(variance.q_y))
         assert bundle.trace_q_delta == float(np.sum(variance.sigma2_delta))
         assert bundle.trace_q_omega == float(np.sum(variance.sigma2_omega))

@@ -7,9 +7,11 @@ import scipy.linalg
 
 from crep import (
     DegenerateSystemError,
+    LyapunovSolveError,
     crep,
     SpectralReduction,
     build_linearization,
+    linear_stability,
     network_from_arrays,
     smib_analytic,
     smib_network,
@@ -309,3 +311,52 @@ def test_lyapunov_residual_certified_on_random_networks():
         assert np.all(np.diag(report.q_y) >= 0.0)
         assert np.allclose(report.q_y, reduction.reduced_output @ report.q_x
                            @ reduction.reduced_output.T, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def solved_networks():
+    """(model, reduction, report) of 40 seeded random networks and one of 200 nodes."""
+    rng = np.random.default_rng(41)
+    nets = [random_connected_network(rng) for _ in range(40)]
+    nets.append(random_connected_network(np.random.default_rng(5), n_min=200, n_max=200))
+    out = []
+    for net in nets:
+        _, model, reduction = pipeline(net)
+        out.append((model, reduction, solve_lyapunov(reduction)))
+    assert out[-1][1].eigenvalues.size == 200
+    return out
+
+
+def test_lyapunov_solve_matches_scipy_bitwise(solved_networks):
+    for _, reduction, report in solved_networks:
+        forcing = reduction.reduced_input @ reduction.reduced_input.T
+        q_x = scipy.linalg.solve_continuous_lyapunov(reduction.reduced_sys, -forcing)
+        assert np.array_equal(report.q_x, 0.5 * (q_x + q_x.T))
+
+
+def test_min_re_mu_matches_linear_stability(solved_networks):
+    for model, _, report in solved_networks:
+        assert report.min_re_mu == pytest.approx(linear_stability(model), rel=1e-12)
+
+
+@pytest.mark.parametrize("cap", [2.0, 2e7], ids=["two-node", "two-node-cap-2e7"])
+def test_min_re_mu_of_two_node_network(cap):
+    net = network_from_arrays([0.0, 0.0], [1.0] * 2, [1.0] * 2, [0.1] * 2, [(1, 2, cap)])
+    _, model, reduction = pipeline(net)
+    report = solve_lyapunov(reduction)
+    assert report.min_re_mu == pytest.approx(0.5, rel=1e-12)
+    assert report.min_re_mu == pytest.approx(linear_stability(model), rel=1e-12)
+    assert report.sigma2_omega == pytest.approx([0.005, 0.005], rel=1e-9)
+
+
+@pytest.mark.parametrize("net", [
+    smib_network(2.0, 3.0, 5e8, 3e8, 1.0),
+    network_from_arrays([0.0, 0.0], [1.0] * 2, [1.0] * 2, [0.1] * 2, [(1, 2, 2e8)]),
+], ids=["smib-5e8", "two-node-cap-2e8"])
+def test_stiff_network_raises_instead_of_perturbing(net):
+    # trsyl perturbs a near-zero eigenvalue-pair sum here; the perturbed
+    # solutions had SMIB sigma2_omega 0 (closed form 1/12) and two-node
+    # sigma2_omega 0.00236 (closed form 0.005)
+    _, _, reduction = pipeline(net)
+    with pytest.raises(LyapunovSolveError, match="eigenvalue pair"):
+        solve_lyapunov(reduction)

@@ -1,33 +1,23 @@
-"""Euler-Maruyama trajectory kernels: vectorized numpy and optional numba loop.
+"""Euler-Maruyama trajectory kernel, vectorized over trajectories with numpy.
 
-Both backends integrate the nonlinear stochastic swing dynamics for a block of
-trajectories and report, per trajectory, the first step at which a monitored
+The kernel integrates the nonlinear stochastic swing dynamics for a block of
+trajectories and reports, per trajectory, the first step at which a monitored
 component left its critical interval.  Each trajectory owns a splitmix64
 stream seeded from ``(master_seed, trajectory_index)`` and draws one Gaussian
 increment per node per step via Box-Muller, so results are independent of how
 trajectories are grouped into batches or scheduled onto workers.
 
-The numpy kernel steps all running trajectories of a batch as rows of one
-array and drops each row as soon as it exits, so a step costs work only for
-the rows still running.  It draws a step's ``2n`` uniforms with one broadcast
-add, since value ``k`` of a stream after ``state`` is ``mix(state + k * GOLD)``.
+All running trajectories of a batch are stepped as rows of one array, and
+each row is dropped as soon as it exits, so a step costs work only for the
+rows still running.  A step's ``2n`` uniforms come from one broadcast add,
+since value ``k`` of a stream after ``state`` is ``mix(state + k * GOLD)``.
 Exit steps and components are bit-identical for any batch split.
-
-numba is optional (the ``jit`` extra).  When it imports, the jitted loop is
-the default; setting the environment variable ``CREP_DISABLE_NUMBA`` to
-anything but ``0`` selects the numpy kernel instead.  The two paths perform
-the same arithmetic in the same order; they may differ in the last ulp of a
-Gaussian draw because numpy's vectorized ``log`` is not bit-identical to
-libm's.
 """
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-_ENV_FLAG = "CREP_DISABLE_NUMBA"
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -42,102 +32,8 @@ _TWO_PI = 6.283185307179586
 _HALF_PI = 1.5707963267948966
 
 
-def _mix64(z):
-    z = (z ^ (z >> _SH30)) * _MIX1
-    z = (z ^ (z >> _SH27)) * _MIX2
-    return z ^ (z >> _SH31)
-
-
-def _stream_seed(master, index):
-    """Initial splitmix64 state for one trajectory's stream."""
-    return _mix64(master + (index + _ONE) * _GOLD)
-
-
-def _chunk_loop(
-    lo,
-    hi,
-    master,
-    phase0,
-    n_steps,
-    dt,
-    power,
-    inv_inertia,
-    damping,
-    noise_over_m,
-    line_from,
-    line_to,
-    capacity,
-    check_phase,
-    check_freq,
-    eps,
-    exit_step,
-    exit_comp,
-):
-    n = phase0.shape[0]
-    m = line_from.shape[0]
-    sqrt_dt = math.sqrt(dt)
-    delta = np.empty(n)
-    omega = np.empty(n)
-    coup = np.empty(n)
-    for t in range(lo, hi):
-        state = _stream_seed(master, np.uint64(t))
-        for i in range(n):
-            delta[i] = phase0[i]
-            omega[i] = 0.0
-        step = np.int64(0)
-        comp = np.int64(-1)
-        for s in range(1, n_steps + 1):
-            for i in range(n):
-                coup[i] = 0.0
-            for k in range(m):
-                flow = capacity[k] * math.sin(delta[line_from[k]] - delta[line_to[k]])
-                coup[line_from[k]] += flow
-                coup[line_to[k]] -= flow
-            for i in range(n):
-                delta[i] = delta[i] + omega[i] * dt
-                state = state + _GOLD
-                x1 = _mix64(state)
-                state = state + _GOLD
-                x2 = _mix64(state)
-                u1 = np.float64((x1 >> _SH11) + _ONE) * _INV53
-                u2 = np.float64(x2 >> _SH11) * _INV53
-                z = math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
-                omega[i] = (
-                    omega[i]
-                    + (dt * inv_inertia[i]) * (power[i] - damping[i] * omega[i] - coup[i])
-                    + (noise_over_m[i] * sqrt_dt) * z
-                )
-            if check_phase:
-                for k in range(m):
-                    if abs(delta[line_from[k]] - delta[line_to[k]]) >= _HALF_PI:
-                        comp = np.int64(k)
-                        break
-            if comp < 0 and check_freq:
-                for i in range(n):
-                    if abs(omega[i]) >= eps:
-                        comp = np.int64(m + i)
-                        break
-            if comp >= 0:
-                step = np.int64(s)
-                break
-        exit_step[t - lo] = step
-        exit_comp[t - lo] = comp
-
-
-try:
-    from numba import njit
-
-    _mix64 = njit(cache=True, nogil=True)(_mix64)
-    _stream_seed = njit(cache=True, nogil=True)(_stream_seed)
-    _chunk_loop_numba = njit(cache=True, nogil=True)(_chunk_loop)
-    HAVE_NUMBA = True
-except ImportError:  # numba is the optional ``jit`` extra
-    _chunk_loop_numba = None
-    HAVE_NUMBA = False
-
-
 def _mix_vec(z):
-    """splitmix64 output function on a uint64 array (never jitted)."""
+    """splitmix64 output function on a uint64 array."""
     z = (z ^ (z >> _SH30)) * _MIX1
     z = (z ^ (z >> _SH27)) * _MIX2
     return z ^ (z >> _SH31)
@@ -168,29 +64,36 @@ def _normals_vec(states, offsets):
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
 
 
-def _simulate_chunk_numpy(
-    lo,
-    hi,
-    master,
-    phase0,
-    n_steps,
-    dt,
-    power,
-    inv_inertia,
-    damping,
-    noise_over_m,
-    line_from,
-    line_to,
-    capacity,
-    check_phase,
-    check_freq,
-    eps,
-):
+def simulate_chunk(
+    lo: int,
+    hi: int,
+    master_seed: int,
+    phase0: np.ndarray,
+    n_steps: int,
+    dt: float,
+    power: np.ndarray,
+    inv_inertia: np.ndarray,
+    damping: np.ndarray,
+    noise_over_m: np.ndarray,
+    line_from: np.ndarray,
+    line_to: np.ndarray,
+    capacity: np.ndarray,
+    check_phase: bool,
+    check_freq: bool,
+    eps: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate trajectories ``lo..hi-1``; return (exit_step, exit_component).
+
+    ``master_seed`` must lie in ``[0, 2**64)``.  ``exit_step`` is the 1-based
+    step of the first violation (0 when the trajectory is censored at the
+    horizon); ``exit_component`` is the 0-based concatenated output index
+    (lines first, then nodes; -1 when censored).
+    """
     n = phase0.shape[0]
     m = line_from.shape[0]
     batch = hi - lo
     sqrt_dt = math.sqrt(dt)
-    states = _stream_seeds_vec(master, lo, hi)
+    states = _stream_seeds_vec(np.uint64(master_seed), lo, hi)
     delta = np.tile(phase0, (batch, 1))
     omega = np.zeros((batch, n))
     exit_step = np.zeros(batch, dtype=np.int64)
@@ -228,71 +131,3 @@ def _simulate_chunk_numpy(
             delta = delta[keep]
             omega = omega[keep]
     return exit_step, exit_comp
-
-
-def _simulate_chunk_jit(lo, hi, master, phase0, n_steps, dt, power, inv_inertia,
-                        damping, noise_over_m, line_from, line_to, capacity,
-                        check_phase, check_freq, eps):
-    batch = hi - lo
-    exit_step = np.empty(batch, dtype=np.int64)
-    exit_comp = np.empty(batch, dtype=np.int64)
-    _chunk_loop_numba(
-        lo, hi, master, phase0, n_steps, dt, power, inv_inertia, damping,
-        noise_over_m, line_from, line_to, capacity, check_phase, check_freq,
-        eps, exit_step, exit_comp,
-    )
-    return exit_step, exit_comp
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
-def default_backend() -> str:
-    """Backend selected by availability and the CREP_DISABLE_NUMBA env flag."""
-    disabled = os.environ.get(_ENV_FLAG, "0") not in ("", "0")
-    if HAVE_NUMBA and not disabled:
-        return "numba"
-    return "numpy"
-
-
-def simulate_chunk(
-    backend: str,
-    lo: int,
-    hi: int,
-    master_seed: int,
-    phase0: np.ndarray,
-    n_steps: int,
-    dt: float,
-    power: np.ndarray,
-    inv_inertia: np.ndarray,
-    damping: np.ndarray,
-    noise_over_m: np.ndarray,
-    line_from: np.ndarray,
-    line_to: np.ndarray,
-    capacity: np.ndarray,
-    check_phase: bool,
-    check_freq: bool,
-    eps: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate trajectories ``lo..hi-1``; return (exit_step, exit_component).
-
-    ``exit_step`` is the 1-based step of the first violation (0 when the
-    trajectory is censored at the horizon); ``exit_component`` is the 0-based
-    concatenated output index (lines first, then nodes; -1 when censored).
-    """
-    master = np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF)
-    if backend == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        fn = _simulate_chunk_jit
-    elif backend == "numpy":
-        fn = _simulate_chunk_numpy
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    with np.errstate(over="ignore"):
-        return fn(
-            int(lo), int(hi), master, phase0, int(n_steps), float(dt), power,
-            inv_inertia, damping, noise_over_m, line_from, line_to, capacity,
-            bool(check_phase), bool(check_freq), float(eps),
-        )

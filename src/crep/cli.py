@@ -19,7 +19,6 @@ from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 
-from . import _kernels
 from .baselines import (
     AddLine,
     BraessScenario,
@@ -39,12 +38,14 @@ from .errors import (
     SynchronousStateError,
 )
 from .escape import DEFAULT_EPS, Analysis
-from .hitting import SimConfig, estimate_hitting_time
+from .hitting import EXIT_MODES, SimConfig, estimate_hitting_time
 from .network import Network, load_network, save_network
 from .optimizer import (
+    DECISION_VARIABLES,
     DecisionSpec,
     ObjectiveKind,
     SearchConfig,
+    _DECISION_FIELDS,
     apply_decision,
     optimize,
 )
@@ -252,11 +253,10 @@ def cmd_hitting_time(args) -> int:
     cfg = _sim_config(args)
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
-    backend = _kernels.default_backend()
     estimate = estimate_hitting_time(net, cfg, n_workers=args.workers)
     doc = {
         "network": {**_network_digest(args.network), "n": net.n, "m": net.m},
-        "config": {**asdict(cfg), "backend": backend},
+        "config": asdict(cfg),
         "estimate": estimate,
     }
     _emit(doc, args.out)
@@ -308,13 +308,8 @@ def _decision_spec(net: Network, args) -> DecisionSpec:
     if args.budget is not None:
         budget = args.budget
     else:
-        source = {
-            "generation": net.power,
-            "inertia": net.inertia,
-            "damping": net.damping,
-            "line_capacity": net.capacity,
-        }[args.decision]
-        budget = float(source[idx0].sum())
+        field = _DECISION_FIELDS[args.decision]
+        budget = float(getattr(net, field)[idx0].sum())
 
     if "lower" in bounds:
         lower = _as_bound_array(bounds["lower"], k, "lower")
@@ -410,7 +405,7 @@ def cmd_braess(args) -> int:
     sim_doc = None
     if args.with_hitting_time:
         sim = _sim_config(args)
-        sim_doc = {**asdict(sim), "backend": _kernels.default_backend()}
+        sim_doc = asdict(sim)
 
     verdict = braess_compare(
         BraessScenario(net, change), eps=args.eps, sim=sim, n_workers=args.workers
@@ -464,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_flags(hitting, samples_required=True)
     hitting.add_argument("--eps", type=float, default=DEFAULT_EPS)
     hitting.add_argument(
-        "--exit-mode", choices=("phase_only", "freq_only", "both"), default="both"
+        "--exit-mode", choices=EXIT_MODES, default="both"
     )
     hitting.add_argument("--out", default=None)
     hitting.set_defaults(func=cmd_hitting_time)
@@ -472,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt = subs.add_parser("optimize", help="minimize a stability objective over one family")
     opt.add_argument("network")
     opt.add_argument(
-        "--decision", choices=("generation", "inertia", "damping", "line_capacity"),
+        "--decision", choices=DECISION_VARIABLES,
         required=True,
     )
     opt.add_argument(
@@ -498,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     braess.add_argument("--with-hitting-time", action="store_true")
     _add_sim_flags(braess, samples_required=False)
     braess.add_argument(
-        "--exit-mode", choices=("phase_only", "freq_only", "both"), default="phase_only"
+        "--exit-mode", choices=EXIT_MODES, default="phase_only"
     )
     braess.add_argument("--out", default=None)
     braess.set_defaults(func=cmd_braess)

@@ -31,6 +31,10 @@ _Z95 = 1.959963984540054
 _BATCH_CELLS = 1 << 18
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Euler-Maruyama and monitoring parameters for hitting-time runs."""
@@ -50,8 +54,14 @@ class SimConfig:
             raise ValueError("dt must be > 0")
         if self.t_max < self.dt:
             raise ValueError("t_max must be >= dt")
+        if not _is_int(self.n_samples):
+            raise ValueError(f"n_samples must be an int, got {self.n_samples!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if not _is_int(self.master_seed) or not 0 <= self.master_seed < 2**64:
+            raise ValueError(
+                f"master_seed must be an int in [0, 2**64), got {self.master_seed!r}"
+            )
         if self.eps < 0.0:
             raise ValueError("eps must be >= 0")
         if self.exit_mode not in EXIT_MODES:
@@ -118,13 +128,13 @@ def simulate_trajectory(
     state: SynchronousState,
     cfg: SimConfig,
     trajectory_index: int,
-    backend: str | None = None,
 ) -> TrajectoryOutcome:
     """Integrate one trajectory; returns its first-exit time and component."""
-    backend = backend or _kernels.default_backend()
+    if trajectory_index < 0:
+        raise ValueError(f"trajectory_index must be >= 0, got {trajectory_index}")
     args = _kernel_args(net, state, cfg)
     step, comp = _kernels.simulate_chunk(
-        backend, trajectory_index, trajectory_index + 1, **args
+        trajectory_index, trajectory_index + 1, **args
     )
     if step[0] == 0:
         return TrajectoryOutcome(None, None, None)
@@ -138,18 +148,16 @@ def estimate_hitting_time(
     net: Network,
     cfg: SimConfig,
     n_workers: int = 1,
-    backend: str | None = None,
     state: SynchronousState | None = None,
 ) -> HittingTimeEstimate:
     """Run ``cfg.n_samples`` trajectories and aggregate exit statistics.
 
     Raises :class:`AllCensoredError` when no trajectory exits before the
-    horizon.  The result depends only on the network, the config and the
-    backend, never on ``n_workers``.
+    horizon.  The result depends only on the network and the config, never
+    on ``n_workers``.
     """
     if state is None:
         state = solve_synchronous_state(net)
-    backend = backend or _kernels.default_backend()
     args = _kernel_args(net, state, cfg)
 
     total = cfg.n_samples
@@ -161,7 +169,7 @@ def estimate_hitting_time(
 
     def run(span):
         lo, hi = span
-        step, comp = _kernels.simulate_chunk(backend, lo, hi, **args)
+        step, comp = _kernels.simulate_chunk(lo, hi, **args)
         exit_step[lo:hi] = step
         exit_comp[lo:hi] = comp
 

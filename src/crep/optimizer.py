@@ -46,7 +46,14 @@ _STATE_ONLY_KINDS = frozenset(
     {ObjectiveKind.phase_cohesiveness, ObjectiveKind.order_parameter}
 )
 
-DECISION_VARIABLES = ("generation", "inertia", "damping", "line_capacity")
+#: decision variable -> the Network parameter array it writes
+_DECISION_FIELDS = {
+    "generation": "power",
+    "inertia": "inertia",
+    "damping": "damping",
+    "line_capacity": "capacity",
+}
+DECISION_VARIABLES = tuple(_DECISION_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -163,33 +170,15 @@ def project_to_budget_box(
 def apply_decision(net: Network, spec: DecisionSpec, theta: np.ndarray) -> Network:
     """Network with the decision vector written into the selected parameters."""
     idx = np.array(spec.indices, dtype=int) - 1
-    theta = np.asarray(theta, dtype=float)
-    if spec.variable == "generation":
-        power = net.power.copy()
-        power[idx] = theta
-        return net.with_arrays(power=power)
-    if spec.variable == "inertia":
-        inertia = net.inertia.copy()
-        inertia[idx] = theta
-        return net.with_arrays(inertia=inertia)
-    if spec.variable == "damping":
-        damping = net.damping.copy()
-        damping[idx] = theta
-        return net.with_arrays(damping=damping)
-    capacity = net.capacity.copy()
-    capacity[idx] = theta
-    return net.with_arrays(capacity=capacity)
+    field = _DECISION_FIELDS[spec.variable]
+    updated = getattr(net, field).copy()
+    updated[idx] = np.asarray(theta, dtype=float)
+    return net.with_arrays(**{field: updated})
 
 
 def current_values(net: Network, spec: DecisionSpec) -> np.ndarray:
     idx = np.array(spec.indices, dtype=int) - 1
-    source = {
-        "generation": net.power,
-        "inertia": net.inertia,
-        "damping": net.damping,
-        "line_capacity": net.capacity,
-    }[spec.variable]
-    return source[idx].copy()
+    return getattr(net, _DECISION_FIELDS[spec.variable])[idx].copy()
 
 
 #: objective -> its natural value, read from the stages of a network's Analysis

@@ -168,6 +168,22 @@ def test_hitting_time_rejects_zero_samples(tmp_path):
     assert main(["hitting-time", path, "--samples", "0"]) == 1
 
 
+def test_hitting_time_rejects_negative_seed(tmp_path):
+    path = write_net(tmp_path, two_node_net(noise=(0.2, 0.2)))
+    assert main(["hitting-time", path, "--samples", "4", "--seed", "-1"]) == 1
+
+
+def test_hitting_time_config_has_exactly_the_sim_config_fields(tmp_path):
+    path = write_net(tmp_path, two_node_net(p=0.5, noise=(0.4, 0.4)))
+    out = str(tmp_path / "hit.json")
+    assert main([
+        "hitting-time", path, "--samples", "8", "--tmax", "5", "--eps", "0.05",
+        "--out", out,
+    ]) == 0
+    doc = json.loads(open(out).read())
+    assert list(doc["config"]) == [f.name for f in fields(crep.SimConfig)]
+
+
 def test_hitting_time_zero_noise_exit_code(tmp_path):
     path = write_net(tmp_path, two_node_net(p=0.5, noise=(0.0, 0.0)))
     assert main([

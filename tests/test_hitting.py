@@ -25,6 +25,29 @@ def test_config_validation():
         SimConfig(exit_mode="sideways")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_samples", 10.5),
+    ("n_samples", True),
+    ("master_seed", 1.5),
+    ("master_seed", True),
+    ("master_seed", -1),
+    ("master_seed", 2**64),
+])
+def test_config_rejects_bad_sample_count_and_seed(field, value):
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**{field: value})
+
+
+def test_largest_seed_runs_and_negative_index_is_rejected():
+    net = two_node_net(p=0.0, noise=(0.3, 0.3))
+    state = solve_synchronous_state(net)
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_samples=1, eps=0.0,
+                    master_seed=2**64 - 1, exit_mode="freq_only")
+    assert simulate_trajectory(net, state, cfg, 0).exit_time == pytest.approx(cfg.dt)
+    with pytest.raises(ValueError, match="trajectory_index"):
+        simulate_trajectory(net, state, cfg, -1)
+
+
 @pytest.mark.parametrize("field", ["dt", "t_max", "eps"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_config_rejects_non_finite_values(field, value):

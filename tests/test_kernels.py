@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -55,52 +51,39 @@ def test_vectorized_normals_match_python_reference():
     assert drawn == pytest.approx(expected, rel=1e-12)
 
 
-def _chunk(backend, net, cfg, lo, hi):
+def _chunk(net, cfg, lo, hi):
     state = crep.solve_synchronous_state(net)
     from crep.hitting import _kernel_args
 
     args = _kernel_args(net, state, cfg)
-    return _kernels.simulate_chunk(backend, lo, hi, **args)
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_backends_agree_on_exit_steps():
-    net = ring5_net()
-    cfg = crep.SimConfig(dt=1e-3, t_max=30.0, n_samples=64, eps=0.02,
-                         master_seed=123, exit_mode="both")
-    step_nb, comp_nb = _chunk("numba", net, cfg, 0, 64)
-    step_np, comp_np = _chunk("numpy", net, cfg, 0, 64)
-    assert np.array_equal(step_nb, step_np)
-    assert np.array_equal(comp_nb, comp_np)
+    return _kernels.simulate_chunk(lo, hi, **args)
 
 
 def test_chunk_boundaries_do_not_matter():
     net = two_node_net(p=0.5, noise=(0.6, 0.4))
     cfg = crep.SimConfig(dt=1e-3, t_max=10.0, n_samples=16, eps=0.4,
                          master_seed=9, exit_mode="both")
-    whole = _chunk("numpy", net, cfg, 0, 16)
-    first = _chunk("numpy", net, cfg, 0, 7)
-    second = _chunk("numpy", net, cfg, 7, 16)
+    whole = _chunk(net, cfg, 0, 16)
+    first = _chunk(net, cfg, 0, 7)
+    second = _chunk(net, cfg, 7, 16)
     assert np.array_equal(whole[0], np.concatenate([first[0], second[0]]))
     assert np.array_equal(whole[1], np.concatenate([first[1], second[1]]))
 
 
-@pytest.mark.parametrize("backend", _kernels.available_backends())
-def test_kernel_matches_pure_python_reference(backend):
+def test_kernel_matches_pure_python_reference():
     net = ring5_net(b=(0.5, 0.3, 0.2, 0.3, 0.5))
     cfg = crep.SimConfig(dt=1e-2, t_max=5.0, n_samples=12, eps=0.35,
                          master_seed=77, exit_mode="both")
     state = crep.solve_synchronous_state(net)
-    steps, comps = _chunk(backend, net, cfg, 0, 12)
+    steps, comps = _chunk(net, cfg, 0, 12)
     for idx in range(12):
         ref_step, ref_comp, _ = reference_trajectory(net, state, cfg, idx)
         assert steps[idx] == ref_step
         assert comps[idx] == ref_comp
 
 
-@pytest.mark.parametrize("backend", _kernels.available_backends())
 @pytest.mark.parametrize("case", ["ou_freq_only", "ring5_both"])
-def test_compacting_kernel_matches_reference_with_staggered_exits(backend, case):
+def test_compacting_kernel_matches_reference_with_staggered_exits(case):
     # rows leave the batch at different steps and some run to the horizon, so
     # the kernel drops rows mid-batch and must still report each one in place
     if case == "ou_freq_only":  # the single-node shape of criterion 07
@@ -113,30 +96,10 @@ def test_compacting_kernel_matches_reference_with_staggered_exits(backend, case)
                              master_seed=11, exit_mode="both")
     state = crep.solve_synchronous_state(net)
     lo, hi = 40, 64
-    steps, comps = _chunk(backend, net, cfg, lo, hi)
+    steps, comps = _chunk(net, cfg, lo, hi)
     ref = [reference_trajectory(net, state, cfg, idx)[:2] for idx in range(lo, hi)]
     assert steps.tolist() == [r[0] for r in ref]
     assert comps.tolist() == [r[1] for r in ref]
     exited = [r[0] for r in ref if r[0] > 0]
     assert len(set(exited)) > 1
     assert 0 < len(exited) < hi - lo
-
-
-def test_default_backend_env_flag():
-    code = "import crep._kernels as k; print(k.default_backend())"
-    env = dict(os.environ)
-    env.pop("CREP_DISABLE_NUMBA", None)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == ("numba" if _kernels.HAVE_NUMBA else "numpy")
-    env["CREP_DISABLE_NUMBA"] = "1"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-def test_unknown_backend_rejected():
-    net = two_node_net(noise=(0.1, 0.1))
-    cfg = crep.SimConfig(dt=1e-3, t_max=1.0, n_samples=1)
-    with pytest.raises(ValueError, match="backend"):
-        _chunk("fortran", net, cfg, 0, 1)

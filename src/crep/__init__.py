@@ -59,9 +59,7 @@ from .linearize import (
     spectral_reduce,
 )
 from .network import (
-    Line,
     Network,
-    Node,
     load_network,
     network_from_arrays,
     network_from_dict,

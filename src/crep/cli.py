@@ -106,10 +106,11 @@ def _emit(doc, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _network_digest(path) -> dict:
+def _network_doc(path, net: Network) -> dict:
+    """The report's "network" entry: the input file, its digest and its size."""
     with open(path, "rb") as handle:
         digest = hashlib.sha256(handle.read()).hexdigest()
-    return {"path": str(path), "sha256": digest}
+    return {"path": str(path), "sha256": digest, "n": net.n, "m": net.m}
 
 
 def _load(path) -> Network:
@@ -141,7 +142,7 @@ def cmd_analyze(args) -> int:
     variance = analysis.variance
     metrics = _jsonable(bundle)
     doc = {
-        "network": {**_network_digest(args.network), "n": net.n, "m": net.m},
+        "network": _network_doc(args.network, net),
         "config": {"eps": args.eps, "tol": args.tol, "max_iter": args.max_iter},
         "state": analysis.state,
         "variance": {
@@ -233,8 +234,6 @@ def cmd_sweep(args) -> int:
 
 
 def _sim_config(args) -> SimConfig:
-    if args.samples < 1:
-        raise UsageError("--samples must be >= 1")
     try:
         return SimConfig(
             dt=args.dt,
@@ -255,7 +254,7 @@ def cmd_hitting_time(args) -> int:
         raise UsageError("--workers must be >= 1")
     estimate = estimate_hitting_time(net, cfg, n_workers=args.workers)
     doc = {
-        "network": {**_network_digest(args.network), "n": net.n, "m": net.m},
+        "network": _network_doc(args.network, net),
         "config": asdict(cfg),
         "estimate": estimate,
     }
@@ -339,7 +338,7 @@ def cmd_optimize(args) -> int:
     save_network(optimized, network_out)
 
     doc = {
-        "network": {**_network_digest(args.network), "n": net.n, "m": net.m},
+        "network": _network_doc(args.network, net),
         "config": {
             "decision": spec.variable,
             "objective": args.objective,
@@ -411,7 +410,7 @@ def cmd_braess(args) -> int:
         BraessScenario(net, change), eps=args.eps, sim=sim, n_workers=args.workers
     )
     doc = {
-        "network": {**_network_digest(args.network), "n": net.n, "m": net.m},
+        "network": _network_doc(args.network, net),
         "config": {"eps": args.eps, "change": change_doc, "sim": sim_doc},
         **_jsonable(verdict),
     }

@@ -119,7 +119,7 @@ def spectral_reduce(model: LinearizedModel, net: Network) -> SpectralReduction:
 
     scaled_vectors = inv_sqrt_m[:, None] * vectors
     c_e = np.zeros((m + n, 2 * n))
-    c_e[:m, :n] = net.incidence_array.T @ scaled_vectors
+    c_e[:m, :n] = scaled_vectors[net.line_from] - scaled_vectors[net.line_to]
     c_e[m:, n:] = scaled_vectors
 
     return SpectralReduction(

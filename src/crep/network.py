@@ -1,18 +1,18 @@
 """Network data model, on-disk JSON format and the node-line incidence matrix.
 
-A network is a connected graph of buses (nodes) and transmission lines.  Each
-node carries an injection ``power`` (positive generation, negative load), an
-``inertia`` and ``damping`` coefficient and a disturbance strength ``noise``;
-each line carries a positive ``capacity`` (effective susceptance).  The
-``Network`` object is immutable after construction and is the single source of
-truth for every downstream computation.
+A network is a connected graph of ``n`` buses and ``m`` lines held as seven
+parallel arrays: per node an injection ``power`` (positive generation,
+negative load), ``inertia``, ``damping`` and disturbance strength ``noise``;
+per line its 0-based ends ``line_from``/``line_to`` and a positive
+``capacity`` (effective susceptance).  Files and messages number nodes and
+lines from 1.  A ``Network`` is immutable and is the single source of truth
+for every downstream computation.
 """
 from __future__ import annotations
 
-import collections
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -23,167 +23,63 @@ from .errors import NetworkParseError, NetworkValidationError
 #: absolute tolerance on sum(power) == 0
 POWER_BALANCE_TOL = 1e-9
 
-_NODE_FIELDS = ("id", "power", "inertia", "damping", "noise")
+_NODE_ARRAYS = ("power", "inertia", "damping", "noise")
+_ARRAYS = _NODE_ARRAYS + ("line_from", "line_to", "capacity")
+_NODE_FIELDS = ("id",) + _NODE_ARRAYS
 _LINE_FIELDS = ("from", "to", "capacity")
 
 
-@dataclass(frozen=True)
-class Node:
-    """A bus: 1-based ``id``, injection and machine parameters."""
-
-    id: int
-    power: float
-    inertia: float
-    damping: float
-    noise: float
-
-    def __post_init__(self):
-        for name in ("power", "inertia", "damping", "noise"):
-            if not math.isfinite(getattr(self, name)):
-                raise NetworkValidationError(f"node {self.id}: {name} must be finite")
-        if self.inertia <= 0.0:
-            raise NetworkValidationError(f"node {self.id}: inertia must be > 0")
-        if self.damping <= 0.0:
-            raise NetworkValidationError(f"node {self.id}: damping must be > 0")
-        if self.noise < 0.0:
-            raise NetworkValidationError(f"node {self.id}: noise must be >= 0")
-
-
-@dataclass(frozen=True)
-class Line:
-    """A transmission line between two node ids, with positive capacity."""
-
-    from_node: int
-    to_node: int
-    capacity: float
-
-    def __post_init__(self):
-        if self.from_node == self.to_node:
-            raise NetworkValidationError(
-                f"line ({self.from_node},{self.to_node}): self-loops are not allowed"
-            )
-        if not math.isfinite(self.capacity):
-            raise NetworkValidationError(
-                f"line ({self.from_node},{self.to_node}): capacity must be finite"
-            )
-        if self.capacity <= 0.0:
-            raise NetworkValidationError(
-                f"line ({self.from_node},{self.to_node}): capacity must be > 0"
-            )
-
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Network:
-    """Validated, immutable node/line graph.
+    """Validated, immutable network: four node arrays and three line arrays.
 
-    Node ids must be the contiguous integers ``1..n`` in list order; lines are
-    indexed by their declaration order (1-based in reports).  Construction
-    checks connectivity, power balance, duplicate lines and parameter signs,
-    raising :class:`NetworkValidationError` naming the violated invariant.
+    The constructor copies each input into a read-only array (``int64`` for
+    the line ends, ``float`` otherwise) and raises
+    :class:`NetworkValidationError` naming the first violated invariant, in
+    this order: array shapes; nodes, in node order; lines (self-loop,
+    capacity, endpoints, duplicate), in line order; power balance;
+    connectivity.  Networks are equal when all seven arrays are.
     """
 
-    nodes: tuple[Node, ...]
-    lines: tuple[Line, ...]
+    power: np.ndarray
+    inertia: np.ndarray
+    damping: np.ndarray
+    noise: np.ndarray
+    line_from: np.ndarray
+    line_to: np.ndarray
+    capacity: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "lines", tuple(self.lines))
-        n = len(self.nodes)
-        if n == 0:
-            raise NetworkValidationError("network has no nodes")
-        for pos, node in enumerate(self.nodes):
-            if node.id != pos + 1:
-                raise NetworkValidationError(
-                    f"node ids must be 1..{n} in order (position {pos} has id {node.id})"
-                )
-        seen: set[frozenset[int]] = set()
-        for line in self.lines:
-            for end in (line.from_node, line.to_node):
-                if not 1 <= end <= n:
-                    raise NetworkValidationError(
-                        f"line ({line.from_node},{line.to_node}): unknown node id {end}"
-                    )
-            key = frozenset((line.from_node, line.to_node))
-            if key in seen:
-                raise NetworkValidationError(
-                    f"duplicate line between nodes {line.from_node} and {line.to_node}"
-                )
-            seen.add(key)
-        imbalance = abs(sum(node.power for node in self.nodes))
-        if imbalance > POWER_BALANCE_TOL:
-            raise NetworkValidationError(
-                f"power imbalance: sum of injections is {imbalance:.3e} (must be 0)"
-            )
-        if not self._connected():
-            raise NetworkValidationError("graph is not connected")
+        for name in _ARRAYS:
+            dtype = np.int64 if name.startswith("line_") else float
+            try:
+                object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype)))
+            except OverflowError as exc:  # a line end beyond int64
+                raise NetworkValidationError(f"{name}: {exc}") from exc
+        _validate(self)
 
-    def _connected(self) -> bool:
-        n = self.n
-        if n == 1:
-            return True
-        adj: dict[int, list[int]] = {i: [] for i in range(n)}
-        for line in self.lines:
-            a, b = line.from_node - 1, line.to_node - 1
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {0}
-        queue = collections.deque([0])
-        while queue:
-            i = queue.popleft()
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        return len(seen) == n
-
-    # -- dense parameter views (0-based, read-only) --------------------------
+    def __eq__(self, other):
+        if not isinstance(other, Network):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in _ARRAYS)
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self.power)
 
     @property
     def m(self) -> int:
-        return len(self.lines)
-
-    @cached_property
-    def power(self) -> np.ndarray:
-        return _frozen(np.array([node.power for node in self.nodes]))
-
-    @cached_property
-    def inertia(self) -> np.ndarray:
-        return _frozen(np.array([node.inertia for node in self.nodes]))
-
-    @cached_property
-    def damping(self) -> np.ndarray:
-        return _frozen(np.array([node.damping for node in self.nodes]))
-
-    @cached_property
-    def noise(self) -> np.ndarray:
-        return _frozen(np.array([node.noise for node in self.nodes]))
-
-    @cached_property
-    def line_from(self) -> np.ndarray:
-        return _frozen(np.array([line.from_node - 1 for line in self.lines], dtype=np.int64))
-
-    @cached_property
-    def line_to(self) -> np.ndarray:
-        return _frozen(np.array([line.to_node - 1 for line in self.lines], dtype=np.int64))
-
-    @cached_property
-    def capacity(self) -> np.ndarray:
-        return _frozen(np.array([line.capacity for line in self.lines]))
+        return len(self.capacity)
 
     @cached_property
     def incidence_array(self) -> np.ndarray:
         """Dense n-by-m incidence: +1 at a line's from node, -1 at its to node."""
         c = np.zeros((self.n, self.m))
-        for k, line in enumerate(self.lines):
-            c[line.from_node - 1, k] = 1.0
-            c[line.to_node - 1, k] = -1.0
+        c[self.line_from, np.arange(self.m)] = 1.0
+        c[self.line_to, np.arange(self.m)] = -1.0
         return _frozen(c)
 
-    # -- derived networks -----------------------------------------------------
+    # -- derived networks, each validated in full ------------------------------
 
     def with_arrays(
         self,
@@ -194,23 +90,24 @@ class Network:
         capacity: np.ndarray | None = None,
     ) -> "Network":
         """Copy of this network with whole parameter vectors replaced."""
-        power = self.power if power is None else np.asarray(power, dtype=float)
-        inertia = self.inertia if inertia is None else np.asarray(inertia, dtype=float)
-        damping = self.damping if damping is None else np.asarray(damping, dtype=float)
-        noise = self.noise if noise is None else np.asarray(noise, dtype=float)
-        capacity = self.capacity if capacity is None else np.asarray(capacity, dtype=float)
-        nodes = tuple(
-            Node(i + 1, float(power[i]), float(inertia[i]), float(damping[i]), float(noise[i]))
-            for i in range(self.n)
+        return Network(
+            self.power if power is None else power,
+            self.inertia if inertia is None else inertia,
+            self.damping if damping is None else damping,
+            self.noise if noise is None else noise,
+            self.line_from,
+            self.line_to,
+            self.capacity if capacity is None else capacity,
         )
-        lines = tuple(
-            Line(line.from_node, line.to_node, float(capacity[k]))
-            for k, line in enumerate(self.lines)
-        )
-        return Network(nodes, lines)
 
     def with_added_line(self, from_node: int, to_node: int, capacity: float) -> "Network":
-        return Network(self.nodes, self.lines + (Line(from_node, to_node, capacity),))
+        """Copy with a line between 1-based node ids appended as line m + 1."""
+        return dataclasses.replace(
+            self,
+            line_from=np.append(self.line_from, from_node - 1),
+            line_to=np.append(self.line_to, to_node - 1),
+            capacity=np.append(self.capacity, capacity),
+        )
 
     def with_line_capacity(self, line_index: int, capacity: float) -> "Network":
         """Copy with line ``line_index`` (1-based) set to ``capacity``."""
@@ -221,27 +118,95 @@ class Network:
         return self.with_arrays(capacity=cap)
 
     def to_dict(self) -> dict:
+        nodes = zip(*(getattr(self, name).tolist() for name in _NODE_ARRAYS))
+        lines = zip(self.line_from.tolist(), self.line_to.tolist(), self.capacity.tolist())
         return {
             "nodes": [
-                {
-                    "id": node.id,
-                    "power": node.power,
-                    "inertia": node.inertia,
-                    "damping": node.damping,
-                    "noise": node.noise,
-                }
-                for node in self.nodes
+                {"id": i + 1, "power": p, "inertia": m, "damping": d, "noise": b}
+                for i, (p, m, d, b) in enumerate(nodes)
             ],
-            "lines": [
-                {"from": line.from_node, "to": line.to_node, "capacity": line.capacity}
-                for line in self.lines
-            ],
+            "lines": [{"from": a + 1, "to": b + 1, "capacity": c} for a, b, c in lines],
         }
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _validate(net: Network) -> None:
+    """Raise for the first violated invariant, in the order :class:`Network` lists."""
+    n, m = net.n, net.m
+    shapes = [getattr(net, name).shape for name in _ARRAYS]
+    if shapes != [(n,)] * 4 + [(m,)] * 3:
+        raise NetworkValidationError(
+            "network arrays must be 1-D with one length per node and per line, "
+            f"got shapes {dict(zip(_ARRAYS, shapes))}"
+        )
+    if n == 0:
+        raise NetworkValidationError("network has no nodes")
+
+    power, inertia, damping, noise = (getattr(net, name).tolist() for name in _NODE_ARRAYS)
+    # Each group looks for its first offender only when a cheap all-valid test
+    # fails.  A float sum is finite only if every term is; overflow merely
+    # takes the slow path.
+    if not (
+        math.isfinite(sum(power) + sum(inertia) + sum(damping) + sum(noise))
+        and min(inertia) > 0.0 and min(damping) > 0.0 and min(noise) >= 0.0
+    ):
+        for node, values in enumerate(zip(power, inertia, damping, noise), start=1):
+            for name, value in zip(_NODE_ARRAYS, values):
+                if not math.isfinite(value):
+                    raise NetworkValidationError(f"node {node}: {name} must be finite")
+            if values[1] <= 0.0:
+                raise NetworkValidationError(f"node {node}: inertia must be > 0")
+            if values[2] <= 0.0:
+                raise NetworkValidationError(f"node {node}: damping must be > 0")
+            if values[3] < 0.0:
+                raise NetworkValidationError(f"node {node}: noise must be >= 0")
+
+    ends = list(zip(net.line_from.tolist(), net.line_to.tolist()))
+    capacity = net.capacity.tolist()
+    keys = {(a, b) if a < b else (b, a) for a, b in ends}
+    if m and not (
+        len(keys) == m and all(0 <= a < b < n for a, b in keys)
+        and math.isfinite(sum(capacity)) and min(capacity) > 0.0
+    ):
+        seen: set[tuple[int, int]] = set()
+        for (a, b), c in zip(ends, capacity):
+            where = f"line ({a + 1},{b + 1})"
+            if a == b:
+                raise NetworkValidationError(f"{where}: self-loops are not allowed")
+            if not math.isfinite(c):
+                raise NetworkValidationError(f"{where}: capacity must be finite")
+            if c <= 0.0:
+                raise NetworkValidationError(f"{where}: capacity must be > 0")
+            for end in (a, b):
+                if not 0 <= end < n:
+                    raise NetworkValidationError(f"{where}: unknown node id {end + 1}")
+            key = (a, b) if a < b else (b, a)
+            if key in seen:
+                raise NetworkValidationError(f"duplicate line between nodes {a + 1} and {b + 1}")
+            seen.add(key)
+
+    # Python's sequential sum: np.sum's pairwise order would move the tolerance edge
+    imbalance = abs(sum(power))
+    if imbalance > POWER_BALANCE_TOL:
+        raise NetworkValidationError(
+            f"power imbalance: sum of injections is {imbalance:.3e} (must be 0)"
+        )
+    adjacent: list[list[int]] = [[] for _ in range(n)]
+    for a, b in ends:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    reached, stack = {0}, [0]
+    while stack:
+        for j in adjacent[stack.pop()]:
+            if j not in reached:
+                reached.add(j)
+                stack.append(j)
+    if len(reached) != n:
+        raise NetworkValidationError("graph is not connected")
 
 
 def _require_number(value, where: str) -> float:
@@ -256,8 +221,22 @@ def _require_int(value, where: str) -> int:
     return value
 
 
+def _require_fields(entry, where: str, fields: tuple[str, ...]) -> None:
+    if not isinstance(entry, dict):
+        raise NetworkParseError(f"{where}: expected an object")
+    unknown = set(entry) - set(fields)
+    if unknown:
+        raise NetworkParseError(f"{where}: unknown fields {sorted(unknown)}")
+    missing = set(fields) - set(entry)
+    if missing:
+        raise NetworkParseError(f"{where}: missing fields {sorted(missing)}")
+
+
 def network_from_dict(doc: dict) -> Network:
-    """Build and validate a :class:`Network` from the JSON document structure."""
+    """Build and validate a :class:`Network` from the JSON document structure.
+
+    Node ids must be ``1..n`` in list order; lines name their ends by id.
+    """
     if not isinstance(doc, dict):
         raise NetworkParseError("top-level document must be an object")
     unknown = set(doc) - {"nodes", "lines"}
@@ -268,43 +247,23 @@ def network_from_dict(doc: dict) -> Network:
     if not isinstance(doc["nodes"], list) or not isinstance(doc["lines"], list):
         raise NetworkParseError('"nodes" and "lines" must be arrays')
 
-    nodes = []
+    n = len(doc["nodes"])
+    columns: dict[str, list] = {name: [] for name in _ARRAYS}
     for pos, entry in enumerate(doc["nodes"]):
-        if not isinstance(entry, dict):
-            raise NetworkParseError(f"nodes[{pos}]: expected an object")
-        unknown = set(entry) - set(_NODE_FIELDS)
-        if unknown:
-            raise NetworkParseError(f"nodes[{pos}]: unknown fields {sorted(unknown)}")
-        missing = set(_NODE_FIELDS) - set(entry)
-        if missing:
-            raise NetworkParseError(f"nodes[{pos}]: missing fields {sorted(missing)}")
-        nodes.append(
-            Node(
-                id=_require_int(entry["id"], f"nodes[{pos}].id"),
-                power=_require_number(entry["power"], f"nodes[{pos}].power"),
-                inertia=_require_number(entry["inertia"], f"nodes[{pos}].inertia"),
-                damping=_require_number(entry["damping"], f"nodes[{pos}].damping"),
-                noise=_require_number(entry["noise"], f"nodes[{pos}].noise"),
+        _require_fields(entry, f"nodes[{pos}]", _NODE_FIELDS)
+        node_id = _require_int(entry["id"], f"nodes[{pos}].id")
+        if node_id != pos + 1:
+            raise NetworkValidationError(
+                f"node ids must be 1..{n} in order (position {pos} has id {node_id})"
             )
-        )
-    lines = []
+        for name in _NODE_ARRAYS:
+            columns[name].append(_require_number(entry[name], f"nodes[{pos}].{name}"))
     for pos, entry in enumerate(doc["lines"]):
-        if not isinstance(entry, dict):
-            raise NetworkParseError(f"lines[{pos}]: expected an object")
-        unknown = set(entry) - set(_LINE_FIELDS)
-        if unknown:
-            raise NetworkParseError(f"lines[{pos}]: unknown fields {sorted(unknown)}")
-        missing = set(_LINE_FIELDS) - set(entry)
-        if missing:
-            raise NetworkParseError(f"lines[{pos}]: missing fields {sorted(missing)}")
-        lines.append(
-            Line(
-                from_node=_require_int(entry["from"], f"lines[{pos}].from"),
-                to_node=_require_int(entry["to"], f"lines[{pos}].to"),
-                capacity=_require_number(entry["capacity"], f"lines[{pos}].capacity"),
-            )
-        )
-    return Network(tuple(nodes), tuple(lines))
+        _require_fields(entry, f"lines[{pos}]", _LINE_FIELDS)
+        columns["line_from"].append(_require_int(entry["from"], f"lines[{pos}].from") - 1)
+        columns["line_to"].append(_require_int(entry["to"], f"lines[{pos}].to") - 1)
+        columns["capacity"].append(_require_number(entry["capacity"], f"lines[{pos}].capacity"))
+    return Network(**columns)
 
 
 def load_network(path) -> Network:
@@ -331,11 +290,8 @@ def network_from_arrays(
     noise: Iterable[float],
     lines: Iterable[tuple[int, int, float]],
 ) -> Network:
-    """Convenience constructor from parallel arrays and (from, to, capacity) triples."""
-    power = list(power)
-    nodes = tuple(
-        Node(i + 1, float(p), float(m), float(d), float(b))
-        for i, (p, m, d, b) in enumerate(zip(power, inertia, damping, noise))
-    )
-    line_objs = tuple(Line(int(a), int(b), float(c)) for a, b, c in lines)
-    return Network(nodes, line_objs)
+    """Network from parallel node arrays and 1-based (from, to, capacity) triples."""
+    lines = [(int(a) - 1, int(b) - 1, c) for a, b, c in lines]
+    line_from, line_to, capacity = zip(*lines) if lines else ((), (), ())
+    nodes = (list(values) for values in (power, inertia, damping, noise))
+    return Network(*nodes, line_from, line_to, capacity)

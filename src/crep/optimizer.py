@@ -219,17 +219,20 @@ def evaluate_objective(net: Network, kind: ObjectiveKind, eps: float = DEFAULT_E
         return _penalty(kind)
 
 
+#: DE population per dimension (at least 4), mutation, crossover; polish budget
+DE_POPULATION_PER_DIM = 15
+DE_MUTATION = 0.7
+DE_CROSSOVER = 0.9
+POLISH_MAX_EVALS = 200
+
+
 @dataclass(frozen=True)
 class SearchConfig:
-    """Differential-evolution budget and hyperparameters."""
+    """Differential-evolution seed and budget, and whether to polish the best point."""
 
     seed: int = 0
-    population: int | None = None  # default 15 * dim
     max_evals: int = 2000
-    mutation: float = 0.7
-    crossover: float = 0.9
     polish: bool = True
-    polish_max_evals: int = 200
 
 
 @dataclass(frozen=True)
@@ -308,7 +311,7 @@ def optimize(
         )
 
     rng = np.random.default_rng(search.seed)
-    pop_size = search.population or max(4, 15 * dim)
+    pop_size = max(4, DE_POPULATION_PER_DIM * dim)
     population = np.empty((pop_size, dim))
     population[0] = start
     population[1] = project_to_budget_box(
@@ -334,8 +337,8 @@ def optimize(
             choices = rng.choice(pop_size - 1, size=3, replace=False)
             choices = np.where(choices >= i, choices + 1, choices)
             a, b, c = population[choices]
-            mutant = a + search.mutation * (b - c)
-            mask = rng.random(dim) < search.crossover
+            mutant = a + DE_MUTATION * (b - c)
+            mask = rng.random(dim) < DE_CROSSOVER
             mask[rng.integers(dim)] = True
             trial = np.where(mask, mutant, population[i])
             trial = project_to_budget_box(trial, lower, upper, budget)
@@ -346,7 +349,7 @@ def optimize(
         history.append((generation, float(best["natural"])))
 
     if search.polish and best["theta"] is not None:
-        remaining = search.max_evals + search.polish_max_evals - evals
+        remaining = search.max_evals + POLISH_MAX_EVALS - evals
         if remaining >= dim + 2:
             scipy.optimize.minimize(
                 lambda x: evaluate(project_to_budget_box(x, lower, upper, budget)),

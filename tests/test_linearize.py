@@ -88,9 +88,8 @@ def test_cos_laplacian_matches_per_line_loop_bitwise():
         net = random_connected_network(rng, n_max=12, extra_edge_prob=2.0)
         flip = rng.random(net.m) < 0.5
         lines = [
-            (line.to_node, line.from_node, line.capacity) if f
-            else (line.from_node, line.to_node, line.capacity)
-            for line, f in zip(net.lines, flip)
+            (b + 1, a + 1, c) if f else (a + 1, b + 1, c)
+            for a, b, c, f in zip(net.line_from, net.line_to, net.capacity, flip)
         ]
         flipped = network_from_arrays(
             net.power, net.inertia, net.damping, net.noise, lines
@@ -152,6 +151,22 @@ def test_spectrum_complete_triangle():
     )
     _, _, reduction = pipeline(net)
     assert np.allclose(reduction.eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
+
+
+def test_reduced_output_gaps_match_dense_incidence_product_bitwise():
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        net = random_connected_network(rng, n_max=12, extra_edge_prob=2.0)
+        flip = rng.random(net.m) < 0.5
+        net = network_from_arrays(
+            net.power, net.inertia, net.damping, net.noise,
+            [(b + 1, a + 1, c) if f else (a + 1, b + 1, c)
+             for a, b, c, f in zip(net.line_from, net.line_to, net.capacity, flip)],
+        )
+        _, _, reduction = pipeline(net)
+        scaled = (1.0 / np.sqrt(net.inertia))[:, None] * reduction.eigenvectors
+        dense = net.incidence_array.T @ scaled
+        assert np.array_equal(reduction.reduced_output[: net.m, : net.n - 1], dense[:, 1:])
 
 
 def test_kernel_vector_scales_with_sqrt_inertia():

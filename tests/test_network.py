@@ -29,8 +29,8 @@ def test_load_minimal_two_node(tmp_network_file):
     net = load_network(tmp_network_file(minimal_doc()))
     assert net.n == 2
     assert net.m == 1
-    assert net.nodes[0].power == 1.0
-    assert net.lines[0].capacity == 2.0
+    assert net.power[0] == 1.0
+    assert net.capacity[0] == 2.0
 
 
 def test_power_imbalance_rejected(tmp_network_file):
@@ -133,14 +133,11 @@ def test_disconnected_rejected():
 
 
 def test_node_ids_must_be_contiguous():
+    doc = minimal_doc()
+    doc["nodes"][1]["id"] = 3
+    doc["lines"][0]["to"] = 3
     with pytest.raises(NetworkValidationError, match="ids"):
-        crep.Network(
-            (
-                crep.Node(1, 1.0, 1.0, 1.0, 0.0),
-                crep.Node(3, -1.0, 1.0, 1.0, 0.0),
-            ),
-            (crep.Line(1, 3, 1.0),),
-        )
+        crep.network_from_dict(doc)
 
 
 def test_incidence_path():
@@ -234,3 +231,161 @@ def test_arrays_are_read_only():
         net.power[0] = 5.0
     with pytest.raises(ValueError):
         net.incidence_array[0, 0] = 2.0
+
+
+def path_doc():
+    """Valid three-node path 1-2-3 as a JSON document."""
+    return {
+        "nodes": [
+            {"id": i, "power": p, "inertia": 1.0, "damping": 1.0, "noise": 0.1}
+            for i, p in ((1, 1.0), (2, -0.5), (3, -0.5))
+        ],
+        "lines": [
+            {"from": 1, "to": 2, "capacity": 2.0},
+            {"from": 2, "to": 3, "capacity": 2.0},
+        ],
+    }
+
+
+def from_edited_path(edit):
+    doc = path_doc()
+    edit(doc)
+    return crep.network_from_dict(doc)
+
+
+def edit_node(pos, **fields):
+    return lambda: from_edited_path(lambda doc: doc["nodes"][pos].update(fields))
+
+
+def edit_line(pos, **fields):
+    return lambda: from_edited_path(lambda doc: doc["lines"][pos].update(fields))
+
+
+def add_line(a, b, c):
+    return lambda: from_edited_path(
+        lambda doc: doc["lines"].append({"from": a, "to": b, "capacity": c})
+    )
+
+
+SINGLE_VIOLATIONS = {
+    "nan power": (edit_node(1, power=math.nan), "node 2: power must be finite"),
+    "inf inertia": (edit_node(0, inertia=math.inf), "node 1: inertia must be finite"),
+    "-inf damping": (edit_node(2, damping=-math.inf), "node 3: damping must be finite"),
+    "nan noise": (edit_node(0, noise=math.nan), "node 1: noise must be finite"),
+    "zero inertia": (edit_node(1, inertia=0.0), "node 2: inertia must be > 0"),
+    "negative damping": (edit_node(2, damping=-1.0), "node 3: damping must be > 0"),
+    "negative noise": (edit_node(0, noise=-0.1), "node 1: noise must be >= 0"),
+    "self-loop": (edit_line(1, to=2), "line (2,2): self-loops are not allowed"),
+    "nan capacity": (edit_line(0, capacity=math.nan), "line (1,2): capacity must be finite"),
+    "zero capacity": (edit_line(1, capacity=0.0), "line (2,3): capacity must be > 0"),
+    "unknown to": (add_line(3, 4, 1.0), "line (3,4): unknown node id 4"),
+    "unknown from": (edit_line(0, **{"from": 0}), "line (0,2): unknown node id 0"),
+    "duplicate": (add_line(3, 2, 1.0), "duplicate line between nodes 3 and 2"),
+    "imbalance": (
+        edit_node(2, power=-0.4),
+        "power imbalance: sum of injections is 1.000e-01 (must be 0)",
+    ),
+    "disconnected": (
+        lambda: from_edited_path(lambda doc: doc["lines"].pop()),
+        "graph is not connected",
+    ),
+    "no nodes": (
+        lambda: crep.network_from_dict({"nodes": [], "lines": []}),
+        "network has no nodes",
+    ),
+    "json ids": (
+        edit_node(1, id=3),
+        "node ids must be 1..3 in order (position 1 has id 3)",
+    ),
+    "ragged": (
+        lambda: network_from_arrays([0.0] * 3, [1.0] * 2, [1.0] * 2, [0.1] * 2, [(1, 2, 1.0)]),
+        "network arrays must be 1-D with one length per node and per line, got shapes "
+        "{'power': (3,), 'inertia': (2,), 'damping': (2,), 'noise': (2,), "
+        "'line_from': (1,), 'line_to': (1,), 'capacity': (1,)}",
+    ),
+}
+
+
+@pytest.mark.parametrize("build,message", SINGLE_VIOLATIONS.values(), ids=SINGLE_VIOLATIONS)
+def test_single_violation_message(build, message):
+    with pytest.raises(NetworkValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
+MULTIPLE_VIOLATIONS = {
+    # node checks in node order, then line checks in line order, then balance,
+    # then connectivity
+    "node before line": (
+        [(1.0, 1.0, 1.0, -1.0), (-0.5, 0.0, 1.0, 0.1), (-0.5, 1.0, 1.0, 0.1)],
+        [(2, 2, 2.0), (2, 3, math.nan)],
+        "node 1: noise must be >= 0",
+    ),
+    "line order": (
+        [(1.0, 1.0, 1.0, 0.1), (-0.5, 1.0, 1.0, 0.1), (-0.4, 1.0, 1.0, 0.1)],
+        [(1, 2, 2.0), (2, 1, 1.0), (2, 3, 0.0)],
+        "duplicate line between nodes 2 and 1",
+    ),
+    "line before balance": (
+        [(1.0, 1.0, 1.0, 0.1), (-0.5, 1.0, 1.0, 0.1), (-0.4, 1.0, 1.0, 0.1)],
+        [(1, 2, 2.0), (2, 5, 1.0)],
+        "line (2,5): unknown node id 5",
+    ),
+    "balance before connectivity": (
+        [(1.0, 1.0, 1.0, 0.1), (-0.5, 1.0, 1.0, 0.1), (-0.4, 1.0, 1.0, 0.1)],
+        [(1, 2, 2.0)],
+        "power imbalance: sum of injections is 1.000e-01 (must be 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("nodes,lines,message", MULTIPLE_VIOLATIONS.values(),
+                         ids=MULTIPLE_VIOLATIONS)
+def test_first_violation_is_reported(nodes, lines, message):
+    with pytest.raises(NetworkValidationError) as info:
+        network_from_arrays(*zip(*nodes), lines)
+    assert str(info.value) == message
+
+
+def test_ragged_arrays_rejected_not_truncated():
+    net = two_node_net()
+    with pytest.raises(NetworkValidationError, match="1-D"):
+        net.with_arrays(power=[0.5, -0.5, 0.0])
+    with pytest.raises(NetworkValidationError, match="1-D"):
+        net.with_arrays(capacity=[])
+    with pytest.raises(NetworkValidationError, match="1-D"):
+        crep.Network([1.0, -1.0], [1.0] * 2, [1.0] * 2, [0.0] * 2, [0], [1, 0], [1.0])
+
+
+def test_line_end_beyond_int64_rejected():
+    doc = path_doc()
+    doc["lines"][1]["to"] = 2**70
+    with pytest.raises(NetworkValidationError, match="line_to"):
+        crep.network_from_dict(doc)
+
+
+def test_derived_network_is_validated_in_full():
+    net = random_connected_network(np.random.default_rng(11))
+    with pytest.raises(NetworkValidationError, match=r"line \(\d+,\d+\): capacity must be finite"):
+        net.with_arrays(capacity=[math.nan] * net.m)
+    with pytest.raises(NetworkValidationError, match="inertia must be > 0"):
+        net.with_arrays(inertia=np.zeros(net.n))
+    with pytest.raises(NetworkValidationError, match="power imbalance"):
+        net.with_arrays(power=net.power + 1e-3)
+
+
+def test_balance_is_the_sequential_float_sum():
+    # the tolerance applies to Python's left-to-right sum, which is exactly 0
+    # here; numpy's pairwise sum of the same ten entries is 2
+    power = [-1.0, 1.0, 1e16, -1e16, 1e16, 2.0, -1.0, -1e16, -1e16, 1e16]
+    assert sum(power) == 0.0 and float(np.sum(power)) == 2.0
+    lines = [(i, i + 1, 1.0) for i in range(1, 10)]
+    net = network_from_arrays(power, [1.0] * 10, [1.0] * 10, [0.1] * 10, lines)
+    assert net.n == 10
+
+
+def test_equality_compares_all_arrays():
+    net = two_node_net()
+    assert net == two_node_net()
+    assert net != two_node_net(cap=3.0)
+    assert net != two_node_net(noise=(0.0, 0.1))

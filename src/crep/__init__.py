@@ -20,7 +20,9 @@ from .baselines import (
     phase_cohesiveness,
 )
 from .errors import (
+    METRIC_UNDEFINED,
     AllCensoredError,
+    ConfigError,
     CrepError,
     DegenerateSystemError,
     InfeasibleSpecError,

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 import scipy.linalg
 
-from .errors import CrepError, DegenerateSystemError
+from .errors import METRIC_UNDEFINED, AllCensoredError, DegenerateSystemError
 from .escape import DEFAULT_EPS, Analysis, CrepReport
 from .hitting import HittingTimeEstimate, SimConfig, estimate_hitting_time
 from .linearize import ZERO_EIG_TOL, LinearizedModel
@@ -213,6 +213,14 @@ def _verdict(name: str, before: float, after: float) -> str:
     return "improves" if improved else "degrades"
 
 
+def _labelled(side: str, net: Network, stage, *args, **kwargs):
+    """``stage(net, ...)``, with a network error's message prefixed by ``side``."""
+    try:
+        return stage(net, *args, **kwargs)
+    except METRIC_UNDEFINED + (AllCensoredError,) as exc:
+        raise type(exc)(f"{side} network: {exc}") from exc
+
+
 def braess_compare(
     scenario: BraessScenario,
     eps: float = DEFAULT_EPS,
@@ -221,30 +229,18 @@ def braess_compare(
 ) -> BraessVerdict:
     """Evaluate the metric table before and after a capacity change.
 
-    Hitting times are estimated only when ``sim`` is given.  State-existence
-    errors are re-raised with a label saying which side (base or modified)
-    failed.
+    Hitting times are estimated only when ``sim`` is given.  An error that
+    the network itself causes (no metric, or every trajectory censored) is
+    re-raised with a label saying which side (base or modified) failed; a bad
+    setting is raised as it is.
     """
     modified = apply_change(scenario.base, scenario.change)
-    try:
-        before = metrics_bundle(scenario.base, eps=eps)
-    except CrepError as exc:
-        raise type(exc)(f"base network: {exc}") from exc
-    try:
-        after = metrics_bundle(modified, eps=eps)
-    except CrepError as exc:
-        raise type(exc)(f"modified network: {exc}") from exc
-
+    before = _labelled("base", scenario.base, metrics_bundle, eps=eps)
+    after = _labelled("modified", modified, metrics_bundle, eps=eps)
     hit_before = hit_after = None
     if sim is not None:
-        try:
-            hit_before = estimate_hitting_time(scenario.base, sim, n_workers=n_workers)
-        except CrepError as exc:
-            raise type(exc)(f"base network: {exc}") from exc
-        try:
-            hit_after = estimate_hitting_time(modified, sim, n_workers=n_workers)
-        except CrepError as exc:
-            raise type(exc)(f"modified network: {exc}") from exc
+        hit_before = _labelled("base", scenario.base, estimate_hitting_time, sim, n_workers)
+        hit_after = _labelled("modified", modified, estimate_hitting_time, sim, n_workers)
 
     verdicts = {
         "f_delta_norm": _verdict("f_delta_norm", before.crep.phi_delta, after.crep.phi_delta),

@@ -1,9 +1,13 @@
 """Command-line interface: analysis reports, sweeps, hitting times, optimization.
 
-Every command echoes its fully resolved configuration (seeds, tolerances,
-epsilon, time step) inside the emitted document so a run can be reproduced
-from its own output.  Exit codes: 0 success, 1 input or usage error, 2 no
-admissible state / infeasible specification, 3 search found no feasible point.
+Every command echoes its fully resolved configuration (seeds, epsilon, time
+step, search budget) inside the emitted document so a run can be reproduced
+from its own output.  Every failure the library or this module detects
+arrives as a CrepError, which one table maps to an exit code and a one-line
+message on stderr: 0 success, 1 input, usage or setting error, 2 no
+admissible state / degenerate system / all trajectories censored /
+infeasible specification, 3 search found no feasible point.  Any other
+exception is a bug and propagates with its traceback.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -28,12 +32,12 @@ from .baselines import (
     metrics_bundle,
 )
 from .errors import (
+    METRIC_UNDEFINED,
     AllCensoredError,
+    CrepError,
     DegenerateSystemError,
     InfeasibleSpecError,
     LyapunovSolveError,
-    NetworkParseError,
-    NetworkValidationError,
     NoFeasiblePointError,
     SynchronousStateError,
 )
@@ -49,7 +53,6 @@ from .optimizer import (
     apply_decision,
     optimize,
 )
-from .powerflow import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -70,8 +73,8 @@ SWEEP_METRICS = (
 )
 
 
-class UsageError(Exception):
-    pass
+class UsageError(CrepError):
+    """Command-line arguments, or a file they name, cannot be used."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,12 +101,24 @@ def _jsonable(obj):
 
 
 def _emit(doc, out_path) -> None:
-    text = json.dumps(_jsonable(doc), indent=2) + "\n"
+    """Write a JSON report, or text such as a CSV table, to ``out_path`` or stdout."""
+    text = doc if isinstance(doc, str) else json.dumps(_jsonable(doc), indent=2) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _fields(text: str, flag: str, names: str, *types) -> dict:
+    """A flag's colon-separated values, keyed by the colon-separated ``names``."""
+    parts = text.split(":")
+    if len(parts) != len(types):
+        raise UsageError(f"{flag} must be {names}, got {text!r}")
+    try:
+        return {name: kind(part) for name, kind, part in zip(names.split(":"), types, parts)}
+    except ValueError as exc:
+        raise UsageError(f"bad {flag} {text!r}: {exc}") from exc
 
 
 def _network_doc(path, net: Network) -> dict:
@@ -125,7 +140,7 @@ def _load(path) -> Network:
 
 def cmd_analyze(args) -> int:
     net = _load(args.network)
-    analysis = Analysis(net, args.eps, args.tol, args.max_iter)
+    analysis = Analysis(net, args.eps)
     timings = {}
     total_start = time.perf_counter()
     for key, stage in (("power_flow", "state"), ("linearize", "reduction"),
@@ -143,7 +158,7 @@ def cmd_analyze(args) -> int:
     metrics = _jsonable(bundle)
     doc = {
         "network": _network_doc(args.network, net),
-        "config": {"eps": args.eps, "tol": args.tol, "max_iter": args.max_iter},
+        "config": {"eps": args.eps},
         "state": analysis.state,
         "variance": {
             "sigma2_delta": variance.sigma2_delta,
@@ -158,19 +173,6 @@ def cmd_analyze(args) -> int:
 
 
 # -- sweep -------------------------------------------------------------------
-
-
-def _parse_range(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"--range must be lo:hi:steps, got {text!r}")
-    try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise UsageError(f"bad --range {text!r}: {exc}") from exc
-    if steps < 1:
-        raise UsageError("--range needs at least one step")
-    return np.linspace(lo, hi, steps)
 
 
 def scale_network(net: Network, param: str, total: float) -> Network:
@@ -199,7 +201,9 @@ def scale_network(net: Network, param: str, total: float) -> Network:
 
 def cmd_sweep(args) -> int:
     net = _load(args.network)
-    values = _parse_range(args.range)
+    lo, hi, steps = _fields(args.range, "--range", "lo:hi:steps", float, float, int).values()
+    if steps < 1:
+        raise UsageError("--range needs at least one step")
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     unknown = [m for m in metrics if m not in SWEEP_METRICS]
     if unknown:
@@ -208,11 +212,11 @@ def cmd_sweep(args) -> int:
         raise UsageError("--metrics must name at least one metric")
 
     rows = []
-    for value in values:
+    for value in np.linspace(lo, hi, steps):
         scaled = scale_network(net, args.param, float(value))
         try:
             bundle = metrics_bundle(scaled, eps=args.eps)
-        except (SynchronousStateError, DegenerateSystemError, LyapunovSolveError):
+        except METRIC_UNDEFINED:
             rows.append([repr(float(value))] + [""] * len(metrics) + ["false"])
             continue
         cells = [getattr(bundle if hasattr(bundle, m) else bundle.crep, m) for m in metrics]
@@ -222,11 +226,7 @@ def cmd_sweep(args) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([args.param] + metrics + ["feasible"])
     writer.writerows(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(buffer.getvalue())
-    else:
-        sys.stdout.write(buffer.getvalue())
+    _emit(buffer.getvalue(), args.out)
     return EXIT_OK
 
 
@@ -234,28 +234,16 @@ def cmd_sweep(args) -> int:
 
 
 def _sim_config(args) -> SimConfig:
-    try:
-        return SimConfig(
-            dt=args.dt,
-            t_max=args.tmax,
-            n_samples=args.samples,
-            eps=args.eps,
-            master_seed=args.seed,
-            exit_mode=args.exit_mode,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return SimConfig(**{f.name: getattr(args, f.name) for f in fields(SimConfig)})
 
 
 def cmd_hitting_time(args) -> int:
     net = _load(args.network)
     cfg = _sim_config(args)
-    if args.workers < 1:
-        raise UsageError("--workers must be >= 1")
     estimate = estimate_hitting_time(net, cfg, n_workers=args.workers)
     doc = {
         "network": _network_doc(args.network, net),
-        "config": asdict(cfg),
+        "config": cfg,
         "estimate": estimate,
     }
     _emit(doc, args.out)
@@ -276,13 +264,20 @@ def _default_indices(net: Network, decision: str) -> tuple[int, ...]:
     return tuple(range(1, net.n + 1))
 
 
-def _as_bound_array(value, k: int, name: str) -> np.ndarray:
-    if isinstance(value, (int, float)):
+def _is_json(value, kind) -> bool:
+    """Whether a decoded JSON value is of ``kind``; true and false are not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _bound(bounds: dict, name: str, k: int, default: float) -> np.ndarray:
+    """Bounds field ``name`` as k floats: one number for all, or a list of k."""
+    value = bounds.get(name, default)
+    if _is_json(value, (int, float)):
         return np.full(k, float(value))
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (k,):
-        raise UsageError(f"bounds field {name!r} must be a scalar or a length-{k} array")
-    return arr
+    if not (isinstance(value, list) and len(value) == k
+            and all(_is_json(v, (int, float)) for v in value)):
+        raise UsageError(f"bounds field {name!r} must be a number or a list of {k} numbers")
+    return np.array(value, dtype=float)
 
 
 def _decision_spec(net: Network, args) -> DecisionSpec:
@@ -293,33 +288,27 @@ def _decision_spec(net: Network, args) -> DecisionSpec:
                 bounds = json.load(handle)
         except FileNotFoundError as exc:
             raise UsageError(f"bounds file not found: {args.bounds}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise UsageError(f"bounds file is not valid JSON: {exc}") from exc
+        if not isinstance(bounds, dict):
+            raise UsageError("bounds file must hold a JSON object")
         unknown = set(bounds) - {"indices", "lower", "upper"}
         if unknown:
             raise UsageError(f"unknown bounds fields: {sorted(unknown)}")
 
-    indices = tuple(int(i) for i in bounds.get("indices", ())) or _default_indices(
-        net, args.decision
-    )
+    indices = bounds.get("indices", [])
+    if not (isinstance(indices, list) and all(_is_json(i, int) for i in indices)):
+        raise UsageError("bounds field 'indices' must be a list of integers")
+    indices = tuple(indices) or _default_indices(net, args.decision)
     k = len(indices)
-    idx0 = np.array(indices, dtype=int) - 1
     if args.budget is not None:
         budget = args.budget
     else:
         field = _DECISION_FIELDS[args.decision]
-        budget = float(getattr(net, field)[idx0].sum())
-
-    if "lower" in bounds:
-        lower = _as_bound_array(bounds["lower"], k, "lower")
-    elif args.decision == "generation":
-        lower = np.zeros(k)
-    else:
-        lower = np.full(k, 0.01 * budget / k)
-    if "upper" in bounds:
-        upper = _as_bound_array(bounds["upper"], k, "upper")
-    else:
-        upper = np.full(k, budget)
+        budget = float(getattr(net, field)[np.array(indices) - 1].sum())
+    low = 0.0 if args.decision == "generation" else 0.01 * budget / k
+    lower = _bound(bounds, "lower", k, low)
+    upper = _bound(bounds, "upper", k, budget)
     return DecisionSpec(
         variable=args.decision, indices=indices, budget=budget, lower=lower, upper=upper
     )
@@ -360,58 +349,23 @@ def cmd_optimize(args) -> int:
 # -- braess ------------------------------------------------------------------
 
 
-def _parse_add_line(text: str) -> AddLine:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"--add-line must be from:to:capacity, got {text!r}")
-    try:
-        return AddLine(int(parts[0]), int(parts[1]), float(parts[2]))
-    except ValueError as exc:
-        raise UsageError(f"bad --add-line {text!r}: {exc}") from exc
-
-
-def _parse_set_capacity(text: str) -> SetCapacity:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise UsageError(f"--set-capacity must be line:capacity, got {text!r}")
-    try:
-        return SetCapacity(int(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise UsageError(f"bad --set-capacity {text!r}: {exc}") from exc
-
-
 def cmd_braess(args) -> int:
     net = _load(args.network)
     if (args.add_line is None) == (args.set_capacity is None):
         raise UsageError("exactly one of --add-line or --set-capacity is required")
     if args.add_line is not None:
-        change = _parse_add_line(args.add_line)
-        change_doc = {
-            "kind": "add_line",
-            "from": change.from_node,
-            "to": change.to_node,
-            "capacity": change.capacity,
-        }
+        values = _fields(args.add_line, "--add-line", "from:to:capacity", int, int, float)
+        kind, change = "add_line", AddLine(*values.values())
     else:
-        change = _parse_set_capacity(args.set_capacity)
-        change_doc = {
-            "kind": "set_capacity",
-            "line": change.line_index,
-            "capacity": change.capacity,
-        }
-
-    sim = None
-    sim_doc = None
-    if args.with_hitting_time:
-        sim = _sim_config(args)
-        sim_doc = asdict(sim)
-
+        values = _fields(args.set_capacity, "--set-capacity", "line:capacity", int, float)
+        kind, change = "set_capacity", SetCapacity(*values.values())
+    sim = _sim_config(args) if args.with_hitting_time else None
     verdict = braess_compare(
         BraessScenario(net, change), eps=args.eps, sim=sim, n_workers=args.workers
     )
     doc = {
         "network": _network_doc(args.network, net),
-        "config": {"eps": args.eps, "change": change_doc, "sim": sim_doc},
+        "config": {"eps": args.eps, "change": {"kind": kind, **values}, "sim": sim},
         **_jsonable(verdict),
     }
     _emit(doc, args.out)
@@ -423,12 +377,12 @@ def cmd_braess(args) -> int:
 
 def _add_sim_flags(sub, samples_required: bool):
     sub.add_argument("--dt", type=float, default=1e-3, help="integration step (s)")
-    sub.add_argument("--tmax", type=float, default=1e5, help="horizon (s)")
+    sub.add_argument("--tmax", dest="t_max", type=float, default=1e5, help="horizon (s)")
     sub.add_argument(
-        "--samples", type=int, default=None if samples_required else 1000,
+        "--samples", dest="n_samples", type=int, default=None if samples_required else 1000,
         required=samples_required, help="number of trajectories",
     )
-    sub.add_argument("--seed", type=int, default=0, help="master seed")
+    sub.add_argument("--seed", dest="master_seed", type=int, default=0, help="master seed")
     sub.add_argument("--workers", type=int, default=1, help="worker threads")
 
 
@@ -439,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = subs.add_parser("analyze", help="full stability report for a network file")
     analyze.add_argument("network")
     analyze.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    analyze.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    analyze.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     analyze.add_argument("--out", default=None, help="report path (stdout when omitted)")
     analyze.set_defaults(func=cmd_analyze)
 
@@ -499,31 +451,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: (error types, exit code, stderr line after "error: "); the first row whose
+#: types match the error applies, and every CrepError matches the last row:
+#: usage, network file, network invariant and setting errors
+_EXITS = (
+    (SynchronousStateError, EXIT_INFEASIBLE, "no admissible synchronous state ({})"),
+    (InfeasibleSpecError, EXIT_INFEASIBLE, "infeasible specification ({})"),
+    ((DegenerateSystemError, LyapunovSolveError, AllCensoredError), EXIT_INFEASIBLE, "{}"),
+    (NoFeasiblePointError, EXIT_NO_FEASIBLE_POINT, "{}"),
+    (CrepError, EXIT_INPUT, "{}"),
+)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NetworkParseError, NetworkValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SynchronousStateError as exc:
-        print(f"error: no admissible synchronous state ({exc})", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (DegenerateSystemError, LyapunovSolveError, AllCensoredError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except InfeasibleSpecError as exc:
-        print(f"error: infeasible specification ({exc})", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NoFeasiblePointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_FEASIBLE_POINT
+    except CrepError as exc:
+        code, line = next(row[1:] for row in _EXITS if isinstance(exc, row[0]))
+        print("error: " + line.format(exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check for settings."""
+import numbers
 
 
 class CrepError(Exception):
     """Base class for every error raised by this package."""
+
+
+class ConfigError(CrepError, ValueError):
+    """A setting is out of range: eps, a simulation or search parameter."""
 
 
 class NetworkParseError(CrepError):
@@ -44,3 +49,15 @@ class InfeasibleSpecError(CrepError):
 
 class NoFeasiblePointError(CrepError):
     """Every candidate evaluated by the search lacked an admissible state."""
+
+
+#: the errors meaning the metric is undefined for a network: it has no
+#: admissible synchronous state, or its reduced system is marginally stable or
+#: too ill-conditioned for the Lyapunov solve
+METRIC_UNDEFINED = (SynchronousStateError, DegenerateSystemError, LyapunovSolveError)
+
+
+def require_int(value, name: str, low: int) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an int (not a bool) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")

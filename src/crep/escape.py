@@ -24,15 +24,11 @@ from .linearize import (
     solve_lyapunov,
     spectral_reduce,
 )
+from .errors import ConfigError
 from .network import Network, network_from_arrays
-from .powerflow import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    SynchronousState,
-    solve_synchronous_state,
-)
+from .powerflow import SynchronousState, solve_synchronous_state
 
-#: default frequency tolerance (rad/s)
+#: default half-width eps of the critical frequency interval (rad/s)
 DEFAULT_EPS = 0.02
 
 HALF_PI = math.pi / 2.0
@@ -128,17 +124,20 @@ class Analysis:
     ``state`` -> ``model`` -> ``reduction`` -> ``variance`` -> ``report``:
     power flow, linearization, spectral reduction, Lyapunov solve and escape
     probabilities.  Reading a stage runs the stages it depends on, once; a
-    stage's errors (see :func:`crep`) surface on the read that runs it.
+    stage's errors (see :func:`crep`) surface on the read that runs it.  An
+    ``eps`` that is not finite and > 0 raises :class:`ConfigError` at once.
     """
 
     net: Network
     eps: float = DEFAULT_EPS
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
+
+    def __post_init__(self):
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps!r}")
 
     @cached_property
     def state(self) -> SynchronousState:
-        return solve_synchronous_state(self.net, tol=self.tol, max_iter=self.max_iter)
+        return solve_synchronous_state(self.net)
 
     @cached_property
     def model(self) -> LinearizedModel:
@@ -162,19 +161,14 @@ class Analysis:
         )
 
 
-def crep(
-    net: Network,
-    eps: float = DEFAULT_EPS,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> CrepReport:
+def crep(net: Network, eps: float = DEFAULT_EPS) -> CrepReport:
     """Full metric pipeline: power flow, linearization, variance, escape norms.
 
-    Propagates the power-flow and degeneracy errors, which signal that the
-    metric is undefined because the synchronous state does not exist or is
-    marginally stable.
+    Propagates the errors of :data:`~crep.errors.METRIC_UNDEFINED`, which
+    signal that the metric is undefined because the synchronous state does
+    not exist or the reduced system is degenerate.
     """
-    return Analysis(net, eps, tol, max_iter).report
+    return Analysis(net, eps).report
 
 
 class SmibClosedForm(NamedTuple):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import AllCensoredError
+from .errors import AllCensoredError, ConfigError, require_int
 from .escape import DEFAULT_EPS
 from .network import Network
 from .powerflow import SynchronousState, solve_synchronous_state
@@ -29,10 +29,6 @@ EXIT_MODES = ("phase_only", "freq_only", "both")
 _Z95 = 1.959963984540054
 #: upper bound on rows x nodes of one kernel batch (2 MiB per float64 array)
 _BATCH_CELLS = 1 << 18
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -49,23 +45,19 @@ class SimConfig:
     def __post_init__(self):
         for name in ("dt", "t_max", "eps"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise ConfigError(f"{name} must be finite")
         if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
+            raise ConfigError("dt must be > 0")
         if self.t_max < self.dt:
-            raise ValueError("t_max must be >= dt")
-        if not _is_int(self.n_samples):
-            raise ValueError(f"n_samples must be an int, got {self.n_samples!r}")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if not _is_int(self.master_seed) or not 0 <= self.master_seed < 2**64:
-            raise ValueError(
-                f"master_seed must be an int in [0, 2**64), got {self.master_seed!r}"
-            )
+            raise ConfigError("t_max must be >= dt")
+        require_int(self.n_samples, "n_samples", 1)
+        require_int(self.master_seed, "master_seed", 0)
+        if self.master_seed >= 2**64:
+            raise ConfigError(f"master_seed must be < 2**64, got {self.master_seed!r}")
         if self.eps < 0.0:
-            raise ValueError("eps must be >= 0")
+            raise ConfigError("eps must be >= 0")
         if self.exit_mode not in EXIT_MODES:
-            raise ValueError(f"exit_mode must be one of {EXIT_MODES}")
+            raise ConfigError(f"exit_mode must be one of {EXIT_MODES}")
 
     @property
     def n_steps(self) -> int:
@@ -130,8 +122,7 @@ def simulate_trajectory(
     trajectory_index: int,
 ) -> TrajectoryOutcome:
     """Integrate one trajectory; returns its first-exit time and component."""
-    if trajectory_index < 0:
-        raise ValueError(f"trajectory_index must be >= 0, got {trajectory_index}")
+    require_int(trajectory_index, "trajectory_index", 0)
     args = _kernel_args(net, state, cfg)
     step, comp = _kernels.simulate_chunk(
         trajectory_index, trajectory_index + 1, **args
@@ -145,20 +136,17 @@ def simulate_trajectory(
 
 
 def estimate_hitting_time(
-    net: Network,
-    cfg: SimConfig,
-    n_workers: int = 1,
-    state: SynchronousState | None = None,
+    net: Network, cfg: SimConfig, n_workers: int = 1
 ) -> HittingTimeEstimate:
     """Run ``cfg.n_samples`` trajectories and aggregate exit statistics.
 
-    Raises :class:`AllCensoredError` when no trajectory exits before the
-    horizon.  The result depends only on the network and the config, never
-    on ``n_workers``.
+    Raises :class:`ConfigError` unless ``n_workers`` is an int >= 1, and
+    :class:`AllCensoredError` when no trajectory exits before the horizon.
+    The result depends only on the network and the config, never on
+    ``n_workers``.
     """
-    if state is None:
-        state = solve_synchronous_state(net)
-    args = _kernel_args(net, state, cfg)
+    require_int(n_workers, "n_workers", 1)
+    args = _kernel_args(net, solve_synchronous_state(net), cfg)
 
     total = cfg.n_samples
     n_batches = max(n_workers, -(-total * net.n // _BATCH_CELLS))

@@ -36,7 +36,8 @@ class Network:
     The constructor copies each input into a read-only array (``int64`` for
     the line ends, ``float`` otherwise) and raises
     :class:`NetworkValidationError` naming the first violated invariant, in
-    this order: array shapes; nodes, in node order; lines (self-loop,
+    this order: each array converts (line ends to integers, without
+    rounding); array shapes; nodes, in node order; lines (self-loop,
     capacity, endpoints, duplicate), in line order; power balance;
     connectivity.  Networks are equal when all seven arrays are.
     """
@@ -51,11 +52,17 @@ class Network:
 
     def __post_init__(self):
         for name in _ARRAYS:
-            dtype = np.int64 if name.startswith("line_") else float
+            given = getattr(self, name)
+            is_end = name.startswith("line_")
             try:
-                object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype)))
-            except OverflowError as exc:  # a line end beyond int64
+                arr = np.array(given, np.int64 if is_end else float)
+            except (OverflowError, TypeError, ValueError) as exc:
                 raise NetworkValidationError(f"{name}: {exc}") from exc
+            # a derived network's ends are int64 already and skip the rounding test
+            if (is_end and getattr(given, "dtype", None) != np.int64
+                    and not np.array_equal(arr, given)):
+                raise NetworkValidationError(f"{name}: line ends must be integer node indices")
+            object.__setattr__(self, name, _frozen(arr))
         _validate(self)
 
     def __eq__(self, other):
@@ -212,7 +219,10 @@ def _validate(net: Network) -> None:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise NetworkParseError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise NetworkParseError(f"{where}: {exc}") from exc
 
 
 def _require_int(value, where: str) -> int:
@@ -271,7 +281,7 @@ def load_network(path) -> Network:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise NetworkParseError(f"{path}: invalid JSON ({exc})") from exc
     return network_from_dict(doc)
 
@@ -291,7 +301,7 @@ def network_from_arrays(
     lines: Iterable[tuple[int, int, float]],
 ) -> Network:
     """Network from parallel node arrays and 1-based (from, to, capacity) triples."""
-    lines = [(int(a) - 1, int(b) - 1, c) for a, b, c in lines]
+    lines = [(a - 1, b - 1, c) for a, b, c in lines]
     line_from, line_to, capacity = zip(*lines) if lines else ((), (), ())
     nodes = (list(values) for values in (power, inertia, damping, noise))
     return Network(*nodes, line_from, line_to, capacity)

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.optimize
 
 from .baselines import order_parameter, phase_cohesiveness
-from .errors import CrepError, InfeasibleSpecError, NoFeasiblePointError
+from .errors import METRIC_UNDEFINED, InfeasibleSpecError, NoFeasiblePointError, require_int
 from .escape import DEFAULT_EPS, Analysis
 from .network import Network
 
@@ -196,7 +196,7 @@ _OBJECTIVES = {
 
 
 def _objective_value(net: Network, kind: ObjectiveKind, eps: float) -> float:
-    """Natural objective value; raises CrepError when the state is inadmissible."""
+    """Natural objective value; raises a METRIC_UNDEFINED error when it has none."""
     return _OBJECTIVES[ObjectiveKind(kind)](Analysis(net, eps))
 
 
@@ -215,7 +215,7 @@ def evaluate_objective(net: Network, kind: ObjectiveKind, eps: float = DEFAULT_E
     kind = ObjectiveKind(kind)
     try:
         return _objective_value(net, kind, eps)
-    except CrepError:
+    except METRIC_UNDEFINED:
         return _penalty(kind)
 
 
@@ -228,11 +228,19 @@ POLISH_MAX_EVALS = 200
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Differential-evolution seed and budget, and whether to polish the best point."""
+    """Differential-evolution seed and budget, and whether to polish the best point.
+
+    Raises :class:`ConfigError` unless ``seed`` is an int >= 0 and
+    ``max_evals`` an int >= 1.
+    """
 
     seed: int = 0
     max_evals: int = 2000
     polish: bool = True
+
+    def __post_init__(self):
+        require_int(self.seed, "seed", 0)
+        require_int(self.max_evals, "max_evals", 1)
 
 
 @dataclass(frozen=True)
@@ -285,7 +293,7 @@ def optimize(
             natural = _objective_value(apply_decision(net, spec, theta), kind, eps)
             feasible = True
             score = -natural if maximize else natural
-        except CrepError:
+        except METRIC_UNDEFINED:
             natural = score = _penalty(kind)
             feasible = False
         key = (score, 0 if feasible else 1)
@@ -397,7 +405,7 @@ def min_max_sigma_equivalence_check(
         analysis = Analysis(apply_decision(net, spec, theta), eps)
         try:
             sigma2, f_omega = analysis.variance.sigma2_omega, analysis.report.f_omega
-        except CrepError:
+        except METRIC_UNDEFINED:
             continue
         if int(np.argmax(f_omega)) != int(np.argmax(sigma2)):
             return False

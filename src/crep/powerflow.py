@@ -22,8 +22,9 @@ import numpy as np
 from .errors import NoConvergence, OutOfDomain
 from .network import Network
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 50
+#: max-norm power mismatch at which the Newton iteration stops
+TOL = 1e-10
+MAX_ITER = 50
 #: strictness margin of the security-domain check
 DOMAIN_MARGIN = 1e-12
 HALF_PI = math.pi / 2.0
@@ -63,29 +64,23 @@ def _cos_laplacian(net: Network, gaps: np.ndarray) -> np.ndarray:
     return lap
 
 
-def solve_synchronous_state(
-    net: Network,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SynchronousState:
+def solve_synchronous_state(net: Network) -> SynchronousState:
     """Find the in-domain synchronous state of ``net``.
 
     Raises :class:`NoConvergence` when no halving of a Newton step lowers
     the mismatch (the message names the iteration and the residual) or when
-    the iteration does not reach ``tol`` within ``max_iter`` steps, and
+    the iteration does not reach ``TOL`` within ``MAX_ITER`` steps, and
     :class:`OutOfDomain` when the converged phases put some line gap outside
     (-pi/2, pi/2).  Either error means no admissible synchronous state was
     found for these parameters.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
     n = net.n
     phase = np.zeros(n)
     mism = _mismatch(net, phase)
     norm = float(np.max(np.abs(mism)))
 
-    for iteration in range(1, max_iter + 1):
-        if norm <= tol:
+    for iteration in range(1, MAX_ITER + 1):
+        if norm <= TOL:
             break
         jac = _cos_laplacian(net, phase[net.line_from] - phase[net.line_to])[1:, 1:]
         try:
@@ -105,14 +100,14 @@ def solve_synchronous_state(
         else:
             raise NoConvergence(
                 f"no damped Newton step reduced the mismatch at iteration {iteration} "
-                f"(residual {norm:.3e} > tol {tol:.3e})"
+                f"(residual {norm:.3e} > tol {TOL:.3e})"
             )
         phase, mism, norm = trial, trial_mism, trial_norm
     else:
-        if norm > tol:
+        if norm > TOL:
             raise NoConvergence(
-                f"power flow did not converge in {max_iter} iterations "
-                f"(residual {norm:.3e} > tol {tol:.3e})"
+                f"power flow did not converge in {MAX_ITER} iterations "
+                f"(residual {norm:.3e} > tol {TOL:.3e})"
             )
 
     diffs = phase[net.line_from] - phase[net.line_to]

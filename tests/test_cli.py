@@ -310,3 +310,131 @@ def test_braess_requires_exactly_one_change(tmp_path):
     assert main([
         "braess", path, "--set-capacity", "1:2.0", "--add-line", "1:2:1.0",
     ]) == 1
+
+
+def _exit_case_files(tmp_path):
+    """Inputs for one case per row of the CLI's exit table, by placeholder name."""
+    overloaded = two_node_net(p=3.0, cap=2.0, noise=(0.1, 0.1))
+    with pytest.raises(crep.SynchronousStateError) as info:
+        crep.solve_synchronous_state(overloaded)
+    for name, doc in (("wide", {"lower": 2.0, "upper": 3.0}),
+                      ("narrow", {"lower": 0.5, "upper": 0.9})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    return {
+        "tmp": str(tmp_path),
+        "overloaded": write_net(tmp_path, overloaded, "overloaded.json"),
+        "no_state": str(info.value),
+        "ring5": write_net(tmp_path, ring5_net(), "ring5.json"),
+        "two_node": write_net(tmp_path, two_node_net(p=1.0, cap=2.0), "two.json"),
+        "quiet": write_net(tmp_path, two_node_net(p=0.5, noise=(0.0, 0.0)), "quiet.json"),
+    }
+
+
+EXIT_TABLE_ROWS = {
+    "SynchronousStateError": (
+        ["analyze", "{overloaded}"], 2, "error: no admissible synchronous state ({no_state})",
+    ),
+    "InfeasibleSpecError": (
+        ["optimize", "{ring5}", "--decision", "line_capacity", "--budget", "5.0",
+         "--bounds", "{tmp}/wide.json", "--network-out", "{tmp}/n.json"],
+        2,
+        "error: infeasible specification (budget 5.0 outside [sum(lower), sum(upper)] = "
+        "[10.0, 15.0])",
+    ),
+    "AllCensoredError": (
+        ["hitting-time", "{quiet}", "--samples", "10", "--tmax", "1.0"],
+        2, "error: no trajectory exited before t_max=1.0 (all 10 censored)",
+    ),
+    "NoFeasiblePointError": (
+        ["optimize", "{two_node}", "--decision", "line_capacity", "--budget", "0.8",
+         "--bounds", "{tmp}/narrow.json", "--max-evals", "40",
+         "--network-out", "{tmp}/n.json"],
+        3, "error: no evaluated candidate admitted an in-domain synchronous state",
+    ),
+    "CrepError": (
+        ["analyze", "{tmp}/absent.json"],
+        1, "error: network file not found: {tmp}/absent.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,code,line", EXIT_TABLE_ROWS.values(), ids=EXIT_TABLE_ROWS)
+def test_exit_table_row(tmp_path, capsys, argv, code, line):
+    files = _exit_case_files(tmp_path)
+    assert main([arg.format(**files) for arg in argv]) == code
+    assert capsys.readouterr().err == line.format(**files) + "\n"
+
+
+def test_error_outside_crep_error_propagates(tmp_path, capsys, monkeypatch):
+    # a ValueError from inside a stage is a bug, not an input error
+    def broken(*args):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(crep.escape, "solve_lyapunov", broken)
+    path = write_net(tmp_path, two_node_net(noise=(0.2, 0.1)))
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["analyze", path])
+    assert "error:" not in capsys.readouterr().err
+
+
+def test_braess_bad_workers_is_not_blamed_on_the_base_network(tmp_path, capsys):
+    path = write_net(tmp_path, ring5_net())
+    assert main([
+        "braess", path, "--set-capacity", "2:1.5", "--with-hitting-time",
+        "--samples", "20", "--tmax", "50", "--workers", "0",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: n_workers must be an int >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze"],
+    ["sweep", "--param", "Lt", "--range", "3:6:2"],
+    ["optimize", "--decision", "line_capacity", "--max-evals", "40"],
+    ["braess", "--add-line", "1:3:1.0"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-0.02"])
+def test_eps_outside_the_open_half_line_exit_code(tmp_path, capsys, command, eps):
+    path = write_net(tmp_path, ring5_net())
+    argv = [command[0], path, *command[1:], "--eps", eps]
+    if command[0] == "optimize":
+        argv += ["--network-out", str(tmp_path / "n.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: eps must be finite and > 0, got ")
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"indices": [[1]]}, "'indices'"),
+    ({"indices": [1.7, 2.2]}, "'indices'"),
+    ({"indices": ["1", "2"]}, "'indices'"),
+    ({"indices": [True, 2]}, "'indices'"),
+    ({"lower": "abc"}, "'lower'"),
+    ({"upper": [3.0, 3.0, 3.0, 3.0, None]}, "'upper'"),
+    ({"upper": True}, "'upper'"),
+    ({"lower": [0.1, 0.1]}, "'lower'"),
+    (5, "JSON object"),
+])
+def test_bounds_file_values_are_type_checked(tmp_path, capsys, doc, field):
+    path = write_net(tmp_path, ring5_net())
+    bounds = tmp_path / "bounds.json"
+    bounds.write_text(json.dumps(doc))
+    assert main([
+        "optimize", path, "--decision", "line_capacity", "--bounds", str(bounds),
+        "--max-evals", "40", "--network-out", str(tmp_path / "n.json"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bounds ") and field in err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--max-evals", "0"], "max_evals must be an int >= 1, got 0"),
+    (["--max-evals", "-5"], "max_evals must be an int >= 1, got -5"),
+    (["--seed", "-1"], "seed must be an int >= 0, got -1"),
+])
+def test_optimize_rejects_bad_search_settings(tmp_path, capsys, flags, message):
+    path = write_net(tmp_path, ring5_net())
+    assert main([
+        "optimize", path, "--decision", "line_capacity", *flags,
+        "--network-out", str(tmp_path / "n.json"),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

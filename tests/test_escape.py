@@ -229,6 +229,15 @@ def test_analysis_runs_each_stage_once():
     assert analysis.reduction is analysis.reduction
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.02])
+def test_eps_outside_the_open_half_line_is_a_config_error(eps):
+    net = random_connected_network(np.random.default_rng(38))
+    with pytest.raises(crep.ConfigError, match="eps must be finite and > 0"):
+        crep_metric(net, eps=eps)
+    with pytest.raises(ValueError):
+        crep.Analysis(net, eps)
+
+
 def test_smib_analytic_values():
     closed = smib_analytic(2.0, 3.0, 5.0, 3.0, 1.0)
     assert closed.sigma2_delta == pytest.approx(1.0 / 24.0, rel=1e-15)

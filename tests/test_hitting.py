@@ -5,6 +5,7 @@ import pytest
 
 from crep import (
     AllCensoredError,
+    ConfigError,
     SimConfig,
     estimate_hitting_time,
     simulate_trajectory,
@@ -46,6 +47,13 @@ def test_largest_seed_runs_and_negative_index_is_rejected():
     assert simulate_trajectory(net, state, cfg, 0).exit_time == pytest.approx(cfg.dt)
     with pytest.raises(ValueError, match="trajectory_index"):
         simulate_trajectory(net, state, cfg, -1)
+
+
+@pytest.mark.parametrize("n_workers", [0, -1, 1.5])
+def test_worker_count_must_be_a_positive_int(n_workers):
+    cfg = SimConfig(t_max=1.0, n_samples=2)
+    with pytest.raises(ConfigError, match="n_workers"):
+        estimate_hitting_time(two_node_net(noise=(0.2, 0.2)), cfg, n_workers=n_workers)
 
 
 @pytest.mark.parametrize("field", ["dt", "t_max", "eps"])

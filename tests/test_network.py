@@ -364,6 +364,44 @@ def test_line_end_beyond_int64_rejected():
         crep.network_from_dict(doc)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: network_from_arrays([0.5, -0.5], [1.0] * 2, [1.0] * 2, [0.1] * 2,
+                                 [(1.7, 2.9, 1.0)]),
+     "line_from: line ends must be integer node indices"),
+    (lambda: crep.Network([0.5, -0.5], [1.0] * 2, [1.0] * 2, [0.1] * 2, [0], [1.2], [1.0]),
+     "line_to: line ends must be integer node indices"),
+    (lambda: two_node_net().with_added_line(1.5, 2, 1.0),
+     "line_from: line ends must be integer node indices"),
+    (lambda: crep.Network([0.5, -0.5], [1.0] * 2, [1.0] * 2, [0.1] * 2, [math.nan], [1],
+                          [1.0]),
+     "line_from: cannot convert float NaN to integer"),
+], ids=["network_from_arrays", "Network", "with_added_line", "nan"])
+def test_fractional_line_end_rejected_not_truncated(build, message):
+    with pytest.raises(NetworkValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_integral_float_line_ends_are_accepted():
+    nodes = ([0.5, -0.5], [1.0] * 2, [1.0] * 2, [0.1] * 2)
+    floats = network_from_arrays(*nodes, [(1.0, 2.0, 1.0)])
+    assert floats == network_from_arrays(*nodes, [(1, 2, 1.0)])
+
+
+def test_integer_literal_beyond_float_range_rejected():
+    doc = path_doc()
+    doc["nodes"][0]["power"] = 10**400
+    with pytest.raises(NetworkParseError, match=r"nodes\[0\]\.power"):
+        crep.network_from_dict(doc)
+
+
+def test_undecodable_file_rejected(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(NetworkParseError, match="invalid JSON"):
+        load_network(str(path))
+
+
 def test_derived_network_is_validated_in_full():
     net = random_connected_network(np.random.default_rng(11))
     with pytest.raises(NetworkValidationError, match=r"line \(\d+,\d+\): capacity must be finite"):

@@ -330,6 +330,30 @@ def test_no_feasible_point_error():
                  search=SearchConfig(seed=0, max_evals=60))
 
 
+def test_bad_eps_is_a_config_error_not_an_infeasible_search():
+    # ConfigError is a CrepError; the penalty catch must not turn it into a
+    # search without a feasible point
+    net = ring5_net()
+    spec = DecisionSpec("line_capacity", tuple(range(1, 6)), 5.0,
+                        np.full(5, 0.2), np.full(5, 3.0))
+    with pytest.raises(crep.ConfigError, match="eps"):
+        optimize(net, spec, ObjectiveKind.crep_phi_delta, eps=math.nan,
+                 search=SearchConfig(seed=0, max_evals=60))
+    with pytest.raises(crep.ConfigError, match="eps"):
+        evaluate_objective(net, ObjectiveKind.crep_phi, eps=math.nan)
+    with pytest.raises(crep.ConfigError, match="eps"):
+        min_max_sigma_equivalence_check(net, spec, n_samples=2, eps=math.inf)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", -1), ("seed", 1.5), ("seed", True),
+    ("max_evals", 0), ("max_evals", -5), ("max_evals", 10.0),
+])
+def test_search_config_rejects_bad_seed_and_budget(field, value):
+    with pytest.raises(crep.ConfigError, match=field):
+        SearchConfig(**{field: value})
+
+
 def test_min_max_sigma_equivalence_on_ring():
     net = ring5_net(b=(0.7, 0.1, 0.1, 0.1, 0.7))
     spec = DecisionSpec("damping", tuple(range(1, 6)), 4.0,

@@ -63,7 +63,7 @@ def test_residual_below_tolerance_on_random_networks():
     rng = np.random.default_rng(11)
     for _ in range(10):
         net = random_connected_network(rng)
-        state = solve_synchronous_state(net, tol=1e-10)
+        state = solve_synchronous_state(net)
         assert state.residual <= 1e-10
         assert state.phase[0] == 0.0
         gaps = np.abs(state.output_phase_diffs)
@@ -111,11 +111,6 @@ def test_single_node_network():
     state = solve_synchronous_state(net)
     assert state.phase.shape == (1,)
     assert state.residual == 0.0
-
-
-def test_tol_must_be_positive():
-    with pytest.raises(ValueError):
-        solve_synchronous_state(two_node_net(), tol=0.0)
 
 
 @pytest.mark.parametrize(

@@ -7,17 +7,29 @@ stream seeded from ``(master_seed, trajectory_index)`` and draws one Gaussian
 increment per node per step via Box-Muller, so results are independent of how
 trajectories are grouped into batches or scheduled onto workers.
 
-All running trajectories of a batch are stepped as rows of one array, and
-each row is dropped as soon as it exits, so a step costs work only for the
-rows still running.  A step's ``2n`` uniforms come from one broadcast add,
-since value ``k`` of a stream after ``state`` is ``mix(state + k * GOLD)``.
-Exit steps and components are bit-identical for any batch split.
+The state is node-major: one array holds, row after row, the phases of the n
+nodes, the gaps of the m lines and the frequencies of the n nodes, with one
+column per running trajectory.  A line's gap is then a difference of two
+contiguous rows, per-node coefficients broadcast as columns, and the
+components a step checks for exits are one contiguous block of rows.  Each
+step computes the line gaps once: the gaps checked for exits at step s are
+the ones the coupling of step s+1 needs.  The coupling is one sparse product
+with the signed node-line incidence matrix, whose sorted CSR indices make
+every node add its lines' flows in line order from 0, with the rounding of a
+per-line loop.  A column is dropped as soon as its trajectory exits, so a step
+costs work only for the trajectories still running.
+
+A step's ``2n`` uniforms come from one broadcast add, since value ``k`` of a
+stream after ``state`` is ``mix(state + k * GOLD)``, and are turned into
+Gaussians in place.  Exit steps and components are bit-identical for any
+batch split.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from scipy import sparse
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -32,36 +44,71 @@ _TWO_PI = 6.283185307179586
 _HALF_PI = 1.5707963267948966
 
 
-def _mix_vec(z):
-    """splitmix64 output function on a uint64 array."""
-    z = (z ^ (z >> _SH30)) * _MIX1
-    z = (z ^ (z >> _SH27)) * _MIX2
-    return z ^ (z >> _SH31)
+def _mix_inplace(z):
+    """splitmix64 output function, overwriting the uint64 array ``z``."""
+    z ^= z >> _SH30
+    z *= _MIX1
+    z ^= z >> _SH27
+    z *= _MIX2
+    z ^= z >> _SH31
 
 
 def _stream_seeds_vec(master, lo, hi):
-    idx = np.arange(lo, hi, dtype=np.uint64)
-    return _mix_vec(master + (idx + _ONE) * _GOLD)
+    z = master + (np.arange(lo, hi, dtype=np.uint64) + _ONE) * _GOLD
+    _mix_inplace(z)
+    return z
 
 
 def _draw_offsets(count):
-    """Stream offsets ``k * GOLD`` for ``k = 1..2*count``: one step's draws."""
-    return np.arange(1, 2 * count + 1, dtype=np.uint64) * _GOLD
+    """Stream offsets of one step's ``count`` draws, as a (2 * count, 1) column.
+
+    The offset of stream value ``k`` is ``k * GOLD``.  Draw ``i`` uses values
+    ``2i + 1`` and ``2i + 2``; the column holds all the first values, then all
+    the second ones, so each half of a step's draws is contiguous.
+    """
+    k = np.arange(1, 2 * count + 1, dtype=np.uint64).reshape(count, 2).T
+    return (k * _GOLD).reshape(2 * count, 1)
 
 
 def _normals_vec(states, offsets):
-    """Next ``len(offsets) // 2`` Gaussians of each stream, shape (rows, count).
+    """Next ``len(offsets) // 2`` Gaussians of each stream, shape (count, rows).
 
-    Stream value ``k`` after ``state`` is ``mix(state + k * GOLD)``, so all of
-    a step's draws come from one broadcast add; ``states`` is then advanced in
-    place past them.  Pairs are consumed in order: (x1, x2) of draw ``i`` are
-    values ``2i + 1`` and ``2i + 2``.
+    All of a step's draws come from one broadcast add of ``offsets`` (from
+    ``_draw_offsets``) to ``states``; ``states`` is then advanced in place past
+    them.  Draw ``i`` of a stream is Box-Muller on its values ``2i + 1`` and
+    ``2i + 2``.
     """
-    x = _mix_vec(states[:, None] + offsets)
-    states += offsets[-1]
-    u1 = ((x[:, 0::2] >> _SH11) + _ONE).astype(np.float64) * _INV53
-    u2 = (x[:, 1::2] >> _SH11).astype(np.float64) * _INV53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+    count = offsets.shape[0] // 2
+    x = offsets + states
+    _mix_inplace(x)
+    states += offsets[-1, 0]
+    x >>= _SH11
+    # z >> 11 < 2**53, so adding 1.0 after the conversion is exact
+    f = x.astype(np.float64)
+    u1, u2 = f[:count], f[count:]
+    u1 += 1.0
+    u1 *= _INV53
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= _INV53
+    u2 *= _TWO_PI
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1
+
+
+def _incidence(n, line_from, line_to):
+    """Signed node-line incidence, n x m CSR: +1 at (from, k), -1 at (to, k)."""
+    m = line_from.shape[0]
+    lines = np.arange(m)
+    inc = sparse.csr_array(
+        (np.repeat([1.0, -1.0], m),
+         (np.concatenate((line_from, line_to)), np.concatenate((lines, lines)))),
+        shape=(n, m),
+    )
+    inc.sort_indices()
+    return inc
 
 
 def simulate_chunk(
@@ -92,42 +139,55 @@ def simulate_chunk(
     n = phase0.shape[0]
     m = line_from.shape[0]
     batch = hi - lo
-    sqrt_dt = math.sqrt(dt)
     states = _stream_seeds_vec(np.uint64(master_seed), lo, hi)
-    delta = np.tile(phase0, (batch, 1))
-    omega = np.zeros((batch, n))
+    # rows: phases (n), line gaps (m), frequencies (n); one column per trajectory
+    x = np.zeros((2 * n + m, batch))
+    delta, gaps, omega = x[:n], x[n:n + m], x[n + m:]
+    delta[:] = phase0[:, None]
+    np.subtract(delta[line_from], delta[line_to], out=gaps)
+    # the checked rows: gaps and/or frequencies, against their limits
+    first = 0 if check_phase else m
+    last = m + n if check_freq else m
+    watched = slice(n + first, n + last)
+    limit = np.concatenate((np.full(m, _HALF_PI), np.full(n, float(eps))))
+    limit = limit[first:last, None]
     exit_step = np.zeros(batch, dtype=np.int64)
     exit_comp = np.full(batch, -1, dtype=np.int64)
-    # ``live`` maps the rows of the state arrays to their batch positions;
-    # rows that exit are dropped, so every step advances running rows only.
+    # ``live`` maps the columns of ``x`` to their batch positions; columns
+    # that exit are dropped, so every step advances running trajectories only.
     live = np.arange(batch)
+    incidence = _incidence(n, line_from, line_to)
     offsets = _draw_offsets(n)
-    drift = dt * inv_inertia
-    kick = noise_over_m * sqrt_dt
+    cap = capacity[:, None]
+    drift = (dt * inv_inertia)[:, None]
+    kick = (noise_over_m * math.sqrt(dt))[:, None]
+    power = power[:, None]
+    damping = damping[:, None]
     for s in range(1, n_steps + 1):
-        coup = np.zeros_like(delta)
-        flow = capacity * np.sin(delta[:, line_from] - delta[:, line_to])
-        for k in range(m):
-            coup[:, line_from[k]] += flow[:, k]
-            coup[:, line_to[k]] -= flow[:, k]
-        delta = delta + omega * dt
+        flow = np.sin(gaps)
+        flow *= cap
+        coup = incidence @ flow
+        delta += omega * dt
         z = _normals_vec(states, offsets)
-        omega = omega + drift * (power - damping * omega - coup) + kick * z
-        viol = np.zeros((live.shape[0], m + n), dtype=bool)
-        if check_phase:
-            viol[:, :m] = np.abs(delta[:, line_from] - delta[:, line_to]) >= _HALF_PI
-        if check_freq:
-            viol[:, m:] = np.abs(omega) >= eps
-        hit = viol.any(axis=1)
-        if hit.any():
+        acc = damping * omega
+        np.subtract(power, acc, out=acc)
+        acc -= coup
+        acc *= drift
+        omega += acc
+        z *= kick
+        omega += z
+        np.subtract(delta[line_from], delta[line_to], out=gaps)
+        viol = np.abs(x[watched]) >= limit
+        if viol.any():
+            hit = viol.any(axis=0)
             exited = live[hit]
             exit_step[exited] = s
-            exit_comp[exited] = np.argmax(viol[hit], axis=1)
+            exit_comp[exited] = first + np.argmax(viol[:, hit], axis=0)
             keep = ~hit
             live = live[keep]
             if live.shape[0] == 0:
                 break
             states = states[keep]
-            delta = delta[keep]
-            omega = omega[keep]
+            x = np.compress(keep, x, axis=1)
+            delta, gaps, omega = x[:n], x[n:n + m], x[n + m:]
     return exit_step, exit_comp

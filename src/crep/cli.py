@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import fields, is_dataclass
@@ -51,6 +52,7 @@ from .optimizer import (
     SearchConfig,
     _DECISION_FIELDS,
     apply_decision,
+    index_positions,
     optimize,
 )
 
@@ -98,6 +100,14 @@ def _jsonable(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
+
+
+def _out_path(text: str) -> str:
+    """An output path flag's value, rejected while parsing unless its directory exists."""
+    parent = os.path.dirname(text) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"directory does not exist: {parent}")
+    return text
 
 
 def _emit(doc, out_path) -> None:
@@ -300,12 +310,12 @@ def _decision_spec(net: Network, args) -> DecisionSpec:
     if not (isinstance(indices, list) and all(_is_json(i, int) for i in indices)):
         raise UsageError("bounds field 'indices' must be a list of integers")
     indices = tuple(indices) or _default_indices(net, args.decision)
+    positions = index_positions(net, args.decision, indices)
     k = len(indices)
     if args.budget is not None:
         budget = args.budget
     else:
-        field = _DECISION_FIELDS[args.decision]
-        budget = float(getattr(net, field)[np.array(indices) - 1].sum())
+        budget = float(getattr(net, _DECISION_FIELDS[args.decision])[positions].sum())
     low = 0.0 if args.decision == "generation" else 0.01 * budget / k
     lower = _bound(bounds, "lower", k, low)
     upper = _bound(bounds, "upper", k, budget)
@@ -393,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = subs.add_parser("analyze", help="full stability report for a network file")
     analyze.add_argument("network")
     analyze.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    analyze.add_argument("--out", default=None, help="report path (stdout when omitted)")
+    analyze.add_argument("--out", type=_out_path, default=None,
+                         help="report path (stdout when omitted)")
     analyze.set_defaults(func=cmd_analyze)
 
     sweep = subs.add_parser("sweep", help="metric curves over a total-parameter sweep")
@@ -402,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--range", required=True, help="lo:hi:steps")
     sweep.add_argument("--metrics", default="phi_delta,phi_omega,phi")
     sweep.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    sweep.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
+    sweep.add_argument("--out", type=_out_path, default=None,
+                       help="CSV path (stdout when omitted)")
     sweep.set_defaults(func=cmd_sweep)
 
     hitting = subs.add_parser("hitting-time", help="Monte-Carlo mean first hitting time")
@@ -412,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     hitting.add_argument(
         "--exit-mode", choices=EXIT_MODES, default="both"
     )
-    hitting.add_argument("--out", default=None)
+    hitting.add_argument("--out", type=_out_path, default=None)
     hitting.set_defaults(func=cmd_hitting_time)
 
     opt = subs.add_parser("optimize", help="minimize a stability objective over one family")
@@ -431,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--eps", type=float, default=DEFAULT_EPS)
     opt.add_argument("--seed", type=int, default=0)
     opt.add_argument("--max-evals", type=int, default=2000)
-    opt.add_argument("--out", default=None)
-    opt.add_argument("--network-out", default=None,
+    opt.add_argument("--out", type=_out_path, default=None)
+    opt.add_argument("--network-out", type=_out_path, default=None,
                      help="path for the optimized network file")
     opt.set_defaults(func=cmd_optimize)
 
@@ -446,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     braess.add_argument(
         "--exit-mode", choices=EXIT_MODES, default="phase_only"
     )
-    braess.add_argument("--out", default=None)
+    braess.add_argument("--out", type=_out_path, default=None)
     braess.set_defaults(func=cmd_braess)
     return parser
 

@@ -104,15 +104,22 @@ class DecisionSpec:
         return len(self.indices)
 
 
+def index_positions(net: Network, variable: str, indices) -> np.ndarray:
+    """0-based positions of a decision's 1-based line or node ``indices``.
+
+    Raises InfeasibleSpecError when an index names no line (line_capacity) or
+    no node (the other variables) of ``net``.
+    """
+    idx = np.array(indices, dtype=int) - 1
+    kind, size = ("line", net.m) if variable == "line_capacity" else ("node", net.n)
+    if np.any(idx < 0) or np.any(idx >= size):
+        raise InfeasibleSpecError(f"{kind} index out of range")
+    return idx
+
+
 def validate_spec(net: Network, spec: DecisionSpec) -> None:
     """Check the spec against a concrete network; raises InfeasibleSpecError."""
-    idx = np.array(spec.indices, dtype=int) - 1
-    if spec.variable == "line_capacity":
-        if np.any(idx < 0) or np.any(idx >= net.m):
-            raise InfeasibleSpecError("line index out of range")
-    else:
-        if np.any(idx < 0) or np.any(idx >= net.n):
-            raise InfeasibleSpecError("node index out of range")
+    idx = index_positions(net, spec.variable, spec.indices)
     if spec.variable == "generation":
         if np.any(net.power[idx] <= 0.0):
             raise InfeasibleSpecError(

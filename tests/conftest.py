@@ -245,3 +245,117 @@ def reference_trajectory(net, state, cfg, index, record_path=False):
         if comp >= 0:
             return s, comp, path
     return 0, -1, path
+
+
+def random_meshed_network(rng, n, n_lines, max_degree=7, noise_range=(0.3, 1.0)):
+    """Random connected network whose node degrees reach ``max_degree``.
+
+    Node 1 is joined to ``max_degree`` others, the remaining nodes hang off a
+    random tree, and random chords follow up to ``n_lines`` lines, no node
+    exceeding ``max_degree``.  Lines are shuffled and randomly oriented, so a
+    node adds the flows of its lines with mixed signs, interleaved with other
+    nodes' lines.  Injections are halved until the power flow solves.
+    """
+    degree = np.zeros(n, dtype=int)
+    pairs = []
+
+    def join(a, b):
+        pairs.append((a, b))
+        degree[a] += 1
+        degree[b] += 1
+
+    for b in range(1, max_degree + 1):
+        join(0, b)
+    for b in range(max_degree + 1, n):
+        open_nodes = np.flatnonzero(degree[:b] < max_degree)
+        join(int(rng.choice(open_nodes)), b)
+    taken = {frozenset(p) for p in pairs}
+    for _ in range(50 * n_lines):
+        if len(pairs) >= n_lines:
+            break
+        a, b = (int(v) for v in rng.integers(0, n, size=2))
+        if a != b and frozenset((a, b)) not in taken and max(degree[a], degree[b]) < max_degree:
+            taken.add(frozenset((a, b)))
+            join(a, b)
+    lines = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs]
+    lines = [lines[k] for k in rng.permutation(len(lines))]
+    caps = rng.uniform(1.0, 3.0, len(lines))
+    power = rng.uniform(-1.0, 1.0, n)
+    power -= power.mean()
+    inertia = rng.uniform(0.5, 2.0, n)
+    damping = rng.uniform(0.5, 1.5, n)
+    noise = rng.uniform(*noise_range, n)
+    for _ in range(8):
+        net = crep.network_from_arrays(
+            power, inertia, damping, noise,
+            [(a + 1, b + 1, float(c)) for (a, b), c in zip(lines, caps)],
+        )
+        try:
+            crep.solve_synchronous_state(net)
+            return net
+        except crep.SynchronousStateError:
+            power = power * 0.5
+    raise RuntimeError("could not build an admissible meshed network")
+
+
+# -- row-major reference kernel (the per-line loop, independent of _kernels) ---
+
+
+def _mix_rows(z):
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def reference_chunk(lo, hi, master_seed, phase0, n_steps, dt, power, inv_inertia,
+                    damping, noise_over_m, line_from, line_to, capacity,
+                    check_phase, check_freq, eps):
+    """Trajectories ``lo..hi-1`` stepped row-major, the coupling a per-line loop.
+
+    Takes ``_kernels.simulate_chunk``'s arguments and returns its
+    (exit_step, exit_comp).  Each node adds its lines' flows in line order,
+    one line at a time, so exits pin the kernel's accumulation order on nodes
+    of any degree.
+    """
+    n, m, batch = phase0.shape[0], line_from.shape[0], hi - lo
+    gold = np.uint64(GOLD)
+    with np.errstate(over="ignore"):
+        idx = np.arange(lo, hi, dtype=np.uint64)
+        states = _mix_rows(np.uint64(master_seed) + (idx + np.uint64(1)) * gold)
+        offsets = np.arange(1, 2 * n + 1, dtype=np.uint64) * gold
+    delta = np.tile(phase0, (batch, 1))
+    omega = np.zeros((batch, n))
+    exit_step = np.zeros(batch, dtype=np.int64)
+    exit_comp = np.full(batch, -1, dtype=np.int64)
+    live = np.arange(batch)
+    drift = dt * inv_inertia
+    kick = noise_over_m * math.sqrt(dt)
+    for s in range(1, n_steps + 1):
+        coup = np.zeros_like(delta)
+        flow = capacity * np.sin(delta[:, line_from] - delta[:, line_to])
+        for k in range(m):
+            coup[:, line_from[k]] += flow[:, k]
+            coup[:, line_to[k]] -= flow[:, k]
+        delta = delta + omega * dt
+        x = _mix_rows(states[:, None] + offsets)
+        states += offsets[-1]
+        u1 = ((x[:, 0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+        u2 = (x[:, 1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+        omega = omega + drift * (power - damping * omega - coup) + kick * z
+        viol = np.zeros((live.shape[0], m + n), dtype=bool)
+        if check_phase:
+            viol[:, :m] = np.abs(delta[:, line_from] - delta[:, line_to]) >= math.pi / 2
+        if check_freq:
+            viol[:, m:] = np.abs(omega) >= eps
+        hit = viol.any(axis=1)
+        if hit.any():
+            exited = live[hit]
+            exit_step[exited] = s
+            exit_comp[exited] = np.argmax(viol[hit], axis=1)
+            keep = ~hit
+            live = live[keep]
+            if live.shape[0] == 0:
+                break
+            states, delta, omega = states[keep], delta[keep], omega[keep]
+    return exit_step, exit_comp

@@ -438,3 +438,45 @@ def test_optimize_rejects_bad_search_settings(tmp_path, capsys, flags, message):
         "--network-out", str(tmp_path / "n.json"),
     ]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget", "5.0"]], ids=["default", "given"])
+@pytest.mark.parametrize("indices", [[9], [0], [2, 6]])
+def test_bounds_file_index_out_of_range_exit_code(tmp_path, capsys, indices, budget):
+    # the default budget sums the indexed lines, so the range is checked first
+    path = write_net(tmp_path, ring5_net())
+    bounds = tmp_path / "bounds.json"
+    bounds.write_text(json.dumps({"indices": indices}))
+    assert main([
+        "optimize", path, "--decision", "line_capacity", "--bounds", str(bounds),
+        *budget, "--max-evals", "40", "--network-out", str(tmp_path / "n.json"),
+    ]) == 2
+    assert capsys.readouterr().err == (
+        "error: infeasible specification (line index out of range)\n"
+    )
+
+
+@pytest.mark.parametrize("command,flag", [
+    (["analyze"], "--out"),
+    (["sweep", "--param", "Lt", "--range", "3:6:2"], "--out"),
+    (["hitting-time", "--samples", "10"], "--out"),
+    (["optimize", "--decision", "line_capacity"], "--out"),
+    (["optimize", "--decision", "line_capacity"], "--network-out"),
+    (["braess", "--add-line", "1:3:1.0"], "--out"),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_output_in_a_missing_directory_is_rejected_before_any_work(
+    tmp_path, capsys, monkeypatch, command, flag
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before its output path was checked")
+
+    for name in ("Analysis", "metrics_bundle", "estimate_hitting_time", "optimize",
+                 "braess_compare"):
+        monkeypatch.setattr(crep.cli, name, no_work)
+    path = write_net(tmp_path, ring5_net())
+    missing = tmp_path / "missing"
+    assert main([command[0], path, *command[1:], flag, str(missing / "x.json")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: argument {flag}: directory does not exist: {missing}\n"
+    )
+    assert not missing.exists()

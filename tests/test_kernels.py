@@ -3,11 +3,14 @@ import pytest
 
 import crep
 from crep import _kernels
+from crep.hitting import _kernel_args
 
 from conftest import (
     GOLD,
     MASK64,
     _mix,
+    random_meshed_network,
+    reference_chunk,
     reference_normals,
     reference_trajectory,
     ring5_net,
@@ -46,17 +49,21 @@ def test_vectorized_normals_match_python_reference():
         states = _kernels._stream_seeds_vec(np.uint64(5), 3, 4)
         offsets = _kernels._draw_offsets(3)
         drawn = [float(v) for _ in range(2)
-                 for v in _kernels._normals_vec(states, offsets)[0]]
+                 for v in _kernels._normals_vec(states, offsets)[:, 0]]
     expected = reference_normals(5, 3, 6)
     assert drawn == pytest.approx(expected, rel=1e-12)
 
 
 def _chunk(net, cfg, lo, hi):
-    state = crep.solve_synchronous_state(net)
-    from crep.hitting import _kernel_args
-
-    args = _kernel_args(net, state, cfg)
+    args = _kernel_args(net, crep.solve_synchronous_state(net), cfg)
     return _kernels.simulate_chunk(lo, hi, **args)
+
+
+def _chunk_and_reference(net, cfg, lo, hi):
+    """(exit_step, exit_comp) lists of the kernel and of ``reference_chunk``."""
+    args = _kernel_args(net, crep.solve_synchronous_state(net), cfg)
+    return ([a.tolist() for a in _kernels.simulate_chunk(lo, hi, **args)],
+            [a.tolist() for a in reference_chunk(lo, hi, **args)])
 
 
 def test_chunk_boundaries_do_not_matter():
@@ -103,3 +110,63 @@ def test_compacting_kernel_matches_reference_with_staggered_exits(case):
     exited = [r[0] for r in ref if r[0] > 0]
     assert len(set(exited)) > 1
     assert 0 < len(exited) < hi - lo
+
+
+def test_coupling_product_adds_each_nodes_lines_in_line_order():
+    # three or more flows summed in another order round differently, so only
+    # the per-line loop's order gives these bits on nodes of degree up to 7
+    rng = np.random.default_rng(21)
+    net = random_meshed_network(rng, n=14, n_lines=24)
+    assert np.bincount(np.concatenate((net.line_from, net.line_to))).max() == 7
+    flow = rng.normal(size=(net.m, 9)) * 10.0 ** rng.integers(-3, 4, size=(net.m, 1))
+    loop = np.zeros((net.n, 9))
+    for k in range(net.m):
+        loop[net.line_from[k]] += flow[k]
+        loop[net.line_to[k]] -= flow[k]
+    coup = _kernels._incidence(net.n, net.line_from, net.line_to) @ flow
+    assert np.array_equal(coup, loop)
+
+
+def _meshed_case(seed, exit_mode):
+    rng = np.random.default_rng(seed)
+    net = random_meshed_network(rng, n=int(rng.integers(9, 15)),
+                                n_lines=int(rng.integers(14, 24)), noise_range=(0.6, 1.4))
+    eps = 0.5 if exit_mode == "phase_only" else 2.4
+    cfg = crep.SimConfig(dt=1e-2, t_max=4.0, n_samples=40, eps=eps,
+                         master_seed=seed, exit_mode=exit_mode)
+    return net, cfg
+
+
+@pytest.mark.parametrize("exit_mode", ["phase_only", "freq_only", "both"])
+@pytest.mark.parametrize("seed", [0, 2, 3, 5])
+def test_kernel_matches_row_major_loop_on_meshed_networks(seed, exit_mode):
+    # nodes of degree up to 7 with mixed line orientations, rows leaving at
+    # staggered steps and some censored at the horizon
+    net, cfg = _meshed_case(seed, exit_mode)
+    (steps, comps), reference = _chunk_and_reference(net, cfg, 5, 45)
+    assert [steps, comps] == reference
+    exited = [s for s in steps if s > 0]
+    assert len(set(exited)) > 1
+    assert 0 < len(exited) < 40
+
+
+@pytest.mark.parametrize("exit_mode", ["phase_only", "freq_only", "both"])
+def test_meshed_kernel_matches_pure_python_reference(exit_mode):
+    net, cfg = _meshed_case(2, exit_mode)
+    state = crep.solve_synchronous_state(net)
+    steps, comps = _chunk(net, cfg, 5, 13)
+    for idx in range(5, 13):
+        ref_step, ref_comp, _ = reference_trajectory(net, state, cfg, idx)
+        assert (steps[idx - 5], comps[idx - 5]) == (ref_step, ref_comp)
+
+
+def test_kernel_matches_row_major_loop_on_a_200_node_grid():
+    net = random_meshed_network(np.random.default_rng(8), n=200, n_lines=300,
+                                noise_range=(0.4, 1.2))
+    cfg = crep.SimConfig(dt=1e-2, t_max=2.0, n_samples=48, eps=2.6,
+                         master_seed=3, exit_mode="both")
+    (steps, comps), reference = _chunk_and_reference(net, cfg, 0, 48)
+    assert [steps, comps] == reference
+    # some rows censored, and exits on lines as well as on nodes
+    assert -1 in comps and 0 < np.count_nonzero(steps) < 48
+    assert min(c for c in comps if c >= 0) < net.m <= max(comps)

@@ -10,7 +10,7 @@ The metric is the infinity norm of the stacked escape-probability vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -126,14 +126,22 @@ class Analysis:
     probabilities.  Reading a stage runs the stages it depends on, once; a
     stage's errors (see :func:`crep`) surface on the read that runs it.  An
     ``eps`` that is not finite and > 0 raises :class:`ConfigError` at once.
+
+    ``solved_state``, if given, is taken as ``state`` without a power-flow
+    solve.  It must be the state of a network with the same injections,
+    lines and capacities; the state does not depend on inertia or damping.
     """
 
     net: Network
     eps: float = DEFAULT_EPS
+    solved_state: InitVar[SynchronousState | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, solved_state):
         if not 0.0 < self.eps < math.inf:
             raise ConfigError(f"eps must be finite and > 0, got {self.eps!r}")
+        if solved_state is not None:
+            # fills the cache that the ``state`` cached_property reads first
+            self.__dict__["state"] = solved_state
 
     @cached_property
     def state(self) -> SynchronousState:

@@ -27,7 +27,8 @@ EXIT_MODES = ("phase_only", "freq_only", "both")
 
 #: two-sided 95% normal quantile
 _Z95 = 1.959963984540054
-#: upper bound on rows x nodes of one kernel batch (2 MiB per float64 array)
+#: upper bound on trajectories x nodes of one kernel batch; its float64 state
+#: array holds 2n + m rows per trajectory, (2 + m/n) x 2 MiB at most
 _BATCH_CELLS = 1 << 18
 
 

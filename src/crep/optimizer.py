@@ -2,11 +2,11 @@
 
 One family of decision variables (generation, inertia, damping or line
 capacities) is searched over the simplex-with-box set {sum = budget,
-lower <= theta <= upper}.  Candidates are kept feasible by Euclidean
-projection after every mutation; lack of an admissible synchronous state is
-encoded as a penalty value so the security-domain constraint never silently
-disappears.  The search is differential evolution followed by a Nelder-Mead
-polish, deterministic for a fixed seed.
+lower <= theta <= upper}.  Every candidate is projected onto it exactly by a
+breakpoint search (budgets at the box-sum ends return the corners); lack of an
+admissible synchronous state is encoded as a penalty value so the
+security-domain constraint never silently disappears.  The search is
+differential evolution and a Nelder-Mead polish, deterministic for a fixed seed.
 """
 from __future__ import annotations
 
@@ -45,6 +45,8 @@ CREP_KINDS = frozenset(
 _STATE_ONLY_KINDS = frozenset(
     {ObjectiveKind.phase_cohesiveness, ObjectiveKind.order_parameter}
 )
+#: decision variables that the synchronous state does not depend on
+_MACHINE_VARIABLES = frozenset({"inertia", "damping"})
 
 #: decision variable -> the Network parameter array it writes
 _DECISION_FIELDS = {
@@ -141,37 +143,37 @@ def project_to_budget_box(
     """Euclidean projection of ``x`` onto {sum = budget, lower <= . <= upper}.
 
     The KKT conditions give theta = clip(x - tau, lower, upper) for a scalar
-    tau found here by bisection; a final shift over the strictly-free
-    components removes the bisection residual so the sum holds to roundoff.
+    tau.  S(tau) = sum(theta) is continuous, piecewise linear and
+    nonincreasing, with kinks at x - upper and x - lower: a bisection over the
+    sorted kinks finds the segment where S crosses the budget, and there tau
+    has a closed form; O(k log k) time and O(k) memory.  A budget at or beyond
+    sum(lower) (sum(upper)), within BUDGET_TOL, returns lower (upper) exactly.
     """
     x = np.asarray(x, dtype=float)
     total_low, total_high = float(lower.sum()), float(upper.sum())
     if not total_low - BUDGET_TOL <= budget <= total_high + BUDGET_TOL:
         raise InfeasibleSpecError("budget outside the box sum range")
-    lo = float(np.min(x - upper)) - 1.0
-    hi = float(np.max(x - lower)) + 1.0
-    # clip(x - tau, lower, upper) as three ufuncs into one buffer: np.clip's
-    # Python wrapper costs more than the arithmetic on a short vector
-    buf = np.empty_like(x)
-    for _ in range(200):
-        tau = 0.5 * (lo + hi)
-        np.subtract(x, tau, out=buf)
-        np.maximum(buf, lower, out=buf)
-        np.minimum(buf, upper, out=buf)
-        s = float(np.add.reduce(buf))
+    if budget <= total_low:
+        return np.array(lower, dtype=float)
+    if budget >= total_high:
+        return np.array(upper, dtype=float)
+    enter, leave = x - upper, x - lower
+    kinks = np.sort(np.concatenate((enter, leave)))
+    # S(kinks[0]) = total_high > budget > total_low = S(kinks[-1]); keep
+    # S(kinks[lo]) > budget >= S(kinks[hi]) while halving the index range
+    lo, hi, s_lo = 0, kinks.size - 1, total_high
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        s = float(np.minimum(np.maximum(x - kinks[mid], lower), upper).sum())
         if s > budget:
-            lo = tau
+            lo, s_lo = mid, s
         else:
-            hi = tau
-        if hi - lo < 1e-15 * max(1.0, abs(hi), abs(lo)):
-            break
-    theta = np.clip(x - 0.5 * (lo + hi), lower, upper)
-    free = (theta > lower) & (theta < upper)
-    gap = budget - float(theta.sum())
-    if np.any(free) and gap != 0.0:
-        theta[free] += gap / int(np.count_nonzero(free))
-        theta = np.clip(theta, lower, upper)
-    return theta
+            hi = mid
+    # no kink lies between kinks[lo] and kinks[hi]: S falls there with slope
+    # -n_free, or is flat where roundoff brackets a budget with n_free = 0
+    n_free = np.count_nonzero((enter <= kinks[lo]) & (leave >= kinks[hi]))
+    tau = kinks[lo] + (s_lo - budget) / n_free if n_free else kinks[lo]
+    return np.clip(x - tau, lower, upper)
 
 
 def apply_decision(net: Network, spec: DecisionSpec, theta: np.ndarray) -> Network:
@@ -202,9 +204,14 @@ _OBJECTIVES = {
 }
 
 
-def _objective_value(net: Network, kind: ObjectiveKind, eps: float) -> float:
-    """Natural objective value; raises a METRIC_UNDEFINED error when it has none."""
-    return _OBJECTIVES[ObjectiveKind(kind)](Analysis(net, eps))
+def _candidate_analysis(base: Analysis, spec: DecisionSpec, theta: np.ndarray) -> Analysis:
+    """Analysis of ``base.net`` with ``theta`` written into the decision.
+
+    An inertia or damping candidate takes the base network's synchronous
+    state, solved on first use, instead of solving the same power flow again.
+    """
+    state = base.state if spec.variable in _MACHINE_VARIABLES else None
+    return Analysis(apply_decision(base.net, spec, theta), base.eps, state)
 
 
 def _penalty(kind: ObjectiveKind) -> float:
@@ -221,7 +228,7 @@ def evaluate_objective(net: Network, kind: ObjectiveKind, eps: float = DEFAULT_E
     """
     kind = ObjectiveKind(kind)
     try:
-        return _objective_value(net, kind, eps)
+        return _OBJECTIVES[kind](Analysis(net, eps))
     except METRIC_UNDEFINED:
         return _penalty(kind)
 
@@ -261,7 +268,7 @@ class OptimizationResult:
 
 
 def _check_kind_allowed(spec: DecisionSpec, kind: ObjectiveKind) -> None:
-    if kind in _STATE_ONLY_KINDS and spec.variable in ("inertia", "damping"):
+    if kind in _STATE_ONLY_KINDS and spec.variable in _MACHINE_VARIABLES:
         raise InfeasibleSpecError(
             f"objective {kind.value} is constant in {spec.variable}; "
             "it cannot configure these parameters"
@@ -286,6 +293,7 @@ def optimize(
     search = search or SearchConfig()
     validate_spec(net, spec)
     _check_kind_allowed(spec, kind)
+    base = Analysis(net, eps)
     maximize = kind in MAXIMIZED_KINDS
     lower, upper, budget = spec.lower, spec.upper, spec.budget
     dim = spec.dim
@@ -297,7 +305,7 @@ def optimize(
         nonlocal evals
         evals += 1
         try:
-            natural = _objective_value(apply_decision(net, spec, theta), kind, eps)
+            natural = _OBJECTIVES[kind](_candidate_analysis(base, spec, theta))
             feasible = True
             score = -natural if maximize else natural
         except METRIC_UNDEFINED:
@@ -403,14 +411,15 @@ def min_max_sigma_equivalence_check(
     infinity norms.  Returns True iff all sampled pairs agree.
     """
     validate_spec(net, spec)
+    base = Analysis(net, eps)
     rng = np.random.default_rng(seed)
     f_norms, s_norms = [], []
     for _ in range(n_samples):
         theta = project_to_budget_box(
             rng.uniform(spec.lower, spec.upper), spec.lower, spec.upper, spec.budget
         )
-        analysis = Analysis(apply_decision(net, spec, theta), eps)
         try:
+            analysis = _candidate_analysis(base, spec, theta)
             sigma2, f_omega = analysis.variance.sigma2_omega, analysis.report.f_omega
         except METRIC_UNDEFINED:
             continue

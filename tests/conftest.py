@@ -1,5 +1,6 @@
 """Shared fixtures and independent reference implementations for the tests."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,30 +119,36 @@ def reference_synchronous_state(net, tol=1e-10, max_iter=50, max_halvings=30):
     return phase, phase[net.line_from] - phase[net.line_to], norm
 
 
-def reference_projection(x, lower, upper, budget):
-    """The budget-box projection's bisection written with ``np.clip``.
+def exact_projection(x, lower, upper, budget):
+    """The budget-box projection in rational arithmetic, as a list of Fractions.
 
-    ``crep.project_to_budget_box`` must return the same bits.
+    S(tau) = sum(clip(x - tau, lower, upper)) is piecewise linear with kinks
+    at x - upper and x - lower; a bisection over the sorted kinks finds the
+    segment where S crosses the budget, and on it tau is exact.  A budget at
+    or beyond either end of the box-sum range returns that corner.
     """
-    x = np.asarray(x, dtype=float)
-    lo = float(np.min(x - upper)) - 1.0
-    hi = float(np.max(x - lower)) + 1.0
-    for _ in range(200):
-        tau = 0.5 * (lo + hi)
-        s = float(np.clip(x - tau, lower, upper).sum())
-        if s > budget:
-            lo = tau
+    x, lower, upper = ([Fraction(float(v)) for v in a] for a in (x, lower, upper))
+    budget = Fraction(float(budget))
+
+    def clipped(tau):
+        return [min(max(xi - tau, lo), up) for xi, lo, up in zip(x, lower, upper)]
+
+    if budget <= sum(lower):
+        return lower
+    if budget >= sum(upper):
+        return upper
+    kinks = sorted([xi - up for xi, up in zip(x, upper)]
+                   + [xi - lo for xi, lo in zip(x, lower)])
+    lo, hi = 0, len(kinks) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sum(clipped(kinks[mid])) > budget:
+            lo = mid
         else:
-            hi = tau
-        if hi - lo < 1e-15 * max(1.0, abs(hi), abs(lo)):
-            break
-    theta = np.clip(x - 0.5 * (lo + hi), lower, upper)
-    free = (theta > lower) & (theta < upper)
-    gap = budget - float(theta.sum())
-    if np.any(free) and gap != 0.0:
-        theta[free] += gap / int(np.count_nonzero(free))
-        theta = np.clip(theta, lower, upper)
-    return theta
+            hi = mid
+    s_lo, s_hi = sum(clipped(kinks[lo])), sum(clipped(kinks[hi]))
+    tau = kinks[lo] + (s_lo - budget) * (kinks[hi] - kinks[lo]) / (s_lo - s_hi)
+    return clipped(tau)
 
 
 def two_node_net(p=1.0, cap=2.0, inertia=(1.0, 1.0), damping=(1.0, 1.0),

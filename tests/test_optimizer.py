@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from crep import (
 )
 
 from conftest import (
+    exact_projection,
     random_connected_network,
-    reference_projection,
     ring5_net,
     stagewise_pipeline,
     two_node_net,
@@ -76,6 +77,15 @@ def test_projection_feasibility_property(data):
     theta = project_to_budget_box(x, lower, upper, budget)
     assert np.all(theta >= lower) and np.all(theta <= upper)
     assert abs(theta.sum() - budget) <= 1e-9
+    # KKT certificate: one tau with x - theta = tau on the free components,
+    # x - lower <= tau at the lower bound and x - upper >= tau at the upper
+    at_lower, at_upper = theta <= lower, theta >= upper
+    free = ~(at_lower | at_upper)
+    shift = x - theta
+    tau_min = max(shift[free].max(initial=-np.inf), (x - lower)[at_lower].max(initial=-np.inf))
+    tau_max = min(shift[free].min(initial=np.inf), (x - upper)[at_upper].min(initial=np.inf))
+    scale = max(1.0, np.abs(x).max(), np.abs(lower).max(), np.abs(upper).max())
+    assert tau_min <= tau_max + 1e-12 * scale
 
 
 def test_projection_is_identity_on_feasible_points():
@@ -86,7 +96,7 @@ def test_projection_is_identity_on_feasible_points():
     assert np.allclose(theta, x, atol=1e-12)
 
 
-def test_projection_matches_the_clip_loop_bitwise():
+def test_projection_matches_the_exact_rational_projection():
     rng = np.random.default_rng(51)
     for trial in range(600):
         k = int(rng.integers(2, 40))
@@ -98,7 +108,46 @@ def test_projection_matches_the_clip_loop_bitwise():
         )
         x = rng.normal(0.0, 2.0, k) * 10.0 ** rng.uniform(-3.0, 2.0)
         theta = project_to_budget_box(x, lower, upper, budget)
-        assert theta.tobytes() == reference_projection(x, lower, upper, budget).tobytes()
+        exact = exact_projection(x, lower, upper, budget)
+        error = max(abs(Fraction(t) - e) for t, e in zip(theta.tolist(), exact))
+        scale = max(1.0, np.abs(x).max(), np.abs(lower).max(), np.abs(upper).max())
+        # 64 ulps of the data scale; the search lands within 24
+        assert error <= 64 * np.finfo(float).eps * scale, trial
+
+
+def test_projection_with_the_budget_on_a_flat_segment():
+    # between two kinks every component sits at a bound, so S is flat there;
+    # the roundoff of x - kink can bracket a budget equal to S on that segment
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        lower = rng.uniform(-1.0, 1.0, 3)
+        upper = lower + rng.uniform(0.1, 2.0, 3)
+        x = rng.normal(0.0, 1.0, 3) * 10.0 ** rng.uniform(0.0, 4.0, 3)
+        kinks = np.sort(np.concatenate((x - upper, x - lower)))
+        corners = np.clip(x - 0.5 * (kinks[1:] + kinks[:-1])[:, None], lower, upper)
+        flat = np.all((corners == lower) | (corners == upper), axis=1)
+        for budget in corners[flat].sum(axis=1):
+            if lower.sum() < budget < upper.sum():
+                theta = project_to_budget_box(x, lower, upper, budget)
+                exact = exact_projection(x, lower, upper, budget)
+                error = max(abs(Fraction(t) - e) for t, e in zip(theta.tolist(), exact))
+                scale = max(1.0, np.abs(x).max(), np.abs(lower).max(), np.abs(upper).max())
+                assert error <= 64 * np.finfo(float).eps * scale
+
+
+def test_projection_returns_the_corners_exactly():
+    rng = np.random.default_rng(52)
+    tol = crep.optimizer.BUDGET_TOL
+    for _ in range(1000):
+        k = int(rng.integers(1, 30))
+        lower = rng.uniform(-1.0, 1.0, k)
+        upper = lower + rng.uniform(0.0, 3.0, k) * (rng.random(k) < 0.9)
+        x = rng.normal(0.0, 2.0, k) * 10.0 ** rng.uniform(-3.0, 2.0)
+        low, high = float(lower.sum()), float(upper.sum())
+        for budget, corner in ((low, lower), (low - tol * rng.random(), lower),
+                               (high, upper), (high + tol * rng.random(), upper)):
+            theta = project_to_budget_box(x, lower, upper, budget)
+            assert theta.tobytes() == corner.tobytes()
 
 
 def test_spec_validation():
@@ -318,6 +367,30 @@ def test_optimize_is_deterministic():
     assert np.array_equal(r1.theta, r2.theta)
     assert r1.objective_final == r2.objective_final
     assert r1.history == r2.history
+
+
+@pytest.mark.parametrize("variable", ["inertia", "damping"])
+def test_machine_parameter_searches_solve_the_power_flow_once(monkeypatch, variable):
+    solves = []
+    solve = crep.escape.solve_synchronous_state
+    monkeypatch.setattr(crep.escape, "solve_synchronous_state",
+                        lambda net: solves.append(net) or solve(net))
+    net = ring5_net()
+    spec = DecisionSpec(variable, tuple(range(1, 6)), 4.0,
+                        np.full(5, 0.4), np.full(5, 2.0))
+    result = optimize(net, spec, ObjectiveKind.crep_phi,
+                      search=SearchConfig(seed=4, max_evals=150))
+    assert result.evaluations >= 150 and len(solves) == 1
+    assert min_max_sigma_equivalence_check(net, spec, n_samples=20) and len(solves) == 2
+    # the shared state gives the bits of a fresh pipeline
+    candidate = apply_decision(net, spec, result.theta)
+    assert result.objective_final == evaluate_objective(candidate, ObjectiveKind.crep_phi)
+    # a network without a state stays infeasible for every candidate
+    overloaded = two_node_net(p=3.0, cap=2.0, noise=(0.1, 0.1))
+    spec = DecisionSpec(variable, (1, 2), 2.0, np.full(2, 0.5), np.full(2, 1.5))
+    with pytest.raises(NoFeasiblePointError):
+        optimize(overloaded, spec, ObjectiveKind.crep_phi,
+                 search=SearchConfig(seed=0, max_evals=30))
 
 
 def test_no_feasible_point_error():

@@ -96,6 +96,15 @@ def test_projection_is_identity_on_feasible_points():
     assert np.allclose(theta, x, atol=1e-12)
 
 
+def _assert_near_exact(x, lower, upper, budget):
+    """The projection is within 64 ulps of the data scale of the exact one."""
+    theta = project_to_budget_box(x, lower, upper, budget)
+    exact = exact_projection(x, lower, upper, budget)
+    error = max(abs(Fraction(t) - e) for t, e in zip(theta.tolist(), exact))
+    scale = max(1.0, np.abs(x).max(), np.abs(lower).max(), np.abs(upper).max())
+    assert error <= 64 * np.finfo(float).eps * scale, (x, lower, upper, budget)
+
+
 def test_projection_matches_the_exact_rational_projection():
     rng = np.random.default_rng(51)
     for trial in range(600):
@@ -107,12 +116,7 @@ def test_projection_matches_the_exact_rational_projection():
             else rng.uniform(lower.sum(), upper.sum())
         )
         x = rng.normal(0.0, 2.0, k) * 10.0 ** rng.uniform(-3.0, 2.0)
-        theta = project_to_budget_box(x, lower, upper, budget)
-        exact = exact_projection(x, lower, upper, budget)
-        error = max(abs(Fraction(t) - e) for t, e in zip(theta.tolist(), exact))
-        scale = max(1.0, np.abs(x).max(), np.abs(lower).max(), np.abs(upper).max())
-        # 64 ulps of the data scale; the search lands within 24
-        assert error <= 64 * np.finfo(float).eps * scale, trial
+        _assert_near_exact(x, lower, upper, budget)
 
 
 def test_projection_with_the_budget_on_a_flat_segment():
@@ -128,11 +132,7 @@ def test_projection_with_the_budget_on_a_flat_segment():
         flat = np.all((corners == lower) | (corners == upper), axis=1)
         for budget in corners[flat].sum(axis=1):
             if lower.sum() < budget < upper.sum():
-                theta = project_to_budget_box(x, lower, upper, budget)
-                exact = exact_projection(x, lower, upper, budget)
-                error = max(abs(Fraction(t) - e) for t, e in zip(theta.tolist(), exact))
-                scale = max(1.0, np.abs(x).max(), np.abs(lower).max(), np.abs(upper).max())
-                assert error <= 64 * np.finfo(float).eps * scale
+                _assert_near_exact(x, lower, upper, budget)
 
 
 def test_projection_returns_the_corners_exactly():

@@ -1,8 +1,8 @@
 """Critical escape probability: per-component probabilities and their norms.
 
 Under the stationary Gaussian law of the linearized output, each line's phase
-gap is Gaussian with mean equal to its synchronous value and variance from the
-Lyapunov solve, and each node frequency is mean-zero Gaussian.  The escape
+gap is Gaussian with mean equal to its synchronous value and its stationary
+variance, and each node frequency is mean-zero Gaussian.  The escape
 probability of a component is the stationary probability of leaving its
 critical interval: (-pi/2, pi/2) for line gaps, (-eps, eps) for frequencies.
 The metric is the infinity norm of the stacked escape-probability vector.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,12 +21,14 @@ from .linearize import (
     SpectralReduction,
     VarianceReport,
     build_linearization,
+    modal_variances,
     solve_lyapunov,
     spectral_reduce,
+    uniform_damping_ratios,
 )
-from .errors import ConfigError
+from .errors import METRIC_UNDEFINED, ConfigError, CrepError
 from .network import Network, network_from_arrays
-from .powerflow import SynchronousState, solve_synchronous_state
+from .powerflow import SynchronousState, solve_synchronous_state, solve_synchronous_states
 
 #: default half-width eps of the critical frequency interval (rad/s)
 DEFAULT_EPS = 0.02
@@ -89,32 +91,74 @@ def crep_from_moments(
     eps: float,
 ) -> CrepReport:
     """Assemble a report from synchronous line gaps and stationary variances."""
-    f_delta = np.array(
-        [
-            escape_prob_line(float(mean), math.sqrt(float(var)))
-            for mean, var in zip(y_delta_star, sigma2_delta)
-        ]
+    (report,) = crep_reports(
+        np.asarray(y_delta_star, dtype=float)[None],
+        np.asarray(sigma2_delta, dtype=float)[None],
+        np.asarray(sigma2_omega, dtype=float)[None],
+        eps,
     )
-    f_omega = np.array([escape_prob_freq(math.sqrt(float(var)), eps) for var in sigma2_omega])
-    if f_delta.size:
-        argmax_line = int(np.argmax(f_delta))
-        phi_delta = float(f_delta[argmax_line])
-        argmax_line += 1
-    else:
-        argmax_line = None
-        phi_delta = 0.0
-    argmax_node = int(np.argmax(f_omega))
-    phi_omega = float(f_omega[argmax_node])
-    return CrepReport(
-        f_delta=f_delta,
-        f_omega=f_omega,
-        phi=max(phi_delta, phi_omega),
-        phi_delta=phi_delta,
-        phi_omega=phi_omega,
-        argmax_line=argmax_line,
-        argmax_node=argmax_node + 1,
-        epsilon=eps,
+    return report
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def crep_reports(
+    y_delta_star: np.ndarray,
+    sigma2_delta: np.ndarray,
+    sigma2_omega: np.ndarray,
+    eps: float,
+) -> list[CrepReport]:
+    """Reports of a stack of moments, one row per network.
+
+    The arguments are (B, m), (B, m) and (B, n) arrays.  Each probability is
+    the one :func:`escape_prob_line` or :func:`escape_prob_freq` gives for
+    its entry, through the same ``math.erfc``, so row j has the bits of
+    :func:`crep_from_moments` on row j alone.  Raises ValueError where those
+    functions would: a negative variance, a mean gap outside (-pi/2, pi/2),
+    or ``eps <= 0``.
+    """
+    sigma2 = np.concatenate((sigma2_delta, sigma2_omega), axis=1)
+    if np.any(sigma2 < 0.0):
+        raise ValueError("sigma must be >= 0")
+    outside = np.abs(y_delta_star) >= HALF_PI
+    if outside.any():
+        raise ValueError(
+            f"mean {float(y_delta_star[outside][0])!r} outside the open interval (-pi/2, pi/2)"
+        )
+    if eps <= 0.0:
+        raise ValueError("eps must be > 0")
+    sigma = np.sqrt(sigma2)
+    m = y_delta_star.shape[1]
+    scale = sigma * _SQRT2
+    with np.errstate(divide="ignore"):
+        tails = _erfc(np.concatenate((
+            (HALF_PI - y_delta_star) / scale[:, :m],
+            (HALF_PI + y_delta_star) / scale[:, :m],
+            eps / scale[:, m:],
+        ), axis=1)).astype(float)
+    probs = np.where(
+        sigma == 0.0, 0.0,
+        np.concatenate((0.5 * (tails[:, :m] + tails[:, m:2 * m]), tails[:, 2 * m:]), axis=1),
     )
+    f_delta, f_omega = probs[:, :m], probs[:, m:]
+    argmax_lines = np.argmax(f_delta, axis=1).tolist() if m else [None] * len(probs)
+    argmax_nodes = np.argmax(f_omega, axis=1).tolist()
+    reports = []
+    for j, (line, node) in enumerate(zip(argmax_lines, argmax_nodes)):
+        phi_delta = 0.0 if line is None else float(f_delta[j, line])
+        phi_omega = float(f_omega[j, node])
+        reports.append(CrepReport(
+            f_delta=f_delta[j],
+            f_omega=f_omega[j],
+            phi=max(phi_delta, phi_omega),
+            phi_delta=phi_delta,
+            phi_omega=phi_omega,
+            argmax_line=None if line is None else line + 1,
+            argmax_node=node + 1,
+            epsilon=eps,
+        ))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -126,6 +170,13 @@ class Analysis:
     probabilities.  Reading a stage runs the stages it depends on, once; a
     stage's errors (see :func:`crep`) surface on the read that runs it.  An
     ``eps`` that is not finite and > 0 raises :class:`ConfigError` at once.
+
+    ``variance`` takes its path from the parameters: a network whose damping
+    ratio d_i / m_i is the same at every node gets the closed form of
+    :func:`~crep.linearize.modal_variances` and never reads ``model`` or
+    ``reduction``; any other network gets ``solve_lyapunov(reduction)``.
+    Each stage is the stacked stage of :func:`run_stages` run on a stack of
+    one, so a network analysed alone and in a stack gives the same bits.
 
     ``solved_state``, if given, is taken as ``state`` without a power-flow
     solve.  It must be the state of a network with the same injections,
@@ -157,7 +208,10 @@ class Analysis:
 
     @cached_property
     def variance(self) -> VarianceReport:
-        return solve_lyapunov(self.reduction)
+        (result,) = _variances([self])
+        if isinstance(result, CrepError):
+            raise result
+        return result
 
     @cached_property
     def report(self) -> CrepReport:
@@ -167,6 +221,79 @@ class Analysis:
             self.variance.sigma2_omega,
             self.eps,
         )
+
+
+def _variances(analyses: Sequence[Analysis]) -> list[VarianceReport | CrepError]:
+    """Variance stage of analyses whose states are solved, by path.
+
+    The uniform-damping-ratio rows run as one stack of the closed form; the
+    others run the Schur path one at a time.  Returns per analysis its report
+    or its :data:`~crep.errors.METRIC_UNDEFINED` error.
+    """
+    results: list = [None] * len(analyses)
+    modal = []
+    for j, gamma in enumerate(uniform_damping_ratios([a.net for a in analyses]).tolist()):
+        if not math.isnan(gamma):
+            modal.append(j)
+            continue
+        try:
+            results[j] = solve_lyapunov(analyses[j].reduction)
+        except METRIC_UNDEFINED as exc:
+            results[j] = exc
+    if modal:
+        rows = [analyses[j] for j in modal]
+        solved = modal_variances([a.net for a in rows], [a.state for a in rows])
+        for j, result in zip(modal, solved):
+            results[j] = result
+    return results
+
+
+_STAGES = ("state", "variance", "report")
+
+
+def run_stages(analyses: Sequence[Analysis], through: str = "report") -> list[CrepError | None]:
+    """Fill the stages of a stack of analyses, in order, up to ``through``.
+
+    The stages are ``state``, ``variance`` and ``report``.  The analyses must
+    share their node count, line ends and ``eps``.  Each stage runs once over
+    the rows that still need it: one stacked power flow, one variance stage,
+    one escape-probability stage.  Returns per analysis the
+    :data:`~crep.errors.METRIC_UNDEFINED` error its network raised, or None
+    when its stages are filled; reading them then runs nothing, and gives
+    the bits the analysis computes alone.
+    """
+    errors: list = [None] * len(analyses)
+
+    def fill(stage, compute):
+        rows = [j for j, a in enumerate(analyses)
+                if errors[j] is None and stage not in a.__dict__]
+        if not rows:
+            return
+        for j, result in zip(rows, compute([analyses[j] for j in rows])):
+            if isinstance(result, CrepError):
+                errors[j] = result
+            else:
+                analyses[j].__dict__[stage] = result
+
+    last = _STAGES.index(through)
+    fill("state", lambda rows: solve_synchronous_states([a.net for a in rows]))
+    if last >= 1:
+        fill("variance", _variances)
+    if last >= 2:
+        fill("report", _reports)
+    return errors
+
+
+def _reports(analyses: Sequence[Analysis]) -> list[CrepReport]:
+    eps = analyses[0].eps
+    if any(a.eps != eps for a in analyses):
+        raise ValueError("the analyses of one stack must share eps")
+    return crep_reports(
+        np.array([a.state.output_phase_diffs for a in analyses]),
+        np.array([a.variance.sigma2_delta for a in analyses]),
+        np.array([a.variance.sigma2_omega for a in analyses]),
+        eps,
+    )
 
 
 def crep(net: Network, eps: float = DEFAULT_EPS) -> CrepReport:

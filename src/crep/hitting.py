@@ -85,6 +85,14 @@ class HittingTimeEstimate:
     ``mean`` and the 95% confidence half-width are computed over exited
     trajectories only; censored trajectories are counted separately.
     ``half_width`` is NaN when fewer than two trajectories exited.
+
+    ``mean_mle`` counts the censored trajectories too: it is the maximum
+    likelihood mean of an exponential exit time censored at the horizon T,
+    (sum of exit times + n_censored * T) / n_exited, with T = n_steps * dt
+    the simulated horizon.  It equals ``mean`` when nothing is censored, and
+    ``mean`` underestimates the mean exit time when much is.
+    ``censored_fraction`` is n_censored / n_samples.  Both are filled by
+    :func:`estimate_hitting_time`.
     """
 
     mean: float
@@ -93,6 +101,8 @@ class HittingTimeEstimate:
     n_censored: int
     exit_line_histogram: np.ndarray
     exit_node_histogram: np.ndarray
+    mean_mle: float = math.nan
+    censored_fraction: float = math.nan
 
 
 def _kernel_args(net: Network, state: SynchronousState, cfg: SimConfig):
@@ -178,6 +188,7 @@ def estimate_hitting_time(
         )
     times = exit_step[exited] * cfg.dt
     mean = float(np.mean(times))
+    mean_mle = float((np.sum(times) + n_censored * (cfg.n_steps * cfg.dt)) / n_exited)
     if n_exited >= 2:
         half_width = float(_Z95 * np.std(times, ddof=1) / math.sqrt(n_exited))
     else:
@@ -193,4 +204,6 @@ def estimate_hitting_time(
         n_censored=n_censored,
         exit_line_histogram=line_hist,
         exit_node_histogram=node_hist,
+        mean_mle=mean_mle,
+        censored_fraction=n_censored / total,
     )

@@ -7,18 +7,22 @@ orthogonal eigenbasis of ``M^{-1/2} L_c M^{-1/2}`` isolates the structural
 zero mode in the first coordinate; dropping that coordinate leaves a Hurwitz
 (2n-1)-dimensional system whose Lyapunov equation yields the stationary
 output covariance; the real Schur form that solves it also gives the
-slowest decay rate min |Re mu|.
+slowest decay rate min |Re mu|.  When the damping ratio d_i / m_i is the
+same at every node the modes decouple in pairs, and
+:func:`modal_variances` gives the same report in closed form, for a stack
+of networks at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateSystemError, LyapunovSolveError
 from .network import Network
-from .powerflow import SynchronousState, _cos_laplacian
+from .powerflow import SynchronousState, _cos_laplacian, _laplacian
 
 #: eigenvalues below this times max(1, largest eigenvalue magnitude) are
 #: treated as the structural zero mode
@@ -73,14 +77,58 @@ def build_linearization(net: Network, state: SynchronousState) -> LinearizedMode
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so the first non-negligible entry is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0.0:
-            out[:, j] = -col
-    return out
+    """Flip eigenvector columns so the first non-negligible entry is positive.
+
+    ``vectors`` is one (n, n) basis or a stack of them.
+    """
+    large = np.abs(vectors) > 1e-12
+    # the first large entry of a column is the one whose running count is 1
+    first = large & (large.cumsum(axis=-2) == 1)
+    flip = (first & (vectors < 0.0)).any(axis=-2, keepdims=True)
+    return np.where(flip, -vectors, vectors)
+
+
+def _mass_scaled(laplacian: np.ndarray, inertia: np.ndarray) -> np.ndarray:
+    """M^{-1/2} L M^{-1/2}, symmetrized; one network or a stack of them."""
+    inv_sqrt_m = 1.0 / np.sqrt(inertia)
+    sym = inv_sqrt_m[..., :, None] * laplacian * inv_sqrt_m[..., None, :]
+    return 0.5 * (sym + np.swapaxes(sym, -1, -2))
+
+
+def _deflate(eigvals: np.ndarray) -> list[DegenerateSystemError | None]:
+    """Set the structural zero mode of each row of ``eigvals`` to 0, in place.
+
+    Returns per row None, or the :class:`DegenerateSystemError` of a row in
+    which no eigenvalue is numerically zero, or in which the second smallest
+    one is too (marginally stable state, variance undefined).
+    """
+    zero_tol = ZERO_EIG_TOL * np.maximum(1.0, eigvals[:, -1])
+    missing = eigvals[:, 0] > zero_tol
+    marginal = eigvals[:, 1] <= zero_tol if eigvals.shape[1] > 1 else missing & False
+    errors: list = [None] * len(eigvals)
+    if (missing | marginal).any():
+        for j in np.flatnonzero(missing | marginal):
+            errors[j] = DegenerateSystemError(
+                f"no structural zero mode found (smallest eigenvalue {eigvals[j, 0]:.3e})"
+                if missing[j] else
+                f"second smallest eigenvalue {eigvals[j, 1]:.3e} is numerically zero; "
+                "the synchronous state is marginally stable"
+            )
+    eigvals[:, 0] = 0.0
+    return errors
+
+
+def _reduced_output(scaled_vectors: np.ndarray, line_from: np.ndarray,
+                    line_to: np.ndarray) -> np.ndarray:
+    """Output map (line gaps, then node frequencies) of the deflated state.
+
+    ``scaled_vectors`` is M^{-1/2} U for one network or a stack of them.
+    """
+    n, m = scaled_vectors.shape[-1], line_from.size
+    c_e = np.zeros(scaled_vectors.shape[:-2] + (m + n, 2 * n))
+    c_e[..., :m, :n] = scaled_vectors[..., line_from, :] - scaled_vectors[..., line_to, :]
+    c_e[..., m:, n:] = scaled_vectors
+    return c_e[..., 1:]
 
 
 def spectral_reduce(model: LinearizedModel, net: Network) -> SpectralReduction:
@@ -89,24 +137,15 @@ def spectral_reduce(model: LinearizedModel, net: Network) -> SpectralReduction:
     Raises :class:`DegenerateSystemError` when the second smallest eigenvalue
     is numerically zero (marginally stable state, variance undefined).
     """
-    n, m = net.n, net.m
-    inv_sqrt_m = 1.0 / np.sqrt(net.inertia)
-    sym = inv_sqrt_m[:, None] * model.laplacian * inv_sqrt_m[None, :]
-    sym = 0.5 * (sym + sym.T)
-    eigvals, vectors = scipy.linalg.eigh(sym)
-    zero_tol = ZERO_EIG_TOL * max(1.0, float(eigvals[-1]))
-    if eigvals[0] > zero_tol:
-        raise DegenerateSystemError(
-            f"no structural zero mode found (smallest eigenvalue {eigvals[0]:.3e})"
-        )
-    eigvals = eigvals.copy()
-    eigvals[0] = 0.0
-    if n >= 2 and eigvals[1] <= zero_tol:
-        raise DegenerateSystemError(
-            f"second smallest eigenvalue {eigvals[1]:.3e} is numerically zero; "
-            "the synchronous state is marginally stable"
-        )
+    n = net.n
+    eigvals, vectors = scipy.linalg.eigh(_mass_scaled(model.laplacian, net.inertia))
+    eigvals = eigvals[None].copy()
+    (error,) = _deflate(eigvals)
+    if error is not None:
+        raise error
+    eigvals = eigvals[0]
     vectors = _fix_signs(vectors)
+    inv_sqrt_m = 1.0 / np.sqrt(net.inertia)
 
     damping_term = vectors.T @ ((net.damping / net.inertia)[:, None] * vectors)
     a_e = np.zeros((2 * n, 2 * n))
@@ -117,17 +156,14 @@ def spectral_reduce(model: LinearizedModel, net: Network) -> SpectralReduction:
     b_e = np.zeros((2 * n, n))
     b_e[n:, :] = vectors.T * (inv_sqrt_m * net.noise)[None, :]
 
-    scaled_vectors = inv_sqrt_m[:, None] * vectors
-    c_e = np.zeros((m + n, 2 * n))
-    c_e[:m, :n] = scaled_vectors[net.line_from] - scaled_vectors[net.line_to]
-    c_e[m:, n:] = scaled_vectors
-
     return SpectralReduction(
         eigenvalues=eigvals,
         eigenvectors=vectors,
         reduced_sys=a_e[1:, 1:],
         reduced_input=b_e[1:, :],
-        reduced_output=c_e[:, 1:],
+        reduced_output=_reduced_output(
+            inv_sqrt_m[:, None] * vectors, net.line_from, net.line_to
+        ),
     )
 
 
@@ -171,15 +207,108 @@ def solve_lyapunov(reduction: SpectralReduction) -> VarianceReport:
             f"Lyapunov residual {residual:.3e} exceeds {LYAP_RESIDUAL_TOL:.1e} * {scale:.3e}"
         )
 
-    c2 = reduction.reduced_output
-    q_y = c2 @ q_x @ c2.T
-    q_y = 0.5 * (q_y + q_y.T)
-    m = c2.shape[0] - reduction.eigenvalues.shape[0]
-    diag = np.maximum(np.diag(q_y), 0.0)  # clamp roundoff-negative variances
-    return VarianceReport(
-        q_x=q_x,
-        q_y=q_y,
-        sigma2_delta=diag[:m],
-        sigma2_omega=diag[m:],
-        min_re_mu=min_re_mu,
+    (report,) = _output_variances(q_x[None], reduction.reduced_output[None], [min_re_mu])
+    return report
+
+
+def _output_variances(q_x: np.ndarray, c2: np.ndarray, min_re_mu) -> list[VarianceReport]:
+    """Reports of a stack of reduced-state covariances seen through their output maps.
+
+    ``q_x`` and ``c2`` carry one network per leading index, ``min_re_mu``
+    one number each.
+    """
+    q_y = c2 @ q_x @ np.swapaxes(c2, -1, -2)
+    q_y = 0.5 * (q_y + np.swapaxes(q_y, -1, -2))
+    m = c2.shape[-2] - (c2.shape[-1] + 1) // 2
+    # clamp roundoff-negative variances
+    diag = np.maximum(np.diagonal(q_y, axis1=-2, axis2=-1), 0.0)
+    return [
+        VarianceReport(q_x[j], q_y[j], diag[j, :m], diag[j, m:], float(min_re_mu[j]))
+        for j in range(q_x.shape[0])
+    ]
+
+
+def uniform_damping_ratios(nets: Sequence[Network]) -> np.ndarray:
+    """Per network, gamma where d_i / m_i is the same number gamma at every
+    node, else NaN; the networks share their node count."""
+    ratio = np.array([net.damping for net in nets]) / np.array([net.inertia for net in nets])
+    return np.where((ratio == ratio[:, :1]).all(axis=1), ratio[:, 0], np.nan)
+
+
+def modal_variances(
+    nets: Sequence[Network], states: Sequence[SynchronousState]
+) -> list[VarianceReport | DegenerateSystemError]:
+    """Stationary variances, in closed form, of networks with a uniform damping ratio.
+
+    With d_i / m_i = gamma at every node the modal damping term is gamma I, so
+    in the eigenbasis (lambda, U) of M^{-1/2} L_c M^{-1/2} each pair of modes
+    decouples (Poolla, Bolognani & Dorfler 2017).  With S = U^T diag(b^2/m) U
+    the modal forcing, the covariances of the mode positions (P), of
+    position and velocity (X) and of the velocities (V) are, for modes
+    i, j >= 1 and the zero mode 0 (which has a velocity only)::
+
+        P_ij = 2 gamma S_ij / (2 gamma^2 (lambda_i + lambda_j) + (lambda_i - lambda_j)^2)
+        X_ij = (lambda_i - lambda_j) P_ij / (2 gamma)
+        V_ij = (lambda_i + lambda_j) P_ij / 2
+        V_0j = gamma S_0j / (2 gamma^2 + lambda_j),  X_j0 = V_j0 / gamma,
+        V_00 = S_00 / (2 gamma)
+
+    and mode j decays at |Re mu| = gamma / 2 when 4 lambda_j > gamma^2,
+    else lambda_j / (gamma / 2 + sqrt(gamma^2 / 4 - lambda_j)); the zero mode
+    at gamma.  The networks share their node count and line ends; one batched
+    ``eigh`` serves the stack, and a row's result does not depend on the
+    stack.  Returns, per network, its report (the fields of
+    :func:`solve_lyapunov`'s, with the same deflated coordinates) or the
+    :class:`DegenerateSystemError` that :func:`spectral_reduce` would raise.
+    """
+    n, line_from, line_to = nets[0].n, nets[0].line_from, nets[0].line_to
+    gamma = uniform_damping_ratios(nets)
+    if np.isnan(gamma).any():
+        raise ValueError("modal_variances needs d_i / m_i equal at every node")
+    inertia = np.array([net.inertia for net in nets])
+    noise = np.array([net.noise for net in nets])
+    gaps = np.array([state.output_phase_diffs for state in states])
+    weights = (np.array([net.capacity for net in nets]) * np.cos(gaps)).T
+    laplacian = _laplacian(weights, nets[0]).transpose(2, 0, 1)
+    lam, vectors = np.linalg.eigh(_mass_scaled(laplacian, inertia))
+
+    results = _deflate(lam)
+    valid = [j for j, error in enumerate(results) if error is None]
+    if not valid:
+        return results
+    if len(valid) < len(nets):
+        gamma, lam, inertia, noise = gamma[valid], lam[valid], inertia[valid], noise[valid]
+        vectors = vectors[valid]
+    vectors = _fix_signs(vectors)
+    inv_sqrt_m = 1.0 / np.sqrt(inertia)
+
+    forcing = np.swapaxes(vectors, -1, -2) * (inv_sqrt_m * noise)[:, None, :]
+    s = forcing @ np.swapaxes(forcing, -1, -2)
+    s = 0.5 * (s + np.swapaxes(s, -1, -2))
+    g = gamma[:, None, None]
+    li, lj = lam[:, 1:, None], lam[:, None, 1:]
+    total, gap = li + lj, li - lj
+    p = 2.0 * g * s[:, 1:, 1:] / (2.0 * g * g * total + gap * gap)
+    v = np.empty_like(s)
+    v[:, 1:, 1:] = 0.5 * total * p
+    v[:, 0, 1:] = gamma[:, None] * s[:, 0, 1:] / (2.0 * gamma[:, None] ** 2 + lam[:, 1:])
+    v[:, 1:, 0] = v[:, 0, 1:]
+    v[:, 0, 0] = s[:, 0, 0] / (2.0 * gamma)
+    q_x = np.empty((len(valid), 2 * n - 1, 2 * n - 1))
+    q_x[:, : n - 1, : n - 1] = p
+    q_x[:, : n - 1, n:] = gap * p / (2.0 * g)
+    q_x[:, : n - 1, n - 1] = v[:, 1:, 0] / gamma[:, None]
+    q_x[:, n - 1:, : n - 1] = np.swapaxes(q_x[:, : n - 1, n - 1:], -1, -2)
+    q_x[:, n - 1:, n - 1:] = v
+
+    half = 0.5 * gamma[:, None]
+    slack = half * half - lam[:, 1:]
+    rates = np.where(
+        slack < 0.0, half, lam[:, 1:] / (half + np.sqrt(np.maximum(slack, 0.0)))
     )
+    min_re_mu = np.minimum(gamma, rates.min(axis=1, initial=np.inf))
+
+    c2 = _reduced_output(inv_sqrt_m[:, :, None] * vectors, line_from, line_to)
+    for j, report in zip(valid, _output_variances(q_x, c2, min_re_mu)):
+        results[j] = report
+    return results

@@ -86,7 +86,26 @@ class Network:
         c[self.line_to, np.arange(self.m)] = -1.0
         return _frozen(c)
 
-    # -- derived networks, each validated in full ------------------------------
+    @cached_property
+    def line_ends(self) -> np.ndarray:
+        """Both ends of every line in line order: from and to of line 1, then of line 2..."""
+        return _frozen(np.array((self.line_from, self.line_to)).T.ravel())
+
+    @cached_property
+    def line_groups(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]:
+        """The lines grouped at their from ends, then at their to ends, for ordered sums.
+
+        Group r of an end holds the r-th line at each of its nodes, as a
+        (nodes, lines) pair of index arrays, so no node repeats within a
+        group, and adding the groups in order adds each node's lines in line
+        order, as ``np.add.at`` does.
+        """
+        return tuple(
+            tuple((_frozen(ends[g]), _frozen(g)) for g in _ranked_groups(ends))
+            for ends in (self.line_from, self.line_to)
+        )
+
+    # -- derived networks, each validated as a new one ---------------------------
 
     def with_arrays(
         self,
@@ -96,16 +115,29 @@ class Network:
         noise: np.ndarray | None = None,
         capacity: np.ndarray | None = None,
     ) -> "Network":
-        """Copy of this network with whole parameter vectors replaced."""
-        return Network(
-            self.power if power is None else power,
-            self.inertia if inertia is None else inertia,
-            self.damping if damping is None else damping,
-            self.noise if noise is None else noise,
-            self.line_from,
-            self.line_to,
-            self.capacity if capacity is None else capacity,
-        )
+        """Copy of this network with whole parameter vectors replaced.
+
+        The copy shares this network's line ends and every array it keeps; a
+        replaced vector is converted and frozen as the constructor does.  It
+        raises the error the constructor would: the checks that depend on the
+        line ends alone (self-loops, endpoints, duplicates, connectivity),
+        which this network has passed, are not run again.
+        """
+        replaced = {"power": power, "inertia": inertia, "damping": damping,
+                    "noise": noise, "capacity": capacity}
+        derived = object.__new__(Network)
+        # the line-end index arrays are computed once, on this network, and shared
+        derived.__dict__.update(self.__dict__, line_ends=self.line_ends,
+                                line_groups=self.line_groups)
+        for name, given in replaced.items():
+            if given is not None:
+                try:
+                    arr = np.array(given, float)
+                except (OverflowError, TypeError, ValueError) as exc:
+                    raise NetworkValidationError(f"{name}: {exc}") from exc
+                derived.__dict__[name] = _frozen(arr)
+        _validate(derived, ends_valid=True)
+        return derived
 
     def with_added_line(self, from_node: int, to_node: int, capacity: float) -> "Network":
         """Copy with a line between 1-based node ids appended as line m + 1."""
@@ -141,8 +173,28 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _validate(net: Network) -> None:
-    """Raise for the first violated invariant, in the order :class:`Network` lists."""
+def _ranked_groups(ends: np.ndarray) -> list[np.ndarray]:
+    """Positions in ``ends`` grouped by their rank among equal values."""
+    rank = np.empty(len(ends), dtype=np.intp)
+    seen: dict[int, int] = {}
+    for k, node in enumerate(ends.tolist()):
+        rank[k] = seen.get(node, 0)
+        seen[node] = rank[k] + 1
+    return [np.flatnonzero(rank == r) for r in range(max(seen.values(), default=0))]
+
+
+def _distinct_lines_between_nodes(ends: list[tuple[int, int]], n: int) -> bool:
+    """No self-loop, no duplicate line and no end outside 0..n-1."""
+    keys = {(a, b) if a < b else (b, a) for a, b in ends}
+    return len(keys) == len(ends) and all(0 <= a < b < n for a, b in keys)
+
+
+def _validate(net: Network, ends_valid: bool = False) -> None:
+    """Raise for the first violated invariant, in the order :class:`Network` lists.
+
+    ``ends_valid`` skips the checks that depend on the node count and line
+    ends alone, for a network derived from a valid one with the same of both.
+    """
     n, m = net.n, net.m
     shapes = [getattr(net, name).shape for name in _ARRAYS]
     if shapes != [(n,)] * 4 + [(m,)] * 3:
@@ -174,9 +226,8 @@ def _validate(net: Network) -> None:
 
     ends = list(zip(net.line_from.tolist(), net.line_to.tolist()))
     capacity = net.capacity.tolist()
-    keys = {(a, b) if a < b else (b, a) for a, b in ends}
     if m and not (
-        len(keys) == m and all(0 <= a < b < n for a, b in keys)
+        (ends_valid or _distinct_lines_between_nodes(ends, n))
         and math.isfinite(sum(capacity)) and min(capacity) > 0.0
     ):
         seen: set[tuple[int, int]] = set()
@@ -202,6 +253,8 @@ def _validate(net: Network) -> None:
         raise NetworkValidationError(
             f"power imbalance: sum of injections is {imbalance:.3e} (must be 0)"
         )
+    if ends_valid:
+        return
     adjacent: list[list[int]] = [[] for _ in range(n)]
     for a, b in ends:
         adjacent[a].append(b)

@@ -6,7 +6,9 @@ lower <= theta <= upper}.  Every candidate is projected onto it exactly by a
 breakpoint search (budgets at the box-sum ends return the corners); lack of an
 admissible synchronous state is encoded as a penalty value so the
 security-domain constraint never silently disappears.  The search is
-differential evolution and a Nelder-Mead polish, deterministic for a fixed seed.
+differential evolution (DE/rand/1/bin with deferred updates: each generation's
+trials come from the previous population and are scored as one stack) and a
+Nelder-Mead polish, one point at a time; it is deterministic for a fixed seed.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import scipy.optimize
 
 from .baselines import order_parameter, phase_cohesiveness
 from .errors import METRIC_UNDEFINED, InfeasibleSpecError, NoFeasiblePointError, require_int
-from .escape import DEFAULT_EPS, Analysis
+from .escape import DEFAULT_EPS, Analysis, run_stages
 from .network import Network
 
 BUDGET_TOL = 1e-9
@@ -149,7 +151,7 @@ def project_to_budget_box(
     has a closed form; O(k log k) time and O(k) memory.  A budget at or beyond
     sum(lower) (sum(upper)), within BUDGET_TOL, returns lower (upper) exactly.
     """
-    x = np.asarray(x, dtype=float)
+    x, lower, upper = (np.asarray(a, dtype=float) for a in (x, lower, upper))
     total_low, total_high = float(lower.sum()), float(upper.sum())
     if not total_low - BUDGET_TOL <= budget <= total_high + BUDGET_TOL:
         raise InfeasibleSpecError("budget outside the box sum range")
@@ -204,14 +206,34 @@ _OBJECTIVES = {
 }
 
 
-def _candidate_analysis(base: Analysis, spec: DecisionSpec, theta: np.ndarray) -> Analysis:
-    """Analysis of ``base.net`` with ``theta`` written into the decision.
+def _candidate_analyses(base: Analysis, spec: DecisionSpec, thetas) -> list[Analysis]:
+    """Analyses of ``base.net`` with each theta written into the decision.
 
-    An inertia or damping candidate takes the base network's synchronous
+    Inertia and damping candidates take the base network's synchronous
     state, solved on first use, instead of solving the same power flow again.
     """
-    state = base.state if spec.variable in _MACHINE_VARIABLES else None
-    return Analysis(apply_decision(base.net, spec, theta), base.eps, state)
+    state = None
+    if spec.variable in _MACHINE_VARIABLES:
+        try:
+            state = base.state
+        except METRIC_UNDEFINED:
+            pass  # each candidate's own power flow fails the same way
+    return [Analysis(apply_decision(base.net, spec, theta), base.eps, state)
+            for theta in thetas]
+
+
+def _natural_values(analyses: list[Analysis], kind: ObjectiveKind) -> list[float | None]:
+    """Objective value of each analysis, None where its metric is undefined.
+
+    The stages the objective reads run once over the whole stack (see
+    :func:`run_stages`).
+    """
+    if kind in CREP_KINDS:
+        stage = "report"
+    else:
+        stage = "state" if kind in _STATE_ONLY_KINDS else "variance"
+    errors = run_stages(analyses, stage)
+    return [_OBJECTIVES[kind](a) if error is None else None for a, error in zip(analyses, errors)]
 
 
 def _penalty(kind: ObjectiveKind) -> float:
@@ -224,13 +246,12 @@ def evaluate_objective(net: Network, kind: ObjectiveKind, eps: float = DEFAULT_E
 
     Networks without an admissible synchronous state return the penalty 1
     for the escape-probability objectives (their natural ceiling) and +inf
-    for all others, so the value is always usable inside a search.
+    for all others, so the value is always usable inside a search.  This is
+    the evaluation of one ``optimize`` candidate, on a stack of one.
     """
     kind = ObjectiveKind(kind)
-    try:
-        return _OBJECTIVES[kind](Analysis(net, eps))
-    except METRIC_UNDEFINED:
-        return _penalty(kind)
+    (value,) = _natural_values([Analysis(net, eps)], kind)
+    return _penalty(kind) if value is None else value
 
 
 #: DE population per dimension (at least 4), mutation, crossover; polish budget
@@ -284,8 +305,9 @@ def optimize(
 ) -> OptimizationResult:
     """Minimize (or maximize, for the order parameter) the objective over theta.
 
-    Every candidate is projected onto the budget/box set before evaluation;
-    the returned best-so-far history is monotone.  Raises
+    Every candidate is projected onto the budget/box set before evaluation.
+    The returned best-so-far history is monotone, with one entry for the
+    initial population, one per DE generation and one after the polish.  Raises
     :class:`NoFeasiblePointError` if no evaluated candidate admitted a
     synchronous state.
     """
@@ -301,26 +323,30 @@ def optimize(
     evals = 0
     best: dict = {"score": math.inf, "feasible": False, "theta": None, "natural": math.inf}
 
-    def evaluate(theta: np.ndarray) -> float:
+    def evaluate(thetas: np.ndarray) -> np.ndarray:
+        """Scores of a stack of candidates, best-so-far updated in stack order."""
         nonlocal evals
-        evals += 1
-        try:
-            natural = _OBJECTIVES[kind](_candidate_analysis(base, spec, theta))
-            feasible = True
-            score = -natural if maximize else natural
-        except METRIC_UNDEFINED:
-            natural = score = _penalty(kind)
-            feasible = False
-        key = (score, 0 if feasible else 1)
-        if key < (best["score"], 0 if best["feasible"] else 1):
-            best.update(score=score, feasible=feasible, theta=theta.copy(), natural=natural)
-        return score
+        scores = np.empty(len(thetas))
+        values = _natural_values(_candidate_analyses(base, spec, thetas), kind)
+        for j, natural in enumerate(values):
+            evals += 1
+            feasible = natural is not None
+            if feasible:
+                score = -natural if maximize else natural
+            else:
+                natural = score = _penalty(kind)
+            key = (score, 0 if feasible else 1)
+            if key < (best["score"], 0 if best["feasible"] else 1):
+                best.update(score=score, feasible=feasible, theta=thetas[j].copy(),
+                            natural=natural)
+            scores[j] = score
+        return scores
 
     start = project_to_budget_box(current_values(net, spec), lower, upper, budget)
 
     # degenerate box: the feasible set is a single point
     if np.array_equal(lower, upper):
-        value = evaluate(lower)
+        (value,) = evaluate(lower[None])
         if not best["feasible"]:
             raise NoFeasiblePointError("the single feasible point admits no state")
         natural = -value if maximize else value
@@ -344,38 +370,40 @@ def optimize(
         population[i] = project_to_budget_box(
             rng.uniform(lower, upper), lower, upper, budget
         )
-    scores = np.array([evaluate(population[i]) for i in range(pop_size)])
+    scores = evaluate(population)
     if not math.isfinite(scores[0]):
         objective_initial = math.inf  # infeasible start keeps the sentinel value
     else:
         objective_initial = -scores[0] if maximize else scores[0]
     history = [(0, float(best["natural"]))]
 
+    # deferred DE/rand/1/bin: every trial of a generation is built from the
+    # previous population and the generation is scored as one stack
     generation = 0
     while evals < search.max_evals:
         generation += 1
-        for i in range(pop_size):
-            if evals >= search.max_evals:
-                break
-            choices = rng.choice(pop_size - 1, size=3, replace=False)
-            choices = np.where(choices >= i, choices + 1, choices)
-            a, b, c = population[choices]
-            mutant = a + DE_MUTATION * (b - c)
-            mask = rng.random(dim) < DE_CROSSOVER
-            mask[rng.integers(dim)] = True
-            trial = np.where(mask, mutant, population[i])
-            trial = project_to_budget_box(trial, lower, upper, budget)
-            trial_score = evaluate(trial)
-            if trial_score <= scores[i]:
-                population[i] = trial
-                scores[i] = trial_score
+        count = min(pop_size, search.max_evals - evals)
+        picks = np.empty((count, 3), dtype=np.intp)
+        mask = np.empty((count, dim), dtype=bool)
+        for i in range(count):
+            picks[i] = rng.choice(pop_size - 1, size=3, replace=False)
+            mask[i] = rng.random(dim) < DE_CROSSOVER
+            mask[i, rng.integers(dim)] = True
+        picks += picks >= np.arange(count)[:, None]  # skip the target member
+        a, b, c = population[picks].transpose(1, 0, 2)
+        mutants = np.where(mask, a + DE_MUTATION * (b - c), population[:count])
+        trials = np.array([project_to_budget_box(t, lower, upper, budget) for t in mutants])
+        trial_scores = evaluate(trials)
+        won = np.flatnonzero(trial_scores <= scores[: len(trials)])
+        population[won] = trials[won]
+        scores[won] = trial_scores[won]
         history.append((generation, float(best["natural"])))
 
     if search.polish and best["theta"] is not None:
         remaining = search.max_evals + POLISH_MAX_EVALS - evals
         if remaining >= dim + 2:
             scipy.optimize.minimize(
-                lambda x: evaluate(project_to_budget_box(x, lower, upper, budget)),
+                lambda x: evaluate(project_to_budget_box(x, lower, upper, budget)[None])[0],
                 best["theta"],
                 method="Nelder-Mead",
                 options={"maxfev": remaining, "xatol": 1e-10, "fatol": 1e-14},
@@ -413,16 +441,18 @@ def min_max_sigma_equivalence_check(
     validate_spec(net, spec)
     base = Analysis(net, eps)
     rng = np.random.default_rng(seed)
-    f_norms, s_norms = [], []
-    for _ in range(n_samples):
-        theta = project_to_budget_box(
+    thetas = [
+        project_to_budget_box(
             rng.uniform(spec.lower, spec.upper), spec.lower, spec.upper, spec.budget
         )
-        try:
-            analysis = _candidate_analysis(base, spec, theta)
-            sigma2, f_omega = analysis.variance.sigma2_omega, analysis.report.f_omega
-        except METRIC_UNDEFINED:
+        for _ in range(n_samples)
+    ]
+    analyses = _candidate_analyses(base, spec, thetas)
+    f_norms, s_norms = [], []
+    for analysis, error in zip(analyses, run_stages(analyses)):
+        if error is not None:
             continue
+        sigma2, f_omega = analysis.variance.sigma2_omega, analysis.report.f_omega
         if int(np.argmax(f_omega)) != int(np.argmax(sigma2)):
             return False
         f_norms.append(float(np.max(f_omega)))

@@ -11,15 +11,24 @@ The full step solves J s = -F, so it is a descent direction; when all
 numerically singular along the path, which is the saddle-node of a network
 without an admissible state.  The solver then raises :class:`NoConvergence`
 at once instead of spending its remaining iterations on vanishing steps.
+
+One solver runs a stack of networks that share their node count and line
+ends, as in an optimizer generation: the Newton systems of all running rows
+are one batched solve, and the halvings of every row whose full step failed
+are one tensor of trial phases.  Arrays are node- (or line-) major with the
+stack on the trailing axis, and every row keeps its own iteration, stopping
+rule and verdict, with the arithmetic of a network solved alone: a row's
+state and error are the same bits at any stack size.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import NoConvergence, OutOfDomain
+from .errors import NoConvergence, OutOfDomain, SynchronousStateError
 from .network import Network
 
 #: max-norm power mismatch at which the Newton iteration stops
@@ -29,6 +38,8 @@ MAX_ITER = 50
 DOMAIN_MARGIN = 1e-12
 HALF_PI = math.pi / 2.0
 _MAX_HALVINGS = 30
+#: step scales of the halvings after a failed full step: 2**-1 .. 2**-29
+_HALVINGS = 0.5 ** np.arange(1, _MAX_HALVINGS)
 
 
 @dataclass(frozen=True)
@@ -40,32 +51,185 @@ class SynchronousState:
     residual: float                # max-norm power mismatch
 
 
-def _mismatch(net: Network, phase: np.ndarray) -> np.ndarray:
-    diffs = phase[net.line_from] - phase[net.line_to]
-    flow = net.capacity * np.sin(diffs)
-    out = net.power.copy()
-    np.subtract.at(out, net.line_from, flow)
-    np.add.at(out, net.line_to, flow)
-    return out
+def _mismatch(net: Network, power: np.ndarray, capacity: np.ndarray,
+              phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Injections less line flows at ``phase``, and the line gaps there.
 
-
-def _cos_laplacian(net: Network, gaps: np.ndarray) -> np.ndarray:
-    """Laplacian with weights l_k cos(gap_k) on line k.
-
-    Off-diagonal entries are assigned (lines are unique); each diagonal entry
-    sums its lines' weights in line order.
+    ``net`` gives the line ends; arrays are node- (line-) major with
+    trailing stack axes.  Each node subtracts the flows of the lines leaving
+    it, then adds those of the lines entering it, in line order, so a row
+    rounds as it would alone.
     """
-    weights = net.capacity * np.cos(gaps)
-    lap = np.zeros((net.n, net.n))
-    lap[net.line_from, net.line_to] = -weights
-    lap[net.line_to, net.line_from] = -weights
-    ends = np.column_stack((net.line_from, net.line_to)).ravel()
-    np.add.at(lap, (ends, ends), np.repeat(weights, 2))
+    gaps = phase[net.line_from] - phase[net.line_to]
+    flow = capacity * np.sin(gaps)
+    out = np.empty(phase.shape)
+    out[...] = power
+    leaving, entering = net.line_groups
+    for nodes, lines in leaving:
+        out[nodes] -= flow[lines]
+    for nodes, lines in entering:
+        out[nodes] += flow[lines]
+    return out, gaps
+
+
+def _laplacian(weights: np.ndarray, net: Network) -> np.ndarray:
+    """Laplacian of ``net``'s lines with weight ``weights[k]`` on line k.
+
+    Trailing axes of ``weights`` are a stack.  Off-diagonal entries are
+    assigned (lines are unique); each diagonal entry sums its lines' weights
+    in line order.
+    """
+    lap = np.zeros((net.n, net.n) + weights.shape[1:])
+    negated = -weights
+    lap[net.line_from, net.line_to] = negated
+    lap[net.line_to, net.line_from] = negated
+    np.add.at(lap, (net.line_ends, net.line_ends), weights.repeat(2, axis=0))
     return lap
 
 
+def _cos_laplacian(net: Network, gaps: np.ndarray) -> np.ndarray:
+    """Laplacian with weights l_k cos(gap_k) on line k."""
+    return _laplacian(net.capacity * np.cos(gaps), net)
+
+
+def _singular_rows(jac: np.ndarray, rhs: np.ndarray):
+    """Newton steps of the rows of a stack in which some Jacobian is singular.
+
+    Returns the steps (zero where singular) and per row None or the
+    :class:`NoConvergence` of its singular Jacobian.
+    """
+    steps = np.zeros_like(rhs)
+    errors: list = [None] * rhs.shape[1]
+    for j in range(rhs.shape[1]):
+        try:
+            steps[:, j] = np.linalg.solve(jac[..., j], rhs[:, j])
+        except np.linalg.LinAlgError as exc:
+            errors[j] = NoConvergence("singular Jacobian during Newton iteration")
+            errors[j].__cause__ = exc
+    return steps, errors
+
+
+def _converged_states(net: Network, phase: np.ndarray, norm: np.ndarray) -> list:
+    """States at the converged columns of ``phase``.
+
+    A column with a line gap outside the security domain gets an
+    :class:`OutOfDomain` error instead.
+    """
+    diffs = np.abs(phase[net.line_from] - phase[net.line_to])
+    outside = np.max(diffs, axis=0, initial=0.0) >= HALF_PI - DOMAIN_MARGIN
+    gauged = (phase - phase[0]).T.copy()  # gauge: reference node at exactly 0
+    gaps = gauged[:, net.line_from] - gauged[:, net.line_to]
+    gauged.flags.writeable = gaps.flags.writeable = False
+    states = []
+    for j in range(norm.size):
+        if outside[j]:
+            worst = int(np.argmax(diffs[:, j]))
+            states.append(OutOfDomain(
+                f"converged state leaves the security domain on line {worst + 1} "
+                f"(|gap| = {diffs[worst, j]:.6f} >= pi/2)"
+            ))
+        else:
+            states.append(SynchronousState(gauged[j], gaps[j], float(norm[j])))
+    return states
+
+
+def solve_synchronous_states(
+    nets: Sequence[Network],
+) -> list[SynchronousState | SynchronousStateError]:
+    """Synchronous states of a stack of networks with one node count and line set.
+
+    Returns, per network in order, its state or the
+    :class:`SynchronousStateError` that :func:`solve_synchronous_state` raises
+    for it alone, with the same bits and message.  The networks may differ in
+    every parameter but their line ends.
+    """
+    topology = nets[0]  # every row has its node count and line ends
+    results: list = [None] * len(nets)
+    rows = np.arange(len(nets))
+    power = np.array([net.power for net in nets]).T
+    capacity = np.array([net.capacity for net in nets]).T
+    phase = np.zeros(power.shape)
+    mism, gaps = _mismatch(topology, power, capacity, phase)
+    norm = np.abs(mism).max(axis=0)
+
+    def retire(leaving, verdicts):
+        """Record the verdicts of the rows in the mask ``leaving``; drop them."""
+        nonlocal rows, power, capacity, phase, mism, gaps, norm
+        for row, verdict in zip(rows[leaving].tolist(), verdicts):
+            results[row] = verdict
+        keep = slice(0) if leaving.all() else ~leaving  # a slice takes views
+        rows, power, capacity = rows[keep], power[:, keep], capacity[:, keep]
+        phase, mism, gaps, norm = phase[:, keep], mism[:, keep], gaps[:, keep], norm[keep]
+
+    for iteration in range(1, MAX_ITER + 1):
+        done = norm <= TOL
+        if done.any():
+            retire(done, _converged_states(topology, phase[:, done], norm[done]))
+            if not rows.size:
+                break
+        jac = _laplacian(capacity * np.cos(gaps), topology)[1:, 1:]
+        try:
+            step = np.linalg.solve(jac.transpose(2, 0, 1), mism[1:].T[..., None])[..., 0].T
+        except np.linalg.LinAlgError:
+            step, singular = _singular_rows(jac, mism[1:])
+            failed = np.array([error is not None for error in singular])
+            step = step[:, ~failed]
+            retire(failed, [error for error in singular if error is not None])
+            if not rows.size:
+                break
+
+        # damp: the full step, then for rows it did not improve every halving
+        # at once; each row takes its first trial that lowers its mismatch
+        trial = phase.copy()
+        trial[1:] += step
+        trial_mism, trial_gaps = _mismatch(topology, power, capacity, trial)
+        trial_norm = np.abs(trial_mism).max(axis=0)
+        retry = (~(trial_norm < norm)).nonzero()[0]
+        stalled = retry[:0]
+        if retry.size:
+            tried = np.repeat(phase[:, None, retry], _HALVINGS.size, axis=1)
+            tried[1:] += _HALVINGS[:, None] * step[:, None, retry]
+            tried_mism, tried_gaps = _mismatch(
+                topology, power[:, None, retry], capacity[:, None, retry], tried
+            )
+            tried_norm = np.abs(tried_mism).max(axis=0)
+            lower = tried_norm < norm[retry]
+            found = lower.any(axis=0)
+            cols = np.flatnonzero(found)
+            halving = np.argmax(lower[:, cols], axis=0)
+            take = retry[cols]
+            trial[:, take] = tried[:, halving, cols]
+            trial_mism[:, take] = tried_mism[:, halving, cols]
+            trial_gaps[:, take] = tried_gaps[:, halving, cols]
+            trial_norm[take] = tried_norm[halving, cols]
+            stalled = retry[~found]
+        errors = [
+            NoConvergence(
+                f"no damped Newton step reduced the mismatch at iteration {iteration} "
+                f"(residual {norm[j]:.3e} > tol {TOL:.3e})"
+            )
+            for j in stalled.tolist()
+        ]
+        phase, mism, gaps, norm = trial, trial_mism, trial_gaps, trial_norm
+        if errors:
+            leaving = np.zeros(rows.size, dtype=bool)
+            leaving[stalled] = True
+            retire(leaving, errors)
+    else:
+        done = norm <= TOL
+        retire(done, _converged_states(topology, phase[:, done], norm[done]))
+        retire(np.ones(rows.size, dtype=bool), [
+            NoConvergence(
+                f"power flow did not converge in {MAX_ITER} iterations "
+                f"(residual {residual:.3e} > tol {TOL:.3e})"
+            )
+            for residual in norm
+        ])
+    return results
+
+
 def solve_synchronous_state(net: Network) -> SynchronousState:
-    """Find the in-domain synchronous state of ``net``.
+    """Find the in-domain synchronous state of ``net``: a stack of one.
 
     Raises :class:`NoConvergence` when no halving of a Newton step lowers
     the mismatch (the message names the iteration and the residual) or when
@@ -74,54 +238,10 @@ def solve_synchronous_state(net: Network) -> SynchronousState:
     (-pi/2, pi/2).  Either error means no admissible synchronous state was
     found for these parameters.
     """
-    n = net.n
-    phase = np.zeros(n)
-    mism = _mismatch(net, phase)
-    norm = float(np.max(np.abs(mism)))
-
-    for iteration in range(1, MAX_ITER + 1):
-        if norm <= TOL:
-            break
-        jac = _cos_laplacian(net, phase[net.line_from] - phase[net.line_to])[1:, 1:]
-        try:
-            step = np.linalg.solve(jac, mism[1:])
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence("singular Jacobian during Newton iteration") from exc
-        # damp: halve the step until the mismatch norm decreases
-        scale = 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = phase.copy()
-            trial[1:] += scale * step
-            trial_mism = _mismatch(net, trial)
-            trial_norm = float(np.max(np.abs(trial_mism)))
-            if trial_norm < norm:
-                break
-            scale *= 0.5
-        else:
-            raise NoConvergence(
-                f"no damped Newton step reduced the mismatch at iteration {iteration} "
-                f"(residual {norm:.3e} > tol {TOL:.3e})"
-            )
-        phase, mism, norm = trial, trial_mism, trial_norm
-    else:
-        if norm > TOL:
-            raise NoConvergence(
-                f"power flow did not converge in {MAX_ITER} iterations "
-                f"(residual {norm:.3e} > tol {TOL:.3e})"
-            )
-
-    diffs = phase[net.line_from] - phase[net.line_to]
-    if net.m and float(np.max(np.abs(diffs))) >= HALF_PI - DOMAIN_MARGIN:
-        worst = int(np.argmax(np.abs(diffs)))
-        raise OutOfDomain(
-            f"converged state leaves the security domain on line {worst + 1} "
-            f"(|gap| = {abs(diffs[worst]):.6f} >= pi/2)"
-        )
-    phase = phase - phase[0]  # gauge: reference node at exactly 0
-    phase.flags.writeable = False
-    diffs = phase[net.line_from] - phase[net.line_to]
-    diffs.flags.writeable = False
-    return SynchronousState(phase=phase, output_phase_diffs=diffs, residual=norm)
+    (result,) = solve_synchronous_states([net])
+    if isinstance(result, SynchronousStateError):
+        raise result
+    return result
 
 
 def synchronous_output(state: SynchronousState, net: Network) -> np.ndarray:

@@ -206,7 +206,10 @@ def test_hitting_time_byte_identical_runs(tmp_path):
     assert outs[0] == outs[1]
     doc = json.loads(outs[0])
     assert doc["config"]["master_seed"] == 12
-    assert doc["estimate"]["n_exited"] + doc["estimate"]["n_censored"] == 200
+    estimate = doc["estimate"]
+    assert estimate["n_exited"] + estimate["n_censored"] == 200
+    assert estimate["censored_fraction"] == estimate["n_censored"] / 200
+    assert estimate["mean_mle"] >= estimate["mean"]
 
 
 def test_optimize_round_trip(tmp_path):
@@ -371,7 +374,8 @@ def test_error_outside_crep_error_propagates(tmp_path, capsys, monkeypatch):
         raise ValueError("internal failure")
 
     monkeypatch.setattr(crep.escape, "solve_lyapunov", broken)
-    path = write_net(tmp_path, two_node_net(noise=(0.2, 0.1)))
+    # unequal damping ratios keep the variance stage on the Lyapunov path
+    path = write_net(tmp_path, two_node_net(damping=(1.0, 1.5), noise=(0.2, 0.1)))
     with pytest.raises(ValueError, match="internal failure"):
         main(["analyze", path])
     assert "error:" not in capsys.readouterr().err

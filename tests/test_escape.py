@@ -17,7 +17,7 @@ from crep import (
     smib_network,
 )
 
-from conftest import random_connected_network, stagewise_pipeline
+from conftest import random_connected_network, ring5_net, stagewise_pipeline
 
 HALF_PI = math.pi / 2
 
@@ -147,6 +147,21 @@ def test_crep_noise_swap_symmetry():
     assert crep_metric(a).phi == pytest.approx(crep_metric(b).phi, rel=1e-12)
 
 
+def test_stacked_escape_probabilities_are_the_scalar_ones():
+    rng = np.random.default_rng(42)
+    means = rng.uniform(-1.5, 1.5, (6, 7))
+    var_delta = rng.uniform(0.0, 2.0, (6, 7)) * (rng.random((6, 7)) < 0.8)
+    var_omega = rng.uniform(0.0, 1e-3, (6, 4)) * (rng.random((6, 4)) < 0.8)
+    reports = crep.escape.crep_reports(means, var_delta, var_omega, 0.02)
+    for row, report in enumerate(reports):
+        for k in range(7):
+            sigma = math.sqrt(float(var_delta[row, k]))
+            assert report.f_delta[k] == escape_prob_line(float(means[row, k]), sigma)
+        for i in range(4):
+            sigma = math.sqrt(float(var_omega[row, i]))
+            assert report.f_omega[i] == escape_prob_freq(sigma, 0.02)
+
+
 def test_crep_argmax_tie_breaks_to_lowest_index():
     report = crep.crep_from_moments(
         np.array([0.3, 0.3]), np.array([0.01, 0.01]), np.array([0.004, 0.001]), 0.02
@@ -220,6 +235,37 @@ def test_every_entry_point_reproduces_the_stagewise_pipeline(eps):
         assert bundle.trace_q_delta == float(np.sum(variance.sigma2_delta))
         assert bundle.trace_q_omega == float(np.sum(variance.sigma2_omega))
         assert bundle.cohesiveness == crep.phase_cohesiveness(state)
+
+
+@pytest.mark.parametrize("damping", [(0.8,) * 5, (0.8, 0.9, 0.7, 1.0, 0.6)],
+                         ids=["uniform-ratio", "mixed-ratio"])
+def test_a_stack_gives_the_bits_of_its_rows_alone(damping):
+    # one DE generation of ring5 line capacities, about a third of them
+    # without a state; uniform damping takes the closed form, mixed the Schur path
+    net = ring5_net().with_arrays(damping=np.array(damping))
+    spec = crep.DecisionSpec("line_capacity", tuple(range(1, 6)), 5.0,
+                             np.full(5, 0.2), np.full(5, 3.0))
+    rng = np.random.default_rng(40)
+    thetas = [crep.project_to_budget_box(x, spec.lower, spec.upper, spec.budget)
+              for x in rng.uniform(0.2, 3.0, (75, 5))]
+    stack = [crep.Analysis(crep.apply_decision(net, spec, t)) for t in thetas]
+    errors = crep.escape.run_stages(stack)
+    infeasible = 0
+    for analysis, error in zip(stack, errors):
+        alone = crep.Analysis(analysis.net)
+        try:
+            alone.report
+        except crep.CrepError as exc:
+            assert type(error) is type(exc) and str(error) == str(exc)
+            infeasible += 1
+            continue
+        assert error is None
+        for stage in ("state", "variance", "report"):
+            for field in fields(getattr(alone, stage)):
+                value = getattr(getattr(analysis, stage), field.name)
+                want = getattr(getattr(alone, stage), field.name)
+                assert np.asarray(value).tobytes() == np.asarray(want).tobytes(), field.name
+    assert 10 < infeasible < 65
 
 
 def test_analysis_runs_each_stage_once():

@@ -115,6 +115,34 @@ def test_estimate_counts_and_histograms_consistent():
     assert est.half_width >= 0.0
 
 
+def test_censoring_aware_mean_and_censored_fraction():
+    # by hand from the exit steps of the same seeded trajectories
+    net = ring5_net()
+    state = solve_synchronous_state(net)
+    cfg = SimConfig(dt=1e-3, t_max=3.0, n_samples=60, eps=0.02,
+                    master_seed=8, exit_mode="phase_only")
+    est = estimate_hitting_time(net, cfg)
+    outcomes = [simulate_trajectory(net, state, cfg, i) for i in range(cfg.n_samples)]
+    exits = [o.exit_time for o in outcomes if not o.censored]
+    n_censored = cfg.n_samples - len(exits)
+    assert 0 < n_censored < cfg.n_samples and est.n_censored == n_censored
+    assert est.censored_fraction == n_censored / cfg.n_samples
+    horizon = cfg.n_steps * cfg.dt
+    assert est.mean_mle == pytest.approx(
+        (math.fsum(exits) + n_censored * horizon) / len(exits), rel=1e-12
+    )
+    assert est.mean_mle > est.mean
+
+
+def test_censoring_aware_mean_equals_mean_without_censoring():
+    net = ring5_net()
+    cfg = SimConfig(dt=1e-3, t_max=200.0, n_samples=40, eps=0.02,
+                    master_seed=9, exit_mode="phase_only")
+    est = estimate_hitting_time(net, cfg)
+    assert est.n_censored == 0 and est.censored_fraction == 0.0
+    assert est.mean_mle == est.mean
+
+
 def test_exit_state_validity_against_reference_path():
     net = ring5_net(b=(0.6, 0.3, 0.2, 0.3, 0.6))
     state = solve_synchronous_state(net)

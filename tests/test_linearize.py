@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+import crep as crep_package
 from crep import (
     DegenerateSystemError,
     LyapunovSolveError,
@@ -20,6 +21,7 @@ from crep import (
     spectral_reduce,
 )
 
+from crep.linearize import modal_variances
 from crep.powerflow import _cos_laplacian
 
 from conftest import random_connected_network, ring5_net, two_node_net
@@ -375,3 +377,51 @@ def test_stiff_network_raises_instead_of_perturbing(net):
     _, _, reduction = pipeline(net)
     with pytest.raises(LyapunovSolveError, match="eigenvalue pair"):
         solve_lyapunov(reduction)
+
+
+def _uniform_ratio_network(rng, trial):
+    """Seeded random network whose d_i / m_i is exactly the same at every node."""
+    net = random_connected_network(rng, n_max=10, extra_edge_prob=1.0)
+    if trial % 2:
+        return net.with_arrays(damping=2.0 ** int(rng.integers(-2, 2)) * net.inertia)
+    inertia = float(rng.uniform(0.5, 2.0))
+    return net.with_arrays(inertia=np.full(net.n, inertia),
+                           damping=np.full(net.n, inertia * rng.uniform(0.2, 2.0)))
+
+
+def test_uniform_damping_ratio_closed_form_matches_the_lyapunov_solve():
+    rng = np.random.default_rng(16)
+    for trial in range(60):
+        net = _uniform_ratio_network(rng, trial)
+        state = solve_synchronous_state(net)
+        reference = solve_lyapunov(spectral_reduce(build_linearization(net, state), net))
+        (modal,) = modal_variances([net], [state])
+        for field in ("sigma2_delta", "sigma2_omega", "min_re_mu"):
+            np.testing.assert_allclose(getattr(modal, field), getattr(reference, field),
+                                       rtol=1e-12, atol=0, err_msg=field)
+        assert np.trace(modal.q_y) == pytest.approx(np.trace(reference.q_y), rel=1e-12)
+        scale = np.max(np.abs(reference.q_x))
+        assert np.max(np.abs(modal.q_x - reference.q_x)) <= 1e-12 * scale
+        # the pipeline takes the closed form for these networks
+        variance = crep_package.Analysis(net).variance
+        assert np.array_equal(variance.q_y, modal.q_y)
+        assert variance.min_re_mu == modal.min_re_mu
+
+
+def test_closed_form_answers_a_stiff_network_the_lyapunov_solve_rejects():
+    # two-node network, capacity 2e8, uniform ratio: trsyl would perturb it,
+    # the closed form gives the exact frequency variances b^2 / (2 m d)
+    net = network_from_arrays([0.0, 0.0], [1.0] * 2, [1.0] * 2, [0.1] * 2, [(1, 2, 2e8)])
+    state = solve_synchronous_state(net)
+    with pytest.raises(LyapunovSolveError):
+        solve_lyapunov(spectral_reduce(build_linearization(net, state), net))
+    (modal,) = modal_variances([net], [state])
+    assert modal.sigma2_omega == pytest.approx([0.005, 0.005], rel=1e-9)
+    assert modal.min_re_mu == pytest.approx(0.5, rel=1e-12)
+
+
+def test_closed_form_rejects_a_marginally_stable_state():
+    net = two_node_net(p=0.0, cap=1e-14, noise=(0.1, 0.1))
+    (result,) = modal_variances([net], [solve_synchronous_state(net)])
+    assert isinstance(result, DegenerateSystemError)
+    assert "marginally stable" in str(result)

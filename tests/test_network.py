@@ -412,6 +412,36 @@ def test_derived_network_is_validated_in_full():
         net.with_arrays(power=net.power + 1e-3)
 
 
+def _replaced(values, position, value):
+    out = np.array(values, dtype=object)
+    out[position] = value
+    return out.tolist()
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("capacity", lambda net: _replaced(net.capacity, 2, math.nan)),
+    ("capacity", lambda net: _replaced(net.capacity, -1, 0.0)),
+    ("capacity", lambda net: _replaced(net.capacity, 0, -1.0)),
+    ("capacity", lambda net: net.capacity[:-1]),
+    ("capacity", lambda net: ["wide"] * net.m),
+    ("inertia", lambda net: _replaced(net.inertia, 3, 0.0)),
+    ("damping", lambda net: _replaced(net.damping, 1, math.inf)),
+    ("noise", lambda net: _replaced(net.noise, 4, -0.1)),
+    ("power", lambda net: net.power + 1e-3),
+    ("power", lambda net: np.append(net.power, 0.0)),
+])
+def test_derived_network_raises_what_the_constructor_raises(field, bad):
+    # with_arrays skips only the checks on the line ends it keeps
+    net = random_connected_network(np.random.default_rng(12), n_min=6)
+    arrays = {name: getattr(net, name) for name in (
+        "power", "inertia", "damping", "noise", "line_from", "line_to", "capacity")}
+    with pytest.raises(NetworkValidationError) as built:
+        crep.Network(**{**arrays, field: bad(net)})
+    with pytest.raises(NetworkValidationError) as derived:
+        net.with_arrays(**{field: bad(net)})
+    assert str(derived.value) == str(built.value)
+
+
 def test_balance_is_the_sequential_float_sum():
     # the tolerance applies to Python's left-to-right sum, which is exactly 0
     # here; numpy's pairwise sum of the same ten entries is 2

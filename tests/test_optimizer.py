@@ -150,6 +150,12 @@ def test_projection_returns_the_corners_exactly():
             assert theta.tobytes() == corner.tobytes()
 
 
+def test_projection_accepts_list_bounds():
+    theta = crep.project_to_budget_box([0.5, 1.0], [0.0, 0.0], [1.0, 1.0], 1.0)
+    assert np.allclose(theta, [0.25, 0.75], atol=1e-15)
+    assert theta.sum() == 1.0
+
+
 def test_spec_validation():
     with pytest.raises(InfeasibleSpecError):
         DecisionSpec("capacity", (1,), 1.0, np.array([0.0]), np.array([1.0]))
@@ -348,6 +354,13 @@ def test_optimize_capacity_dominates_uniform_start():
     uniform_value = evaluate_objective(net, ObjectiveKind.crep_phi_delta)
     result = optimize(net, spec, ObjectiveKind.crep_phi_delta,
                       search=SearchConfig(seed=1, max_evals=800))
+    # 75 initial members, ten deferred generations (the last one of 50 trials),
+    # then the polish
+    assert result.evaluations == 800 + crep.optimizer.POLISH_MAX_EVALS
+    assert [g for g, _ in result.history] == list(range(12))
+    assert result.objective_final == evaluate_objective(
+        apply_decision(net, spec, result.theta), ObjectiveKind.crep_phi_delta
+    )
     assert result.objective_final <= uniform_value
     assert result.objective_final <= result.objective_initial
     assert result.feasible

@@ -166,3 +166,31 @@ def test_early_stop_keeps_every_state_bitwise():
             assert np.array_equal(state.output_phase_diffs, diffs)
             assert state.residual == residual
     assert solved >= 100 and stopped_early >= 100
+
+
+def test_a_singular_jacobian_fails_only_its_own_row(monkeypatch):
+    # the middle row's Newton system is made singular while all three rows
+    # run; it fails with the single-network error, the others keep their bits
+    nets = [ring5_net(caps=(c,) * 5) for c in (1.0, 1.2, 0.9)]
+    alone = [solve_synchronous_state(net) for net in nets]
+    laplacian = crep.powerflow._laplacian
+
+    def singular_middle(weights, net):
+        if weights.ndim == 2 and weights.shape[1] == 3:
+            weights = weights.copy()
+            weights[:, 1] = 0.0
+        return laplacian(weights, net)
+
+    monkeypatch.setattr(crep.powerflow, "_laplacian", singular_middle)
+    states = crep.powerflow.solve_synchronous_states(nets)
+    assert isinstance(states[1], NoConvergence)
+    assert str(states[1]) == "singular Jacobian during Newton iteration"
+    assert isinstance(states[1].__cause__, np.linalg.LinAlgError)
+    for state, expected in zip(states[::2], alone[::2]):
+        assert np.array_equal(state.phase, expected.phase)
+        assert state.residual == expected.residual
+
+    monkeypatch.setattr(crep.powerflow, "_laplacian",
+                        lambda weights, net: laplacian(0.0 * weights, net))
+    with pytest.raises(NoConvergence, match="singular Jacobian"):
+        solve_synchronous_state(nets[0])

@@ -100,9 +100,6 @@ def crep_from_moments(
     return report
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
 def crep_reports(
     y_delta_star: np.ndarray,
     sigma2_delta: np.ndarray,
@@ -114,12 +111,12 @@ def crep_reports(
     The arguments are (B, m), (B, m) and (B, n) arrays.  Each probability is
     the one :func:`escape_prob_line` or :func:`escape_prob_freq` gives for
     its entry, through the same ``math.erfc``, so row j has the bits of
-    :func:`crep_from_moments` on row j alone.  Raises ValueError where those
-    functions would: a negative variance, a mean gap outside (-pi/2, pi/2),
-    or ``eps <= 0``.
+    :func:`crep_from_moments` on row j alone; a zero variance puts the
+    argument of each tail at +inf, where ``erfc`` is exactly 0.  Raises
+    ValueError where those functions would: a negative variance, a mean gap
+    outside (-pi/2, pi/2), or ``eps <= 0``.
     """
-    sigma2 = np.concatenate((sigma2_delta, sigma2_omega), axis=1)
-    if np.any(sigma2 < 0.0):
+    if (sigma2_delta < 0.0).any() or (sigma2_omega < 0.0).any():
         raise ValueError("sigma must be >= 0")
     outside = np.abs(y_delta_star) >= HALF_PI
     if outside.any():
@@ -128,21 +125,17 @@ def crep_reports(
         )
     if eps <= 0.0:
         raise ValueError("eps must be > 0")
-    sigma = np.sqrt(sigma2)
     m = y_delta_star.shape[1]
-    scale = sigma * _SQRT2
+    scale_delta = np.sqrt(sigma2_delta) * _SQRT2
     with np.errstate(divide="ignore"):
-        tails = _erfc(np.concatenate((
-            (HALF_PI - y_delta_star) / scale[:, :m],
-            (HALF_PI + y_delta_star) / scale[:, :m],
-            eps / scale[:, m:],
-        ), axis=1)).astype(float)
-    probs = np.where(
-        sigma == 0.0, 0.0,
-        np.concatenate((0.5 * (tails[:, :m] + tails[:, m:2 * m]), tails[:, 2 * m:]), axis=1),
-    )
-    f_delta, f_omega = probs[:, :m], probs[:, m:]
-    argmax_lines = np.argmax(f_delta, axis=1).tolist() if m else [None] * len(probs)
+        args = np.concatenate((
+            (HALF_PI - y_delta_star) / scale_delta,
+            (HALF_PI + y_delta_star) / scale_delta,
+            eps / (np.sqrt(sigma2_omega) * _SQRT2),
+        ), axis=1)
+    tails = np.array([math.erfc(x) for x in args.ravel().tolist()]).reshape(args.shape)
+    f_delta, f_omega = 0.5 * (tails[:, :m] + tails[:, m:2 * m]), tails[:, 2 * m:]
+    argmax_lines = np.argmax(f_delta, axis=1).tolist() if m else [None] * len(f_omega)
     argmax_nodes = np.argmax(f_omega, axis=1).tolist()
     reports = []
     for j, (line, node) in enumerate(zip(argmax_lines, argmax_nodes)):
@@ -231,9 +224,10 @@ def _variances(analyses: Sequence[Analysis]) -> list[VarianceReport | CrepError]
     or its :data:`~crep.errors.METRIC_UNDEFINED` error.
     """
     results: list = [None] * len(analyses)
+    gamma = uniform_damping_ratios([a.net for a in analyses])
     modal = []
-    for j, gamma in enumerate(uniform_damping_ratios([a.net for a in analyses]).tolist()):
-        if not math.isnan(gamma):
+    for j, ratio in enumerate(gamma.tolist()):
+        if not math.isnan(ratio):
             modal.append(j)
             continue
         try:
@@ -242,7 +236,7 @@ def _variances(analyses: Sequence[Analysis]) -> list[VarianceReport | CrepError]
             results[j] = exc
     if modal:
         rows = [analyses[j] for j in modal]
-        solved = modal_variances([a.net for a in rows], [a.state for a in rows])
+        solved = modal_variances([a.net for a in rows], [a.state for a in rows], gamma[modal])
         for j, result in zip(modal, solved):
             results[j] = result
     return results

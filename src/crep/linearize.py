@@ -76,6 +76,30 @@ def build_linearization(net: Network, state: SynchronousState) -> LinearizedMode
     return LinearizedModel(lap, sys_matrix)
 
 
+_SYEVR, _SYEVR_LWORK = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=float)
+
+
+def _eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of each matrix of a symmetric stack.
+
+    Every matrix goes through the LAPACK call of ``scipy.linalg.eigh`` (``syevr``
+    on the lower triangle, with the workspace its query returns) and gets its
+    bits, so the closed form and the Schur path share one eigenbasis, within
+    a repeated eigenvalue too.  Raises ``LinAlgError`` where ``eigh`` would.
+    """
+    n = sym.shape[-1]
+    work, iwork, info = _SYEVR_LWORK(n, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"syevr workspace query failed: {info}")
+    eigvals, vectors = np.empty(sym.shape[:-1]), np.empty(sym.shape)
+    for j, matrix in enumerate(sym):
+        w, v, _, _, info = _SYEVR(matrix, lower=1, lwork=int(work), liwork=int(iwork))
+        if info:
+            raise np.linalg.LinAlgError(f"syevr failed to converge: {info}")
+        eigvals[j], vectors[j] = w, v
+    return eigvals, vectors
+
+
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so the first non-negligible entry is positive.
 
@@ -138,13 +162,12 @@ def spectral_reduce(model: LinearizedModel, net: Network) -> SpectralReduction:
     is numerically zero (marginally stable state, variance undefined).
     """
     n = net.n
-    eigvals, vectors = scipy.linalg.eigh(_mass_scaled(model.laplacian, net.inertia))
-    eigvals = eigvals[None].copy()
+    eigvals, vectors = _eigh(_mass_scaled(model.laplacian, net.inertia)[None])
     (error,) = _deflate(eigvals)
     if error is not None:
         raise error
     eigvals = eigvals[0]
-    vectors = _fix_signs(vectors)
+    vectors = _fix_signs(vectors[0])
     inv_sqrt_m = 1.0 / np.sqrt(net.inertia)
 
     damping_term = vectors.T @ ((net.damping / net.inertia)[:, None] * vectors)
@@ -236,16 +259,18 @@ def uniform_damping_ratios(nets: Sequence[Network]) -> np.ndarray:
 
 
 def modal_variances(
-    nets: Sequence[Network], states: Sequence[SynchronousState]
+    nets: Sequence[Network], states: Sequence[SynchronousState], gamma: np.ndarray
 ) -> list[VarianceReport | DegenerateSystemError]:
     """Stationary variances, in closed form, of networks with a uniform damping ratio.
 
-    With d_i / m_i = gamma at every node the modal damping term is gamma I, so
-    in the eigenbasis (lambda, U) of M^{-1/2} L_c M^{-1/2} each pair of modes
-    decouples (Poolla, Bolognani & Dorfler 2017).  With S = U^T diag(b^2/m) U
-    the modal forcing, the covariances of the mode positions (P), of
-    position and velocity (X) and of the velocities (V) are, for modes
-    i, j >= 1 and the zero mode 0 (which has a velocity only)::
+    ``gamma`` holds each network's ratio d_i / m_i, the same at all of its
+    nodes (see :func:`uniform_damping_ratios`).  The modal damping term is
+    then gamma I, so in the eigenbasis (lambda, U) of M^{-1/2} L_c M^{-1/2}
+    each pair of modes decouples (Poolla, Bolognani & Dorfler 2017).  With
+    S = U^T diag(b^2/m) U the modal forcing, the covariances of the mode
+    positions (P), of position and velocity (X) and of the velocities (V)
+    are, for modes i, j >= 1 and the zero mode 0 (which has a velocity
+    only)::
 
         P_ij = 2 gamma S_ij / (2 gamma^2 (lambda_i + lambda_j) + (lambda_i - lambda_j)^2)
         X_ij = (lambda_i - lambda_j) P_ij / (2 gamma)
@@ -255,22 +280,19 @@ def modal_variances(
 
     and mode j decays at |Re mu| = gamma / 2 when 4 lambda_j > gamma^2,
     else lambda_j / (gamma / 2 + sqrt(gamma^2 / 4 - lambda_j)); the zero mode
-    at gamma.  The networks share their node count and line ends; one batched
-    ``eigh`` serves the stack, and a row's result does not depend on the
-    stack.  Returns, per network, its report (the fields of
-    :func:`solve_lyapunov`'s, with the same deflated coordinates) or the
-    :class:`DegenerateSystemError` that :func:`spectral_reduce` would raise.
+    at gamma.  The networks share their node count and line ends, and a
+    row's result does not depend on the stack.  Returns, per network, its
+    report (the fields of :func:`solve_lyapunov`'s, in the coordinates of
+    the same eigenbasis) or the :class:`DegenerateSystemError` that
+    :func:`spectral_reduce` would raise.
     """
     n, line_from, line_to = nets[0].n, nets[0].line_from, nets[0].line_to
-    gamma = uniform_damping_ratios(nets)
-    if np.isnan(gamma).any():
-        raise ValueError("modal_variances needs d_i / m_i equal at every node")
     inertia = np.array([net.inertia for net in nets])
     noise = np.array([net.noise for net in nets])
     gaps = np.array([state.output_phase_diffs for state in states])
     weights = (np.array([net.capacity for net in nets]) * np.cos(gaps)).T
     laplacian = _laplacian(weights, nets[0]).transpose(2, 0, 1)
-    lam, vectors = np.linalg.eigh(_mass_scaled(laplacian, inertia))
+    lam, vectors = _eigh(_mass_scaled(laplacian, inertia))
 
     results = _deflate(lam)
     valid = [j for j, error in enumerate(results) if error is None]

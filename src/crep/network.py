@@ -26,6 +26,8 @@ POWER_BALANCE_TOL = 1e-9
 _NODE_ARRAYS = ("power", "inertia", "damping", "noise")
 _ARRAYS = _NODE_ARRAYS + ("line_from", "line_to", "capacity")
 _NODE_FIELDS = ("id",) + _NODE_ARRAYS
+#: caches of the line ends that the power flow reads; derived networks share them
+_LINE_END_CACHES = ("line_ends", "line_groups")
 _LINE_FIELDS = ("from", "to", "capacity")
 
 
@@ -126,9 +128,9 @@ class Network:
         replaced = {"power": power, "inertia": inertia, "damping": damping,
                     "noise": noise, "capacity": capacity}
         derived = object.__new__(Network)
-        # the line-end index arrays are computed once, on this network, and shared
-        derived.__dict__.update(self.__dict__, line_ends=self.line_ends,
-                                line_groups=self.line_groups)
+        derived.__dict__.update({name: getattr(self, name) for name in _ARRAYS})
+        # the line-end caches are computed once, on this network, and shared
+        derived.__dict__.update({name: getattr(self, name) for name in _LINE_END_CACHES})
         for name, given in replaced.items():
             if given is not None:
                 try:

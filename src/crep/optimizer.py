@@ -23,6 +23,7 @@ from .baselines import order_parameter, phase_cohesiveness
 from .errors import METRIC_UNDEFINED, InfeasibleSpecError, NoFeasiblePointError, require_int
 from .escape import DEFAULT_EPS, Analysis, run_stages
 from .network import Network
+from .powerflow import _HALVINGS
 
 BUDGET_TOL = 1e-9
 
@@ -206,9 +207,29 @@ _OBJECTIVES = {
 }
 
 
-def _candidate_analyses(base: Analysis, spec: DecisionSpec, thetas) -> list[Analysis]:
-    """Analyses of ``base.net`` with each theta written into the decision.
+#: cap on the cells of one stack of candidates, counted per row as
+#: (2n + m)^2 + 29 n: no matrix an analysis keeps is larger than (2n + m)^2,
+#: and its power flow tries 29 halvings of n phases at once.  Each of the few
+#: such arrays of a stack stays within 8 MiB at any network size; a ring5
+#: generation is one stack
+_STACK_CELLS = 1 << 20
 
+
+def _stage(kind: ObjectiveKind) -> str:
+    """The last stage of :func:`run_stages` that ``kind`` reads."""
+    if kind in CREP_KINDS:
+        return "report"
+    return "state" if kind in _STATE_ONLY_KINDS else "variance"
+
+
+def _analysed_candidates(base: Analysis, spec: DecisionSpec, thetas, through: str):
+    """Analyses of ``base.net`` with each theta written into the decision, in order.
+
+    Yields per theta its :class:`Analysis`, with the stages through
+    ``through`` filled, and the error of :func:`run_stages` (None where the
+    stages are filled).  The thetas are analysed in stacks of at most
+    ``_STACK_CELLS`` cells (see there), and each stack is released before
+    the next is built, so memory stays bounded for any count of thetas.
     Inertia and damping candidates take the base network's synchronous
     state, solved on first use, instead of solving the same power flow again.
     """
@@ -218,22 +239,18 @@ def _candidate_analyses(base: Analysis, spec: DecisionSpec, thetas) -> list[Anal
             state = base.state
         except METRIC_UNDEFINED:
             pass  # each candidate's own power flow fails the same way
-    return [Analysis(apply_decision(base.net, spec, theta), base.eps, state)
-            for theta in thetas]
+    net = base.net
+    rows = max(1, _STACK_CELLS // ((2 * net.n + net.m) ** 2 + _HALVINGS.size * net.n))
+    for start in range(0, len(thetas), rows):
+        analyses = [Analysis(apply_decision(net, spec, theta), base.eps, state)
+                    for theta in thetas[start:start + rows]]
+        yield from zip(analyses, run_stages(analyses, through))
+        del analyses
 
 
-def _natural_values(analyses: list[Analysis], kind: ObjectiveKind) -> list[float | None]:
-    """Objective value of each analysis, None where its metric is undefined.
-
-    The stages the objective reads run once over the whole stack (see
-    :func:`run_stages`).
-    """
-    if kind in CREP_KINDS:
-        stage = "report"
-    else:
-        stage = "state" if kind in _STATE_ONLY_KINDS else "variance"
-    errors = run_stages(analyses, stage)
-    return [_OBJECTIVES[kind](a) if error is None else None for a, error in zip(analyses, errors)]
+def _natural_value(analysis: Analysis, error, kind: ObjectiveKind) -> float | None:
+    """Objective value of an analysis, None where its metric is undefined."""
+    return None if error is not None else _OBJECTIVES[kind](analysis)
 
 
 def _penalty(kind: ObjectiveKind) -> float:
@@ -250,7 +267,9 @@ def evaluate_objective(net: Network, kind: ObjectiveKind, eps: float = DEFAULT_E
     the evaluation of one ``optimize`` candidate, on a stack of one.
     """
     kind = ObjectiveKind(kind)
-    (value,) = _natural_values([Analysis(net, eps)], kind)
+    analysis = Analysis(net, eps)
+    (error,) = run_stages([analysis], _stage(kind))
+    value = _natural_value(analysis, error, kind)
     return _penalty(kind) if value is None else value
 
 
@@ -327,8 +346,9 @@ def optimize(
         """Scores of a stack of candidates, best-so-far updated in stack order."""
         nonlocal evals
         scores = np.empty(len(thetas))
-        values = _natural_values(_candidate_analyses(base, spec, thetas), kind)
-        for j, natural in enumerate(values):
+        analysed = _analysed_candidates(base, spec, thetas, _stage(kind))
+        for j, (analysis, error) in enumerate(analysed):
+            natural = _natural_value(analysis, error, kind)
             evals += 1
             feasible = natural is not None
             if feasible:
@@ -447,9 +467,8 @@ def min_max_sigma_equivalence_check(
         )
         for _ in range(n_samples)
     ]
-    analyses = _candidate_analyses(base, spec, thetas)
     f_norms, s_norms = [], []
-    for analysis, error in zip(analyses, run_stages(analyses)):
+    for analysis, error in _analysed_candidates(base, spec, thetas, "report"):
         if error is not None:
             continue
         sigma2, f_omega = analysis.variance.sigma2_omega, analysis.report.f_omega

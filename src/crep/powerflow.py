@@ -60,15 +60,15 @@ def _mismatch(net: Network, power: np.ndarray, capacity: np.ndarray,
     it, then adds those of the lines entering it, in line order, so a row
     rounds as it would alone.
     """
-    gaps = phase[net.line_from] - phase[net.line_to]
+    gaps = phase.take(net.line_from, axis=0) - phase.take(net.line_to, axis=0)
     flow = capacity * np.sin(gaps)
     out = np.empty(phase.shape)
     out[...] = power
     leaving, entering = net.line_groups
     for nodes, lines in leaving:
-        out[nodes] -= flow[lines]
+        out[nodes] = out.take(nodes, axis=0) - flow.take(lines, axis=0)
     for nodes, lines in entering:
-        out[nodes] += flow[lines]
+        out[nodes] = out.take(nodes, axis=0) + flow.take(lines, axis=0)
     return out, gaps
 
 
@@ -115,21 +115,21 @@ def _converged_states(net: Network, phase: np.ndarray, norm: np.ndarray) -> list
     A column with a line gap outside the security domain gets an
     :class:`OutOfDomain` error instead.
     """
-    diffs = np.abs(phase[net.line_from] - phase[net.line_to])
+    diffs = np.abs(phase.take(net.line_from, axis=0) - phase.take(net.line_to, axis=0))
     outside = np.max(diffs, axis=0, initial=0.0) >= HALF_PI - DOMAIN_MARGIN
     gauged = (phase - phase[0]).T.copy()  # gauge: reference node at exactly 0
-    gaps = gauged[:, net.line_from] - gauged[:, net.line_to]
+    gaps = gauged.take(net.line_from, axis=1) - gauged.take(net.line_to, axis=1)
     gauged.flags.writeable = gaps.flags.writeable = False
     states = []
-    for j in range(norm.size):
-        if outside[j]:
+    for j, (leaves, residual) in enumerate(zip(outside.tolist(), norm.tolist())):
+        if leaves:
             worst = int(np.argmax(diffs[:, j]))
             states.append(OutOfDomain(
                 f"converged state leaves the security domain on line {worst + 1} "
                 f"(|gap| = {diffs[worst, j]:.6f} >= pi/2)"
             ))
         else:
-            states.append(SynchronousState(gauged[j], gaps[j], float(norm[j])))
+            states.append(SynchronousState(gauged[j], gaps[j], residual))
     return states
 
 
@@ -153,11 +153,17 @@ def solve_synchronous_states(
     norm = np.abs(mism).max(axis=0)
 
     def retire(leaving, verdicts):
-        """Record the verdicts of the rows in the mask ``leaving``; drop them."""
+        """Record the verdicts of the rows in the mask ``leaving``; drop them.
+
+        When no row is left the solve ends, and the arrays are not sliced.
+        """
         nonlocal rows, power, capacity, phase, mism, gaps, norm
         for row, verdict in zip(rows[leaving].tolist(), verdicts):
             results[row] = verdict
-        keep = slice(0) if leaving.all() else ~leaving  # a slice takes views
+        if leaving.all():
+            rows = rows[:0]
+            return
+        keep = ~leaving
         rows, power, capacity = rows[keep], power[:, keep], capacity[:, keep]
         phase, mism, gaps, norm = phase[:, keep], mism[:, keep], gaps[:, keep], norm[keep]
 
@@ -185,7 +191,7 @@ def solve_synchronous_states(
         trial_mism, trial_gaps = _mismatch(topology, power, capacity, trial)
         trial_norm = np.abs(trial_mism).max(axis=0)
         retry = (~(trial_norm < norm)).nonzero()[0]
-        stalled = retry[:0]
+        stalled = []
         if retry.size:
             tried = np.repeat(phase[:, None, retry], _HALVINGS.size, axis=1)
             tried[1:] += _HALVINGS[:, None] * step[:, None, retry]
@@ -202,19 +208,21 @@ def solve_synchronous_states(
             trial_mism[:, take] = tried_mism[:, halving, cols]
             trial_gaps[:, take] = tried_gaps[:, halving, cols]
             trial_norm[take] = tried_norm[halving, cols]
-            stalled = retry[~found]
+            stalled = retry[~found].tolist()
         errors = [
             NoConvergence(
                 f"no damped Newton step reduced the mismatch at iteration {iteration} "
                 f"(residual {norm[j]:.3e} > tol {TOL:.3e})"
             )
-            for j in stalled.tolist()
+            for j in stalled
         ]
         phase, mism, gaps, norm = trial, trial_mism, trial_gaps, trial_norm
         if errors:
             leaving = np.zeros(rows.size, dtype=bool)
             leaving[stalled] = True
             retire(leaving, errors)
+            if not rows.size:
+                break
     else:
         done = norm <= TOL
         retire(done, _converged_states(topology, phase[:, done], norm[done]))

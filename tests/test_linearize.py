@@ -21,7 +21,7 @@ from crep import (
     spectral_reduce,
 )
 
-from crep.linearize import modal_variances
+from crep.linearize import _eigh, modal_variances, uniform_damping_ratios
 from crep.powerflow import _cos_laplacian
 
 from conftest import random_connected_network, ring5_net, two_node_net
@@ -389,13 +389,21 @@ def _uniform_ratio_network(rng, trial):
                            damping=np.full(net.n, inertia * rng.uniform(0.2, 2.0)))
 
 
+def _zero_injection_ring(n):
+    """Ring of n equal lines without injections: every nonzero eigenvalue of
+    its Laplacian but the largest (even n) is double."""
+    lines = [(i + 1, (i + 1) % n + 1, 1.5) for i in range(n)]
+    return network_from_arrays([0.0] * n, [2.0] * n, [1.0] * n, [0.1] * n, lines)
+
+
 def test_uniform_damping_ratio_closed_form_matches_the_lyapunov_solve():
     rng = np.random.default_rng(16)
-    for trial in range(60):
-        net = _uniform_ratio_network(rng, trial)
+    # within the rings' double eigenvalues the eigensolver picks the basis of q_x
+    rings = [_zero_injection_ring(n) for n in (5, 8, 64)]
+    for net in [_uniform_ratio_network(rng, trial) for trial in range(60)] + rings:
         state = solve_synchronous_state(net)
         reference = solve_lyapunov(spectral_reduce(build_linearization(net, state), net))
-        (modal,) = modal_variances([net], [state])
+        (modal,) = modal_variances([net], [state], uniform_damping_ratios([net]))
         for field in ("sigma2_delta", "sigma2_omega", "min_re_mu"):
             np.testing.assert_allclose(getattr(modal, field), getattr(reference, field),
                                        rtol=1e-12, atol=0, err_msg=field)
@@ -408,6 +416,18 @@ def test_uniform_damping_ratio_closed_form_matches_the_lyapunov_solve():
         assert variance.min_re_mu == modal.min_re_mu
 
 
+def test_stacked_eigh_gives_the_bits_of_scipy_eigh():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 5, 30, 120):
+        sym = rng.normal(size=(3, n, n))
+        sym = sym + np.swapaxes(sym, 1, 2)
+        eigvals, vectors = _eigh(sym)
+        for j in range(3):
+            want_vals, want_vectors = scipy.linalg.eigh(sym[j])
+            assert eigvals[j].tobytes() == want_vals.tobytes()
+            assert vectors[j].tobytes() == want_vectors.tobytes()
+
+
 def test_closed_form_answers_a_stiff_network_the_lyapunov_solve_rejects():
     # two-node network, capacity 2e8, uniform ratio: trsyl would perturb it,
     # the closed form gives the exact frequency variances b^2 / (2 m d)
@@ -415,13 +435,14 @@ def test_closed_form_answers_a_stiff_network_the_lyapunov_solve_rejects():
     state = solve_synchronous_state(net)
     with pytest.raises(LyapunovSolveError):
         solve_lyapunov(spectral_reduce(build_linearization(net, state), net))
-    (modal,) = modal_variances([net], [state])
+    (modal,) = modal_variances([net], [state], uniform_damping_ratios([net]))
     assert modal.sigma2_omega == pytest.approx([0.005, 0.005], rel=1e-9)
     assert modal.min_re_mu == pytest.approx(0.5, rel=1e-12)
 
 
 def test_closed_form_rejects_a_marginally_stable_state():
     net = two_node_net(p=0.0, cap=1e-14, noise=(0.1, 0.1))
-    (result,) = modal_variances([net], [solve_synchronous_state(net)])
+    (result,) = modal_variances([net], [solve_synchronous_state(net)],
+                                 uniform_damping_ratios([net]))
     assert isinstance(result, DegenerateSystemError)
     assert "marginally stable" in str(result)

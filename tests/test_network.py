@@ -442,6 +442,17 @@ def test_derived_network_raises_what_the_constructor_raises(field, bad):
     assert str(derived.value) == str(built.value)
 
 
+def test_derived_network_shares_only_its_fields_and_line_end_caches():
+    # a cache of a parameter array must not follow into a copy that replaces it
+    net = random_connected_network(np.random.default_rng(13))
+    net.incidence_array
+    derived = net.with_arrays(capacity=2.0 * net.capacity)
+    fields = {"power", "inertia", "damping", "noise", "line_from", "line_to", "capacity"}
+    assert set(derived.__dict__) == fields | {"line_ends", "line_groups"}
+    assert derived.line_groups is net.line_groups and derived.line_ends is net.line_ends
+    assert np.array_equal(derived.incidence_array, net.incidence_array)
+
+
 def test_balance_is_the_sequential_float_sum():
     # the tolerance applies to Python's left-to-right sum, which is exactly 0
     # here; numpy's pairwise sum of the same ten entries is 2

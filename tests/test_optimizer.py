@@ -406,6 +406,34 @@ def test_machine_parameter_searches_solve_the_power_flow_once(monkeypatch, varia
                  search=SearchConfig(seed=0, max_evals=30))
 
 
+def test_searches_in_small_stacks_give_the_results_of_whole_generations(monkeypatch):
+    # a cap of three ring5 rows ((2n + m)^2 + 29n = 370 cells each) splits
+    # every generation of 75 into stacks; rows are independent, so neither the
+    # search nor the sampled check moves by a bit
+    net = ring5_net()
+    spec = DecisionSpec("line_capacity", tuple(range(1, 6)), 5.0,
+                        np.full(5, 0.2), np.full(5, 3.0))
+    search = SearchConfig(seed=3, max_evals=300)
+
+    def run():
+        return (optimize(net, spec, ObjectiveKind.crep_phi_delta, search=search),
+                min_max_sigma_equivalence_check(net, spec, n_samples=40))
+
+    whole, whole_check = run()
+    sizes = []
+    run_stages = crep.optimizer.run_stages
+    monkeypatch.setattr(crep.optimizer, "run_stages",
+                        lambda analyses, through: sizes.append(len(analyses))
+                        or run_stages(analyses, through))
+    monkeypatch.setattr(crep.optimizer, "_STACK_CELLS", 3 * 370 + 10)
+    split, split_check = run()
+    assert max(sizes) == 3 and sizes.count(3) > 100
+    assert split.theta.tobytes() == whole.theta.tobytes()
+    assert split.history == whole.history and split.evaluations == whole.evaluations
+    assert split.objective_final == whole.objective_final
+    assert split_check == whole_check
+
+
 def test_no_feasible_point_error():
     net = two_node_net(p=1.0, cap=2.0, noise=(0.1, 0.1))
     # every reachable capacity is below the transferred power

@@ -153,8 +153,7 @@ def cmd_analyze(args) -> int:
     analysis = Analysis(net, args.eps)
     timings = {}
     total_start = time.perf_counter()
-    for key, stage in (("power_flow", "state"), ("linearize", "reduction"),
-                       ("variance", "variance")):
+    for key, stage in (("power_flow", "state"), ("variance", "variance")):
         start = time.perf_counter()
         getattr(analysis, stage)
         timings[key] = time.perf_counter() - start

@@ -17,13 +17,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .linearize import (
-    LinearizedModel,
-    SpectralReduction,
     VarianceReport,
-    build_linearization,
+    cos_laplacians,
     modal_variances,
+    reduce_stack,
     solve_lyapunov,
-    spectral_reduce,
     uniform_damping_ratios,
 )
 from .errors import METRIC_UNDEFINED, ConfigError, CrepError
@@ -158,18 +156,19 @@ def crep_reports(
 class Analysis:
     """The metric pipeline of one network, each stage computed on first read.
 
-    ``state`` -> ``model`` -> ``reduction`` -> ``variance`` -> ``report``:
-    power flow, linearization, spectral reduction, Lyapunov solve and escape
-    probabilities.  Reading a stage runs the stages it depends on, once; a
-    stage's errors (see :func:`crep`) surface on the read that runs it.  An
-    ``eps`` that is not finite and > 0 raises :class:`ConfigError` at once.
+    ``state`` -> ``variance`` -> ``report``: power flow, invariant variance
+    and escape probabilities.  Reading a stage runs the stages it depends
+    on, once; a stage's errors (see :func:`crep`) surface on the read that
+    runs it.  An ``eps`` that is not finite and > 0 raises
+    :class:`ConfigError` at once.
 
-    ``variance`` takes its path from the parameters: a network whose damping
-    ratio d_i / m_i is the same at every node gets the closed form of
-    :func:`~crep.linearize.modal_variances` and never reads ``model`` or
-    ``reduction``; any other network gets ``solve_lyapunov(reduction)``.
-    Each stage is the stacked stage of :func:`run_stages` run on a stack of
-    one, so a network analysed alone and in a stack gives the same bits.
+    ``variance`` reduces the linearization at the state spectrally
+    (:func:`~crep.linearize.reduce_stack`) and takes its solver from the
+    parameters: a network whose damping ratio d_i / m_i is the same at every
+    node gets the closed form of :func:`~crep.linearize.modal_variances`,
+    any other network :func:`~crep.linearize.solve_lyapunov`.  Each stage is
+    the stacked stage of :func:`run_stages` run on a stack of one, so a
+    network analysed alone and in a stack gives the same bits.
 
     ``solved_state``, if given, is taken as ``state`` without a power-flow
     solve.  It must be the state of a network with the same injections,
@@ -192,14 +191,6 @@ class Analysis:
         return solve_synchronous_state(self.net)
 
     @cached_property
-    def model(self) -> LinearizedModel:
-        return build_linearization(self.net, self.state)
-
-    @cached_property
-    def reduction(self) -> SpectralReduction:
-        return spectral_reduce(self.model, self.net)
-
-    @cached_property
     def variance(self) -> VarianceReport:
         (result,) = _variances([self])
         if isinstance(result, CrepError):
@@ -219,24 +210,25 @@ class Analysis:
 def _variances(analyses: Sequence[Analysis]) -> list[VarianceReport | CrepError]:
     """Variance stage of analyses whose states are solved, by path.
 
-    The uniform-damping-ratio rows run as one stack of the closed form; the
-    others run the Schur path one at a time.  Returns per analysis its report
-    or its :data:`~crep.errors.METRIC_UNDEFINED` error.
+    The stack is reduced once.  Its uniform-damping-ratio rows run as one
+    stack of the closed form, the others the Schur path one at a time.
+    Returns per analysis its report or :data:`~crep.errors.METRIC_UNDEFINED` error.
     """
-    results: list = [None] * len(analyses)
-    gamma = uniform_damping_ratios([a.net for a in analyses])
-    modal = []
-    for j, ratio in enumerate(gamma.tolist()):
-        if not math.isnan(ratio):
-            modal.append(j)
-            continue
-        try:
-            results[j] = solve_lyapunov(analyses[j].reduction)
-        except METRIC_UNDEFINED as exc:
-            results[j] = exc
+    nets = [a.net for a in analyses]
+    reduction, results = reduce_stack(cos_laplacians(nets, [a.state for a in analyses]), nets)
+    gamma = uniform_damping_ratios(nets)
+    rows = [j for j, error in enumerate(results) if error is None]
+    modal = [j for j in rows if not math.isnan(gamma[j])]
+    for j in rows:
+        if math.isnan(gamma[j]):
+            try:
+                results[j] = solve_lyapunov(reduction.spectral_reduction(j, nets[j]))
+            except METRIC_UNDEFINED as exc:
+                results[j] = exc
     if modal:
-        rows = [analyses[j] for j in modal]
-        solved = modal_variances([a.net for a in rows], [a.state for a in rows], gamma[modal])
+        if len(modal) < len(nets):
+            reduction = reduction.take(modal)
+        solved = modal_variances(reduction, gamma[modal])
         for j, result in zip(modal, solved):
             results[j] = result
     return results

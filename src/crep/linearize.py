@@ -5,16 +5,18 @@ The swing dynamics linearized at the synchronous state form a degenerate
 output (line phase gaps and node frequencies) does.  Transforming with the
 orthogonal eigenbasis of ``M^{-1/2} L_c M^{-1/2}`` isolates the structural
 zero mode in the first coordinate; dropping that coordinate leaves a Hurwitz
-(2n-1)-dimensional system whose Lyapunov equation yields the stationary
-output covariance; the real Schur form that solves it also gives the
-slowest decay rate min |Re mu|.  When the damping ratio d_i / m_i is the
-same at every node the modes decouple in pairs, and
-:func:`modal_variances` gives the same report in closed form, for a stack
-of networks at once.
+(2n-1)-dimensional system.  :func:`reduce_stack` computes that reduction
+for a stack of networks at once, and both variance solvers read it: when
+the damping ratio d_i / m_i is the same at every node the modes decouple in
+pairs and :func:`modal_variances` gives the stationary covariances in closed
+form; otherwise :func:`solve_lyapunov` solves the Lyapunov equation of the
+reduced system, whose real Schur form also gives the slowest decay rate
+min |Re mu|.  :func:`spectral_reduce` is the same reduction on a stack of
+one network.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +53,39 @@ class SpectralReduction:
 
 
 @dataclass(frozen=True)
+class StackedReduction:
+    """Spectral reductions of a stack of networks, one row each: the fields of
+    :class:`SpectralReduction` but the reduced system matrix, which depends
+    on the damping and only the Schur path builds (:meth:`spectral_reduction`)."""
+
+    eigenvalues: np.ndarray     # (B, n) ascending, eigenvalues[:, 0] == 0
+    eigenvectors: np.ndarray    # (B, n, n) orthogonal columns
+    reduced_input: np.ndarray   # (B, 2n-1, n)
+    reduced_output: np.ndarray  # (B, m+n, 2n-1)
+
+    def take(self, rows) -> StackedReduction:
+        """The reduction of the given rows of the stack, in their order."""
+        return StackedReduction(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def spectral_reduction(self, j: int, net: Network) -> SpectralReduction:
+        """Row j with the reduced system matrix A2 of ``net``, the network of the row."""
+        n = net.n
+        eigvals, vectors = self.eigenvalues[j], self.eigenvectors[j]
+        damping_term = vectors.T @ ((net.damping / net.inertia)[:, None] * vectors)
+        a_e = np.zeros((2 * n, 2 * n))
+        a_e[:n, n:] = np.eye(n)
+        a_e[n:, :n] = -np.diag(eigvals)
+        a_e[n:, n:] = -damping_term
+        return SpectralReduction(
+            eigenvalues=eigvals,
+            eigenvectors=vectors,
+            reduced_sys=a_e[1:, 1:],
+            reduced_input=self.reduced_input[j],
+            reduced_output=self.reduced_output[j],
+        )
+
+
+@dataclass(frozen=True)
 class VarianceReport:
     """Stationary covariances of the reduced state and of the output."""
 
@@ -84,8 +119,8 @@ def _eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Every matrix goes through the LAPACK call of ``scipy.linalg.eigh`` (``syevr``
     on the lower triangle, with the workspace its query returns) and gets its
-    bits, so the closed form and the Schur path share one eigenbasis, within
-    a repeated eigenvalue too.  Raises ``LinAlgError`` where ``eigh`` would.
+    bits, so a row's eigenbasis does not depend on its stack, within a
+    repeated eigenvalue too.  Raises ``LinAlgError`` where ``eigh`` would.
     """
     n = sym.shape[-1]
     work, iwork, info = _SYEVR_LWORK(n, lower=1)
@@ -98,25 +133,6 @@ def _eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             raise np.linalg.LinAlgError(f"syevr failed to converge: {info}")
         eigvals[j], vectors[j] = w, v
     return eigvals, vectors
-
-
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so the first non-negligible entry is positive.
-
-    ``vectors`` is one (n, n) basis or a stack of them.
-    """
-    large = np.abs(vectors) > 1e-12
-    # the first large entry of a column is the one whose running count is 1
-    first = large & (large.cumsum(axis=-2) == 1)
-    flip = (first & (vectors < 0.0)).any(axis=-2, keepdims=True)
-    return np.where(flip, -vectors, vectors)
-
-
-def _mass_scaled(laplacian: np.ndarray, inertia: np.ndarray) -> np.ndarray:
-    """M^{-1/2} L M^{-1/2}, symmetrized; one network or a stack of them."""
-    inv_sqrt_m = 1.0 / np.sqrt(inertia)
-    sym = inv_sqrt_m[..., :, None] * laplacian * inv_sqrt_m[..., None, :]
-    return 0.5 * (sym + np.swapaxes(sym, -1, -2))
 
 
 def _deflate(eigvals: np.ndarray) -> list[DegenerateSystemError | None]:
@@ -142,52 +158,59 @@ def _deflate(eigvals: np.ndarray) -> list[DegenerateSystemError | None]:
     return errors
 
 
-def _reduced_output(scaled_vectors: np.ndarray, line_from: np.ndarray,
-                    line_to: np.ndarray) -> np.ndarray:
-    """Output map (line gaps, then node frequencies) of the deflated state.
+def cos_laplacians(nets: Sequence[Network], states: Sequence[SynchronousState]) -> np.ndarray:
+    """(B, n, n) stack of ``build_linearization(nets[j], states[j]).laplacian``."""
+    gaps = np.array([state.output_phase_diffs for state in states])
+    weights = np.array([net.capacity for net in nets]) * np.cos(gaps)
+    return _laplacian(weights.T, nets[0]).transpose(2, 0, 1)
 
-    ``scaled_vectors`` is M^{-1/2} U for one network or a stack of them.
+
+def reduce_stack(
+    laplacians: np.ndarray, nets: Sequence[Network]
+) -> tuple[StackedReduction, list[DegenerateSystemError | None]]:
+    """Diagonalize the mass-scaled Laplacians of a stack and deflate their zero modes.
+
+    ``laplacians`` holds each network's cosine-weighted Laplacian (see
+    :func:`cos_laplacians`); the networks share their node count and line
+    ends, and each row has the bits it has in a stack of one.  Returns the
+    reduction and, per row, None or its :class:`DegenerateSystemError` (see
+    :func:`_deflate`); such a row is no input of either variance solver.
     """
-    n, m = scaled_vectors.shape[-1], line_from.size
-    c_e = np.zeros(scaled_vectors.shape[:-2] + (m + n, 2 * n))
-    c_e[..., :m, :n] = scaled_vectors[..., line_from, :] - scaled_vectors[..., line_to, :]
-    c_e[..., m:, n:] = scaled_vectors
-    return c_e[..., 1:]
+    net = nets[0]
+    n, m = net.n, net.m
+    inv_sqrt_m = 1.0 / np.sqrt([row.inertia for row in nets])
+    noise = np.array([row.noise for row in nets])
+    sym = inv_sqrt_m[:, :, None] * laplacians * inv_sqrt_m[:, None, :]
+    eigvals, vectors = _eigh(0.5 * (sym + np.swapaxes(sym, -1, -2)))
+    errors = _deflate(eigvals)
+    # flip each eigenvector so that its first non-negligible entry is positive;
+    # the first large entry of a column is the one whose running count is 1
+    large = np.abs(vectors) > 1e-12
+    first = large & (large.cumsum(axis=-2) == 1)
+    flip = (first & (vectors < 0.0)).any(axis=-2, keepdims=True)
+    vectors = np.where(flip, -vectors, vectors)
+
+    b_e = np.zeros((len(nets), 2 * n, n))
+    b_e[:, n:, :] = np.swapaxes(vectors, -1, -2) * (inv_sqrt_m * noise)[:, None, :]
+    # output map of the deflated state: line gaps, then node frequencies
+    scaled = inv_sqrt_m[:, :, None] * vectors
+    c_e = np.zeros((len(nets), m + n, 2 * n))
+    c_e[:, :m, :n] = scaled[:, net.line_from, :] - scaled[:, net.line_to, :]
+    c_e[:, m:, n:] = scaled
+    return StackedReduction(eigenvalues=eigvals, eigenvectors=vectors,
+                            reduced_input=b_e[:, 1:, :], reduced_output=c_e[:, :, 1:]), errors
 
 
 def spectral_reduce(model: LinearizedModel, net: Network) -> SpectralReduction:
     """Diagonalize the mass-scaled Laplacian and deflate the zero mode.
 
-    Raises :class:`DegenerateSystemError` when the second smallest eigenvalue
-    is numerically zero (marginally stable state, variance undefined).
+    :func:`reduce_stack` on a stack of one, with the reduced system matrix.
+    Raises the :class:`DegenerateSystemError` of a marginally stable state.
     """
-    n = net.n
-    eigvals, vectors = _eigh(_mass_scaled(model.laplacian, net.inertia)[None])
-    (error,) = _deflate(eigvals)
+    reduction, (error,) = reduce_stack(model.laplacian[None], [net])
     if error is not None:
         raise error
-    eigvals = eigvals[0]
-    vectors = _fix_signs(vectors[0])
-    inv_sqrt_m = 1.0 / np.sqrt(net.inertia)
-
-    damping_term = vectors.T @ ((net.damping / net.inertia)[:, None] * vectors)
-    a_e = np.zeros((2 * n, 2 * n))
-    a_e[:n, n:] = np.eye(n)
-    a_e[n:, :n] = -np.diag(eigvals)
-    a_e[n:, n:] = -damping_term
-
-    b_e = np.zeros((2 * n, n))
-    b_e[n:, :] = vectors.T * (inv_sqrt_m * net.noise)[None, :]
-
-    return SpectralReduction(
-        eigenvalues=eigvals,
-        eigenvectors=vectors,
-        reduced_sys=a_e[1:, 1:],
-        reduced_input=b_e[1:, :],
-        reduced_output=_reduced_output(
-            inv_sqrt_m[:, None] * vectors, net.line_from, net.line_to
-        ),
-    )
+    return reduction.spectral_reduction(0, net)
 
 
 def solve_lyapunov(reduction: SpectralReduction) -> VarianceReport:
@@ -258,19 +281,19 @@ def uniform_damping_ratios(nets: Sequence[Network]) -> np.ndarray:
     return np.where((ratio == ratio[:, :1]).all(axis=1), ratio[:, 0], np.nan)
 
 
-def modal_variances(
-    nets: Sequence[Network], states: Sequence[SynchronousState], gamma: np.ndarray
-) -> list[VarianceReport | DegenerateSystemError]:
+def modal_variances(reduction: StackedReduction, gamma: np.ndarray) -> list[VarianceReport]:
     """Stationary variances, in closed form, of networks with a uniform damping ratio.
 
-    ``gamma`` holds each network's ratio d_i / m_i, the same at all of its
-    nodes (see :func:`uniform_damping_ratios`).  The modal damping term is
+    ``reduction`` is the :func:`reduce_stack` reduction of networks whose
+    every row has its structural zero mode (no :class:`DegenerateSystemError`),
+    and ``gamma`` holds each network's ratio d_i / m_i, the same at all of
+    its nodes (see :func:`uniform_damping_ratios`).  The modal damping term is
     then gamma I, so in the eigenbasis (lambda, U) of M^{-1/2} L_c M^{-1/2}
     each pair of modes decouples (Poolla, Bolognani & Dorfler 2017).  With
-    S = U^T diag(b^2/m) U the modal forcing, the covariances of the mode
-    positions (P), of position and velocity (X) and of the velocities (V)
-    are, for modes i, j >= 1 and the zero mode 0 (which has a velocity
-    only)::
+    S = U^T diag(b^2/m) U the modal forcing (the velocity rows of B2 B2^T),
+    the covariances of the mode positions (P), of position and velocity (X)
+    and of the velocities (V) are, for modes i, j >= 1 and the zero mode 0
+    (which has a velocity only)::
 
         P_ij = 2 gamma S_ij / (2 gamma^2 (lambda_i + lambda_j) + (lambda_i - lambda_j)^2)
         X_ij = (lambda_i - lambda_j) P_ij / (2 gamma)
@@ -280,31 +303,13 @@ def modal_variances(
 
     and mode j decays at |Re mu| = gamma / 2 when 4 lambda_j > gamma^2,
     else lambda_j / (gamma / 2 + sqrt(gamma^2 / 4 - lambda_j)); the zero mode
-    at gamma.  The networks share their node count and line ends, and a
-    row's result does not depend on the stack.  Returns, per network, its
-    report (the fields of :func:`solve_lyapunov`'s, in the coordinates of
-    the same eigenbasis) or the :class:`DegenerateSystemError` that
-    :func:`spectral_reduce` would raise.
+    at gamma.  A row's result does not depend on the stack.  Returns, per
+    network, its report: the fields of :func:`solve_lyapunov`'s, in the
+    coordinates of the same eigenbasis.
     """
-    n, line_from, line_to = nets[0].n, nets[0].line_from, nets[0].line_to
-    inertia = np.array([net.inertia for net in nets])
-    noise = np.array([net.noise for net in nets])
-    gaps = np.array([state.output_phase_diffs for state in states])
-    weights = (np.array([net.capacity for net in nets]) * np.cos(gaps)).T
-    laplacian = _laplacian(weights, nets[0]).transpose(2, 0, 1)
-    lam, vectors = _eigh(_mass_scaled(laplacian, inertia))
-
-    results = _deflate(lam)
-    valid = [j for j, error in enumerate(results) if error is None]
-    if not valid:
-        return results
-    if len(valid) < len(nets):
-        gamma, lam, inertia, noise = gamma[valid], lam[valid], inertia[valid], noise[valid]
-        vectors = vectors[valid]
-    vectors = _fix_signs(vectors)
-    inv_sqrt_m = 1.0 / np.sqrt(inertia)
-
-    forcing = np.swapaxes(vectors, -1, -2) * (inv_sqrt_m * noise)[:, None, :]
+    lam = reduction.eigenvalues
+    n = lam.shape[1]
+    forcing = reduction.reduced_input[:, n - 1:, :]
     s = forcing @ np.swapaxes(forcing, -1, -2)
     s = 0.5 * (s + np.swapaxes(s, -1, -2))
     g = gamma[:, None, None]
@@ -316,7 +321,7 @@ def modal_variances(
     v[:, 0, 1:] = gamma[:, None] * s[:, 0, 1:] / (2.0 * gamma[:, None] ** 2 + lam[:, 1:])
     v[:, 1:, 0] = v[:, 0, 1:]
     v[:, 0, 0] = s[:, 0, 0] / (2.0 * gamma)
-    q_x = np.empty((len(valid), 2 * n - 1, 2 * n - 1))
+    q_x = np.empty((len(lam), 2 * n - 1, 2 * n - 1))
     q_x[:, : n - 1, : n - 1] = p
     q_x[:, : n - 1, n:] = gap * p / (2.0 * g)
     q_x[:, : n - 1, n - 1] = v[:, 1:, 0] / gamma[:, None]
@@ -329,8 +334,4 @@ def modal_variances(
         slack < 0.0, half, lam[:, 1:] / (half + np.sqrt(np.maximum(slack, 0.0)))
     )
     min_re_mu = np.minimum(gamma, rates.min(axis=1, initial=np.inf))
-
-    c2 = _reduced_output(inv_sqrt_m[:, :, None] * vectors, line_from, line_to)
-    for j, report in zip(valid, _output_variances(q_x, c2, min_re_mu)):
-        results[j] = report
-    return results
+    return _output_variances(q_x, reduction.reduced_output, min_re_mu)

@@ -457,7 +457,12 @@ def min_max_sigma_equivalence_check(
     component of the frequency escape probabilities against the argmax of the
     frequency variances; then compares the across-sample ordering of the two
     infinity norms.  Returns True iff all sampled pairs agree.
+
+    Raises :class:`ConfigError` unless ``n_samples`` is an int >= 1 and ``seed``
+    an int >= 0, and :class:`NoFeasiblePointError` if no sample has a state.
     """
+    require_int(n_samples, "n_samples", 1)
+    require_int(seed, "seed", 0)
     validate_spec(net, spec)
     base = Analysis(net, eps)
     rng = np.random.default_rng(seed)
@@ -476,6 +481,8 @@ def min_max_sigma_equivalence_check(
             return False
         f_norms.append(float(np.max(f_omega)))
         s_norms.append(float(np.max(sigma2)))
+    if not f_norms:
+        raise NoFeasiblePointError("no sampled candidate admitted an in-domain synchronous state")
     order_f = np.argsort(np.array(f_norms), kind="stable")
     order_s = np.argsort(np.array(s_norms), kind="stable")
     return bool(np.array_equal(order_f, order_s))

@@ -77,8 +77,7 @@ def test_analyze_report_reproduces_the_stagewise_pipeline(tmp_path):
         assert doc["crep"] == expected
         assert doc["state"]["phase"] == state.phase.tolist()
         assert doc["metrics"]["min_re_mu"] == variance.min_re_mu
-        assert list(doc["timings"]) == ["power_flow", "linearize", "variance", "metrics",
-                                        "total"]
+        assert list(doc["timings"]) == ["power_flow", "variance", "metrics", "total"]
 
 
 def _sweep_column(tmp_path, netfile, param, spec, metric="phi_delta"):

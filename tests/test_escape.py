@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -237,18 +238,25 @@ def test_every_entry_point_reproduces_the_stagewise_pipeline(eps):
         assert bundle.cohesiveness == crep.phase_cohesiveness(state)
 
 
-@pytest.mark.parametrize("damping", [(0.8,) * 5, (0.8, 0.9, 0.7, 1.0, 0.6)],
-                         ids=["uniform-ratio", "mixed-ratio"])
-def test_a_stack_gives_the_bits_of_its_rows_alone(damping):
+UNIFORM_DAMPING, MIXED_DAMPING = (0.8,) * 5, (0.8, 0.9, 0.7, 1.0, 0.6)
+
+
+@pytest.mark.parametrize("dampings", [[UNIFORM_DAMPING], [MIXED_DAMPING],
+                                      [UNIFORM_DAMPING, MIXED_DAMPING]],
+                         ids=["uniform-ratio", "mixed-ratio", "interleaved"])
+def test_a_stack_gives_the_bits_of_its_rows_alone(dampings):
     # one DE generation of ring5 line capacities, about a third of them
-    # without a state; uniform damping takes the closed form, mixed the Schur path
-    net = ring5_net().with_arrays(damping=np.array(damping))
+    # without a state; uniform damping takes the closed form, mixed the Schur
+    # path, and the interleaved rows alternate them, so one stack's shared
+    # reduction is split between the two solvers
+    nets = [ring5_net().with_arrays(damping=np.array(damping)) for damping in dampings]
     spec = crep.DecisionSpec("line_capacity", tuple(range(1, 6)), 5.0,
                              np.full(5, 0.2), np.full(5, 3.0))
     rng = np.random.default_rng(40)
     thetas = [crep.project_to_budget_box(x, spec.lower, spec.upper, spec.budget)
               for x in rng.uniform(0.2, 3.0, (75, 5))]
-    stack = [crep.Analysis(crep.apply_decision(net, spec, t)) for t in thetas]
+    stack = [crep.Analysis(crep.apply_decision(nets[j % len(nets)], spec, t))
+             for j, t in enumerate(thetas)]
     errors = crep.escape.run_stages(stack)
     infeasible = 0
     for analysis, error in zip(stack, errors):
@@ -271,8 +279,32 @@ def test_a_stack_gives_the_bits_of_its_rows_alone(damping):
 def test_analysis_runs_each_stage_once():
     analysis = crep.Analysis(random_connected_network(np.random.default_rng(37)))
     assert analysis.report is analysis.report
-    assert analysis.model is analysis.model
-    assert analysis.reduction is analysis.reduction
+
+
+@pytest.mark.parametrize("damping", [UNIFORM_DAMPING, MIXED_DAMPING],
+                         ids=["uniform-ratio", "mixed-ratio"])
+def test_the_pipeline_never_builds_the_jacobian(monkeypatch, damping):
+    # both variance solvers read the spectral reduction of the Laplacian;
+    # the 2n x 2n system matrix of build_linearization is for callers only
+    original = crep.build_linearization
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build_linearization called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "crep" and getattr(module, "build_linearization",
+                                                    None) is original:
+            monkeypatch.setattr(module, "build_linearization", forbidden)
+    net = ring5_net().with_arrays(damping=np.array(damping))
+    crep_metric(net)
+    crep.metrics_bundle(net)
+    for kind in crep.ObjectiveKind:
+        crep.evaluate_objective(net, kind)
+    spec = crep.DecisionSpec("line_capacity", tuple(range(1, 6)), 5.0,
+                             np.full(5, 0.2), np.full(5, 3.0))
+    result = crep.optimize(net, spec, crep.ObjectiveKind.crep_phi_delta,
+                           search=crep.SearchConfig(seed=0, max_evals=150))
+    assert result.feasible
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.02])

@@ -21,7 +21,13 @@ from crep import (
     spectral_reduce,
 )
 
-from crep.linearize import _eigh, modal_variances, uniform_damping_ratios
+from crep.linearize import (
+    _eigh,
+    cos_laplacians,
+    modal_variances,
+    reduce_stack,
+    uniform_damping_ratios,
+)
 from crep.powerflow import _cos_laplacian
 
 from conftest import random_connected_network, ring5_net, two_node_net
@@ -403,7 +409,8 @@ def test_uniform_damping_ratio_closed_form_matches_the_lyapunov_solve():
     for net in [_uniform_ratio_network(rng, trial) for trial in range(60)] + rings:
         state = solve_synchronous_state(net)
         reference = solve_lyapunov(spectral_reduce(build_linearization(net, state), net))
-        (modal,) = modal_variances([net], [state], uniform_damping_ratios([net]))
+        reduction, _ = reduce_stack(cos_laplacians([net], [state]), [net])
+        (modal,) = modal_variances(reduction, uniform_damping_ratios([net]))
         for field in ("sigma2_delta", "sigma2_omega", "min_re_mu"):
             np.testing.assert_allclose(getattr(modal, field), getattr(reference, field),
                                        rtol=1e-12, atol=0, err_msg=field)
@@ -435,14 +442,14 @@ def test_closed_form_answers_a_stiff_network_the_lyapunov_solve_rejects():
     state = solve_synchronous_state(net)
     with pytest.raises(LyapunovSolveError):
         solve_lyapunov(spectral_reduce(build_linearization(net, state), net))
-    (modal,) = modal_variances([net], [state], uniform_damping_ratios([net]))
+    reduction, _ = reduce_stack(cos_laplacians([net], [state]), [net])
+    (modal,) = modal_variances(reduction, uniform_damping_ratios([net]))
     assert modal.sigma2_omega == pytest.approx([0.005, 0.005], rel=1e-9)
     assert modal.min_re_mu == pytest.approx(0.5, rel=1e-12)
 
 
 def test_closed_form_rejects_a_marginally_stable_state():
     net = two_node_net(p=0.0, cap=1e-14, noise=(0.1, 0.1))
-    (result,) = modal_variances([net], [solve_synchronous_state(net)],
-                                 uniform_damping_ratios([net]))
-    assert isinstance(result, DegenerateSystemError)
-    assert "marginally stable" in str(result)
+    assert not np.isnan(uniform_damping_ratios([net])[0])
+    with pytest.raises(DegenerateSystemError, match="marginally stable"):
+        crep_package.Analysis(net).variance

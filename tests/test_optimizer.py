@@ -260,7 +260,7 @@ def test_state_only_objectives_never_linearize():
     # a marginally stable state: the state exists, its reduction does not
     degenerate = two_node_net(p=0.0, cap=1e-14, noise=(0.1, 0.1))
     with pytest.raises(crep.DegenerateSystemError):
-        crep.Analysis(degenerate).reduction
+        crep.Analysis(degenerate).variance
     assert evaluate_objective(degenerate, ObjectiveKind.phase_cohesiveness) == 0.0
     assert evaluate_objective(degenerate, ObjectiveKind.order_parameter) == 1.0
     assert evaluate_objective(degenerate, ObjectiveKind.trace_q_delta) == math.inf
@@ -473,6 +473,29 @@ def test_min_max_sigma_equivalence_on_ring():
     spec = DecisionSpec("damping", tuple(range(1, 6)), 4.0,
                         np.full(5, 0.4), np.full(5, 2.0))
     assert min_max_sigma_equivalence_check(net, spec, n_samples=50, seed=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_samples", 0), ("n_samples", -3), ("n_samples", True), ("n_samples", 2.5),
+    ("seed", -1),
+])
+def test_min_max_sigma_equivalence_rejects_bad_sample_count_and_seed(field, value):
+    spec = DecisionSpec("damping", tuple(range(1, 6)), 4.0,
+                        np.full(5, 0.4), np.full(5, 2.0))
+    with pytest.raises(crep.ConfigError, match=field):
+        min_max_sigma_equivalence_check(ring5_net(), spec, **{field: value})
+
+
+def test_min_max_sigma_equivalence_without_a_sampled_state_is_no_feasible_point():
+    # every capacity split of 0.5 is too weak for ring5's flows
+    net = ring5_net()
+    spec = DecisionSpec("line_capacity", tuple(range(1, 6)), 0.5,
+                        np.full(5, 0.05), np.full(5, 0.2))
+    with pytest.raises(NoFeasiblePointError):
+        optimize(net, spec, ObjectiveKind.crep_phi_delta,
+                 search=SearchConfig(seed=0, max_evals=60))
+    with pytest.raises(NoFeasiblePointError):
+        min_max_sigma_equivalence_check(net, spec, n_samples=20)
 
 
 def test_min_max_sigma_equivalence_single_noise_source():

@@ -81,7 +81,6 @@ from .optimizer import (
 from .powerflow import (
     SynchronousState,
     solve_synchronous_state,
-    synchronous_output,
 )
 
 __version__ = "0.1.0"

@@ -14,9 +14,9 @@ contiguous rows, per-node coefficients broadcast as columns, and the
 components a step checks for exits are one contiguous block of rows.  Each
 step computes the line gaps once: the gaps checked for exits at step s are
 the ones the coupling of step s+1 needs.  The coupling is one sparse product
-with the signed node-line incidence matrix, whose sorted CSR indices make
-every node add its lines' flows in line order from 0, with the rounding of a
-per-line loop.  A column is dropped as soon as its trajectory exits, so a step
+with the signed node-line incidence matrix ``Network.incidence``, whose
+sorted CSR indices make every node add its lines' flows in line order from 0,
+with the rounding of a per-line loop.  A column is dropped as soon as its trajectory exits, so a step
 costs work only for the trajectories still running.
 
 A step's ``2n`` uniforms come from one broadcast add, since value ``k`` of a
@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import sparse
+
+from .network import Network
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -41,7 +42,6 @@ _SH11 = np.uint64(11)
 _ONE = np.uint64(1)
 _INV53 = 2.0**-53
 _TWO_PI = 6.283185307179586
-_HALF_PI = 1.5707963267948966
 
 
 def _mix_inplace(z):
@@ -98,46 +98,28 @@ def _normals_vec(states, offsets):
     return u1
 
 
-def _incidence(n, line_from, line_to):
-    """Signed node-line incidence, n x m CSR: +1 at (from, k), -1 at (to, k)."""
-    m = line_from.shape[0]
-    lines = np.arange(m)
-    inc = sparse.csr_array(
-        (np.repeat([1.0, -1.0], m),
-         (np.concatenate((line_from, line_to)), np.concatenate((lines, lines)))),
-        shape=(n, m),
-    )
-    inc.sort_indices()
-    return inc
-
-
 def simulate_chunk(
     lo: int,
     hi: int,
-    master_seed: int,
+    net: Network,
     phase0: np.ndarray,
+    limit: np.ndarray,
+    master_seed: int,
     n_steps: int,
     dt: float,
-    power: np.ndarray,
-    inv_inertia: np.ndarray,
-    damping: np.ndarray,
-    noise_over_m: np.ndarray,
-    line_from: np.ndarray,
-    line_to: np.ndarray,
-    capacity: np.ndarray,
-    check_phase: bool,
-    check_freq: bool,
-    eps: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate trajectories ``lo..hi-1``; return (exit_step, exit_component).
+    """Simulate trajectories ``lo..hi-1`` of ``net``; return (exit_step, exit_component).
 
-    ``master_seed`` must lie in ``[0, 2**64)``.  ``exit_step`` is the 1-based
-    step of the first violation (0 when the trajectory is censored at the
-    horizon); ``exit_component`` is the 0-based concatenated output index
-    (lines first, then nodes; -1 when censored).
+    Trajectories start at the phases ``phase0`` at rest.  ``limit`` holds one
+    exit limit per output component, the m line gaps then the n node
+    frequencies: a component exits once its magnitude reaches its limit, and
+    an infinite limit leaves it unmonitored.  ``master_seed`` must lie in
+    ``[0, 2**64)``.  ``exit_step`` is the 1-based step of the first violation
+    (0 when the trajectory is censored at the horizon); ``exit_component`` is
+    the 0-based output index (-1 when censored).
     """
-    n = phase0.shape[0]
-    m = line_from.shape[0]
+    n, m = net.n, net.m
+    line_from, line_to = net.line_from, net.line_to
     batch = hi - lo
     states = _stream_seeds_vec(np.uint64(master_seed), lo, hi)
     # rows: phases (n), line gaps (m), frequencies (n); one column per trajectory
@@ -145,24 +127,23 @@ def simulate_chunk(
     delta, gaps, omega = x[:n], x[n:n + m], x[n + m:]
     delta[:] = phase0[:, None]
     np.subtract(delta[line_from], delta[line_to], out=gaps)
-    # the checked rows: gaps and/or frequencies, against their limits
-    first = 0 if check_phase else m
-    last = m + n if check_freq else m
+    # the checked rows: from the first finite limit to the last
+    finite = np.flatnonzero(np.isfinite(limit))
+    first, last = (int(finite[0]), int(finite[-1]) + 1) if finite.size else (0, 0)
     watched = slice(n + first, n + last)
-    limit = np.concatenate((np.full(m, _HALF_PI), np.full(n, float(eps))))
     limit = limit[first:last, None]
     exit_step = np.zeros(batch, dtype=np.int64)
     exit_comp = np.full(batch, -1, dtype=np.int64)
     # ``live`` maps the columns of ``x`` to their batch positions; columns
     # that exit are dropped, so every step advances running trajectories only.
     live = np.arange(batch)
-    incidence = _incidence(n, line_from, line_to)
+    incidence = net.incidence
     offsets = _draw_offsets(n)
-    cap = capacity[:, None]
-    drift = (dt * inv_inertia)[:, None]
-    kick = (noise_over_m * math.sqrt(dt))[:, None]
-    power = power[:, None]
-    damping = damping[:, None]
+    cap = net.capacity[:, None]
+    drift = (dt * (1.0 / net.inertia))[:, None]
+    kick = (net.noise / net.inertia * math.sqrt(dt))[:, None]
+    power = net.power[:, None]
+    damping = net.damping[:, None]
     for s in range(1, n_steps + 1):
         flow = np.sin(gaps)
         flow *= cap

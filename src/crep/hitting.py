@@ -21,7 +21,7 @@ from . import _kernels
 from .errors import AllCensoredError, ConfigError, require_int
 from .escape import DEFAULT_EPS
 from .network import Network
-from .powerflow import SynchronousState, solve_synchronous_state
+from .powerflow import HALF_PI, SynchronousState, solve_synchronous_state
 
 EXIT_MODES = ("phase_only", "freq_only", "both")
 
@@ -105,25 +105,18 @@ class HittingTimeEstimate:
     censored_fraction: float = math.nan
 
 
-def _kernel_args(net: Network, state: SynchronousState, cfg: SimConfig):
-    check_phase = cfg.exit_mode in ("phase_only", "both")
-    check_freq = cfg.exit_mode in ("freq_only", "both")
-    return dict(
-        master_seed=cfg.master_seed,
-        phase0=state.phase,
-        n_steps=cfg.n_steps,
-        dt=cfg.dt,
-        power=net.power,
-        inv_inertia=1.0 / net.inertia,
-        damping=net.damping,
-        noise_over_m=net.noise / net.inertia,
-        line_from=net.line_from,
-        line_to=net.line_to,
-        capacity=net.capacity,
-        check_phase=check_phase,
-        check_freq=check_freq,
-        eps=cfg.eps,
-    )
+def exit_limits(net: Network, cfg: SimConfig) -> np.ndarray:
+    """Exit limit of each output component, the m line gaps then the n node frequencies.
+
+    pi/2 on the lines and ``cfg.eps`` on the nodes that ``cfg.exit_mode``
+    monitors, inf on the others.
+    """
+    limit = np.full(net.m + net.n, math.inf)
+    if cfg.exit_mode != "freq_only":
+        limit[:net.m] = HALF_PI
+    if cfg.exit_mode != "phase_only":
+        limit[net.m:] = cfg.eps
+    return limit
 
 
 def simulate_trajectory(
@@ -134,9 +127,11 @@ def simulate_trajectory(
 ) -> TrajectoryOutcome:
     """Integrate one trajectory; returns its first-exit time and component."""
     require_int(trajectory_index, "trajectory_index", 0)
-    args = _kernel_args(net, state, cfg)
+    if trajectory_index >= 2**64:
+        raise ConfigError(f"trajectory_index must be < 2**64, got {trajectory_index!r}")
     step, comp = _kernels.simulate_chunk(
-        trajectory_index, trajectory_index + 1, **args
+        trajectory_index, trajectory_index + 1, net, state.phase, exit_limits(net, cfg),
+        cfg.master_seed, n_steps=cfg.n_steps, dt=cfg.dt,
     )
     if step[0] == 0:
         return TrajectoryOutcome(None, None, None)
@@ -157,7 +152,7 @@ def estimate_hitting_time(
     ``n_workers``.
     """
     require_int(n_workers, "n_workers", 1)
-    args = _kernel_args(net, solve_synchronous_state(net), cfg)
+    phase0, limit = solve_synchronous_state(net).phase, exit_limits(net, cfg)
 
     total = cfg.n_samples
     n_batches = max(n_workers, -(-total * net.n // _BATCH_CELLS))
@@ -168,7 +163,9 @@ def estimate_hitting_time(
 
     def run(span):
         lo, hi = span
-        step, comp = _kernels.simulate_chunk(lo, hi, **args)
+        step, comp = _kernels.simulate_chunk(
+            lo, hi, net, phase0, limit, cfg.master_seed, n_steps=cfg.n_steps, dt=cfg.dt
+        )
         exit_step[lo:hi] = step
         exit_comp[lo:hi] = comp
 

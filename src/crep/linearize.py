@@ -24,7 +24,7 @@ import scipy.linalg
 
 from .errors import DegenerateSystemError, LyapunovSolveError
 from .network import Network
-from .powerflow import SynchronousState, _cos_laplacian, _laplacian
+from .powerflow import SynchronousState, _laplacian
 
 #: eigenvalues below this times max(1, largest eigenvalue magnitude) are
 #: treated as the structural zero mode
@@ -102,7 +102,7 @@ class VarianceReport:
 def build_linearization(net: Network, state: SynchronousState) -> LinearizedModel:
     """Assemble the system matrix A and the cosine-weighted Laplacian at ``state``."""
     n = net.n
-    lap = _cos_laplacian(net, state.output_phase_diffs)
+    lap = cos_laplacians([net], [state])[0]
     inv_m = 1.0 / net.inertia
     sys_matrix = np.zeros((2 * n, 2 * n))
     sys_matrix[:n, n:] = np.eye(n)
@@ -159,7 +159,10 @@ def _deflate(eigvals: np.ndarray) -> list[DegenerateSystemError | None]:
 
 
 def cos_laplacians(nets: Sequence[Network], states: Sequence[SynchronousState]) -> np.ndarray:
-    """(B, n, n) stack of ``build_linearization(nets[j], states[j]).laplacian``."""
+    """(B, n, n) cosine-weighted Laplacians: weight l_k cos(gap_k) on line k of row j.
+
+    The gaps are those of ``states[j]``; the networks share their line ends.
+    """
     gaps = np.array([state.output_phase_diffs for state in states])
     weights = np.array([net.capacity for net in nets]) * np.cos(gaps)
     return _laplacian(weights.T, nets[0]).transpose(2, 0, 1)

@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
+from scipy import sparse
 
 from .errors import NetworkParseError, NetworkValidationError
 
@@ -81,12 +82,22 @@ class Network:
         return len(self.capacity)
 
     @cached_property
-    def incidence_array(self) -> np.ndarray:
-        """Dense n-by-m incidence: +1 at a line's from node, -1 at its to node."""
-        c = np.zeros((self.n, self.m))
-        c[self.line_from, np.arange(self.m)] = 1.0
-        c[self.line_to, np.arange(self.m)] = -1.0
-        return _frozen(c)
+    def incidence(self) -> sparse.csr_array:
+        """Signed n-by-m incidence: +1 at a line's from node, -1 at its to node.
+
+        Its CSR indices are sorted, so a product with it adds each node's
+        lines in line order, as a per-line loop does.  Read-only.
+        """
+        lines = np.arange(self.m)
+        inc = sparse.csr_array(
+            (np.repeat([1.0, -1.0], self.m),
+             (np.concatenate((self.line_from, self.line_to)), np.concatenate((lines, lines)))),
+            shape=(self.n, self.m),
+        )
+        inc.sort_indices()
+        for arr in (inc.data, inc.indices, inc.indptr):
+            _frozen(arr)
+        return inc
 
     @cached_property
     def line_ends(self) -> np.ndarray:

@@ -87,11 +87,6 @@ def _laplacian(weights: np.ndarray, net: Network) -> np.ndarray:
     return lap
 
 
-def _cos_laplacian(net: Network, gaps: np.ndarray) -> np.ndarray:
-    """Laplacian with weights l_k cos(gap_k) on line k."""
-    return _laplacian(net.capacity * np.cos(gaps), net)
-
-
 def _singular_rows(jac: np.ndarray, rhs: np.ndarray):
     """Newton steps of the rows of a stack in which some Jacobian is singular.
 
@@ -250,8 +245,3 @@ def solve_synchronous_state(net: Network) -> SynchronousState:
     if isinstance(result, SynchronousStateError):
         raise result
     return result
-
-
-def synchronous_output(state: SynchronousState, net: Network) -> np.ndarray:
-    """Expected output vector: m line phase gaps followed by n zero frequencies."""
-    return np.concatenate([state.output_phase_diffs, np.zeros(net.n)])

@@ -314,9 +314,7 @@ def _mix_rows(z):
     return z ^ (z >> np.uint64(31))
 
 
-def reference_chunk(lo, hi, master_seed, phase0, n_steps, dt, power, inv_inertia,
-                    damping, noise_over_m, line_from, line_to, capacity,
-                    check_phase, check_freq, eps):
+def reference_chunk(lo, hi, net, phase0, limit, master_seed, n_steps, dt):
     """Trajectories ``lo..hi-1`` stepped row-major, the coupling a per-line loop.
 
     Takes ``_kernels.simulate_chunk``'s arguments and returns its
@@ -324,7 +322,8 @@ def reference_chunk(lo, hi, master_seed, phase0, n_steps, dt, power, inv_inertia
     one line at a time, so exits pin the kernel's accumulation order on nodes
     of any degree.
     """
-    n, m, batch = phase0.shape[0], line_from.shape[0], hi - lo
+    n, m, batch = net.n, net.m, hi - lo
+    line_from, line_to, capacity = net.line_from, net.line_to, net.capacity
     gold = np.uint64(GOLD)
     with np.errstate(over="ignore"):
         idx = np.arange(lo, hi, dtype=np.uint64)
@@ -335,8 +334,8 @@ def reference_chunk(lo, hi, master_seed, phase0, n_steps, dt, power, inv_inertia
     exit_step = np.zeros(batch, dtype=np.int64)
     exit_comp = np.full(batch, -1, dtype=np.int64)
     live = np.arange(batch)
-    drift = dt * inv_inertia
-    kick = noise_over_m * math.sqrt(dt)
+    drift = dt * (1.0 / net.inertia)
+    kick = net.noise / net.inertia * math.sqrt(dt)
     for s in range(1, n_steps + 1):
         coup = np.zeros_like(delta)
         flow = capacity * np.sin(delta[:, line_from] - delta[:, line_to])
@@ -349,12 +348,9 @@ def reference_chunk(lo, hi, master_seed, phase0, n_steps, dt, power, inv_inertia
         u1 = ((x[:, 0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
         u2 = (x[:, 1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
         z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-        omega = omega + drift * (power - damping * omega - coup) + kick * z
-        viol = np.zeros((live.shape[0], m + n), dtype=bool)
-        if check_phase:
-            viol[:, :m] = np.abs(delta[:, line_from] - delta[:, line_to]) >= math.pi / 2
-        if check_freq:
-            viol[:, m:] = np.abs(omega) >= eps
+        omega = omega + drift * (net.power - net.damping * omega - coup) + kick * z
+        output = np.hstack((delta[:, line_from] - delta[:, line_to], omega))
+        viol = np.abs(output) >= limit
         hit = viol.any(axis=1)
         if hit.any():
             exited = live[hit]

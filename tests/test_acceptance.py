@@ -73,9 +73,9 @@ def test_criterion_02_noise_damping_ratio_bounds():
         inv_sqrt_m = 1.0 / np.sqrt(net.inertia)
         uhat = reduction.eigenvectors[:, 1:]
         mid = uhat @ np.diag(1.0 / reduction.eigenvalues[1:]) @ uhat.T
-        s = net.incidence_array.T @ (
+        s = net.incidence.toarray().T @ (
             inv_sqrt_m[:, None] * mid * inv_sqrt_m[None, :]
-        ) @ net.incidence_array
+        ) @ net.incidence.toarray()
 
         ratios = net.noise**2 / net.damping
         eta_low, eta_high = float(ratios.min()), float(ratios.max())

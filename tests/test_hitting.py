@@ -8,6 +8,7 @@ from crep import (
     ConfigError,
     SimConfig,
     estimate_hitting_time,
+    network_from_arrays,
     simulate_trajectory,
     solve_synchronous_state,
 )
@@ -49,6 +50,15 @@ def test_largest_seed_runs_and_negative_index_is_rejected():
         simulate_trajectory(net, state, cfg, -1)
 
 
+def test_largest_trajectory_index_runs_and_the_next_is_rejected():
+    net = two_node_net(p=0.0, noise=(0.3, 0.3))
+    state = solve_synchronous_state(net)
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_samples=1, eps=0.0, exit_mode="freq_only")
+    assert simulate_trajectory(net, state, cfg, 2**64 - 1).exit_time == pytest.approx(cfg.dt)
+    with pytest.raises(ConfigError, match="trajectory_index must be < 2\\*\\*64"):
+        simulate_trajectory(net, state, cfg, 2**64)
+
+
 @pytest.mark.parametrize("n_workers", [0, -1, 1.5])
 def test_worker_count_must_be_a_positive_int(n_workers):
     cfg = SimConfig(t_max=1.0, n_samples=2)
@@ -76,6 +86,14 @@ def test_zero_noise_estimate_raises_all_censored():
     net = two_node_net(p=0.5, noise=(0.0, 0.0))
     cfg = SimConfig(dt=1e-2, t_max=1.0, n_samples=16, eps=0.1)
     with pytest.raises(AllCensoredError):
+        estimate_hitting_time(net, cfg)
+
+
+def test_phase_exits_on_a_network_without_lines_are_all_censored():
+    # every exit limit is inf, so the kernel checks no row
+    net = network_from_arrays([0.0], [1.0], [0.25], [1.0], [])
+    cfg = SimConfig(dt=1e-2, t_max=1.0, n_samples=4, eps=0.0, exit_mode="phase_only")
+    with pytest.raises(AllCensoredError, match="all 4 censored"):
         estimate_hitting_time(net, cfg)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import crep
 from crep import _kernels
-from crep.hitting import _kernel_args
+from crep.hitting import exit_limits
 
 from conftest import (
     GOLD,
@@ -54,14 +54,20 @@ def test_vectorized_normals_match_python_reference():
     assert drawn == pytest.approx(expected, rel=1e-12)
 
 
+def _chunk_args(net, cfg):
+    """``simulate_chunk``'s arguments after ``lo, hi`` for a run of ``cfg`` on ``net``."""
+    return dict(net=net, phase0=crep.solve_synchronous_state(net).phase,
+                limit=exit_limits(net, cfg), master_seed=cfg.master_seed,
+                n_steps=cfg.n_steps, dt=cfg.dt)
+
+
 def _chunk(net, cfg, lo, hi):
-    args = _kernel_args(net, crep.solve_synchronous_state(net), cfg)
-    return _kernels.simulate_chunk(lo, hi, **args)
+    return _kernels.simulate_chunk(lo, hi, **_chunk_args(net, cfg))
 
 
 def _chunk_and_reference(net, cfg, lo, hi):
     """(exit_step, exit_comp) lists of the kernel and of ``reference_chunk``."""
-    args = _kernel_args(net, crep.solve_synchronous_state(net), cfg)
+    args = _chunk_args(net, cfg)
     return ([a.tolist() for a in _kernels.simulate_chunk(lo, hi, **args)],
             [a.tolist() for a in reference_chunk(lo, hi, **args)])
 
@@ -123,7 +129,7 @@ def test_coupling_product_adds_each_nodes_lines_in_line_order():
     for k in range(net.m):
         loop[net.line_from[k]] += flow[k]
         loop[net.line_to[k]] -= flow[k]
-    coup = _kernels._incidence(net.n, net.line_from, net.line_to) @ flow
+    coup = net.incidence @ flow
     assert np.array_equal(coup, loop)
 
 
@@ -170,3 +176,32 @@ def test_kernel_matches_row_major_loop_on_a_200_node_grid():
     # some rows censored, and exits on lines as well as on nodes
     assert -1 in comps and 0 < np.count_nonzero(steps) < 48
     assert min(c for c in comps if c >= 0) < net.m <= max(comps)
+
+
+def test_exit_limits_of_each_mode():
+    net = ring5_net()
+    expected = {
+        "phase_only": [np.pi / 2] * 5 + [np.inf] * 5,
+        "freq_only": [np.inf] * 5 + [0.3] * 5,
+        "both": [np.pi / 2] * 5 + [0.3] * 5,
+    }
+    for mode, limit in expected.items():
+        cfg = crep.SimConfig(eps=0.3, exit_mode=mode)
+        assert exit_limits(net, cfg).tolist() == limit
+
+
+def test_kernel_matches_row_major_loop_with_per_component_limits():
+    # a limit vector no exit mode gives: unequal node limits, and the first
+    # line, which some row reaches, unmonitored, so the checked rows start past it
+    net, cfg = _meshed_case(2, "both")
+    args = _chunk_args(net, cfg)
+    limit = args["limit"]
+    limit[net.m:] = np.random.default_rng(31).uniform(1.8, 3.2, net.n)
+    assert 0 in _kernels.simulate_chunk(5, 45, **args)[1].tolist()
+    limit[0] = np.inf
+    steps, comps = (a.tolist() for a in _kernels.simulate_chunk(5, 45, **args))
+    assert [steps, comps] == [a.tolist() for a in reference_chunk(5, 45, **args)]
+    exited = [c for c in comps if c >= 0]
+    assert 0 not in exited
+    assert min(exited) < net.m <= max(exited)
+    assert len(set(s for s in steps if s > 0)) > 1 and len(exited) < 40

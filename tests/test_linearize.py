@@ -28,7 +28,7 @@ from crep.linearize import (
     reduce_stack,
     uniform_damping_ratios,
 )
-from crep.powerflow import _cos_laplacian
+from crep.powerflow import SynchronousState
 
 from conftest import random_connected_network, ring5_net, two_node_net
 
@@ -46,7 +46,7 @@ def ratio_bound_matrix(net, reduction):
     uhat = reduction.eigenvectors[:, 1:]
     mid = uhat @ np.diag(1.0 / reduction.eigenvalues[1:]) @ uhat.T
     weighted = inv_sqrt_m[:, None] * mid * inv_sqrt_m[None, :]
-    c = net.incidence_array
+    c = net.incidence.toarray()
     return c.T @ weighted @ c
 
 
@@ -65,8 +65,6 @@ def test_laplacian_smib_effective_stiffness():
 
 
 def test_laplacian_vanishes_near_domain_boundary():
-    from crep.powerflow import SynchronousState
-
     gap = math.pi / 2 - 1e-8
     net = two_node_net(p=2.0 * math.sin(gap), cap=2.0)
     state = SynchronousState(
@@ -104,7 +102,9 @@ def test_cos_laplacian_matches_per_line_loop_bitwise():
         )
         for case in (net, flipped):
             gaps = rng.uniform(-3.0, 3.0, case.m)
-            assert np.array_equal(_cos_laplacian(case, gaps), _loop_laplacian(case, gaps))
+            at_gaps = SynchronousState(np.zeros(case.n), gaps, 0.0)
+            assert np.array_equal(cos_laplacians([case], [at_gaps])[0],
+                                  _loop_laplacian(case, gaps))
             state = solve_synchronous_state(case)
             assert np.array_equal(
                 build_linearization(case, state).laplacian,
@@ -122,7 +122,7 @@ def test_stiff_network_variances_match_gibbs_oracle(scale):
     net = base.with_arrays(noise=np.sqrt(eta * base.damping), capacity=base.capacity * scale)
     state = solve_synchronous_state(net)
     report = solve_lyapunov(spectral_reduce(build_linearization(net, state), net))
-    c = net.incidence_array
+    c = net.incidence.toarray()
     lap = c @ np.diag(net.capacity * np.cos(state.output_phase_diffs)) @ c.T
     resistance = np.diag(c.T @ np.linalg.pinv(lap) @ c)
     assert np.allclose(report.sigma2_omega, eta / (2.0 * net.inertia), rtol=1e-8, atol=0)
@@ -173,7 +173,7 @@ def test_reduced_output_gaps_match_dense_incidence_product_bitwise():
         )
         _, _, reduction = pipeline(net)
         scaled = (1.0 / np.sqrt(net.inertia))[:, None] * reduction.eigenvectors
-        dense = net.incidence_array.T @ scaled
+        dense = net.incidence.toarray().T @ scaled
         assert np.array_equal(reduction.reduced_output[: net.m, : net.n - 1], dense[:, 1:])
 
 

@@ -146,11 +146,11 @@ def test_incidence_path():
         [(1, 2, 2.0), (2, 3, 2.0)],
     )
     expected = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
-    assert np.array_equal(net.incidence_array, expected)
+    assert np.array_equal(net.incidence.toarray(), expected)
 
 
 def test_incidence_single_line():
-    assert np.array_equal(two_node_net().incidence_array, np.array([[1.0], [-1.0]]))
+    assert np.array_equal(two_node_net().incidence.toarray(), np.array([[1.0], [-1.0]]))
 
 
 def test_incidence_triangle():
@@ -159,14 +159,14 @@ def test_incidence_triangle():
         [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)],
     )
     expected = np.array([[1.0, 0.0, -1.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
-    assert np.array_equal(net.incidence_array, expected)
+    assert np.array_equal(net.incidence.toarray(), expected)
 
 
 def test_incidence_columns_sum_to_zero():
     rng = np.random.default_rng(4)
     for _ in range(10):
         net = random_connected_network(rng)
-        cols = net.incidence_array.sum(axis=0)
+        cols = net.incidence.toarray().sum(axis=0)
         assert np.array_equal(cols, np.zeros(net.m))
 
 
@@ -193,8 +193,8 @@ def test_line_reordering_permutes_per_line_quantities():
     assert np.allclose(sigma_p, sigma[perm], rtol=1e-12)
     assert np.allclose(f_delta_p, f_delta[perm], rtol=1e-10)
     assert phi == pytest.approx(phi_p, rel=1e-12)
-    inc = net.incidence_array
-    inc_p = net_p.incidence_array
+    inc = net.incidence.toarray()
+    inc_p = net_p.incidence.toarray()
     assert np.array_equal(inc_p, inc[:, perm])
 
 
@@ -207,7 +207,7 @@ def test_line_flip_negates_column_and_preserves_metrics():
     net_f = network_from_arrays(power, *args, flipped)
 
     assert np.array_equal(
-        net_f.incidence_array[:, 0], -net.incidence_array[:, 0]
+        net_f.incidence.toarray()[:, 0], -net.incidence.toarray()[:, 0]
     )
     sigma, f_delta, phi = _line_quantities(net)
     sigma_f, f_delta_f, phi_f = _line_quantities(net_f)
@@ -229,8 +229,9 @@ def test_arrays_are_read_only():
     net = two_node_net()
     with pytest.raises(ValueError):
         net.power[0] = 5.0
-    with pytest.raises(ValueError):
-        net.incidence_array[0, 0] = 2.0
+    for arr in (net.incidence.data, net.incidence.indices, net.incidence.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 2
 
 
 def path_doc():
@@ -445,12 +446,12 @@ def test_derived_network_raises_what_the_constructor_raises(field, bad):
 def test_derived_network_shares_only_its_fields_and_line_end_caches():
     # a cache of a parameter array must not follow into a copy that replaces it
     net = random_connected_network(np.random.default_rng(13))
-    net.incidence_array
+    net.incidence
     derived = net.with_arrays(capacity=2.0 * net.capacity)
     fields = {"power", "inertia", "damping", "noise", "line_from", "line_to", "capacity"}
     assert set(derived.__dict__) == fields | {"line_ends", "line_groups"}
     assert derived.line_groups is net.line_groups and derived.line_ends is net.line_ends
-    assert np.array_equal(derived.incidence_array, net.incidence_array)
+    assert np.array_equal(derived.incidence.toarray(), net.incidence.toarray())
 
 
 def test_balance_is_the_sequential_float_sum():

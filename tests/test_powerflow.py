@@ -9,7 +9,6 @@ from crep import (
     SynchronousStateError,
     network_from_arrays,
     solve_synchronous_state,
-    synchronous_output,
 )
 
 import crep.powerflow
@@ -87,23 +86,6 @@ def test_gauge_shift_leaves_phase_differences():
     shifted = state.phase + 0.7
     diffs = shifted[net.line_from] - shifted[net.line_to]
     assert np.allclose(diffs, state.output_phase_diffs, atol=1e-15)
-
-
-def test_synchronous_output_layout():
-    net = two_node_net()
-    state = solve_synchronous_state(net)
-    out = synchronous_output(state, net)
-    assert out.shape == (3,)
-    assert out[0] == pytest.approx(ARCSIN_HALF, abs=1e-12)
-    assert np.array_equal(out[1:], np.zeros(2))
-
-
-def test_synchronous_output_all_zero():
-    net = network_from_arrays(
-        [0.0, 0.0], [1.0] * 2, [1.0] * 2, [0.0] * 2, [(1, 2, 1.0)]
-    )
-    state = solve_synchronous_state(net)
-    assert np.array_equal(synchronous_output(state, net), np.zeros(3))
 
 
 def test_single_node_network():

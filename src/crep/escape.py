@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.special import erfc
 
 from .linearize import (
     VarianceReport,
@@ -35,6 +36,12 @@ HALF_PI = math.pi / 2.0
 _SQRT2 = math.sqrt(2.0)
 
 
+def _check_eps(eps: float) -> None:
+    """Raise :class:`ConfigError` unless ``eps`` is finite and > 0."""
+    if not 0.0 < eps < math.inf:
+        raise ConfigError(f"eps must be finite and > 0, got {eps!r}")
+
+
 def escape_prob_line(mean: float, sigma: float) -> float:
     """P(|X| >= pi/2) for X ~ N(mean, sigma^2), with |mean| < pi/2.
 
@@ -50,18 +57,20 @@ def escape_prob_line(mean: float, sigma: float) -> float:
         return 0.0
     upper = (HALF_PI - mean) / (sigma * _SQRT2)
     lower = (HALF_PI + mean) / (sigma * _SQRT2)
-    return 0.5 * (math.erfc(upper) + math.erfc(lower))
+    return float(0.5 * (erfc(upper) + erfc(lower)))
 
 
 def escape_prob_freq(sigma: float, eps: float) -> float:
-    """P(|X| >= eps) for mean-zero X ~ N(0, sigma^2); 0 when sigma == 0."""
+    """P(|X| >= eps) for mean-zero X ~ N(0, sigma^2); 0 when sigma == 0.
+
+    Raises :class:`ConfigError` unless ``eps`` is finite and > 0.
+    """
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
-    if eps <= 0.0:
-        raise ValueError("eps must be > 0")
+    _check_eps(eps)
     if sigma == 0.0:
         return 0.0
-    return math.erfc(eps / (sigma * _SQRT2))
+    return float(erfc(eps / (sigma * _SQRT2)))
 
 
 @dataclass(frozen=True)
@@ -108,11 +117,13 @@ def crep_reports(
 
     The arguments are (B, m), (B, m) and (B, n) arrays.  Each probability is
     the one :func:`escape_prob_line` or :func:`escape_prob_freq` gives for
-    its entry, through the same ``math.erfc``, so row j has the bits of
-    :func:`crep_from_moments` on row j alone; a zero variance puts the
+    its entry: one ``scipy.special.erfc`` call evaluates every tail of the
+    stack, element by element as those functions do, so row j has the bits
+    of :func:`crep_from_moments` on row j alone; a zero variance puts the
     argument of each tail at +inf, where ``erfc`` is exactly 0.  Raises
     ValueError where those functions would: a negative variance, a mean gap
-    outside (-pi/2, pi/2), or ``eps <= 0``.
+    outside (-pi/2, pi/2), or an ``eps`` that is not finite and > 0
+    (:class:`ConfigError`).
     """
     if (sigma2_delta < 0.0).any() or (sigma2_omega < 0.0).any():
         raise ValueError("sigma must be >= 0")
@@ -121,8 +132,7 @@ def crep_reports(
         raise ValueError(
             f"mean {float(y_delta_star[outside][0])!r} outside the open interval (-pi/2, pi/2)"
         )
-    if eps <= 0.0:
-        raise ValueError("eps must be > 0")
+    _check_eps(eps)
     m = y_delta_star.shape[1]
     scale_delta = np.sqrt(sigma2_delta) * _SQRT2
     with np.errstate(divide="ignore"):
@@ -131,7 +141,7 @@ def crep_reports(
             (HALF_PI + y_delta_star) / scale_delta,
             eps / (np.sqrt(sigma2_omega) * _SQRT2),
         ), axis=1)
-    tails = np.array([math.erfc(x) for x in args.ravel().tolist()]).reshape(args.shape)
+    tails = erfc(args)
     f_delta, f_omega = 0.5 * (tails[:, :m] + tails[:, m:2 * m]), tails[:, 2 * m:]
     argmax_lines = np.argmax(f_delta, axis=1).tolist() if m else [None] * len(f_omega)
     argmax_nodes = np.argmax(f_omega, axis=1).tolist()
@@ -180,8 +190,7 @@ class Analysis:
     solved_state: InitVar[SynchronousState | None] = None
 
     def __post_init__(self, solved_state):
-        if not 0.0 < self.eps < math.inf:
-            raise ConfigError(f"eps must be finite and > 0, got {self.eps!r}")
+        _check_eps(self.eps)
         if solved_state is not None:
             # fills the cache that the ``state`` cached_property reads first
             self.__dict__["state"] = solved_state

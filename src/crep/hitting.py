@@ -51,6 +51,9 @@ class SimConfig:
             raise ConfigError("dt must be > 0")
         if self.t_max < self.dt:
             raise ConfigError("t_max must be >= dt")
+        # the kernel keeps exit steps in int64
+        if self.t_max / self.dt >= 2**63:
+            raise ConfigError(f"t_max / dt must be < 2**63, got {self.t_max / self.dt!r}")
         require_int(self.n_samples, "n_samples", 1)
         require_int(self.master_seed, "master_seed", 0)
         if self.master_seed >= 2**64:

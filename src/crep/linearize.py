@@ -111,30 +111,6 @@ def build_linearization(net: Network, state: SynchronousState) -> LinearizedMode
     return LinearizedModel(lap, sys_matrix)
 
 
-_SYEVR, _SYEVR_LWORK = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=float)
-
-
-def _eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of each matrix of a symmetric stack.
-
-    Every matrix goes through the LAPACK call of ``scipy.linalg.eigh`` (``syevr``
-    on the lower triangle, with the workspace its query returns) and gets its
-    bits, so a row's eigenbasis does not depend on its stack, within a
-    repeated eigenvalue too.  Raises ``LinAlgError`` where ``eigh`` would.
-    """
-    n = sym.shape[-1]
-    work, iwork, info = _SYEVR_LWORK(n, lower=1)
-    if info:
-        raise np.linalg.LinAlgError(f"syevr workspace query failed: {info}")
-    eigvals, vectors = np.empty(sym.shape[:-1]), np.empty(sym.shape)
-    for j, matrix in enumerate(sym):
-        w, v, _, _, info = _SYEVR(matrix, lower=1, lwork=int(work), liwork=int(iwork))
-        if info:
-            raise np.linalg.LinAlgError(f"syevr failed to converge: {info}")
-        eigvals[j], vectors[j] = w, v
-    return eigvals, vectors
-
-
 def _deflate(eigvals: np.ndarray) -> list[DegenerateSystemError | None]:
     """Set the structural zero mode of each row of ``eigvals`` to 0, in place.
 
@@ -175,16 +151,18 @@ def reduce_stack(
 
     ``laplacians`` holds each network's cosine-weighted Laplacian (see
     :func:`cos_laplacians`); the networks share their node count and line
-    ends, and each row has the bits it has in a stack of one.  Returns the
-    reduction and, per row, None or its :class:`DegenerateSystemError` (see
-    :func:`_deflate`); such a row is no input of either variance solver.
+    ends.  One batched ``np.linalg.eigh`` diagonalizes the whole stack, one
+    matrix per LAPACK call, so each row has the bits it has in a stack of
+    one.  Returns the reduction and, per row, None or its
+    :class:`DegenerateSystemError` (see :func:`_deflate`); such a row is no
+    input of either variance solver.
     """
     net = nets[0]
     n, m = net.n, net.m
     inv_sqrt_m = 1.0 / np.sqrt([row.inertia for row in nets])
     noise = np.array([row.noise for row in nets])
     sym = inv_sqrt_m[:, :, None] * laplacians * inv_sqrt_m[:, None, :]
-    eigvals, vectors = _eigh(0.5 * (sym + np.swapaxes(sym, -1, -2)))
+    eigvals, vectors = np.linalg.eigh(0.5 * (sym + np.swapaxes(sym, -1, -2)))
     errors = _deflate(eigvals)
     # flip each eigenvector so that its first non-negligible entry is positive;
     # the first large entry of a column is the one whose running count is 1

@@ -20,7 +20,9 @@ import numpy as np
 import scipy.optimize
 
 from .baselines import order_parameter, phase_cohesiveness
-from .errors import METRIC_UNDEFINED, InfeasibleSpecError, NoFeasiblePointError, require_int
+from .errors import (
+    METRIC_UNDEFINED, ConfigError, InfeasibleSpecError, NoFeasiblePointError, require_int,
+)
 from .escape import DEFAULT_EPS, Analysis, run_stages
 from .network import Network
 from .powerflow import _HALVINGS
@@ -284,8 +286,8 @@ POLISH_MAX_EVALS = 200
 class SearchConfig:
     """Differential-evolution seed and budget, and whether to polish the best point.
 
-    Raises :class:`ConfigError` unless ``seed`` is an int >= 0 and
-    ``max_evals`` an int >= 1.
+    Raises :class:`ConfigError` unless ``seed`` is an int >= 0,
+    ``max_evals`` an int >= 1 and ``polish`` a bool.
     """
 
     seed: int = 0
@@ -295,6 +297,8 @@ class SearchConfig:
     def __post_init__(self):
         require_int(self.seed, "seed", 0)
         require_int(self.max_evals, "max_evals", 1)
+        if not isinstance(self.polish, bool):
+            raise ConfigError(f"polish must be a bool, got {self.polish!r}")
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,13 @@ def test_hitting_time_rejects_negative_seed(tmp_path):
     assert main(["hitting-time", path, "--samples", "4", "--seed", "-1"]) == 1
 
 
+def test_hitting_time_rejects_a_step_count_past_int64(tmp_path, capsys):
+    path = write_net(tmp_path, two_node_net(noise=(0.2, 0.2)))
+    argv = ["hitting-time", path, "--samples", "4", "--dt", "1e-310", "--tmax", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: t_max / dt must be < 2**63, got inf\n"
+
+
 def test_hitting_time_config_has_exactly_the_sim_config_fields(tmp_path):
     path = write_net(tmp_path, two_node_net(p=0.5, noise=(0.4, 0.4)))
     out = str(tmp_path / "hit.json")

@@ -71,7 +71,6 @@ def test_escape_prob_freq_domain_error():
     with pytest.raises(ValueError):
         escape_prob_freq(-0.1, 0.1)
 
-
 @given(
     sigma=st.floats(1e-3, 10.0),
     bump=st.floats(1e-6, 1.0),
@@ -314,6 +313,14 @@ def test_eps_outside_the_open_half_line_is_a_config_error(eps):
         crep_metric(net, eps=eps)
     with pytest.raises(ValueError):
         crep.Analysis(net, eps)
+    # the moment-level functions apply the same rule: a NaN eps used to give
+    # phi == phi_delta with a NaN phi_omega
+    with pytest.raises(crep.ConfigError, match="eps must be finite and > 0"):
+        escape_prob_freq(0.1, eps)
+    with pytest.raises(crep.ConfigError, match="eps must be finite and > 0"):
+        crep.crep_from_moments(np.array([0.3]), np.array([0.01]), np.array([0.004]), eps)
+    with pytest.raises(crep.ConfigError, match="eps must be finite and > 0"):
+        crep.escape.crep_reports(np.zeros((2, 1)), np.ones((2, 1)), np.ones((2, 3)), eps)
 
 
 def test_smib_analytic_values():

@@ -66,6 +66,14 @@ def test_worker_count_must_be_a_positive_int(n_workers):
         estimate_hitting_time(two_node_net(noise=(0.2, 0.2)), cfg, n_workers=n_workers)
 
 
+def test_config_rejects_a_step_count_past_int64():
+    assert SimConfig(dt=1.0, t_max=2.0**62).n_steps == 2**62
+    # 1 / 1e-310 overflows to inf
+    for dt, t_max in [(1e-310, 1.0), (1.0, 2.0**63)]:
+        with pytest.raises(ConfigError, match="t_max / dt must be < 2\\*\\*63"):
+            SimConfig(dt=dt, t_max=t_max)
+
+
 @pytest.mark.parametrize("field", ["dt", "t_max", "eps"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_config_rejects_non_finite_values(field, value):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from crep import (
 )
 
 from crep.linearize import (
-    _eigh,
+    StackedReduction,
     cos_laplacians,
     modal_variances,
     reduce_stack,
@@ -423,16 +424,19 @@ def test_uniform_damping_ratio_closed_form_matches_the_lyapunov_solve():
         assert variance.min_re_mu == modal.min_re_mu
 
 
-def test_stacked_eigh_gives_the_bits_of_scipy_eigh():
-    rng = np.random.default_rng(17)
-    for n in (1, 2, 5, 30, 120):
-        sym = rng.normal(size=(3, n, n))
-        sym = sym + np.swapaxes(sym, 1, 2)
-        eigvals, vectors = _eigh(sym)
-        for j in range(3):
-            want_vals, want_vectors = scipy.linalg.eigh(sym[j])
-            assert eigvals[j].tobytes() == want_vals.tobytes()
-            assert vectors[j].tobytes() == want_vectors.tobytes()
+@pytest.mark.parametrize("n", [2, 5, 30, 120])
+def test_a_reduced_stack_gives_the_bits_of_its_rows_alone(n):
+    # past n = 25 LAPACK's syevd diagonalizes by divide and conquer
+    net = random_connected_network(np.random.default_rng(17 + n), n_min=n, n_max=n)
+    nets = [net.with_arrays(capacity=scale * net.capacity) for scale in (1.0, 1.7, 3.1)]
+    states = [solve_synchronous_state(row) for row in nets]
+    reduction, errors = reduce_stack(cos_laplacians(nets, states), nets)
+    assert errors == [None] * 3
+    for j, (row, state) in enumerate(zip(nets, states)):
+        alone, _ = reduce_stack(cos_laplacians([row], [state]), [row])
+        for field in fields(StackedReduction):
+            value = getattr(reduction, field.name)[j]
+            assert value.tobytes() == getattr(alone, field.name)[0].tobytes(), field.name
 
 
 def test_closed_form_answers_a_stiff_network_the_lyapunov_solve_rejects():

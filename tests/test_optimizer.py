@@ -462,11 +462,11 @@ def test_bad_eps_is_a_config_error_not_an_infeasible_search():
 @pytest.mark.parametrize("field,value", [
     ("seed", -1), ("seed", 1.5), ("seed", True),
     ("max_evals", 0), ("max_evals", -5), ("max_evals", 10.0),
+    ("polish", "no"), ("polish", 0), ("polish", None),
 ])
 def test_search_config_rejects_bad_seed_and_budget(field, value):
     with pytest.raises(crep.ConfigError, match=field):
         SearchConfig(**{field: value})
-
 
 def test_min_max_sigma_equivalence_on_ring():
     net = ring5_net(b=(0.7, 0.1, 0.1, 0.1, 0.7))

@@ -148,8 +148,7 @@ def _load(path) -> Network:
 # -- analyze -----------------------------------------------------------------
 
 
-def cmd_analyze(args) -> int:
-    net = _load(args.network)
+def cmd_analyze(net: Network, args) -> dict:
     analysis = Analysis(net, args.eps)
     timings = {}
     total_start = time.perf_counter()
@@ -165,8 +164,7 @@ def cmd_analyze(args) -> int:
 
     variance = analysis.variance
     metrics = _jsonable(bundle)
-    doc = {
-        "network": _network_doc(args.network, net),
+    return {
         "config": {"eps": args.eps},
         "state": analysis.state,
         "variance": {
@@ -177,8 +175,6 @@ def cmd_analyze(args) -> int:
         "metrics": metrics,
         "timings": timings,
     }
-    _emit(doc, args.out)
-    return EXIT_OK
 
 
 # -- sweep -------------------------------------------------------------------
@@ -208,8 +204,7 @@ def scale_network(net: Network, param: str, total: float) -> Network:
     raise UsageError(f"unknown sweep parameter {param!r}")
 
 
-def cmd_sweep(args) -> int:
-    net = _load(args.network)
+def cmd_sweep(net: Network, args) -> str:
     lo, hi, steps = _fields(args.range, "--range", "lo:hi:steps", float, float, int).values()
     if steps < 1:
         raise UsageError("--range needs at least one step")
@@ -235,8 +230,7 @@ def cmd_sweep(args) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([args.param] + metrics + ["feasible"])
     writer.writerows(rows)
-    _emit(buffer.getvalue(), args.out)
-    return EXIT_OK
+    return buffer.getvalue()
 
 
 # -- hitting time ------------------------------------------------------------
@@ -246,17 +240,9 @@ def _sim_config(args) -> SimConfig:
     return SimConfig(**{f.name: getattr(args, f.name) for f in fields(SimConfig)})
 
 
-def cmd_hitting_time(args) -> int:
-    net = _load(args.network)
+def cmd_hitting_time(net: Network, args) -> dict:
     cfg = _sim_config(args)
-    estimate = estimate_hitting_time(net, cfg, n_workers=args.workers)
-    doc = {
-        "network": _network_doc(args.network, net),
-        "config": cfg,
-        "estimate": estimate,
-    }
-    _emit(doc, args.out)
-    return EXIT_OK
+    return {"config": cfg, "estimate": estimate_hitting_time(net, cfg, n_workers=args.workers)}
 
 
 # -- optimize ----------------------------------------------------------------
@@ -323,8 +309,10 @@ def _decision_spec(net: Network, args) -> DecisionSpec:
     )
 
 
-def cmd_optimize(args) -> int:
-    net = _load(args.network)
+def cmd_optimize(net: Network, args) -> dict:
+    if args.out and args.network_out and (
+            os.path.realpath(args.out) == os.path.realpath(args.network_out)):
+        raise UsageError(f"--network-out and --out name the same file: {args.out}")
     spec = _decision_spec(net, args)
     search = SearchConfig(seed=args.seed, max_evals=args.max_evals)
     result = optimize(net, spec, ObjectiveKind(args.objective), eps=args.eps, search=search)
@@ -335,8 +323,7 @@ def cmd_optimize(args) -> int:
         network_out = (args.out + ".network.json") if args.out else "optimized.network.json"
     save_network(optimized, network_out)
 
-    doc = {
-        "network": _network_doc(args.network, net),
+    return {
         "config": {
             "decision": spec.variable,
             "objective": args.objective,
@@ -351,15 +338,12 @@ def cmd_optimize(args) -> int:
         "result": result,
         "network_out": str(network_out),
     }
-    _emit(doc, args.out)
-    return EXIT_OK
 
 
 # -- braess ------------------------------------------------------------------
 
 
-def cmd_braess(args) -> int:
-    net = _load(args.network)
+def cmd_braess(net: Network, args) -> dict:
     if (args.add_line is None) == (args.set_capacity is None):
         raise UsageError("exactly one of --add-line or --set-capacity is required")
     if args.add_line is not None:
@@ -372,13 +356,10 @@ def cmd_braess(args) -> int:
     verdict = braess_compare(
         BraessScenario(net, change), eps=args.eps, sim=sim, n_workers=args.workers
     )
-    doc = {
-        "network": _network_doc(args.network, net),
+    return {
         "config": {"eps": args.eps, "change": {"kind": kind, **values}, "sim": sim},
         **_jsonable(verdict),
     }
-    _emit(doc, args.out)
-    return EXIT_OK
 
 
 # -- parser ------------------------------------------------------------------
@@ -398,67 +379,47 @@ def _add_sim_flags(sub, samples_required: bool):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="crep", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
+    # the arguments every command takes; main loads the network and writes --out
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("network")
+    shared.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    shared.add_argument("--out", type=_out_path, default=None,
+                        help="report or CSV path (stdout when omitted)")
 
-    analyze = subs.add_parser("analyze", help="full stability report for a network file")
-    analyze.add_argument("network")
-    analyze.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    analyze.add_argument("--out", type=_out_path, default=None,
-                         help="report path (stdout when omitted)")
-    analyze.set_defaults(func=cmd_analyze)
+    def command(name, func, help):
+        sub = subs.add_parser(name, parents=[shared], help=help)
+        sub.set_defaults(func=func)
+        return sub
 
-    sweep = subs.add_parser("sweep", help="metric curves over a total-parameter sweep")
-    sweep.add_argument("network")
+    command("analyze", cmd_analyze, "full stability report for a network file")
+
+    sweep = command("sweep", cmd_sweep, "metric curves over a total-parameter sweep")
     sweep.add_argument("--param", choices=SWEEP_PARAMS, required=True)
     sweep.add_argument("--range", required=True, help="lo:hi:steps")
     sweep.add_argument("--metrics", default="phi_delta,phi_omega,phi")
-    sweep.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    sweep.add_argument("--out", type=_out_path, default=None,
-                       help="CSV path (stdout when omitted)")
-    sweep.set_defaults(func=cmd_sweep)
 
-    hitting = subs.add_parser("hitting-time", help="Monte-Carlo mean first hitting time")
-    hitting.add_argument("network")
+    hitting = command("hitting-time", cmd_hitting_time, "Monte-Carlo mean first hitting time")
     _add_sim_flags(hitting, samples_required=True)
-    hitting.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    hitting.add_argument(
-        "--exit-mode", choices=EXIT_MODES, default="both"
-    )
-    hitting.add_argument("--out", type=_out_path, default=None)
-    hitting.set_defaults(func=cmd_hitting_time)
+    hitting.add_argument("--exit-mode", choices=EXIT_MODES, default="both")
 
-    opt = subs.add_parser("optimize", help="minimize a stability objective over one family")
-    opt.add_argument("network")
-    opt.add_argument(
-        "--decision", choices=DECISION_VARIABLES,
-        required=True,
-    )
-    opt.add_argument(
-        "--objective", choices=[k.value for k in ObjectiveKind], default="crep_phi"
-    )
+    opt = command("optimize", cmd_optimize, "minimize a stability objective over one family")
+    opt.add_argument("--decision", choices=DECISION_VARIABLES, required=True)
+    opt.add_argument("--objective", choices=[k.value for k in ObjectiveKind], default="crep_phi")
     opt.add_argument("--budget", type=float, default=None,
                      help="total over the optimized indices (default: current total)")
     opt.add_argument("--bounds", default=None,
                      help="JSON file with optional indices/lower/upper")
-    opt.add_argument("--eps", type=float, default=DEFAULT_EPS)
     opt.add_argument("--seed", type=int, default=0)
     opt.add_argument("--max-evals", type=int, default=2000)
-    opt.add_argument("--out", type=_out_path, default=None)
     opt.add_argument("--network-out", type=_out_path, default=None,
                      help="path for the optimized network file")
-    opt.set_defaults(func=cmd_optimize)
 
-    braess = subs.add_parser("braess", help="before/after metric table for a line change")
-    braess.add_argument("network")
+    braess = command("braess", cmd_braess, "before/after metric table for a line change")
     braess.add_argument("--add-line", default=None, help="from:to:capacity")
     braess.add_argument("--set-capacity", default=None, help="line:capacity")
-    braess.add_argument("--eps", type=float, default=DEFAULT_EPS)
     braess.add_argument("--with-hitting-time", action="store_true")
     _add_sim_flags(braess, samples_required=False)
-    braess.add_argument(
-        "--exit-mode", choices=EXIT_MODES, default="phase_only"
-    )
-    braess.add_argument("--out", type=_out_path, default=None)
-    braess.set_defaults(func=cmd_braess)
+    braess.add_argument("--exit-mode", choices=EXIT_MODES, default="phase_only")
     return parser
 
 
@@ -477,7 +438,13 @@ _EXITS = (
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # the "network" entry is taken at load: it describes the input even
+        # when the command writes over that file
+        net = _load(args.network)
+        network = _network_doc(args.network, net)
+        doc = args.func(net, args)
+        _emit(doc if isinstance(doc, str) else {"network": network, **doc}, args.out)
+        return EXIT_OK
     except CrepError as exc:
         code, line = next(row[1:] for row in _EXITS if isinstance(exc, row[0]))
         print("error: " + line.format(exc), file=sys.stderr)

@@ -49,9 +49,9 @@ def escape_prob_line(mean: float, sigma: float) -> float:
     exact and cancellation-free for means inside the interval.  ``sigma == 0``
     returns 0 (the mean is strictly inside the interval).
     """
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
-    if abs(mean) >= HALF_PI:
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    if not abs(mean) < HALF_PI:
         raise ValueError(f"mean {mean!r} outside the open interval (-pi/2, pi/2)")
     if sigma == 0.0:
         return 0.0
@@ -65,8 +65,8 @@ def escape_prob_freq(sigma: float, eps: float) -> float:
 
     Raises :class:`ConfigError` unless ``eps`` is finite and > 0.
     """
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     _check_eps(eps)
     if sigma == 0.0:
         return 0.0
@@ -121,13 +121,15 @@ def crep_reports(
     stack, element by element as those functions do, so row j has the bits
     of :func:`crep_from_moments` on row j alone; a zero variance puts the
     argument of each tail at +inf, where ``erfc`` is exactly 0.  Raises
-    ValueError where those functions would: a negative variance, a mean gap
-    outside (-pi/2, pi/2), or an ``eps`` that is not finite and > 0
-    (:class:`ConfigError`).
+    ValueError where those functions would: a variance that is not finite and
+    >= 0, a mean gap outside (-pi/2, pi/2) or NaN, or an ``eps`` that is not
+    finite and > 0 (:class:`ConfigError`).
     """
-    if (sigma2_delta < 0.0).any() or (sigma2_omega < 0.0).any():
-        raise ValueError("sigma must be >= 0")
-    outside = np.abs(y_delta_star) >= HALF_PI
+    for name, variance in (("sigma2_delta", sigma2_delta), ("sigma2_omega", sigma2_omega)):
+        bad = ~((variance >= 0.0) & (variance < math.inf))
+        if bad.any():
+            raise ValueError(f"{name} must be finite and >= 0, got {float(variance[bad][0])!r}")
+    outside = ~(np.abs(y_delta_star) < HALF_PI)
     if outside.any():
         raise ValueError(
             f"mean {float(y_delta_star[outside][0])!r} outside the open interval (-pi/2, pi/2)"

@@ -1,6 +1,10 @@
 import csv
+import hashlib
 import json
+import os
+import shutil
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from crep import save_network, smib_network
 from crep.cli import main
 
 from conftest import random_connected_network, ring5_net, stagewise_pipeline, two_node_net
+
+DEMO_RING5 = Path(__file__).resolve().parents[1] / "demo" / "ring5.json"
 
 
 def write_net(tmp_path, net, name="net.json"):
@@ -235,6 +241,41 @@ def test_optimize_round_trip(tmp_path):
     optimized = crep.load_network(net_out)
     report = crep.crep(optimized, eps=doc["config"]["eps"])
     assert abs(report.phi_delta - doc["result"]["objective_final"]) <= 1e-12
+
+
+def test_report_hashes_the_input_as_it_was_loaded(tmp_path):
+    # --network-out may write over the input; the report still names what was loaded
+    path = tmp_path / "in.json"
+    shutil.copy(DEMO_RING5, path)
+    loaded = hashlib.sha256(path.read_bytes()).hexdigest()
+    out = tmp_path / "rep.json"
+    assert main([
+        "optimize", str(path), "--decision", "line_capacity", "--max-evals", "40",
+        "--network-out", str(path), "--out", str(out),
+    ]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() != loaded
+    assert json.loads(out.read_text())["network"]["sha256"] == loaded
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_network_out_naming_the_report_is_rejected_before_any_work(
+    tmp_path, capsys, monkeypatch, spelling
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("optimize ran although its two outputs are one file")
+
+    monkeypatch.setattr(crep.cli, "optimize", no_work)
+    path = write_net(tmp_path, ring5_net())
+    out = str(tmp_path / "r.json")
+    network_out = out if spelling == "same" else os.path.join(str(tmp_path), ".", "r.json")
+    assert main([
+        "optimize", path, "--decision", "line_capacity", "--out", out,
+        "--network-out", network_out,
+    ]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --network-out and --out name the same file: {out}\n"
+    )
+    assert not os.path.exists(out)
 
 
 def test_optimize_degenerate_bounds_single_evaluation(tmp_path):

@@ -71,6 +71,28 @@ def test_escape_prob_freq_domain_error():
     with pytest.raises(ValueError):
         escape_prob_freq(-0.1, 0.1)
 
+@pytest.mark.parametrize("function,args,message", [
+    (escape_prob_line, (0.3, math.nan), "sigma must be finite and >= 0, got nan"),
+    (escape_prob_line, (0.3, math.inf), "sigma must be finite and >= 0, got inf"),
+    (escape_prob_line, (math.nan, 0.1), "mean nan outside"),
+    (escape_prob_freq, (math.nan, 0.02), "sigma must be finite and >= 0, got nan"),
+    (escape_prob_freq, (math.inf, 0.02), "sigma must be finite and >= 0, got inf"),
+    (crep.crep_from_moments, ([0.3], [math.nan], [0.01], 0.02),
+     "sigma2_delta must be finite and >= 0, got nan"),
+    (crep.crep_from_moments, ([0.3], [math.inf], [0.01], 0.02),
+     "sigma2_delta must be finite and >= 0, got inf"),
+    (crep.crep_from_moments, ([0.3], [0.01], [math.nan], 0.02),
+     "sigma2_omega must be finite and >= 0, got nan"),
+    (crep.crep_from_moments, ([0.3], [0.01], [math.inf], 0.02),
+     "sigma2_omega must be finite and >= 0, got inf"),
+    (crep.crep_from_moments, ([math.nan], [0.01], [0.01], 0.02), "mean nan outside"),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_non_finite_moments_are_rejected(function, args, message):
+    # a NaN variance used to give phi = NaN, or to be dropped from phi
+    with pytest.raises(ValueError, match=message):
+        function(*args)
+
+
 @given(
     sigma=st.floats(1e-3, 10.0),
     bump=st.floats(1e-6, 1.0),

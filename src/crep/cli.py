@@ -103,7 +103,11 @@ def _jsonable(obj):
 
 
 def _out_path(text: str) -> str:
-    """An output path flag's value, rejected while parsing unless its directory exists."""
+    """An output path flag's value, rejected while parsing unless a file can go there."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"is a directory: {text}")
     parent = os.path.dirname(text) or "."
     if not os.path.isdir(parent):
         raise argparse.ArgumentTypeError(f"directory does not exist: {parent}")
@@ -373,7 +377,7 @@ def _add_sim_flags(sub, samples_required: bool):
         required=samples_required, help="number of trajectories",
     )
     sub.add_argument("--seed", dest="master_seed", type=int, default=0, help="master seed")
-    sub.add_argument("--workers", type=int, default=1, help="worker threads")
+    sub.add_argument("--workers", type=int, default=1, help="upper bound on worker threads")
 
 
 def build_parser() -> argparse.ArgumentParser:

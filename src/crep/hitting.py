@@ -5,13 +5,15 @@ state and are integrated by Euler-Maruyama until a monitored output component
 leaves its critical interval or the horizon is reached.  Trajectories are
 independent work items with per-trajectory seeded noise streams, so estimates
 are bit-identical for a fixed master seed no matter how many workers run them
-or how the samples are split into kernel batches.  A run uses about one batch
-per worker, split further only when a batch's rows x nodes would exceed a
-fixed memory cap.
+or how the samples are split into kernel batches.  ``n_workers`` is an upper
+bound: a run makes one batch per worker the machine's usable CPUs allow,
+split further only when a batch's rows x nodes would exceed a fixed memory
+cap, and runs them on as many threads as its rows x nodes pay for.
 """
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,6 +32,11 @@ _Z95 = 1.959963984540054
 #: upper bound on trajectories x nodes of one kernel batch; its float64 state
 #: array holds 2n + m rows per trajectory, (2 + m/n) x 2 MiB at most
 _BATCH_CELLS = 1 << 18
+#: trajectories x nodes a run needs per thread before a second thread pays:
+#: a kernel step is some 35 numpy calls that hold the GIL, so on 2 cores two
+#: threads lose below about 8000 cells in all and win from about 12000
+#: (ring5 and a 200-node grid), and exits shrink a batch as it runs
+_THREAD_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -144,6 +151,13 @@ def simulate_trajectory(
     return TrajectoryOutcome(exit_time, None, int(comp[0]) - net.m + 1)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def estimate_hitting_time(
     net: Network, cfg: SimConfig, n_workers: int = 1
 ) -> HittingTimeEstimate:
@@ -152,13 +166,20 @@ def estimate_hitting_time(
     Raises :class:`ConfigError` unless ``n_workers`` is an int >= 1, and
     :class:`AllCensoredError` when no trajectory exits before the horizon.
     The result depends only on the network and the config, never on
-    ``n_workers``.
+    ``n_workers``, which is an upper bound on the worker threads: a run
+    starts at most one per usable CPU, and one per ``_THREAD_CELLS``
+    trajectories x nodes, and with one runs its batches on the calling
+    thread.
     """
     require_int(n_workers, "n_workers", 1)
     phase0, limit = solve_synchronous_state(net).phase, exit_limits(net, cfg)
 
     total = cfg.n_samples
-    n_batches = max(n_workers, -(-total * net.n // _BATCH_CELLS))
+    # the batches follow the workers, not the threads, so a run's split does
+    # not move with the timing constant _THREAD_CELLS
+    workers = min(n_workers, _usable_cpus())
+    threads = min(workers, max(1, total * net.n // _THREAD_CELLS))
+    n_batches = max(workers, -(-total * net.n // _BATCH_CELLS))
     size = -(-total // n_batches)
     bounds = [(lo, min(lo + size, total)) for lo in range(0, total, size)]
     exit_step = np.empty(total, dtype=np.int64)
@@ -172,8 +193,8 @@ def estimate_hitting_time(
         exit_step[lo:hi] = step
         exit_comp[lo:hi] = comp
 
-    if n_workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    if threads > 1 and len(bounds) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, bounds))
     else:
         for span in bounds:

@@ -507,7 +507,8 @@ def test_bounds_file_index_out_of_range_exit_code(tmp_path, capsys, indices, bud
     )
 
 
-@pytest.mark.parametrize("command,flag", [
+#: every output path flag, after the command and its required flags
+OUTPUT_FLAGS = pytest.mark.parametrize("command,flag", [
     (["analyze"], "--out"),
     (["sweep", "--param", "Lt", "--range", "3:6:2"], "--out"),
     (["hitting-time", "--samples", "10"], "--out"),
@@ -515,15 +516,23 @@ def test_bounds_file_index_out_of_range_exit_code(tmp_path, capsys, indices, bud
     (["optimize", "--decision", "line_capacity"], "--network-out"),
     (["braess", "--add-line", "1:3:1.0"], "--out"),
 ], ids=lambda value: value if isinstance(value, str) else value[0])
-def test_output_in_a_missing_directory_is_rejected_before_any_work(
-    tmp_path, capsys, monkeypatch, command, flag
-):
-    def no_work(*args, **kwargs):
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every command's work function fail if it is called."""
+    def fail(*args, **kwargs):
         raise AssertionError("the command ran before its output path was checked")
 
     for name in ("Analysis", "metrics_bundle", "estimate_hitting_time", "optimize",
                  "braess_compare"):
-        monkeypatch.setattr(crep.cli, name, no_work)
+        monkeypatch.setattr(crep.cli, name, fail)
+
+
+@OUTPUT_FLAGS
+def test_output_in_a_missing_directory_is_rejected_before_any_work(
+    tmp_path, capsys, no_work, command, flag
+):
     path = write_net(tmp_path, ring5_net())
     missing = tmp_path / "missing"
     assert main([command[0], path, *command[1:], flag, str(missing / "x.json")]) == 1
@@ -531,3 +540,16 @@ def test_output_in_a_missing_directory_is_rejected_before_any_work(
         f"error: argument {flag}: directory does not exist: {missing}\n"
     )
     assert not missing.exists()
+
+
+@OUTPUT_FLAGS
+@pytest.mark.parametrize("target", ["empty", "directory"])
+def test_empty_or_directory_output_path_is_rejected_before_any_work(
+    tmp_path, capsys, no_work, command, flag, target
+):
+    path = write_net(tmp_path, ring5_net())
+    value, reason = ("", "empty path") if target == "empty" else (
+        str(tmp_path), f"is a directory: {tmp_path}")
+    assert main([command[0], path, *command[1:], flag, value]) == 1
+    assert capsys.readouterr().err == f"error: argument {flag}: {reason}\n"
+    assert sorted(os.listdir(tmp_path)) == ["net.json"]

@@ -1,8 +1,12 @@
 import math
+import os
+import pickle
+import threading
 
 import numpy as np
 import pytest
 
+from crep import _kernels, hitting
 from crep import (
     AllCensoredError,
     ConfigError,
@@ -127,6 +131,123 @@ def test_estimate_is_deterministic_across_runs_and_workers():
         assert a.n_exited == other.n_exited
         assert np.array_equal(a.exit_line_histogram, other.exit_line_histogram)
         assert np.array_equal(a.exit_node_histogram, other.exit_node_histogram)
+
+
+def ou_net():
+    """The one-node network of criterion 07."""
+    return network_from_arrays([0.0], [1.0], [0.25], [1.0], [])
+
+
+def instant_exits(n_samples):
+    """A config whose every trajectory exits at its first step, so a run costs little."""
+    return SimConfig(dt=1e-3, t_max=1.0, n_samples=n_samples, eps=0.0, exit_mode="freq_only")
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace the thread pool with a recorder of the sizes asked for; it runs batches in order."""
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(hitting, "ThreadPoolExecutor", Recorder)
+    return sizes
+
+
+@pytest.fixture
+def kernel_threads(monkeypatch):
+    """The thread id of every kernel batch, in call order."""
+    idents = []
+    simulate_chunk = _kernels.simulate_chunk
+
+    def recorded(*args, **kwargs):
+        idents.append(threading.get_ident())
+        return simulate_chunk(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "simulate_chunk", recorded)
+    return idents
+
+
+@pytest.mark.parametrize("net, n_samples, n_workers", [
+    (ring5_net(), 1000, 2),  # crepbench's hitting-ring5
+    (ou_net(), 10_000, 4),  # criterion 07
+    (ring5_net(), 2000, 4),  # criterion 09
+], ids=["hitting-ring5", "criterion-07", "criterion-09"])
+def test_runs_too_small_to_pay_for_a_thread_start_none(
+    monkeypatch, pools, kernel_threads, net, n_samples, n_workers
+):
+    monkeypatch.setattr(hitting, "_usable_cpus", lambda: 64)
+    estimate_hitting_time(net, instant_exits(n_samples), n_workers=n_workers)
+    assert pools == []
+    assert set(kernel_threads) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("multiple, offset, threads", [
+    (2, -2, 1), (2, 0, 2), (3, -2, 2), (3, 0, 3),
+])
+def test_threads_grow_with_rows_times_nodes(monkeypatch, pools, multiple, offset, threads):
+    # a thread per whole _THREAD_CELLS of rows x nodes
+    monkeypatch.setattr(hitting, "_usable_cpus", lambda: 64)
+    net = two_node_net(noise=(0.2, 0.2))
+    n_samples = (multiple * hitting._THREAD_CELLS + offset) // net.n
+    estimate_hitting_time(net, instant_exits(n_samples), n_workers=8)
+    assert pools == ([threads] if threads > 1 else [])
+
+
+def test_threads_and_batches_are_capped_at_usable_cpus(monkeypatch, pools, kernel_threads):
+    monkeypatch.setattr(hitting, "_usable_cpus", lambda: 3)
+    net = two_node_net(noise=(0.2, 0.2))
+    estimate_hitting_time(net, instant_exits(8 * hitting._THREAD_CELLS), n_workers=10**6)
+    assert pools == [3] and len(kernel_threads) == 3
+
+
+def test_a_huge_worker_count_asks_for_no_more_threads_than_cpus(pools, kernel_threads):
+    cpus = hitting._usable_cpus()
+    assert 1 <= cpus <= os.cpu_count()
+    net = two_node_net(noise=(0.2, 0.2))
+    estimate_hitting_time(net, instant_exits(8 * hitting._THREAD_CELLS), n_workers=10**6)
+    assert pools == ([cpus] if cpus > 1 else []) and len(kernel_threads) == cpus
+
+
+def test_threaded_estimate_is_bit_identical_to_one_thread_and_any_split(
+    monkeypatch, kernel_threads
+):
+    net = ring5_net()
+    cfg = SimConfig(dt=1e-2, t_max=5.0, n_samples=4000, eps=0.02,
+                    master_seed=5, exit_mode="phase_only")
+    assert cfg.n_samples * net.n >= 2 * hitting._THREAD_CELLS
+    monkeypatch.setattr(hitting, "_usable_cpus", lambda: 2)
+    sizes = []
+    executor = hitting.ThreadPoolExecutor
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return executor(max_workers)
+
+    monkeypatch.setattr(hitting, "ThreadPoolExecutor", pool)
+    threaded = estimate_hitting_time(net, cfg, n_workers=2)
+    assert sizes == [2]
+    assert len(set(kernel_threads)) == 2 and threading.get_ident() not in kernel_threads
+
+    single = estimate_hitting_time(net, cfg, n_workers=1)
+    # 7 batches on the 2 threads
+    monkeypatch.setattr(hitting, "_BATCH_CELLS", 3000)
+    split = estimate_hitting_time(net, cfg, n_workers=2)
+    assert sizes == [2, 2] and len(kernel_threads) == 2 + 1 + 7
+    assert 0 < threaded.n_exited < cfg.n_samples
+    for other in (single, split):
+        assert pickle.dumps(other) == pickle.dumps(threaded)
 
 
 def test_estimate_counts_and_histograms_consistent():

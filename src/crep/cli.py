@@ -377,7 +377,7 @@ def _add_sim_flags(sub, samples_required: bool):
         required=samples_required, help="number of trajectories",
     )
     sub.add_argument("--seed", dest="master_seed", type=int, default=0, help="master seed")
-    sub.add_argument("--workers", type=int, default=1, help="upper bound on worker threads")
+    sub.add_argument("--workers", type=int, default=1, help="upper bound on worker processes")
 
 
 def build_parser() -> argparse.ArgumentParser:

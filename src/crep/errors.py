@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check for settings."""
+"""Exception types shared across the package, and the type checks for settings."""
 import numbers
 
 
@@ -61,3 +61,9 @@ def require_int(value, name: str, low: int) -> None:
     """Raise :class:`ConfigError` unless ``value`` is an int (not a bool) >= ``low``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
+
+
+def require_real(value, name: str) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")

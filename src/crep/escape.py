@@ -25,7 +25,7 @@ from .linearize import (
     solve_lyapunov,
     uniform_damping_ratios,
 )
-from .errors import METRIC_UNDEFINED, ConfigError, CrepError
+from .errors import METRIC_UNDEFINED, ConfigError, CrepError, require_real
 from .network import Network, network_from_arrays
 from .powerflow import SynchronousState, solve_synchronous_state, solve_synchronous_states
 
@@ -37,7 +37,8 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def _check_eps(eps: float) -> None:
-    """Raise :class:`ConfigError` unless ``eps`` is finite and > 0."""
+    """Raise :class:`ConfigError` unless ``eps`` is a finite real > 0."""
+    require_real(eps, "eps")
     if not 0.0 < eps < math.inf:
         raise ConfigError(f"eps must be finite and > 0, got {eps!r}")
 

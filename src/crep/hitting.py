@@ -8,19 +8,23 @@ are bit-identical for a fixed master seed no matter how many workers run them
 or how the samples are split into kernel batches.  ``n_workers`` is an upper
 bound: a run makes one batch per worker the machine's usable CPUs allow,
 split further only when a batch's rows x nodes would exceed a fixed memory
-cap, and runs them on as many threads as its rows x nodes pay for.
+cap, and runs them in as many processes as its rows x nodes x steps pay for:
+the calling process runs its share of the batches and worker processes the
+rest, since a kernel step is some 35 numpy calls that hold the GIL and
+threads cannot run two batches at once.
 """
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import AllCensoredError, ConfigError, require_int
+from .errors import AllCensoredError, ConfigError, require_int, require_real
 from .escape import DEFAULT_EPS
 from .network import Network
 from .powerflow import HALF_PI, SynchronousState, solve_synchronous_state
@@ -32,11 +36,12 @@ _Z95 = 1.959963984540054
 #: upper bound on trajectories x nodes of one kernel batch; its float64 state
 #: array holds 2n + m rows per trajectory, (2 + m/n) x 2 MiB at most
 _BATCH_CELLS = 1 << 18
-#: trajectories x nodes a run needs per thread before a second thread pays:
-#: a kernel step is some 35 numpy calls that hold the GIL, so on 2 cores two
-#: threads lose below about 8000 cells in all and win from about 12000
-#: (ring5 and a 200-node grid), and exits shrink a batch as it runs
-_THREAD_CELLS = 1 << 13
+#: trajectories x nodes x steps a run needs per process before another pays:
+#: a worker costs a fork, a pickled Network and a pool shutdown, some 8.5 ms
+#: in all on 2 cores, and exits shrink a batch as it runs, so two processes
+#: lost or tied below about 5e5 in all and won from about 1e6 (ring5 and a
+#: 200-node grid, 2 batches)
+_PROCESS_WORK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,9 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("dt", "t_max", "eps"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            require_real(value, name)
+            if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
         if self.dt <= 0.0:
             raise ConfigError("dt must be > 0")
@@ -158,6 +165,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _simulate(span, net, phase0, limit, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """Run the kernel batch ``span`` = (lo, hi); a worker process's task."""
+    lo, hi = span
+    return _kernels.simulate_chunk(
+        lo, hi, net, phase0, limit, cfg.master_seed, n_steps=cfg.n_steps, dt=cfg.dt
+    )
+
+
 def estimate_hitting_time(
     net: Network, cfg: SimConfig, n_workers: int = 1
 ) -> HittingTimeEstimate:
@@ -166,39 +181,36 @@ def estimate_hitting_time(
     Raises :class:`ConfigError` unless ``n_workers`` is an int >= 1, and
     :class:`AllCensoredError` when no trajectory exits before the horizon.
     The result depends only on the network and the config, never on
-    ``n_workers``, which is an upper bound on the worker threads: a run
-    starts at most one per usable CPU, and one per ``_THREAD_CELLS``
-    trajectories x nodes, and with one runs its batches on the calling
-    thread.
+    ``n_workers``, which is an upper bound on the processes that run the
+    batches: a run uses at most one per usable CPU and one per
+    ``_PROCESS_WORK`` trajectories x nodes x steps.  The calling process runs
+    its share of the batches, and worker processes, started and joined within
+    the call, run the rest; with one process, or when the caller is a daemon
+    that may not start processes, every batch runs in the calling process.
     """
     require_int(n_workers, "n_workers", 1)
     phase0, limit = solve_synchronous_state(net).phase, exit_limits(net, cfg)
 
     total = cfg.n_samples
-    # the batches follow the workers, not the threads, so a run's split does
-    # not move with the timing constant _THREAD_CELLS
+    # the batches follow the workers, not the processes, so a run's split does
+    # not move with the timing constant _PROCESS_WORK
     workers = min(n_workers, _usable_cpus())
-    threads = min(workers, max(1, total * net.n // _THREAD_CELLS))
     n_batches = max(workers, -(-total * net.n // _BATCH_CELLS))
     size = -(-total // n_batches)
     bounds = [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-    exit_step = np.empty(total, dtype=np.int64)
-    exit_comp = np.empty(total, dtype=np.int64)
-
-    def run(span):
-        lo, hi = span
-        step, comp = _kernels.simulate_chunk(
-            lo, hi, net, phase0, limit, cfg.master_seed, n_steps=cfg.n_steps, dt=cfg.dt
-        )
-        exit_step[lo:hi] = step
-        exit_comp[lo:hi] = comp
-
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, bounds))
+    procs = min(workers, len(bounds), max(1, total * net.n * cfg.n_steps // _PROCESS_WORK))
+    args = (net, phase0, limit, cfg)
+    # a daemonic process may not start children
+    if procs == 1 or multiprocessing.current_process().daemon:
+        batches = [_simulate(span, *args) for span in bounds]
     else:
-        for span in bounds:
-            run(span)
+        own = len(bounds) // procs
+        with ProcessPoolExecutor(max_workers=procs - 1) as pool:
+            futures = [pool.submit(_simulate, span, *args) for span in bounds[own:]]
+            batches = [_simulate(span, *args) for span in bounds[:own]]
+            batches += [future.result() for future in futures]
+    exit_step = np.concatenate([step for step, _ in batches])
+    exit_comp = np.concatenate([comp for _, comp in batches])
 
     exited = exit_step > 0
     n_exited = int(np.count_nonzero(exited))

@@ -345,6 +345,15 @@ def test_eps_outside_the_open_half_line_is_a_config_error(eps):
         crep.escape.crep_reports(np.zeros((2, 1)), np.ones((2, 1)), np.ones((2, 3)), eps)
 
 
+@pytest.mark.parametrize("eps", ["0.1", None, True])
+def test_non_real_eps_is_a_config_error(eps):
+    net = random_connected_network(np.random.default_rng(38))
+    with pytest.raises(crep.ConfigError, match="eps must be a real number"):
+        crep_metric(net, eps=eps)
+    with pytest.raises(crep.ConfigError, match="eps must be a real number"):
+        crep.Analysis(net, eps)
+
+
 def test_smib_analytic_values():
     closed = smib_analytic(2.0, 3.0, 5.0, 3.0, 1.0)
     assert closed.sigma2_delta == pytest.approx(1.0 / 24.0, rel=1e-15)

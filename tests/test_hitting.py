@@ -1,7 +1,9 @@
 import math
+import multiprocessing
 import os
 import pickle
-import threading
+from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,6 +87,13 @@ def test_config_rejects_non_finite_values(field, value):
         SimConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["dt", "t_max", "eps"])
+@pytest.mark.parametrize("value", ["1", None, True])
+def test_config_rejects_non_real_values(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be a real number"):
+        SimConfig(**{field: value})
+
+
 def test_zero_noise_trajectory_is_censored():
     net = two_node_net(p=0.5, noise=(0.0, 0.0))
     state = solve_synchronous_state(net)
@@ -138,14 +147,17 @@ def ou_net():
     return network_from_arrays([0.0], [1.0], [0.25], [1.0], [])
 
 
-def instant_exits(n_samples):
+def instant_exits(n_samples, t_max=1.0):
     """A config whose every trajectory exits at its first step, so a run costs little."""
-    return SimConfig(dt=1e-3, t_max=1.0, n_samples=n_samples, eps=0.0, exit_mode="freq_only")
+    return SimConfig(dt=1e-3, t_max=t_max, n_samples=n_samples, eps=0.0, exit_mode="freq_only")
 
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Replace the thread pool with a recorder of the sizes asked for; it runs batches in order."""
+    """Replace the process pool with a recorder of the worker counts asked for.
+
+    It runs each batch in the calling process when it is submitted.
+    """
     sizes = []
 
     class Recorder:
@@ -158,96 +170,154 @@ def pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
-    monkeypatch.setattr(hitting, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(hitting, "ProcessPoolExecutor", Recorder)
     return sizes
 
 
 @pytest.fixture
-def kernel_threads(monkeypatch):
-    """The thread id of every kernel batch, in call order."""
-    idents = []
+def kernel_pids(monkeypatch, tmp_path):
+    """A reader of the process id of every kernel batch run so far.
+
+    Worker processes are forked, so they inherit the recording kernel and
+    append to the same file.
+    """
+    log = tmp_path / "kernel-pids"
+    log.touch()
     simulate_chunk = _kernels.simulate_chunk
 
     def recorded(*args, **kwargs):
-        idents.append(threading.get_ident())
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
         return simulate_chunk(*args, **kwargs)
 
     monkeypatch.setattr(_kernels, "simulate_chunk", recorded)
-    return idents
+    return lambda: [int(pid) for pid in log.read_text().split()]
 
 
-@pytest.mark.parametrize("net, n_samples, n_workers", [
-    (ring5_net(), 1000, 2),  # crepbench's hitting-ring5
-    (ou_net(), 10_000, 4),  # criterion 07
-    (ring5_net(), 2000, 4),  # criterion 09
-], ids=["hitting-ring5", "criterion-07", "criterion-09"])
-def test_runs_too_small_to_pay_for_a_thread_start_none(
-    monkeypatch, pools, kernel_threads, net, n_samples, n_workers
+@pytest.mark.parametrize("net, n_samples, t_max, n_workers, workers", [
+    (ring5_net(), 6, 3.0, 2, 0),  # crepbench's tracer test
+    (ring5_net(), 1000, 20.0, 2, 1),  # crepbench's hitting-ring5
+    (ou_net(), 10_000, 1000.0, 4, 1),  # criterion 07: 10^6 steps
+    (ring5_net(), 2000, 120.0, 4, 1),  # criterion 09
+], ids=["crepbench-tracer", "hitting-ring5", "criterion-07", "criterion-09"])
+def test_only_runs_that_pay_for_a_worker_process_start_one(
+    monkeypatch, pools, kernel_pids, net, n_samples, t_max, n_workers, workers
 ):
-    monkeypatch.setattr(hitting, "_usable_cpus", lambda: 64)
-    estimate_hitting_time(net, instant_exits(n_samples), n_workers=n_workers)
-    assert pools == []
-    assert set(kernel_threads) == {threading.get_ident()}
+    monkeypatch.setattr(hitting, "_usable_cpus", lambda: 2)
+    estimate_hitting_time(net, instant_exits(n_samples, t_max), n_workers=n_workers)
+    assert pools == ([workers] if workers else [])
+    assert kernel_pids() == [os.getpid()] * 2
 
 
-@pytest.mark.parametrize("multiple, offset, threads", [
-    (2, -2, 1), (2, 0, 2), (3, -2, 2), (3, 0, 3),
+@pytest.mark.parametrize("multiple, offset, procs", [
+    (2, -1, 1), (2, 0, 2), (3, -1, 2), (3, 0, 3),
 ])
-def test_threads_grow_with_rows_times_nodes(monkeypatch, pools, multiple, offset, threads):
-    # a thread per whole _THREAD_CELLS of rows x nodes
+def test_processes_grow_with_rows_times_nodes_times_steps(
+    monkeypatch, pools, multiple, offset, procs
+):
+    # a process per whole _PROCESS_WORK of rows x nodes x steps
     monkeypatch.setattr(hitting, "_usable_cpus", lambda: 64)
     net = two_node_net(noise=(0.2, 0.2))
-    n_samples = (multiple * hitting._THREAD_CELLS + offset) // net.n
-    estimate_hitting_time(net, instant_exits(n_samples), n_workers=8)
-    assert pools == ([threads] if threads > 1 else [])
+    cfg = instant_exits(1, t_max=1.024)
+    per_row = net.n * cfg.n_steps
+    assert hitting._PROCESS_WORK % per_row == 0
+    n_samples = multiple * hitting._PROCESS_WORK // per_row + offset
+    estimate_hitting_time(net, replace(cfg, n_samples=n_samples), n_workers=8)
+    assert pools == ([procs - 1] if procs > 1 else [])
 
 
-def test_threads_and_batches_are_capped_at_usable_cpus(monkeypatch, pools, kernel_threads):
+def test_processes_and_batches_are_capped_at_usable_cpus(monkeypatch, pools, kernel_pids):
     monkeypatch.setattr(hitting, "_usable_cpus", lambda: 3)
     net = two_node_net(noise=(0.2, 0.2))
-    estimate_hitting_time(net, instant_exits(8 * hitting._THREAD_CELLS), n_workers=10**6)
-    assert pools == [3] and len(kernel_threads) == 3
+    estimate_hitting_time(net, instant_exits(1 << 14), n_workers=10**6)
+    assert pools == [2] and len(kernel_pids()) == 3
 
 
-def test_a_huge_worker_count_asks_for_no_more_threads_than_cpus(pools, kernel_threads):
+def test_a_huge_worker_count_asks_for_no_more_processes_than_cpus(pools, kernel_pids):
     cpus = hitting._usable_cpus()
     assert 1 <= cpus <= os.cpu_count()
     net = two_node_net(noise=(0.2, 0.2))
-    estimate_hitting_time(net, instant_exits(8 * hitting._THREAD_CELLS), n_workers=10**6)
-    assert pools == ([cpus] if cpus > 1 else []) and len(kernel_threads) == cpus
+    estimate_hitting_time(net, instant_exits(1 << 14), n_workers=10**6)
+    assert pools == ([cpus - 1] if cpus > 1 else []) and len(kernel_pids()) == cpus
 
 
-def test_threaded_estimate_is_bit_identical_to_one_thread_and_any_split(
-    monkeypatch, kernel_threads
+def test_pooled_estimate_is_bit_identical_to_one_process_and_any_split(
+    monkeypatch, kernel_pids
 ):
     net = ring5_net()
     cfg = SimConfig(dt=1e-2, t_max=5.0, n_samples=4000, eps=0.02,
                     master_seed=5, exit_mode="phase_only")
-    assert cfg.n_samples * net.n >= 2 * hitting._THREAD_CELLS
+    assert cfg.n_samples * net.n * cfg.n_steps >= 2 * hitting._PROCESS_WORK
     monkeypatch.setattr(hitting, "_usable_cpus", lambda: 2)
     sizes = []
-    executor = hitting.ThreadPoolExecutor
+    executor = hitting.ProcessPoolExecutor
 
     def pool(max_workers):
         sizes.append(max_workers)
         return executor(max_workers)
 
-    monkeypatch.setattr(hitting, "ThreadPoolExecutor", pool)
-    threaded = estimate_hitting_time(net, cfg, n_workers=2)
-    assert sizes == [2]
-    assert len(set(kernel_threads)) == 2 and threading.get_ident() not in kernel_threads
+    monkeypatch.setattr(hitting, "ProcessPoolExecutor", pool)
+    pooled = estimate_hitting_time(net, cfg, n_workers=2)
+    assert sizes == [1]
+    pids = kernel_pids()
+    assert len(pids) == 2 and os.getpid() in pids and len(set(pids)) == 2
 
     single = estimate_hitting_time(net, cfg, n_workers=1)
-    # 7 batches on the 2 threads
+    # 7 batches: 3 in the calling process, 4 in its worker
     monkeypatch.setattr(hitting, "_BATCH_CELLS", 3000)
     split = estimate_hitting_time(net, cfg, n_workers=2)
-    assert sizes == [2, 2] and len(kernel_threads) == 2 + 1 + 7
-    assert 0 < threaded.n_exited < cfg.n_samples
+    assert sizes == [1, 1]
+    pids = kernel_pids()
+    assert len(pids) == 2 + 1 + 7 and pids.count(os.getpid()) == 1 + 1 + 3
+    assert 0 < pooled.n_exited < cfg.n_samples
     for other in (single, split):
-        assert pickle.dumps(other) == pickle.dumps(threaded)
+        assert pickle.dumps(other) == pickle.dumps(pooled)
+
+
+def test_no_worker_process_outlives_an_estimate_even_when_its_batch_raises(monkeypatch):
+    monkeypatch.setattr(hitting, "_usable_cpus", lambda: 2)
+    net = ring5_net()
+    cfg = instant_exits(400, t_max=200.0)
+    assert cfg.n_samples * net.n * cfg.n_steps >= 2 * hitting._PROCESS_WORK
+    assert estimate_hitting_time(net, cfg, n_workers=2).n_exited == cfg.n_samples
+    assert multiprocessing.active_children() == []
+
+    caller, simulate_chunk = os.getpid(), _kernels.simulate_chunk
+
+    def failing_in_workers(*args, **kwargs):
+        if os.getpid() != caller:
+            raise RuntimeError("worker batch failed")
+        return simulate_chunk(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "simulate_chunk", failing_in_workers)
+    with pytest.raises(RuntimeError, match="worker batch failed"):
+        estimate_hitting_time(net, cfg, n_workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def _estimate_into(queue, net, cfg):
+    queue.put(pickle.dumps(estimate_hitting_time(net, cfg, n_workers=2)))
+
+
+def test_a_daemonic_caller_runs_every_batch_itself(monkeypatch):
+    # a daemonic process may not start children
+    monkeypatch.setattr(hitting, "_usable_cpus", lambda: 2)
+    net = ring5_net()
+    cfg = SimConfig(dt=1e-2, t_max=5.0, n_samples=400, eps=0.02,
+                    master_seed=5, exit_mode="phase_only")
+    assert cfg.n_samples * net.n * cfg.n_steps >= 2 * hitting._PROCESS_WORK
+    queue = multiprocessing.Queue()
+    daemon = multiprocessing.Process(target=_estimate_into, args=(queue, net, cfg), daemon=True)
+    daemon.start()
+    result = queue.get(timeout=60)
+    daemon.join(timeout=60)
+    assert not daemon.is_alive() and daemon.exitcode == 0
+    assert result == pickle.dumps(estimate_hitting_time(net, cfg, n_workers=1))
 
 
 def test_estimate_counts_and_histograms_consistent():

@@ -27,7 +27,7 @@ from .linearize import (
 )
 from .errors import METRIC_UNDEFINED, ConfigError, CrepError, require_real
 from .network import Network, network_from_arrays
-from .powerflow import SynchronousState, solve_synchronous_state, solve_synchronous_states
+from .powerflow import SynchronousState, solve_synchronous_states
 
 #: default half-width eps of the critical frequency interval (rad/s)
 DEFAULT_EPS = 0.02
@@ -200,23 +200,22 @@ class Analysis:
 
     @cached_property
     def state(self) -> SynchronousState:
-        return solve_synchronous_state(self.net)
+        return self._run_through("state")
 
     @cached_property
     def variance(self) -> VarianceReport:
-        (result,) = _variances([self])
-        if isinstance(result, CrepError):
-            raise result
-        return result
+        return self._run_through("variance")
 
     @cached_property
     def report(self) -> CrepReport:
-        return crep_from_moments(
-            self.state.output_phase_diffs,
-            self.variance.sigma2_delta,
-            self.variance.sigma2_omega,
-            self.eps,
-        )
+        return self._run_through("report")
+
+    def _run_through(self, stage: str):
+        """Fill the stages up to ``stage`` as a stack of one; raise its error."""
+        (error,) = run_stages([self], stage)
+        if error is not None:
+            raise error
+        return self.__dict__[stage]
 
 
 def _variances(analyses: Sequence[Analysis]) -> list[VarianceReport | CrepError]:

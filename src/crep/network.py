@@ -7,6 +7,11 @@ per line its 0-based ends ``line_from``/``line_to`` and a positive
 ``capacity`` (effective susceptance).  Files and messages number nodes and
 lines from 1.  A ``Network`` is immutable and is the single source of truth
 for every downstream computation.
+
+The signed incidence ``Network.incidence`` is the one line-to-node sum of the
+package: the power flow's mismatch and the trajectory kernel's coupling both
+reach the nodes through a product with it, which adds each node's lines in
+line order.
 """
 from __future__ import annotations
 
@@ -27,8 +32,10 @@ POWER_BALANCE_TOL = 1e-9
 _NODE_ARRAYS = ("power", "inertia", "damping", "noise")
 _ARRAYS = _NODE_ARRAYS + ("line_from", "line_to", "capacity")
 _NODE_FIELDS = ("id",) + _NODE_ARRAYS
-#: caches of the line ends that the power flow reads; derived networks share them
-_LINE_END_CACHES = ("line_ends", "line_groups")
+#: caches of the line ends alone, which derived networks share: the incidence
+#: (the power flow's and the kernel's line-to-node sum, each node's lines in
+#: line order) and the interleaved ends (the power flow's Laplacian diagonal)
+_LINE_END_CACHES = ("incidence", "line_ends")
 _LINE_FIELDS = ("from", "to", "capacity")
 
 
@@ -104,20 +111,6 @@ class Network:
         """Both ends of every line in line order: from and to of line 1, then of line 2..."""
         return _frozen(np.array((self.line_from, self.line_to)).T.ravel())
 
-    @cached_property
-    def line_groups(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]:
-        """The lines grouped at their from ends, then at their to ends, for ordered sums.
-
-        Group r of an end holds the r-th line at each of its nodes, as a
-        (nodes, lines) pair of index arrays, so no node repeats within a
-        group, and adding the groups in order adds each node's lines in line
-        order, as ``np.add.at`` does.
-        """
-        return tuple(
-            tuple((_frozen(ends[g]), _frozen(g)) for g in _ranked_groups(ends))
-            for ends in (self.line_from, self.line_to)
-        )
-
     # -- derived networks, each validated as a new one ---------------------------
 
     def with_arrays(
@@ -184,16 +177,6 @@ class Network:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def _ranked_groups(ends: np.ndarray) -> list[np.ndarray]:
-    """Positions in ``ends`` grouped by their rank among equal values."""
-    rank = np.empty(len(ends), dtype=np.intp)
-    seen: dict[int, int] = {}
-    for k, node in enumerate(ends.tolist()):
-        rank[k] = seen.get(node, 0)
-        seen[node] = rank[k] + 1
-    return [np.flatnonzero(rank == r) for r in range(max(seen.values(), default=0))]
 
 
 def _distinct_lines_between_nodes(ends: list[tuple[int, int]], n: int) -> bool:

@@ -56,20 +56,16 @@ def _mismatch(net: Network, power: np.ndarray, capacity: np.ndarray,
     """Injections less line flows at ``phase``, and the line gaps there.
 
     ``net`` gives the line ends; arrays are node- (line-) major with
-    trailing stack axes.  Each node subtracts the flows of the lines leaving
-    it, then adds those of the lines entering it, in line order, so a row
-    rounds as it would alone.
+    trailing stack axes.  The flows reach the nodes through one product with
+    ``net.incidence``, as in the trajectory kernel: each node adds its lines'
+    signed flows in line order, starting from 0, and the sum is subtracted
+    from its injection, so a row rounds as it would alone.
     """
     gaps = phase.take(net.line_from, axis=0) - phase.take(net.line_to, axis=0)
     flow = capacity * np.sin(gaps)
-    out = np.empty(phase.shape)
-    out[...] = power
-    leaving, entering = net.line_groups
-    for nodes, lines in leaving:
-        out[nodes] = out.take(nodes, axis=0) - flow.take(lines, axis=0)
-    for nodes, lines in entering:
-        out[nodes] = out.take(nodes, axis=0) + flow.take(lines, axis=0)
-    return out, gaps
+    # the stack axes fold into columns; reshape(m, -1) fails for m = 0
+    columns = flow.reshape(net.m, math.prod(flow.shape[1:]))
+    return power - (net.incidence @ columns).reshape(phase.shape), gaps
 
 
 def _laplacian(weights: np.ndarray, net: Network) -> np.ndarray:

@@ -69,16 +69,18 @@ def reference_synchronous_state(net, tol=1e-10, max_iter=50, max_halvings=30):
     When no halving lowers the mismatch, the last, 2**-(max_halvings-1)-scaled
     trial is taken anyway and the iteration runs on to ``max_iter``.  Where
     this loop converges, ``crep.solve_synchronous_state`` (which stops at the
-    first failed line search) must return the same bits.  Returns (phase,
-    output_phase_diffs, residual); raises ``crep.SynchronousStateError`` when
-    no admissible state is found.
+    first failed line search) must return the same bits.  The mismatch adds
+    the line flows at the nodes in a per-line loop, as ``reference_chunk``
+    does.  Returns (phase, output_phase_diffs, residual); raises
+    ``crep.SynchronousStateError`` when no admissible state is found.
     """
     def mismatch(phase):
         flow = net.capacity * np.sin(phase[net.line_from] - phase[net.line_to])
-        out = net.power.copy()
-        np.subtract.at(out, net.line_from, flow)
-        np.add.at(out, net.line_to, flow)
-        return out
+        coup = np.zeros(net.n)
+        for k in range(net.m):
+            coup[net.line_from[k]] += flow[k]
+            coup[net.line_to[k]] -= flow[k]
+        return net.power - coup
 
     def jacobian(phase):
         weights = net.capacity * np.cos(phase[net.line_from] - phase[net.line_to])

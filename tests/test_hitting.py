@@ -2,6 +2,8 @@ import math
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -318,6 +320,43 @@ def test_a_daemonic_caller_runs_every_batch_itself(monkeypatch):
     daemon.join(timeout=60)
     assert not daemon.is_alive() and daemon.exitcode == 0
     assert result == pickle.dumps(estimate_hitting_time(net, cfg, n_workers=1))
+
+
+_START_METHOD_RUN = """
+import multiprocessing, pickle, sys
+from crep import SimConfig, estimate_hitting_time, hitting
+from conftest import ring5_net
+
+multiprocessing.set_start_method(sys.argv[1])
+hitting._usable_cpus = lambda: 2
+sizes, executor = [], hitting.ProcessPoolExecutor
+hitting.ProcessPoolExecutor = lambda max_workers: sizes.append(max_workers) or executor(max_workers)
+net = ring5_net()
+cfg = SimConfig(dt=1e-2, t_max=5.0, n_samples=400, eps=0.02, master_seed=5,
+                exit_mode="phase_only")
+assert cfg.n_samples * net.n * cfg.n_steps >= 2 * hitting._PROCESS_WORK
+pooled = estimate_hitting_time(net, cfg, n_workers=2)
+assert sizes == [1], sizes
+assert pickle.dumps(pooled) == pickle.dumps(estimate_hitting_time(net, cfg, n_workers=1))
+print(pooled.n_exited)
+"""
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_pooled_estimate_is_bit_identical_under_forkserver_and_spawn(method):
+    # workers that import crep afresh, not forked from the caller, return
+    # the bits of one process; Python 3.14 starts pools by forkserver on Linux
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    src = os.path.dirname(os.path.dirname(hitting.__file__))
+    tests = os.path.dirname(__file__)
+    path = os.pathsep.join(filter(None, (src, tests, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", _START_METHOD_RUN, method],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert 0 < int(run.stdout) < 400
 
 
 def test_estimate_counts_and_histograms_consistent():

@@ -270,7 +270,7 @@ def test_variance_objectives_never_compute_escape_probabilities(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("escape probabilities computed")
 
-    monkeypatch.setattr(crep.escape, "crep_from_moments", forbidden)
+    monkeypatch.setattr(crep.escape, "crep_reports", forbidden)
     net = ring5_net()
     for kind in (ObjectiveKind.trace_q_delta, ObjectiveKind.trace_q_omega,
                  ObjectiveKind.max_sigma2_omega):
@@ -385,9 +385,9 @@ def test_optimize_is_deterministic():
 @pytest.mark.parametrize("variable", ["inertia", "damping"])
 def test_machine_parameter_searches_solve_the_power_flow_once(monkeypatch, variable):
     solves = []
-    solve = crep.escape.solve_synchronous_state
-    monkeypatch.setattr(crep.escape, "solve_synchronous_state",
-                        lambda net: solves.append(net) or solve(net))
+    solve = crep.escape.solve_synchronous_states
+    monkeypatch.setattr(crep.escape, "solve_synchronous_states",
+                        lambda nets: solves.extend(nets) or solve(nets))
     net = ring5_net()
     spec = DecisionSpec(variable, tuple(range(1, 6)), 4.0,
                         np.full(5, 0.4), np.full(5, 2.0))

@@ -14,6 +14,7 @@ from crep import (
 import crep.powerflow
 from conftest import (
     random_connected_network,
+    random_meshed_network,
     reference_synchronous_state,
     ring5_net,
     two_node_net,
@@ -124,12 +125,22 @@ def test_infeasible_flow_stops_at_first_failed_line_search(monkeypatch, net):
 def test_early_stop_keeps_every_state_bitwise():
     # capacities scaled across the feasibility boundary: success or failure
     # and every successful state match the reference loop, which accepts a
-    # failed line search and runs on
+    # failed line search and runs on; the last 60 networks are meshed, with
+    # nodes of degree 7 whose lines' flows must add in line order, and scaled
+    # no lower than 0.1, below which few of them solve
     rng = np.random.default_rng(404)
+    meshed = np.random.default_rng(405)
     solved = stopped_early = 0
-    for _ in range(300):
-        base = random_connected_network(rng)
-        scale = math.exp(rng.uniform(math.log(0.01), math.log(3.0)))
+    for case in range(360):
+        lowest = 0.01
+        if case < 300:
+            base = random_connected_network(rng)
+        else:
+            base = random_meshed_network(meshed, n=int(meshed.integers(9, 21)),
+                                         n_lines=int(meshed.integers(14, 30)))
+            assert np.bincount(np.concatenate((base.line_from, base.line_to))).max() == 7
+            lowest = 0.1
+        scale = math.exp(rng.uniform(math.log(lowest), math.log(3.0)))
         net = base.with_arrays(capacity=base.capacity * scale)
         try:
             expected = reference_synchronous_state(net)

@@ -27,12 +27,11 @@ from .linearize import (
 )
 from .errors import METRIC_UNDEFINED, ConfigError, CrepError, require_real
 from .network import Network, network_from_arrays
-from .powerflow import SynchronousState, solve_synchronous_states
+from .powerflow import HALF_PI, SynchronousState, solve_synchronous_states
 
 #: default half-width eps of the critical frequency interval (rad/s)
 DEFAULT_EPS = 0.02
 
-HALF_PI = math.pi / 2.0
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -171,9 +170,10 @@ class Analysis:
 
     ``state`` -> ``variance`` -> ``report``: power flow, invariant variance
     and escape probabilities.  Reading a stage runs the stages it depends
-    on, once; a stage's errors (see :func:`crep`) surface on the read that
-    runs it.  An ``eps`` that is not finite and > 0 raises
-    :class:`ConfigError` at once.
+    on, once.  A stage that fails (see :func:`crep`) keeps its error: every
+    read of it or of a later stage raises that error again, with a fresh
+    traceback, and computes nothing.  An ``eps`` that is not finite and > 0
+    raises :class:`ConfigError` at once.
 
     ``variance`` reduces the linearization at the state spectrally
     (:func:`~crep.linearize.reduce_stack`) and takes its solver from the
@@ -183,20 +183,24 @@ class Analysis:
     the stacked stage of :func:`run_stages` run on a stack of one, so a
     network analysed alone and in a stack gives the same bits.
 
-    ``solved_state``, if given, is taken as ``state`` without a power-flow
-    solve.  It must be the state of a network with the same injections,
-    lines and capacities; the state does not depend on inertia or damping.
+    ``solved_state``, if given, is taken as the outcome of the power flow
+    without solving it: a state fills ``state``, a
+    :class:`~crep.errors.SynchronousStateError` is kept as its error.  It must
+    be the outcome for a network with the same injections, lines and
+    capacities; the state does not depend on inertia or damping.
     """
 
     net: Network
     eps: float = DEFAULT_EPS
-    solved_state: InitVar[SynchronousState | None] = None
+    solved_state: InitVar[SynchronousState | CrepError | None] = None
 
     def __post_init__(self, solved_state):
         _check_eps(self.eps)
         if solved_state is not None:
-            # fills the cache that the ``state`` cached_property reads first
-            self.__dict__["state"] = solved_state
+            # fills the cache that the ``state`` cached_property reads first,
+            # or the error entry that run_stages keeps beside the stages
+            failed = isinstance(solved_state, CrepError)
+            self.__dict__["_error" if failed else "state"] = solved_state
 
     @cached_property
     def state(self) -> SynchronousState:
@@ -214,7 +218,8 @@ class Analysis:
         """Fill the stages up to ``stage`` as a stack of one; raise its error."""
         (error,) = run_stages([self], stage)
         if error is not None:
-            raise error
+            # a kept error is raised once per read, so drop the last traceback
+            raise error.with_traceback(None)
         return self.__dict__[stage]
 
 
@@ -251,26 +256,22 @@ _STAGES = ("state", "variance", "report")
 def run_stages(analyses: Sequence[Analysis], through: str = "report") -> list[CrepError | None]:
     """Fill the stages of a stack of analyses, in order, up to ``through``.
 
-    The stages are ``state``, ``variance`` and ``report``.  The analyses must
-    share their node count, line ends and ``eps``.  Each stage runs once over
-    the rows that still need it: one stacked power flow, one variance stage,
-    one escape-probability stage.  Returns per analysis the
-    :data:`~crep.errors.METRIC_UNDEFINED` error its network raised, or None
-    when its stages are filled; reading them then runs nothing, and gives
-    the bits the analysis computes alone.
+    The stages are ``state``, ``variance`` and ``report``.  Each stage runs
+    once over the rows that still need it and hold no error: one stacked
+    power flow, one variance stage, one escape-probability stage.  A row
+    keeps the :data:`~crep.errors.METRIC_UNDEFINED` error of its network in
+    its analysis.  Returns per analysis None where its stages are filled,
+    and its kept error otherwise; reading the filled stages runs nothing,
+    and gives the bits the analysis computes alone.  Raises ValueError
+    unless the analyses share their node count, line ends and ``eps``.
     """
-    errors: list = [None] * len(analyses)
+    _check_stack(analyses)
 
     def fill(stage, compute):
-        rows = [j for j, a in enumerate(analyses)
-                if errors[j] is None and stage not in a.__dict__]
-        if not rows:
-            return
-        for j, result in zip(rows, compute([analyses[j] for j in rows])):
-            if isinstance(result, CrepError):
-                errors[j] = result
-            else:
-                analyses[j].__dict__[stage] = result
+        rows = [a for a in analyses if stage not in a.__dict__ and "_error" not in a.__dict__]
+        if rows:
+            for a, result in zip(rows, compute(rows)):
+                a.__dict__["_error" if isinstance(result, CrepError) else stage] = result
 
     last = _STAGES.index(through)
     fill("state", lambda rows: solve_synchronous_states([a.net for a in rows]))
@@ -278,18 +279,35 @@ def run_stages(analyses: Sequence[Analysis], through: str = "report") -> list[Cr
         fill("variance", _variances)
     if last >= 2:
         fill("report", _reports)
-    return errors
+    return [None if through in a.__dict__ else a.__dict__["_error"] for a in analyses]
+
+
+def _check_stack(analyses: Sequence[Analysis]) -> None:
+    """Raise ValueError unless the analyses share node count, line ends and eps.
+
+    A derived network shares its base's line-end arrays, so a stack of
+    candidates passes with one identity test per array.
+    """
+    if not analyses:
+        return
+    top = analyses[0]
+    n, ends_from, ends_to = top.net.n, top.net.line_from, top.net.line_to
+    for a in analyses:
+        if a.eps != top.eps:
+            raise ValueError("the analyses of one stack must share eps")
+        net = a.net
+        if net.n != n or not (net.line_from is ends_from and net.line_to is ends_to
+                              or np.array_equal(net.line_from, ends_from)
+                              and np.array_equal(net.line_to, ends_to)):
+            raise ValueError("the networks of one stack must share node count and line ends")
 
 
 def _reports(analyses: Sequence[Analysis]) -> list[CrepReport]:
-    eps = analyses[0].eps
-    if any(a.eps != eps for a in analyses):
-        raise ValueError("the analyses of one stack must share eps")
     return crep_reports(
         np.array([a.state.output_phase_diffs for a in analyses]),
         np.array([a.variance.sigma2_delta for a in analyses]),
         np.array([a.variance.sigma2_omega for a in analyses]),
-        eps,
+        analyses[0].eps,
     )
 
 

@@ -20,9 +20,7 @@ import numpy as np
 import scipy.optimize
 
 from .baselines import order_parameter, phase_cohesiveness
-from .errors import (
-    METRIC_UNDEFINED, ConfigError, InfeasibleSpecError, NoFeasiblePointError, require_int,
-)
+from .errors import ConfigError, InfeasibleSpecError, NoFeasiblePointError, require_int
 from .escape import DEFAULT_EPS, Analysis, run_stages
 from .network import Network
 from .powerflow import _HALVINGS
@@ -39,6 +37,12 @@ class ObjectiveKind(str, Enum):
     max_sigma2_omega = "max_sigma2_omega"
     phase_cohesiveness = "phase_cohesiveness"
     order_parameter = "order_parameter"
+
+    @classmethod
+    def _missing_(cls, value):
+        """An unknown kind raises :class:`ConfigError` naming the valid kinds."""
+        kinds = tuple(kind.value for kind in cls)
+        raise ConfigError(f"objective must be one of {kinds}, got {value!r}")
 
 
 #: objectives that are maximized rather than minimized
@@ -232,15 +236,14 @@ def _analysed_candidates(base: Analysis, spec: DecisionSpec, thetas, through: st
     stages are filled).  The thetas are analysed in stacks of at most
     ``_STACK_CELLS`` cells (see there), and each stack is released before
     the next is built, so memory stays bounded for any count of thetas.
-    Inertia and damping candidates take the base network's synchronous
-    state, solved on first use, instead of solving the same power flow again.
+    Inertia and damping candidates inherit the outcome of the base network's
+    power flow, solved once on first use: its state, or its error, which
+    each candidate's own power flow would raise with the same message.
     """
     state = None
     if spec.variable in _MACHINE_VARIABLES:
-        try:
-            state = base.state
-        except METRIC_UNDEFINED:
-            pass  # each candidate's own power flow fails the same way
+        (error,) = run_stages([base], "state")
+        state = base.state if error is None else error
     net = base.net
     rows = max(1, _STACK_CELLS // ((2 * net.n + net.m) ** 2 + _HALVINGS.size * net.n))
     for start in range(0, len(thetas), rows):
@@ -266,7 +269,8 @@ def evaluate_objective(net: Network, kind: ObjectiveKind, eps: float = DEFAULT_E
     Networks without an admissible synchronous state return the penalty 1
     for the escape-probability objectives (their natural ceiling) and +inf
     for all others, so the value is always usable inside a search.  This is
-    the evaluation of one ``optimize`` candidate, on a stack of one.
+    the evaluation of one ``optimize`` candidate, on a stack of one.  Raises
+    :class:`ConfigError` for an unknown ``kind``.
     """
     kind = ObjectiveKind(kind)
     analysis = Analysis(net, eps)
@@ -332,7 +336,7 @@ def optimize(
     The returned best-so-far history is monotone, with one entry for the
     initial population, one per DE generation and one after the polish.  Raises
     :class:`NoFeasiblePointError` if no evaluated candidate admitted a
-    synchronous state.
+    synchronous state, and :class:`ConfigError` for an unknown ``kind``.
     """
     kind = ObjectiveKind(kind)
     search = search or SearchConfig()

@@ -1,5 +1,6 @@
 import math
 import sys
+import traceback
 from dataclasses import fields
 
 import numpy as np
@@ -297,9 +298,52 @@ def test_a_stack_gives_the_bits_of_its_rows_alone(dampings):
     assert 10 < infeasible < 65
 
 
-def test_analysis_runs_each_stage_once():
+def test_analysis_runs_each_stage_once(monkeypatch):
     analysis = crep.Analysis(random_connected_network(np.random.default_rng(37)))
     assert analysis.report is analysis.report
+    # a failed stage keeps its error: the power flow of a network without a
+    # state runs once, and every read raises its error with a fresh traceback
+    solves = []
+    solve = crep.escape.solve_synchronous_states
+    monkeypatch.setattr(crep.escape, "solve_synchronous_states",
+                        lambda nets: solves.append(len(nets)) or solve(nets))
+    failed = crep.Analysis(ring5_net(caps=(0.01,) * 5))
+    raised = []
+    for _ in range(3):
+        with pytest.raises(crep.SynchronousStateError) as info:
+            failed.report
+        raised.append((type(info.value), str(info.value),
+                       len(traceback.extract_tb(info.value.__traceback__))))
+    assert solves == [1] and raised == [raised[0]] * 3
+    with pytest.raises(raised[0][0], match="no damped Newton step"):
+        failed.state
+    assert solves == [1]
+
+
+def test_a_stack_shares_its_node_count_line_ends_and_eps():
+    # ring5 rewired to lines (1,3), (2,3), (3,4), (4,5), (5,1) keeps the node
+    # arrays and capacities; solved with the first row's line ends, the
+    # rewired row would read phi 0.976583 instead of its own 0.976833
+    ring = ring5_net()
+    rewired = network_from_arrays(
+        ring.power, ring.inertia, ring.damping, ring.noise,
+        [(1, 3, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0), (5, 1, 1.0)],
+    )
+    chord = ring.with_added_line(1, 3, 1.0)
+    four = network_from_arrays([0.3, -0.1, 0.1, -0.3], [1.0] * 4, [0.8] * 4, [0.1] * 4,
+                               [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 1, 1.0)])
+    for other in (rewired, chord, four):
+        with pytest.raises(ValueError, match="node count and line ends"):
+            crep.escape.run_stages([crep.Analysis(ring), crep.Analysis(other)], "state")
+    with pytest.raises(ValueError, match="share eps"):
+        crep.escape.run_stages([crep.Analysis(ring), crep.Analysis(ring, 0.03)], "state")
+    # equal line ends in distinct arrays form a stack, with the bits of each row alone
+    copy = network_from_arrays(ring.power, ring.inertia, ring.damping, ring.noise,
+                               [(1, 2, 0.9), (2, 3, 1.1), (3, 4, 1.0), (4, 5, 1.0), (5, 1, 1.0)])
+    stack = [crep.Analysis(ring), crep.Analysis(copy)]
+    assert crep.escape.run_stages(stack) == [None, None]
+    for analysis in stack:
+        assert analysis.report.phi == crep.Analysis(analysis.net).report.phi
 
 
 @pytest.mark.parametrize("damping", [UNIFORM_DAMPING, MIXED_DAMPING],

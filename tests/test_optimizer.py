@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -398,12 +399,23 @@ def test_machine_parameter_searches_solve_the_power_flow_once(monkeypatch, varia
     # the shared state gives the bits of a fresh pipeline
     candidate = apply_decision(net, spec, result.theta)
     assert result.objective_final == evaluate_objective(candidate, ObjectiveKind.crep_phi)
-    # a network without a state stays infeasible for every candidate
+    # a network without a state stays infeasible for every candidate, which
+    # inherits the error of the base's one power flow
     overloaded = two_node_net(p=3.0, cap=2.0, noise=(0.1, 0.1))
     spec = DecisionSpec(variable, (1, 2), 2.0, np.full(2, 0.5), np.full(2, 1.5))
+    del solves[:]
     with pytest.raises(NoFeasiblePointError):
         optimize(overloaded, spec, ObjectiveKind.crep_phi,
                  search=SearchConfig(seed=0, max_evals=30))
+    assert solves == [overloaded]
+    theta = np.array([0.7, 1.3])
+    base = crep.Analysis(overloaded)
+    ((inherited, error),) = crep.optimizer._analysed_candidates(base, spec, [theta], "report")
+    with pytest.raises(crep.SynchronousStateError) as alone:
+        crep.Analysis(apply_decision(overloaded, spec, theta)).report
+    assert type(error) is type(alone.value) and str(error) == str(alone.value)
+    with pytest.raises(type(error), match=re.escape(str(alone.value))):
+        inherited.report
 
 
 def test_searches_in_small_stacks_give_the_results_of_whole_generations(monkeypatch):
@@ -467,6 +479,20 @@ def test_bad_eps_is_a_config_error_not_an_infeasible_search():
 def test_search_config_rejects_bad_seed_and_budget(field, value):
     with pytest.raises(crep.ConfigError, match=field):
         SearchConfig(**{field: value})
+
+
+@pytest.mark.parametrize("entry", ["optimize", "evaluate_objective"])
+def test_an_unknown_objective_is_a_config_error_naming_the_kinds(entry):
+    net = ring5_net()
+    spec = DecisionSpec("line_capacity", tuple(range(1, 6)), 5.0,
+                        np.full(5, 0.2), np.full(5, 3.0))
+    call = {"optimize": lambda: optimize(net, spec, "bogus"),
+            "evaluate_objective": lambda: evaluate_objective(net, "bogus")}[entry]
+    with pytest.raises(crep.ConfigError, match="objective must be one of") as info:
+        call()
+    assert isinstance(info.value, ValueError) and "'bogus'" in str(info.value)
+    assert all(kind.value in str(info.value) for kind in ObjectiveKind)
+
 
 def test_min_max_sigma_equivalence_on_ring():
     net = ring5_net(b=(0.7, 0.1, 0.1, 0.1, 0.7))

@@ -11,8 +11,11 @@ the damping ratio d_i / m_i is the same at every node the modes decouple in
 pairs and :func:`modal_variances` gives the stationary covariances in closed
 form; otherwise :func:`solve_lyapunov` solves the Lyapunov equation of the
 reduced system, whose real Schur form also gives the slowest decay rate
-min |Re mu|.  :func:`spectral_reduce` is the same reduction on a stack of
-one network.
+min |Re mu|.  Its triangular stage splits the Schur factor recursively
+between 2x2 blocks and solves the blocks mostly in matrix products; LAPACK
+``trsyl`` solves each block of at most :data:`_LYAP_LEAF` rows, so smaller
+systems keep scipy's sequence of calls.  :func:`spectral_reduce` is the same
+reduction on a stack of one network.
 """
 from __future__ import annotations
 
@@ -31,6 +34,15 @@ from .powerflow import SynchronousState, _laplacian
 ZERO_EIG_TOL = 1e-10
 #: relative ceiling on ||A2 Q + Q A2^T + B2 B2^T||_max
 LYAP_RESIDUAL_TOL = 1e-8
+#: order at and below which LAPACK trsyl solves a block of the triangular
+#: Lyapunov stage; larger blocks split recursively (see _triangular_lyapunov).
+#: On 2 cores with BLAS on one thread the stage took 12-13 ms at 64 and
+#: 15-17 ms at 32 on a 200-node grid (order 399), 58-62 ms at 64 and 60-63 ms
+#: at 32 on a 400-node one (order 799), against 65-67 ms and 685-750 ms for
+#: one trsyl call
+_LYAP_LEAF = 64
+#: LAPACK's real quasi-triangular Sylvester solver (level-2 Bartels-Stewart)
+_trsyl = scipy.linalg.lapack.dtrsyl
 
 
 @dataclass(frozen=True)
@@ -197,37 +209,36 @@ def spectral_reduce(model: LinearizedModel, net: Network) -> SpectralReduction:
 def solve_lyapunov(reduction: SpectralReduction) -> VarianceReport:
     """Stationary covariance of the reduced system and of the output.
 
-    Solves ``A2 Q + Q A2^T + B2 B2^T = 0`` by the Bartels-Stewart method on
-    one real Schur form ``A2 = U R U^T``, the same sequence of calls as
-    ``scipy.linalg.solve_continuous_lyapunov``, and validates the residual
-    against :data:`LYAP_RESIDUAL_TOL`.  The diagonal of ``R`` holds Re mu of
-    every eigenvalue of A2 (a complex pair's real part on both entries of
-    its 2x2 block), so the same factorization gives ``min_re_mu``.
+    Solves ``A2 Q + Q A2^T + B2 B2^T = 0`` by the Bartels-Stewart method:
+    one real Schur form ``A2 = U R U^T`` turns it into the quasi-triangular
+    equation ``R Y + Y R^T = F`` with ``F = -U^T B2 B2^T U`` and
+    ``Q = U Y U^T``.  :func:`_triangular_lyapunov` solves that equation by
+    recursive blocking, almost entirely in matrix products; blocks of at
+    most :data:`_LYAP_LEAF` rows go to LAPACK ``trsyl``, so a system of at
+    most that order takes ``scipy.linalg.solve_continuous_lyapunov``'s
+    sequence of calls and its bits.  The residual is validated against
+    :data:`LYAP_RESIDUAL_TOL`.  The diagonal of ``R`` holds Re mu of every
+    eigenvalue of A2 (a complex pair's real part on both entries of its 2x2
+    block), so the same factorization gives ``min_re_mu``.
 
-    Raises :class:`LyapunovSolveError` when LAPACK ``trsyl`` had to perturb
+    Raises :class:`LyapunovSolveError` when a ``trsyl`` block had to perturb
     A2 because an eigenvalue pair sums to about zero (stiff networks), when
-    it reports an illegal argument, or when the residual exceeds its bound.
+    it reports an illegal argument or scales its solution down to avoid
+    overflow, or when the residual exceeds its bound.
     """
     a2 = reduction.reduced_sys
     forcing = reduction.reduced_input @ reduction.reduced_input.T
     r, u = scipy.linalg.schur(a2, output="real")
     f = u.T.dot((-forcing).dot(u))
-    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (r, f))
-    y, y_scale, info = trsyl(r, r, f, tranb="T")
-    if info < 0:
-        raise LyapunovSolveError(f"LAPACK trsyl rejected argument {-info}")
-    if info == 1:
-        raise LyapunovSolveError(
-            "A2 has an eigenvalue pair whose sum is numerically zero; trsyl "
-            "would perturb it and return an inaccurate covariance"
-        )
+    y = _triangular_lyapunov(r, f)
     min_re_mu = float(np.min(np.abs(np.diag(r))))
-    y *= y_scale
     q_x = u.dot(y).dot(u.T)
     del r, u, f, y  # release the factorization before the (m+n)^2 products
     q_x = 0.5 * (q_x + q_x.T)
 
-    residual = float(np.max(np.abs(a2 @ q_x + q_x @ a2.T + forcing)))
+    # q_x is exactly symmetric, so (A2 Q)^T is Q A2^T
+    g = a2 @ q_x
+    residual = float(np.max(np.abs(g + g.T + forcing)))
     scale = float(np.max(np.abs(forcing)))
     if residual > LYAP_RESIDUAL_TOL * max(scale, np.finfo(float).tiny):
         raise LyapunovSolveError(
@@ -236,6 +247,71 @@ def solve_lyapunov(reduction: SpectralReduction) -> VarianceReport:
 
     (report,) = _output_variances(q_x[None], reduction.reduced_output[None], [min_re_mu])
     return report
+
+
+def _split(r: np.ndarray) -> int:
+    """Index near the middle of quasi-triangular ``r`` that cuts no 2x2 block."""
+    k = r.shape[0] // 2
+    return k + 1 if r[k, k - 1] != 0.0 else k
+
+
+def _triangular_lyapunov(r: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Y with ``R Y + Y R^T = F``, for quasi-upper-triangular R and symmetric F.
+
+    Recursive blocked solve (Jonsson & Kagstrom 2002): with R split as
+    [[R11, R12], [0, R22]] between its 2x2 blocks, Y22 solves the Lyapunov
+    equation of R22, Y12 the Sylvester equation
+    ``R11 Y12 + Y12 R22^T = F12 - R12 Y22`` and Y11 the Lyapunov equation
+    of R11 with ``F11 - T - T^T``, ``T = R12 Y12^T``; Y21 is Y12^T, and
+    F21 is not read.
+    """
+    n = r.shape[0]
+    if n <= _LYAP_LEAF:
+        return _triangular_sylvester(r, r, f)
+    k = _split(r)
+    r11, r12, r22 = r[:k, :k], r[:k, k:], r[k:, k:]
+    y = np.empty_like(f)
+    y[k:, k:] = y22 = _triangular_lyapunov(r22, f[k:, k:])
+    y[:k, k:] = y12 = _triangular_sylvester(r11, r22, f[:k, k:] - r12 @ y22)
+    y[k:, :k] = y12.T
+    t = r12 @ y12.T
+    y[:k, :k] = _triangular_lyapunov(r11, f[:k, :k] - t - t.T)
+    return y
+
+
+def _triangular_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """X with ``A X + X B^T = C``, for quasi-upper-triangular A and B.
+
+    Splits the larger of A and B between its 2x2 blocks, as
+    :func:`_triangular_lyapunov` splits R; at most :data:`_LYAP_LEAF` rows
+    each, LAPACK ``trsyl`` solves the equation.
+    """
+    m, n = c.shape
+    if max(m, n) <= _LYAP_LEAF:
+        x, scale, info = _trsyl(a, b, c, tranb="T")
+        if info < 0:
+            raise LyapunovSolveError(f"LAPACK trsyl rejected argument {-info}")
+        if info == 1:
+            raise LyapunovSolveError(
+                "A2 has an eigenvalue pair whose sum is numerically zero; trsyl "
+                "would perturb it and return an inaccurate covariance"
+            )
+        if scale != 1.0:
+            # X solves A X + X B^T = scale C; blocks of different scales do not combine
+            raise LyapunovSolveError(
+                f"LAPACK trsyl scaled a block of the solution by {scale:.3e} to avoid overflow"
+            )
+        return x
+    x = np.empty_like(c)
+    if m >= n:
+        k = _split(a)
+        x[k:] = x2 = _triangular_sylvester(a[k:, k:], b, c[k:])
+        x[:k] = _triangular_sylvester(a[:k, :k], b, c[:k] - a[:k, k:] @ x2)
+    else:
+        k = _split(b)
+        x[:, k:] = x2 = _triangular_sylvester(a, b[k:, k:], c[:, k:])
+        x[:, :k] = _triangular_sylvester(a, b[:k, :k], c[:, :k] - x2 @ b[:k, k:].T)
+    return x
 
 
 def _output_variances(q_x: np.ndarray, c2: np.ndarray, min_re_mu) -> list[VarianceReport]:

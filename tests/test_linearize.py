@@ -23,7 +23,10 @@ from crep import (
 )
 
 from crep.linearize import (
+    LYAP_RESIDUAL_TOL,
+    _LYAP_LEAF,
     StackedReduction,
+    _triangular_lyapunov,
     cos_laplacians,
     modal_variances,
     reduce_stack,
@@ -352,10 +355,20 @@ def solved_networks():
 
 
 def test_lyapunov_solve_matches_scipy_bitwise(solved_networks):
+    # up to _LYAP_LEAF the triangular stage is one trsyl call, scipy's sequence;
+    # above it the recursive blocks sum in another order
+    assert all(r.reduced_sys.shape[0] <= _LYAP_LEAF for _, r, _ in solved_networks[:40])
     for _, reduction, report in solved_networks:
+        a2 = reduction.reduced_sys
         forcing = reduction.reduced_input @ reduction.reduced_input.T
-        q_x = scipy.linalg.solve_continuous_lyapunov(reduction.reduced_sys, -forcing)
-        assert np.array_equal(report.q_x, 0.5 * (q_x + q_x.T))
+        q_x = scipy.linalg.solve_continuous_lyapunov(a2, -forcing)
+        q_x = 0.5 * (q_x + q_x.T)
+        if a2.shape[0] <= _LYAP_LEAF:
+            assert np.array_equal(report.q_x, q_x)
+        else:
+            assert np.max(np.abs(report.q_x - q_x)) <= 1e-13 * np.max(np.abs(q_x))
+            residual = np.max(np.abs(a2 @ report.q_x + report.q_x @ a2.T + forcing))
+            assert residual <= LYAP_RESIDUAL_TOL * np.max(np.abs(forcing))
 
 
 def test_min_re_mu_matches_linear_stability(solved_networks):
@@ -383,6 +396,61 @@ def test_stiff_network_raises_instead_of_perturbing(net):
     # sigma2_omega 0.00236 (closed form 0.005)
     _, _, reduction = pipeline(net)
     with pytest.raises(LyapunovSolveError, match="eigenvalue pair"):
+        solve_lyapunov(reduction)
+
+
+def _quasi_triangular(n, cut, seed):
+    """Real Schur factor R of a seeded stable n x n matrix whose complex pairs
+    make 2x2 blocks; ``cut`` says whether one straddles the middle row n // 2."""
+    rng = np.random.default_rng(seed)
+    while True:
+        a = rng.standard_normal((n, n)) / np.sqrt(n) - 1.5 * np.eye(n)
+        r, _ = scipy.linalg.schur(a, output="real")
+        if (r[n // 2, n // 2 - 1] != 0.0) == cut:
+            return r, rng
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["between-blocks", "midpoint-in-2x2"])
+@pytest.mark.parametrize("n", [_LYAP_LEAF - 1, _LYAP_LEAF, _LYAP_LEAF + 1,
+                               2 * _LYAP_LEAF + 1, 3 * _LYAP_LEAF])
+def test_triangular_lyapunov_matches_scipy(n, cut):
+    r, rng = _quasi_triangular(n, cut, seed=n)
+    c = rng.standard_normal((n, n // 2))
+    f = -(c @ c.T)
+    y = _triangular_lyapunov(r, f)
+    reference = scipy.linalg.solve_continuous_lyapunov(r, f)
+    assert np.max(np.abs(y - reference)) <= 1e-13 * np.max(np.abs(reference))
+    residual = np.max(np.abs(r @ y + y @ r.T - f))
+    assert residual <= LYAP_RESIDUAL_TOL * np.max(np.abs(f))
+
+
+def test_eigenvalue_pair_across_the_first_split_raises():
+    # mu_0 + mu_{n-1} = 0: only the Sylvester block coupling the two halves
+    # of R contains that pair, each half's own Lyapunov equation is regular
+    n = _LYAP_LEAF + 1
+    rng = np.random.default_rng(18)
+    r = np.triu(0.1 * rng.standard_normal((n, n)), 1)
+    r[np.diag_indices(n)] = np.linspace(-3.0, -2.0, n)
+    r[0, 0], r[-1, -1] = -1.0, 1.0
+    reduction = SpectralReduction(
+        eigenvalues=np.zeros(n), eigenvectors=np.eye(n), reduced_sys=r,
+        reduced_input=rng.standard_normal((n, 3)), reduced_output=np.eye(n),
+    )
+    with pytest.raises(LyapunovSolveError, match="eigenvalue pair"):
+        solve_lyapunov(reduction)
+
+
+def test_a_scaled_trsyl_solution_raises(monkeypatch):
+    # trsyl returns X with A X + X B^T = scale C; a scale below 1 guards overflow
+    lapack_trsyl = crep_package.linearize._trsyl
+
+    def scaled_trsyl(*args, **kwargs):
+        x, _, info = lapack_trsyl(*args, **kwargs)
+        return x, 0.5, info
+
+    monkeypatch.setattr(crep_package.linearize, "_trsyl", scaled_trsyl)
+    _, _, reduction = pipeline(ring5_net())
+    with pytest.raises(LyapunovSolveError, match="to avoid overflow"):
         solve_lyapunov(reduction)
 
 

@@ -7,11 +7,8 @@ parameters (generation, inertia, damping, line capacities) against it.
 """
 
 from .baselines import (
-    AddLine,
-    BraessScenario,
     BraessVerdict,
     MetricsBundle,
-    SetCapacity,
     braess_compare,
     gramian_h2_squared,
     linear_stability,

@@ -3,15 +3,17 @@
 Collects the classic indicators used to judge a parameter change: linear
 stability (slowest nonzero decay rate of the Jacobian), squared H2 norm of
 the reduced noise-to-output map, phase cohesiveness, Kuramoto-style order
-parameter, plus the escape-probability report.  ``braess_compare`` evaluates
-all of them before and after adding a line or re-rating one, flagging the
-metrics under which added capacity hurts.
+parameter, plus the escape-probability report.  ``braess_compare`` takes a
+network and the network after a line change (an added line, a re-rated one,
+or any other) and evaluates all of them on both, flagging the metrics under
+which added capacity hurts.  Whether the change added capacity is read off
+the two networks: the modified one keeps every line of the base, in order
+and with its ends, at no lower capacity, and adds a line or raises one.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 import scipy.linalg
@@ -139,32 +141,6 @@ def _bundle(analysis: Analysis) -> MetricsBundle:
 
 
 @dataclass(frozen=True)
-class AddLine:
-    """Add a new line between two node ids."""
-
-    from_node: int
-    to_node: int
-    capacity: float
-
-
-@dataclass(frozen=True)
-class SetCapacity:
-    """Re-rate an existing line (1-based index) to a new capacity."""
-
-    line_index: int
-    capacity: float
-
-
-LineChange = Union[AddLine, SetCapacity]
-
-
-@dataclass(frozen=True)
-class BraessScenario:
-    base: Network
-    change: LineChange
-
-
-@dataclass(frozen=True)
 class BraessVerdict:
     """Before/after metric table with per-metric improvement verdicts.
 
@@ -191,18 +167,18 @@ _DIRECTIONS = {
 }
 
 
-def apply_change(net: Network, change: LineChange) -> Network:
-    if isinstance(change, AddLine):
-        return net.with_added_line(change.from_node, change.to_node, change.capacity)
-    if isinstance(change, SetCapacity):
-        return net.with_line_capacity(change.line_index, change.capacity)
-    raise TypeError(f"unsupported change {change!r}")
+def _adds_capacity(base: Network, modified: Network) -> bool:
+    """Whether ``modified`` is ``base`` with capacity added and none taken away.
 
-
-def _adds_capacity(net: Network, change: LineChange) -> bool:
-    if isinstance(change, AddLine):
-        return True
-    return change.capacity > float(net.capacity[change.line_index - 1])
+    True when the first ``base.m`` lines of ``modified`` join ``base``'s line
+    ends in order, none of them has a lower capacity there, and ``modified``
+    has more lines or one of them has a higher capacity.
+    """
+    if not np.array_equal(modified.line_ends[:2 * base.m], base.line_ends):
+        return False
+    kept = modified.capacity[:base.m]
+    return bool(np.all(kept >= base.capacity)
+                and (modified.m > base.m or np.any(kept > base.capacity)))
 
 
 def _verdict(name: str, before: float, after: float) -> str:
@@ -222,24 +198,31 @@ def _labelled(side: str, net: Network, stage, *args, **kwargs):
 
 
 def braess_compare(
-    scenario: BraessScenario,
+    base: Network,
+    modified: Network,
     eps: float = DEFAULT_EPS,
     sim: SimConfig | None = None,
     n_workers: int = 1,
 ) -> BraessVerdict:
-    """Evaluate the metric table before and after a capacity change.
+    """Evaluate the metric table of a network before and after a line change.
+
+    ``modified`` is ``base`` after the change, for instance
+    ``base.with_added_line(...)`` or ``base.with_line_capacity(...)``; any
+    two networks can be compared.  The change counts as adding capacity when
+    ``modified`` keeps ``base``'s lines, in order and with the same ends,
+    lowers none of their capacities, and adds a line or raises a capacity.
+    Only then are degrading metrics listed as paradoxes.
 
     Hitting times are estimated only when ``sim`` is given.  An error that
-    the network itself causes (no metric, or every trajectory censored) is
+    a network itself causes (no metric, or every trajectory censored) is
     re-raised with a label saying which side (base or modified) failed; a bad
     setting is raised as it is.
     """
-    modified = apply_change(scenario.base, scenario.change)
-    before = _labelled("base", scenario.base, metrics_bundle, eps=eps)
+    before = _labelled("base", base, metrics_bundle, eps=eps)
     after = _labelled("modified", modified, metrics_bundle, eps=eps)
     hit_before = hit_after = None
     if sim is not None:
-        hit_before = _labelled("base", scenario.base, estimate_hitting_time, sim, n_workers)
+        hit_before = _labelled("base", base, estimate_hitting_time, sim, n_workers)
         hit_after = _labelled("modified", modified, estimate_hitting_time, sim, n_workers)
 
     verdicts = {
@@ -250,7 +233,7 @@ def braess_compare(
     if hit_before is not None and hit_after is not None:
         verdicts["hitting_time"] = _verdict("hitting_time", hit_before.mean, hit_after.mean)
 
-    added = _adds_capacity(scenario.base, scenario.change)
+    added = _adds_capacity(base, modified)
     paradox = tuple(name for name, v in verdicts.items() if added and v == "degrades")
     return BraessVerdict(
         before=before,

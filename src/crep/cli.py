@@ -24,14 +24,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from .baselines import (
-    AddLine,
-    BraessScenario,
-    SetCapacity,
-    _bundle,
-    braess_compare,
-    metrics_bundle,
-)
+from .baselines import _bundle, braess_compare, metrics_bundle
 from .errors import (
     METRIC_UNDEFINED,
     AllCensoredError,
@@ -190,7 +183,7 @@ def scale_network(net: Network, param: str, total: float) -> Network:
     Each component keeps its share of the current total, matching a sweep of
     the family's aggregate size.
     """
-    if total <= 0.0:
+    if not total > 0.0:
         raise UsageError(f"sweep value for {param} must be > 0, got {total}")
     if param == "Pt":
         load = -float(net.power[net.power < 0].sum())
@@ -210,6 +203,8 @@ def scale_network(net: Network, param: str, total: float) -> Network:
 
 def cmd_sweep(net: Network, args) -> str:
     lo, hi, steps = _fields(args.range, "--range", "lo:hi:steps", float, float, int).values()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"--range bounds must be finite, got {args.range!r}")
     if steps < 1:
         raise UsageError("--range needs at least one step")
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
@@ -271,12 +266,15 @@ def _is_json(value, kind) -> bool:
 def _bound(bounds: dict, name: str, k: int, default: float) -> np.ndarray:
     """Bounds field ``name`` as k floats: one number for all, or a list of k."""
     value = bounds.get(name, default)
-    if _is_json(value, (int, float)):
-        return np.full(k, float(value))
-    if not (isinstance(value, list) and len(value) == k
-            and all(_is_json(v, (int, float)) for v in value)):
-        raise UsageError(f"bounds field {name!r} must be a number or a list of {k} numbers")
-    return np.array(value, dtype=float)
+    try:
+        if _is_json(value, (int, float)):
+            return np.full(k, float(value))
+        if not (isinstance(value, list) and len(value) == k
+                and all(_is_json(v, (int, float)) for v in value)):
+            raise UsageError(f"bounds field {name!r} must be a number or a list of {k} numbers")
+        return np.array(value, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise UsageError(f"bounds field {name!r}: {exc}") from exc
 
 
 def _decision_spec(net: Network, args) -> DecisionSpec:
@@ -302,6 +300,8 @@ def _decision_spec(net: Network, args) -> DecisionSpec:
     positions = index_positions(net, args.decision, indices)
     k = len(indices)
     if args.budget is not None:
+        if not math.isfinite(args.budget):
+            raise UsageError(f"--budget must be finite, got {args.budget}")
         budget = args.budget
     else:
         budget = float(getattr(net, _DECISION_FIELDS[args.decision])[positions].sum())
@@ -352,13 +352,13 @@ def cmd_braess(net: Network, args) -> dict:
         raise UsageError("exactly one of --add-line or --set-capacity is required")
     if args.add_line is not None:
         values = _fields(args.add_line, "--add-line", "from:to:capacity", int, int, float)
-        kind, change = "add_line", AddLine(*values.values())
+        kind, change = "add_line", net.with_added_line
     else:
         values = _fields(args.set_capacity, "--set-capacity", "line:capacity", int, float)
-        kind, change = "set_capacity", SetCapacity(*values.values())
+        kind, change = "set_capacity", net.with_line_capacity
     sim = _sim_config(args) if args.with_hitting_time else None
     verdict = braess_compare(
-        BraessScenario(net, change), eps=args.eps, sim=sim, n_workers=args.workers
+        net, change(*values.values()), eps=args.eps, sim=sim, n_workers=args.workers
     )
     return {
         "config": {"eps": args.eps, "change": {"kind": kind, **values}, "sim": sim},

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 import scipy.optimize
@@ -45,15 +46,6 @@ class ObjectiveKind(str, Enum):
         raise ConfigError(f"objective must be one of {kinds}, got {value!r}")
 
 
-#: objectives that are maximized rather than minimized
-MAXIMIZED_KINDS = frozenset({ObjectiveKind.order_parameter})
-CREP_KINDS = frozenset(
-    {ObjectiveKind.crep_phi, ObjectiveKind.crep_phi_delta, ObjectiveKind.crep_phi_omega}
-)
-#: objectives that ignore inertia and damping entirely
-_STATE_ONLY_KINDS = frozenset(
-    {ObjectiveKind.phase_cohesiveness, ObjectiveKind.order_parameter}
-)
 #: decision variables that the synchronous state does not depend on
 _MACHINE_VARIABLES = frozenset({"inertia", "damping"})
 
@@ -121,11 +113,11 @@ def index_positions(net: Network, variable: str, indices) -> np.ndarray:
     Raises InfeasibleSpecError when an index names no line (line_capacity) or
     no node (the other variables) of ``net``.
     """
-    idx = np.array(indices, dtype=int) - 1
     kind, size = ("line", net.m) if variable == "line_capacity" else ("node", net.n)
-    if np.any(idx < 0) or np.any(idx >= size):
+    # compared as Python ints: an index past int64 is out of range, not an overflow
+    if not all(1 <= i <= size for i in indices):
         raise InfeasibleSpecError(f"{kind} index out of range")
-    return idx
+    return np.array(indices, dtype=int) - 1
 
 
 def validate_spec(net: Network, spec: DecisionSpec) -> None:
@@ -199,17 +191,39 @@ def current_values(net: Network, spec: DecisionSpec) -> np.ndarray:
     return getattr(net, _DECISION_FIELDS[spec.variable])[idx].copy()
 
 
-#: objective -> its natural value, read from the stages of a network's Analysis
-#: that it needs (the state-only objectives never linearize)
+@dataclass(frozen=True)
+class _Objective:
+    """How one objective kind is read off a network's :class:`Analysis`.
+
+    ``stage`` is the last stage of :func:`run_stages` it reads (an objective
+    that reads only the state ignores inertia and damping), ``read`` returns
+    its natural value from the filled stages, ``penalty`` is the value of a
+    network without an admissible synchronous state, and ``maximize`` says
+    whether the search maximizes it.
+    """
+
+    stage: str
+    read: Callable[[Analysis], float]
+    penalty: float = math.inf
+    maximize: bool = False
+
+
+#: one row per objective; the escape probabilities are penalized at 1, their
+#: natural ceiling
 _OBJECTIVES = {
-    ObjectiveKind.crep_phi: lambda a: a.report.phi,
-    ObjectiveKind.crep_phi_delta: lambda a: a.report.phi_delta,
-    ObjectiveKind.crep_phi_omega: lambda a: a.report.phi_omega,
-    ObjectiveKind.trace_q_delta: lambda a: float(np.sum(a.variance.sigma2_delta)),
-    ObjectiveKind.trace_q_omega: lambda a: float(np.sum(a.variance.sigma2_omega)),
-    ObjectiveKind.max_sigma2_omega: lambda a: float(np.max(a.variance.sigma2_omega)),
-    ObjectiveKind.phase_cohesiveness: lambda a: phase_cohesiveness(a.state),
-    ObjectiveKind.order_parameter: lambda a: order_parameter(a.state),
+    ObjectiveKind.crep_phi: _Objective("report", lambda a: a.report.phi, 1.0),
+    ObjectiveKind.crep_phi_delta: _Objective("report", lambda a: a.report.phi_delta, 1.0),
+    ObjectiveKind.crep_phi_omega: _Objective("report", lambda a: a.report.phi_omega, 1.0),
+    ObjectiveKind.trace_q_delta: _Objective(
+        "variance", lambda a: float(np.sum(a.variance.sigma2_delta))),
+    ObjectiveKind.trace_q_omega: _Objective(
+        "variance", lambda a: float(np.sum(a.variance.sigma2_omega))),
+    ObjectiveKind.max_sigma2_omega: _Objective(
+        "variance", lambda a: float(np.max(a.variance.sigma2_omega))),
+    ObjectiveKind.phase_cohesiveness: _Objective(
+        "state", lambda a: phase_cohesiveness(a.state)),
+    ObjectiveKind.order_parameter: _Objective(
+        "state", lambda a: order_parameter(a.state), maximize=True),
 }
 
 
@@ -219,13 +233,6 @@ _OBJECTIVES = {
 #: such arrays of a stack stays within 8 MiB at any network size; a ring5
 #: generation is one stack
 _STACK_CELLS = 1 << 20
-
-
-def _stage(kind: ObjectiveKind) -> str:
-    """The last stage of :func:`run_stages` that ``kind`` reads."""
-    if kind in CREP_KINDS:
-        return "report"
-    return "state" if kind in _STATE_ONLY_KINDS else "variance"
 
 
 def _analysed_candidates(base: Analysis, spec: DecisionSpec, thetas, through: str):
@@ -253,16 +260,6 @@ def _analysed_candidates(base: Analysis, spec: DecisionSpec, thetas, through: st
         del analyses
 
 
-def _natural_value(analysis: Analysis, error, kind: ObjectiveKind) -> float | None:
-    """Objective value of an analysis, None where its metric is undefined."""
-    return None if error is not None else _OBJECTIVES[kind](analysis)
-
-
-def _penalty(kind: ObjectiveKind) -> float:
-    """Value of a network without an admissible synchronous state."""
-    return 1.0 if kind in CREP_KINDS else math.inf
-
-
 def evaluate_objective(net: Network, kind: ObjectiveKind, eps: float = DEFAULT_EPS) -> float:
     """Scalar objective for a network; infeasibility is encoded in the value.
 
@@ -272,11 +269,10 @@ def evaluate_objective(net: Network, kind: ObjectiveKind, eps: float = DEFAULT_E
     the evaluation of one ``optimize`` candidate, on a stack of one.  Raises
     :class:`ConfigError` for an unknown ``kind``.
     """
-    kind = ObjectiveKind(kind)
+    objective = _OBJECTIVES[ObjectiveKind(kind)]
     analysis = Analysis(net, eps)
-    (error,) = run_stages([analysis], _stage(kind))
-    value = _natural_value(analysis, error, kind)
-    return _penalty(kind) if value is None else value
+    (error,) = run_stages([analysis], objective.stage)
+    return objective.penalty if error is not None else objective.read(analysis)
 
 
 #: DE population per dimension (at least 4), mutation, crossover; polish budget
@@ -316,7 +312,7 @@ class OptimizationResult:
 
 
 def _check_kind_allowed(spec: DecisionSpec, kind: ObjectiveKind) -> None:
-    if kind in _STATE_ONLY_KINDS and spec.variable in _MACHINE_VARIABLES:
+    if _OBJECTIVES[kind].stage == "state" and spec.variable in _MACHINE_VARIABLES:
         raise InfeasibleSpecError(
             f"objective {kind.value} is constant in {spec.variable}; "
             "it cannot configure these parameters"
@@ -343,7 +339,8 @@ def optimize(
     validate_spec(net, spec)
     _check_kind_allowed(spec, kind)
     base = Analysis(net, eps)
-    maximize = kind in MAXIMIZED_KINDS
+    objective = _OBJECTIVES[kind]
+    maximize = objective.maximize
     lower, upper, budget = spec.lower, spec.upper, spec.budget
     dim = spec.dim
 
@@ -354,15 +351,15 @@ def optimize(
         """Scores of a stack of candidates, best-so-far updated in stack order."""
         nonlocal evals
         scores = np.empty(len(thetas))
-        analysed = _analysed_candidates(base, spec, thetas, _stage(kind))
+        analysed = _analysed_candidates(base, spec, thetas, objective.stage)
         for j, (analysis, error) in enumerate(analysed):
-            natural = _natural_value(analysis, error, kind)
             evals += 1
-            feasible = natural is not None
+            feasible = error is None
             if feasible:
+                natural = objective.read(analysis)
                 score = -natural if maximize else natural
             else:
-                natural = score = _penalty(kind)
+                natural = score = objective.penalty
             key = (score, 0 if feasible else 1)
             if key < (best["score"], 0 if best["feasible"] else 1):
                 best.update(score=score, feasible=feasible, theta=thetas[j].copy(),

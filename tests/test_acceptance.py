@@ -28,7 +28,7 @@ from crep import (
     smib_analytic,
     smib_network,
 )
-from crep.baselines import AddLine, BraessScenario, SetCapacity, braess_compare
+from crep.baselines import braess_compare
 from crep.cli import main as cli_main
 
 from conftest import random_connected_network, ring5_net
@@ -240,7 +240,7 @@ def test_criterion_10_braess_machinery():
     )
     sim = SimConfig(dt=1e-3, t_max=15.0, n_samples=100, eps=0.5,
                     master_seed=4, exit_mode="both")
-    closure = braess_compare(BraessScenario(net, AddLine(3, 1, 1.0)), sim=sim)
+    closure = braess_compare(net, net.with_added_line(3, 1, 1.0), sim=sim)
     assert set(closure.verdicts) == {
         "f_delta_norm", "min_re_mu", "gamma", "hitting_time"
     }
@@ -250,6 +250,6 @@ def test_criterion_10_braess_machinery():
         assert math.isfinite(bundle.crep.phi_delta)
     assert closure.hitting_before is not None and closure.hitting_after is not None
 
-    noop = braess_compare(BraessScenario(net, SetCapacity(1, 1.5)), sim=sim)
+    noop = braess_compare(net, net.with_line_capacity(1, 1.5), sim=sim)
     assert all(v == "unchanged" for v in noop.verdicts.values())
     print("ACCEPTANCE 10 (four-metric table, no-op unchanged): PASS")

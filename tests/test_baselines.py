@@ -5,10 +5,7 @@ import pytest
 
 import crep
 from crep import (
-    AddLine,
-    BraessScenario,
     DegenerateSystemError,
-    SetCapacity,
     SimConfig,
     braess_compare,
     gramian_h2_squared,
@@ -133,10 +130,9 @@ def test_cohesiveness_two_node():
 
 def test_braess_noop_is_unchanged_across_the_board():
     net = two_node_net(p=1.0, cap=2.0, noise=(0.3, 0.2))
-    scenario = BraessScenario(net, SetCapacity(1, 2.0))
     sim = SimConfig(dt=1e-3, t_max=10.0, n_samples=60, eps=0.05,
                     master_seed=8, exit_mode="both")
-    verdict = braess_compare(scenario, sim=sim)
+    verdict = braess_compare(net, net.with_line_capacity(1, 2.0), sim=sim)
     assert set(verdict.verdicts) == {"f_delta_norm", "min_re_mu", "gamma", "hitting_time"}
     assert all(v == "unchanged" for v in verdict.verdicts.values())
     assert verdict.paradox_metrics == ()
@@ -146,7 +142,7 @@ def test_braess_noop_is_unchanged_across_the_board():
 def test_braess_capacity_increase_improves_phase_escape():
     # SMIB closed form: the gap variance b^2/(2 D sqrt(l^2 - P^2)) falls in l
     net = two_node_net(p=1.0, cap=2.0, noise=(0.3, 0.2))
-    verdict = braess_compare(BraessScenario(net, SetCapacity(1, 3.0)))
+    verdict = braess_compare(net, net.with_line_capacity(1, 3.0))
     assert verdict.verdicts["f_delta_norm"] == "improves"
     assert verdict.capacity_added
 
@@ -158,7 +154,7 @@ def test_braess_triangle_closure_emits_full_table():
     )
     sim = SimConfig(dt=1e-3, t_max=15.0, n_samples=80, eps=0.5,
                     master_seed=12, exit_mode="both")
-    verdict = braess_compare(BraessScenario(net, AddLine(3, 1, 1.0)), sim=sim)
+    verdict = braess_compare(net, net.with_added_line(3, 1, 1.0), sim=sim)
     assert set(verdict.verdicts) == {"f_delta_norm", "min_re_mu", "gamma", "hitting_time"}
     assert verdict.hitting_before is not None and verdict.hitting_after is not None
     assert verdict.after.crep.f_delta.shape == (3,)
@@ -171,17 +167,40 @@ def test_braess_metrics_can_disagree():
     noise = [0.1466, 0.5247, 0.3478, 0.2148, 0.2825]
     ring = [(i, i % 5 + 1, 1.0) for i in range(1, 6)]
     net = network_from_arrays(power, [1.0] * 5, [0.7] * 5, noise, ring)
-    verdict = braess_compare(BraessScenario(net, AddLine(1, 4, 1.0)))
+    verdict = braess_compare(net, net.with_added_line(1, 4, 1.0))
     assert verdict.verdicts["f_delta_norm"] == "degrades"
     assert verdict.verdicts["gamma"] == "improves"
     assert "f_delta_norm" in verdict.paradox_metrics
 
 
+def _three_node_net(lines):
+    return network_from_arrays([0.6, -0.2, -0.4], [1.0] * 3, [0.8] * 3, [0.4, 0.3, 0.2], lines)
+
+
+_PATH = [(1, 2, 1.5), (2, 3, 1.5)]
+
+
+@pytest.mark.parametrize("lines,modify,added", [
+    (_PATH, lambda net: net.with_line_capacity(1, 1.0), False),
+    (_PATH, lambda net: net.with_line_capacity(1, 1.5), False),
+    (_PATH, lambda net: net.with_line_capacity(1, 3.0), True),
+    (_PATH, lambda net: net.with_added_line(3, 1, 1.0), True),
+    # every capacity rises, but line 2 now joins nodes 1 and 3
+    (_PATH, lambda net: _three_node_net([(1, 2, 3.0), (1, 3, 3.0)]), False),
+    # the closing line is removed and the kept ones are re-rated up
+    (_PATH + [(3, 1, 1.0)], lambda net: _three_node_net([(1, 2, 3.0), (2, 3, 3.0)]), False),
+], ids=["rerate-down", "rerate-equal", "rerate-up", "added-line", "rewired", "removed"])
+def test_braess_capacity_added_is_read_off_the_two_networks(lines, modify, added):
+    base = _three_node_net(lines)
+    verdict = braess_compare(base, modify(base))
+    assert verdict.capacity_added is added
+    assert bool(verdict.paradox_metrics) <= added
+
+
 def test_braess_labels_failing_side():
     overloaded = two_node_net(p=1.9, cap=2.0, noise=(0.1, 0.1))
-    scenario = BraessScenario(overloaded, SetCapacity(1, 1.0))
     with pytest.raises(crep.SynchronousStateError, match="modified"):
-        braess_compare(scenario)
+        braess_compare(overloaded, overloaded.with_line_capacity(1, 1.0))
 
 
 def test_metrics_bundle_runs_no_second_eigen_factorization(monkeypatch):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import shutil
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 
 import crep
 from crep import save_network, smib_network
-from crep.cli import main
+from crep.cli import UsageError, main, scale_network
 
 from conftest import random_connected_network, ring5_net, stagewise_pipeline, two_node_net
 
@@ -464,6 +465,8 @@ def test_eps_outside_the_open_half_line_exit_code(tmp_path, capsys, command, eps
     ({"upper": True}, "'upper'"),
     ({"lower": [0.1, 0.1]}, "'lower'"),
     (5, "JSON object"),
+    ({"lower": 10**400}, "'lower'"),
+    ({"upper": [3.0, 3.0, 3.0, 3.0, -10**400]}, "'upper'"),
 ])
 def test_bounds_file_values_are_type_checked(tmp_path, capsys, doc, field):
     path = write_net(tmp_path, ring5_net())
@@ -492,7 +495,7 @@ def test_optimize_rejects_bad_search_settings(tmp_path, capsys, flags, message):
 
 
 @pytest.mark.parametrize("budget", [[], ["--budget", "5.0"]], ids=["default", "given"])
-@pytest.mark.parametrize("indices", [[9], [0], [2, 6]])
+@pytest.mark.parametrize("indices", [[9], [0], [2, 6], [10**30], [1, -10**30]])
 def test_bounds_file_index_out_of_range_exit_code(tmp_path, capsys, indices, budget):
     # the default budget sums the indexed lines, so the range is checked first
     path = write_net(tmp_path, ring5_net())
@@ -505,6 +508,31 @@ def test_bounds_file_index_out_of_range_exit_code(tmp_path, capsys, indices, bud
     assert capsys.readouterr().err == (
         "error: infeasible specification (line index out of range)\n"
     )
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--param", "Lt", "--range", "1:nan:3"], "--range bounds must be finite, got '1:nan:3'"),
+    (["sweep", "--param", "Lt", "--range", "1:inf:3"], "--range bounds must be finite, got '1:inf:3'"),
+    (["sweep", "--param", "Pt", "--range", "inf:2:3"], "--range bounds must be finite, got 'inf:2:3'"),
+    (["optimize", "--decision", "line_capacity", "--budget", "nan"], "--budget must be finite, got nan"),
+    (["optimize", "--decision", "damping", "--budget", "inf"], "--budget must be finite, got inf"),
+], ids=["range-nan", "range-inf", "range-lo-inf", "budget-nan", "budget-inf"])
+def test_non_finite_range_or_budget_blames_its_flag(tmp_path, capsys, argv, message):
+    path = write_net(tmp_path, ring5_net())
+    argv = [argv[0], path, *argv[1:]]
+    if argv[0] == "optimize":
+        argv += ["--max-evals", "40", "--network-out", str(tmp_path / "n.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "n.json").exists()
+
+
+@pytest.mark.parametrize("total", [0.0, -1.0, float("nan")])
+def test_scale_network_rejects_a_total_that_is_not_positive(total):
+    with pytest.raises(UsageError, match="must be > 0"):
+        scale_network(ring5_net(), "Lt", total)
 
 
 #: every output path flag, after the command and its required flags

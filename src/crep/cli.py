@@ -66,6 +66,9 @@ SWEEP_METRICS = (
     "cohesiveness",
     "gamma",
 )
+#: most points one sweep runs: np.linspace allocates every point before the
+#: first runs, and each point is a full analysis (about a millisecond on ring5)
+MAX_SWEEP_STEPS = 10**6
 
 
 class UsageError(CrepError):
@@ -207,6 +210,8 @@ def cmd_sweep(net: Network, args) -> str:
         raise UsageError(f"--range bounds must be finite, got {args.range!r}")
     if steps < 1:
         raise UsageError("--range needs at least one step")
+    if steps > MAX_SWEEP_STEPS:
+        raise UsageError(f"--range allows at most {MAX_SWEEP_STEPS} steps, got {steps}")
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     unknown = [m for m in metrics if m not in SWEEP_METRICS]
     if unknown:

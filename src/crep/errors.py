@@ -36,7 +36,8 @@ class DegenerateSystemError(CrepError):
 
 
 class LyapunovSolveError(CrepError):
-    """Lyapunov residual exceeded tolerance (near-singular reduced system)."""
+    """Lyapunov residual exceeded tolerance (near-singular reduced system), or
+    the variances overflow the float range (huge capacities or noise)."""
 
 
 class AllCensoredError(CrepError):
@@ -52,8 +53,8 @@ class NoFeasiblePointError(CrepError):
 
 
 #: the errors meaning the metric is undefined for a network: it has no
-#: admissible synchronous state, or its reduced system is marginally stable or
-#: too ill-conditioned for the Lyapunov solve
+#: admissible synchronous state, or its reduced system is marginally stable,
+#: too ill-conditioned for the Lyapunov solve or beyond the float range
 METRIC_UNDEFINED = (SynchronousStateError, DegenerateSystemError, LyapunovSolveError)
 
 

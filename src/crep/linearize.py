@@ -158,7 +158,7 @@ def cos_laplacians(nets: Sequence[Network], states: Sequence[SynchronousState]) 
 
 def reduce_stack(
     laplacians: np.ndarray, nets: Sequence[Network]
-) -> tuple[StackedReduction, list[DegenerateSystemError | None]]:
+) -> tuple[StackedReduction, list[DegenerateSystemError | LyapunovSolveError | None]]:
     """Diagonalize the mass-scaled Laplacians of a stack and deflate their zero modes.
 
     ``laplacians`` holds each network's cosine-weighted Laplacian (see
@@ -166,16 +166,28 @@ def reduce_stack(
     ends.  One batched ``np.linalg.eigh`` diagonalizes the whole stack, one
     matrix per LAPACK call, so each row has the bits it has in a stack of
     one.  Returns the reduction and, per row, None or its
-    :class:`DegenerateSystemError` (see :func:`_deflate`); such a row is no
-    input of either variance solver.
+    :class:`DegenerateSystemError` (see :func:`_deflate`), or a
+    :class:`LyapunovSolveError` where the mass-scaled Laplacian has an entry
+    beyond the float range; such a row is no input of either variance solver.
     """
     net = nets[0]
     n, m = net.n, net.m
     inv_sqrt_m = 1.0 / np.sqrt([row.inertia for row in nets])
     noise = np.array([row.noise for row in nets])
-    sym = inv_sqrt_m[:, :, None] * laplacians * inv_sqrt_m[:, None, :]
-    eigvals, vectors = np.linalg.eigh(0.5 * (sym + np.swapaxes(sym, -1, -2)))
+    with np.errstate(over="ignore"):
+        mass_scaled = inv_sqrt_m[:, :, None] * laplacians * inv_sqrt_m[:, None, :]
+        sym = 0.5 * (mass_scaled + np.swapaxes(mass_scaled, -1, -2))
+    # eigh would raise for the whole stack on a row beyond the float range;
+    # such a row is an error, and its zeroed matrix is not read
+    overflow = ~np.isfinite(sym).all(axis=(1, 2))
+    sym[overflow] = 0.0
+    eigvals, vectors = np.linalg.eigh(sym)
+    del sym  # held to the return, it adds 1 MB to sweep-grid's peak RSS
     errors = _deflate(eigvals)
+    for j in overflow.nonzero()[0]:
+        errors[j] = LyapunovSolveError(
+            "the mass-scaled Laplacian overflows double precision; no variance is defined"
+        )
     # flip each eigenvector so that its first non-negligible entry is positive;
     # the first large entry of a column is the one whose running count is 1
     large = np.abs(vectors) > 1e-12
@@ -240,7 +252,8 @@ def solve_lyapunov(reduction: SpectralReduction) -> VarianceReport:
     g = a2 @ q_x
     residual = float(np.max(np.abs(g + g.T + forcing)))
     scale = float(np.max(np.abs(forcing)))
-    if residual > LYAP_RESIDUAL_TOL * max(scale, np.finfo(float).tiny):
+    # a NaN residual fails the test too
+    if not residual <= LYAP_RESIDUAL_TOL * max(scale, np.finfo(float).tiny):
         raise LyapunovSolveError(
             f"Lyapunov residual {residual:.3e} exceeds {LYAP_RESIDUAL_TOL:.1e} * {scale:.3e}"
         )
@@ -338,7 +351,10 @@ def uniform_damping_ratios(nets: Sequence[Network]) -> np.ndarray:
     return np.where((ratio == ratio[:, :1]).all(axis=1), ratio[:, 0], np.nan)
 
 
-def modal_variances(reduction: StackedReduction, gamma: np.ndarray) -> list[VarianceReport]:
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # checked at the end
+def modal_variances(
+    reduction: StackedReduction, gamma: np.ndarray
+) -> list[VarianceReport | LyapunovSolveError]:
     """Stationary variances, in closed form, of networks with a uniform damping ratio.
 
     ``reduction`` is the :func:`reduce_stack` reduction of networks whose
@@ -362,7 +378,13 @@ def modal_variances(reduction: StackedReduction, gamma: np.ndarray) -> list[Vari
     else lambda_j / (gamma / 2 + sqrt(gamma^2 / 4 - lambda_j)); the zero mode
     at gamma.  A row's result does not depend on the stack.  Returns, per
     network, its report: the fields of :func:`solve_lyapunov`'s, in the
-    coordinates of the same eigenbasis.
+    coordinates of the same eigenbasis; or a :class:`LyapunovSolveError`
+    where huge capacities or noise overflow the formulas: 2 gamma, a term
+    2 gamma^2 (lambda_i + lambda_j) or an entry of its covariances is not
+    finite.  A denominator made infinite by (lambda_i - lambda_j)^2 alone is
+    allowed: its quotients are then 0 where their true values are negligible
+    beside the row's diagonal (ring5 reaches it at a capacity total near
+    3e154).
     """
     lam = reduction.eigenvalues
     n = lam.shape[1]
@@ -372,7 +394,8 @@ def modal_variances(reduction: StackedReduction, gamma: np.ndarray) -> list[Vari
     g = gamma[:, None, None]
     li, lj = lam[:, 1:, None], lam[:, None, 1:]
     total, gap = li + lj, li - lj
-    p = 2.0 * g * s[:, 1:, 1:] / (2.0 * g * g * total + gap * gap)
+    damped = 2.0 * g * g * total
+    p = 2.0 * g * s[:, 1:, 1:] / (damped + gap * gap)
     v = np.empty_like(s)
     v[:, 1:, 1:] = 0.5 * total * p
     v[:, 0, 1:] = gamma[:, None] * s[:, 0, 1:] / (2.0 * gamma[:, None] ** 2 + lam[:, 1:])
@@ -391,4 +414,16 @@ def modal_variances(reduction: StackedReduction, gamma: np.ndarray) -> list[Vari
         slack < 0.0, half, lam[:, 1:] / (half + np.sqrt(np.maximum(slack, 0.0)))
     )
     min_re_mu = np.minimum(gamma, rates.min(axis=1, initial=np.inf))
-    return _output_variances(q_x, reduction.reduced_output, min_re_mu)
+    reports = _output_variances(q_x, reduction.reduced_output, min_re_mu)
+    # 2 gamma^2 + lambda_j overflows only where 2 gamma^2 (lambda_j + lambda_j) does
+    finite = (
+        np.isfinite(2.0 * gamma) & np.isfinite(damped).all(axis=(1, 2))
+        & np.isfinite(q_x).all(axis=(1, 2))
+    ).tolist()
+    return [
+        report if ok and np.isfinite(report.q_y).all() else LyapunovSolveError(
+            "the closed-form covariance overflows: a denominator or an entry "
+            "is not finite in double precision"
+        )
+        for ok, report in zip(finite, reports)
+    ]

@@ -146,7 +146,16 @@ class Network:
         return derived
 
     def with_added_line(self, from_node: int, to_node: int, capacity: float) -> "Network":
-        """Copy with a line between 1-based node ids appended as line m + 1."""
+        """Copy with a line between 1-based node ids appended as line m + 1.
+
+        The ids are checked as Python ints first, so one beyond the int64
+        range gets the constructor's unknown-node message.
+        """
+        for node in (from_node, to_node):
+            if not 1 <= node <= self.n:
+                raise NetworkValidationError(
+                    f"line ({from_node},{to_node}): unknown node id {node}"
+                )
         return dataclasses.replace(
             self,
             line_from=np.append(self.line_from, from_node - 1),

@@ -94,12 +94,11 @@ class DecisionSpec:
                 raise InfeasibleSpecError(f"{name} must be finite")
         if np.any(self.lower > self.upper):
             raise InfeasibleSpecError("lower bound exceeds upper bound")
-        if not (
-            self.lower.sum() - BUDGET_TOL <= self.budget <= self.upper.sum() + BUDGET_TOL
-        ):
+        with np.errstate(over="ignore"):  # an infinite sum compares as it should
+            low, high = self.lower.sum(), self.upper.sum()
+        if not low - BUDGET_TOL <= self.budget <= high + BUDGET_TOL:
             raise InfeasibleSpecError(
-                f"budget {self.budget} outside [sum(lower), sum(upper)] = "
-                f"[{self.lower.sum()}, {self.upper.sum()}]"
+                f"budget {self.budget} outside [sum(lower), sum(upper)] = [{low}, {high}]"
             )
 
     @property
@@ -138,6 +137,7 @@ def validate_spec(net: Network, spec: DecisionSpec) -> None:
         raise InfeasibleSpecError(f"{spec.variable} lower bounds must be > 0")
 
 
+@np.errstate(over="ignore")  # a sum beyond the float range is inf, handled below
 def project_to_budget_box(
     x: np.ndarray, lower: np.ndarray, upper: np.ndarray, budget: float
 ) -> np.ndarray:
@@ -162,18 +162,24 @@ def project_to_budget_box(
     kinks = np.sort(np.concatenate((enter, leave)))
     # S(kinks[0]) = total_high > budget > total_low = S(kinks[-1]); keep
     # S(kinks[lo]) > budget >= S(kinks[hi]) while halving the index range
-    lo, hi, s_lo = 0, kinks.size - 1, total_high
+    lo, hi, s_lo, s_hi = 0, kinks.size - 1, total_high, total_low
     while hi - lo > 1:
         mid = (lo + hi) // 2
         s = float(np.minimum(np.maximum(x - kinks[mid], lower), upper).sum())
         if s > budget:
             lo, s_lo = mid, s
         else:
-            hi = mid
+            hi, s_hi = mid, s
     # no kink lies between kinks[lo] and kinks[hi]: S falls there with slope
-    # -n_free, or is flat where roundoff brackets a budget with n_free = 0
+    # -n_free, or is flat where roundoff brackets a budget with n_free = 0;
+    # tau is measured from kinks[hi] only where S(kinks[lo]) overflowed
     n_free = np.count_nonzero((enter <= kinks[lo]) & (leave >= kinks[hi]))
-    tau = kinks[lo] + (s_lo - budget) / n_free if n_free else kinks[lo]
+    if not n_free:
+        tau = kinks[lo]
+    elif s_lo < math.inf:
+        tau = kinks[lo] + (s_lo - budget) / n_free
+    else:
+        tau = kinks[hi] - (budget - s_hi) / n_free
     return np.clip(x - tau, lower, upper)
 
 

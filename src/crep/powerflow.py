@@ -1,9 +1,11 @@
 """Synchronous-state (power-flow) solver restricted to the security domain.
 
-Solves ``P_i = sum_j l_ij sin(delta_i - delta_j)`` for the phase vector with
-node 1 as reference, by damped Newton iteration on the reduced system.  Inside
-the security domain (every line phase gap strictly below pi/2) the reduced
-Jacobian is positive definite and the solution, when it exists, is unique.
+Solves ``P_i = sum_j l_ij sin(delta_i - delta_j)`` for the phase vector by
+damped Newton iteration on the reduced system, which leaves out node 1:
+every step moves the other phases only, so node 1 keeps the phase 0 it
+starts at.  Inside the security domain (every line phase gap strictly below
+pi/2) the reduced Jacobian is positive definite and the solution, when it
+exists, is unique.
 
 Each Newton step is damped by halving until the max-norm mismatch decreases.
 The full step solves J s = -F, so it is a descent direction; when all
@@ -44,7 +46,7 @@ _HALVINGS = 0.5 ** np.arange(1, _MAX_HALVINGS)
 
 @dataclass(frozen=True)
 class SynchronousState:
-    """Equilibrium phases (reference node pinned to 0) and line phase gaps."""
+    """Equilibrium phases (node 1's is 0: no Newton step moves it) and line phase gaps."""
 
     phase: np.ndarray              # (n,)
     output_phase_diffs: np.ndarray  # (m,) incidence^T @ phase
@@ -100,17 +102,17 @@ def _singular_rows(jac: np.ndarray, rhs: np.ndarray):
     return steps, errors
 
 
-def _converged_states(net: Network, phase: np.ndarray, norm: np.ndarray) -> list:
-    """States at the converged columns of ``phase``.
+def _converged_states(phase: np.ndarray, gaps: np.ndarray, norm: np.ndarray) -> list:
+    """States at the converged columns ``phase`` and their line ``gaps``.
 
-    A column with a line gap outside the security domain gets an
-    :class:`OutOfDomain` error instead.
+    No step moves node 1, so its phase is the 0 it starts at.  A column with
+    a line gap outside the security domain gets an :class:`OutOfDomain`
+    error instead.
     """
-    diffs = np.abs(phase.take(net.line_from, axis=0) - phase.take(net.line_to, axis=0))
+    diffs = np.abs(gaps)
     outside = np.max(diffs, axis=0, initial=0.0) >= HALF_PI - DOMAIN_MARGIN
-    gauged = (phase - phase[0]).T.copy()  # gauge: reference node at exactly 0
-    gaps = gauged.take(net.line_from, axis=1) - gauged.take(net.line_to, axis=1)
-    gauged.flags.writeable = gaps.flags.writeable = False
+    phase, gaps = phase.T.copy(), gaps.T.copy()
+    phase.flags.writeable = gaps.flags.writeable = False
     states = []
     for j, (leaves, residual) in enumerate(zip(outside.tolist(), norm.tolist())):
         if leaves:
@@ -120,7 +122,7 @@ def _converged_states(net: Network, phase: np.ndarray, norm: np.ndarray) -> list
                 f"(|gap| = {diffs[worst, j]:.6f} >= pi/2)"
             ))
         else:
-            states.append(SynchronousState(gauged[j], gaps[j], residual))
+            states.append(SynchronousState(phase[j], gaps[j], residual))
     return states
 
 
@@ -144,36 +146,41 @@ def solve_synchronous_states(
     norm = np.abs(mism).max(axis=0)
 
     def retire(leaving, verdicts):
-        """Record the verdicts of the rows in the mask ``leaving``; drop them.
-
-        When no row is left the solve ends, and the arrays are not sliced.
-        """
+        """Record the verdicts of the rows in the mask ``leaving``; drop them."""
         nonlocal rows, power, capacity, phase, mism, gaps, norm
         for row, verdict in zip(rows[leaving].tolist(), verdicts):
             results[row] = verdict
-        if leaving.all():
-            rows = rows[:0]
-            return
-        keep = ~leaving
-        rows, power, capacity = rows[keep], power[:, keep], capacity[:, keep]
-        phase, mism, gaps, norm = phase[:, keep], mism[:, keep], gaps[:, keep], norm[keep]
+        keep = (~leaving).nonzero()[0]  # take is faster than a boolean mask here
+        rows, norm = rows[keep], norm[keep]
+        power, capacity, phase, mism, gaps = (
+            a.take(keep, axis=1) for a in (power, capacity, phase, mism, gaps)
+        )
 
-    for iteration in range(1, MAX_ITER + 1):
+    # every pass retires its converged rows; the pass after the last
+    # iteration also fails the rest
+    for iteration in range(1, MAX_ITER + 2):
         done = norm <= TOL
         if done.any():
-            retire(done, _converged_states(topology, phase[:, done], norm[done]))
-            if not rows.size:
-                break
+            retire(done, _converged_states(phase[:, done], gaps[:, done], norm[done]))
+        if iteration > MAX_ITER:
+            retire(np.ones(rows.size, dtype=bool), [
+                NoConvergence(
+                    f"power flow did not converge in {MAX_ITER} iterations "
+                    f"(residual {residual:.3e} > tol {TOL:.3e})"
+                )
+                for residual in norm
+            ])
+        if not rows.size:
+            break
         jac = _laplacian(capacity * np.cos(gaps), topology)[1:, 1:]
         try:
             step = np.linalg.solve(jac.transpose(2, 0, 1), mism[1:].T[..., None])[..., 0].T
         except np.linalg.LinAlgError:
+            # should every row fail, the rest of the pass runs on no columns
             step, singular = _singular_rows(jac, mism[1:])
             failed = np.array([error is not None for error in singular])
             step = step[:, ~failed]
             retire(failed, [error for error in singular if error is not None])
-            if not rows.size:
-                break
 
         # damp: the full step, then for rows it did not improve every halving
         # at once; each row takes its first trial that lowers its mismatch
@@ -182,7 +189,7 @@ def solve_synchronous_states(
         trial_mism, trial_gaps = _mismatch(topology, power, capacity, trial)
         trial_norm = np.abs(trial_mism).max(axis=0)
         retry = (~(trial_norm < norm)).nonzero()[0]
-        stalled = []
+        stalled = np.zeros(rows.size, dtype=bool)
         if retry.size:
             tried = np.repeat(phase[:, None, retry], _HALVINGS.size, axis=1)
             tried[1:] += _HALVINGS[:, None] * step[:, None, retry]
@@ -199,31 +206,17 @@ def solve_synchronous_states(
             trial_mism[:, take] = tried_mism[:, halving, cols]
             trial_gaps[:, take] = tried_gaps[:, halving, cols]
             trial_norm[take] = tried_norm[halving, cols]
-            stalled = retry[~found].tolist()
-        errors = [
-            NoConvergence(
-                f"no damped Newton step reduced the mismatch at iteration {iteration} "
-                f"(residual {norm[j]:.3e} > tol {TOL:.3e})"
-            )
-            for j in stalled
-        ]
+            stalled[retry[~found]] = True
+        before = norm  # a stalled row reports its residual before the step
         phase, mism, gaps, norm = trial, trial_mism, trial_gaps, trial_norm
-        if errors:
-            leaving = np.zeros(rows.size, dtype=bool)
-            leaving[stalled] = True
-            retire(leaving, errors)
-            if not rows.size:
-                break
-    else:
-        done = norm <= TOL
-        retire(done, _converged_states(topology, phase[:, done], norm[done]))
-        retire(np.ones(rows.size, dtype=bool), [
-            NoConvergence(
-                f"power flow did not converge in {MAX_ITER} iterations "
-                f"(residual {residual:.3e} > tol {TOL:.3e})"
-            )
-            for residual in norm
-        ])
+        if stalled.any():
+            retire(stalled, [
+                NoConvergence(
+                    f"no damped Newton step reduced the mismatch at iteration {iteration} "
+                    f"(residual {residual:.3e} > tol {TOL:.3e})"
+                )
+                for residual in before[stalled]
+            ])
     return results
 
 

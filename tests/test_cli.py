@@ -535,6 +535,40 @@ def test_scale_network_rejects_a_total_that_is_not_positive(total):
         scale_network(ring5_net(), "Lt", total)
 
 
+def test_a_sweep_past_the_variance_range_reports_infeasible_points(tmp_path):
+    # ring5's variances overflow at these capacity totals; a NaN variance
+    # would reach the escape stage, which rejects it with a ValueError
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", str(DEMO_RING5), "--param", "Lt",
+                     "--range", "1e308:1.7e308:2", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [(row[0], row[-1]) for row in rows] == [("1e+308", "false"), ("1.7e+308", "false")]
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["sweep", "--param", "Lt", "--range", "3:10:100000000000000000000"], 1,
+     "--range allows at most 1000000 steps, got 100000000000000000000"),
+    (["braess", "--add-line", "1:99999999999999999999:1.0"], 1,
+     "line (1,99999999999999999999): unknown node id 99999999999999999999"),
+    (["optimize", "--decision", "generation", "--budget", "1e308"], 2,
+     "infeasible specification (generation budget 1e+308 does not balance the "
+     "fixed injections (1.1 required))"),
+    (["optimize", "--decision", "line_capacity", "--budget", "1e308"], 3,
+     "no evaluated candidate admitted an in-domain synchronous state"),
+], ids=["range-steps", "add-line-id", "generation-budget", "capacity-budget"])
+def test_huge_flag_values_exit_with_one_error_line(tmp_path, capsys, argv, code, message):
+    argv = [argv[0], str(DEMO_RING5), *argv[1:]]
+    if argv[0] == "optimize":
+        argv += ["--max-evals", "40", "--network-out", str(tmp_path / "n.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "n.json").exists()
+
+
 #: every output path flag, after the command and its required flags
 OUTPUT_FLAGS = pytest.mark.parametrize("command,flag", [
     (["analyze"], "--out"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -22,6 +23,7 @@ from crep import (
     spectral_reduce,
 )
 
+from crep.escape import run_stages
 from crep.linearize import (
     LYAP_RESIDUAL_TOL,
     _LYAP_LEAF,
@@ -525,3 +527,77 @@ def test_closed_form_rejects_a_marginally_stable_state():
     assert not np.isnan(uniform_damping_ratios([net])[0])
     with pytest.raises(DegenerateSystemError, match="marginally stable"):
         crep_package.Analysis(net).variance
+
+
+def _ring5_with_total_capacity(total):
+    """demo/ring5 (d/m = 0.8 at every node) with its capacities scaled to ``total``."""
+    net = ring5_net()
+    return net.with_arrays(capacity=net.capacity * (total / float(net.capacity.sum())))
+
+
+def _mixed_damping(net):
+    damping = net.damping.copy()
+    damping[0] = 1.3
+    return net.with_arrays(damping=damping)
+
+
+@pytest.mark.parametrize("total", [1e308, 1.7e308])
+def test_capacities_that_overflow_the_closed_form_raise(total):
+    # at 1e308 a denominator overflows to inf, which makes p and sigma2_omega
+    # wrong without a NaN; at 1.7e308 the variances are NaN
+    net = _ring5_with_total_capacity(total)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_synchronous_state(net)
+        with pytest.raises(LyapunovSolveError, match="closed-form covariance overflows"):
+            crep_package.Analysis(net).variance
+
+
+def test_noise_that_overflows_the_closed_form_raises():
+    net = ring5_net().with_arrays(noise=ring5_net().noise * 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LyapunovSolveError, match="closed-form covariance overflows"):
+            crep_package.Analysis(net).variance
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_noise_that_overflows_the_lyapunov_solve_raises():
+    # B2 B2^T overflows, so the residual is NaN, which fails its test
+    net = _mixed_damping(ring5_net().with_arrays(noise=ring5_net().noise * 1e160))
+    assert np.isnan(uniform_damping_ratios([net])[0])
+    with pytest.raises(LyapunovSolveError, match="Lyapunov residual nan"):
+        crep_package.Analysis(net).variance
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["closed-form", "lyapunov"])
+def test_a_laplacian_beyond_the_float_range_raises(mixed):
+    # node 2's diagonal entry, 1.5e308, doubles past the float range when the
+    # mass-scaled Laplacian is symmetrized; eigh of it is NaN, or raises
+    # LinAlgError for the whole stack
+    net = ring5_net(caps=(1e308, 5e307, 1.0, 1.0, 1.0))
+    net = _mixed_damping(net) if mixed else net
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_synchronous_state(net)
+        with pytest.raises(LyapunovSolveError, match="Laplacian overflows"):
+            crep_package.Analysis(net).variance
+
+
+def test_an_overflowing_row_leaves_its_stack_unchanged():
+    ring5 = ring5_net()
+    alone = crep_package.Analysis(ring5).variance
+    analyses = [crep_package.Analysis(net) for net in
+                (_ring5_with_total_capacity(1e308), ring5,
+                 ring5_net(caps=(1e308, 5e307, 1.0, 1.0, 1.0)))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errors = run_stages(analyses, "variance")
+    assert isinstance(errors[0], LyapunovSolveError)
+    assert errors[1] is None
+    assert isinstance(errors[2], LyapunovSolveError)
+    variance = analyses[1].variance
+    for field in fields(variance):
+        assert np.asarray(getattr(variance, field.name)).tobytes() == \
+            np.asarray(getattr(alone, field.name)).tobytes(), field.name

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,20 @@ def _assert_near_exact(x, lower, upper, budget):
     error = max(abs(Fraction(t) - e) for t, e in zip(theta.tolist(), exact))
     scale = max(1.0, np.abs(x).max(), np.abs(lower).max(), np.abs(upper).max())
     assert error <= 64 * np.finfo(float).eps * scale, (x, lower, upper, budget)
+
+
+def test_projection_whose_box_sums_overflow_meets_the_budget():
+    # sum(upper) and S at the upper kinks are inf: tau is measured from the
+    # kink below the budget, where S is finite
+    x = np.ones(5)
+    lower, upper = np.full(5, 2e305), np.full(5, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = project_to_budget_box(x, lower, upper, 1e308)
+        _assert_near_exact(x, lower, upper, 1e308)
+        _assert_near_exact(np.array([1e308, 1.0, -1e308]), np.zeros(3),
+                           np.full(3, 1.5e308), 6e307)
+    assert theta.sum() == pytest.approx(1e308, rel=1e-14)
 
 
 def test_projection_matches_the_exact_rational_projection():

@@ -187,3 +187,26 @@ def test_a_singular_jacobian_fails_only_its_own_row(monkeypatch):
                         lambda weights, net: laplacian(0.0 * weights, net))
     with pytest.raises(NoConvergence, match="singular Jacobian"):
         solve_synchronous_state(nets[0])
+
+
+def test_iteration_limit_fails_only_the_rows_still_running(monkeypatch):
+    # ring5 converges on its 4th Newton step, and at half capacity on its 6th;
+    # with a limit of 4 the first still comes back, the second fails
+    fast, slow = ring5_net(), ring5_net(caps=(0.5,) * 5)
+    alone = solve_synchronous_state(fast)
+    monkeypatch.setattr(crep.powerflow, "MAX_ITER", 4)
+    with pytest.raises(NoConvergence, match=(
+        r"^power flow did not converge in 4 iterations "
+        r"\(residual \d\.\d{3}e[-+]\d+ > tol 1\.000e-10\)$"
+    )):
+        solve_synchronous_state(slow)
+    assert solve_synchronous_state(fast).residual <= crep.powerflow.TOL
+    states = crep.powerflow.solve_synchronous_states([fast, slow])
+    assert isinstance(states[1], NoConvergence)
+    assert np.array_equal(states[0].phase, alone.phase)
+    assert np.array_equal(states[0].output_phase_diffs, alone.output_phase_diffs)
+    assert states[0].residual == alone.residual
+
+    monkeypatch.setattr(crep.powerflow, "MAX_ITER", 3)
+    with pytest.raises(NoConvergence, match="did not converge in 3 iterations"):
+        solve_synchronous_state(fast)

@@ -239,9 +239,12 @@ def solve_lyapunov(reduction: SpectralReduction) -> VarianceReport:
     overflow, or when the residual exceeds its bound.
     """
     a2 = reduction.reduced_sys
-    forcing = reduction.reduced_input @ reduction.reduced_input.T
     r, u = scipy.linalg.schur(a2, output="real")
-    f = u.T.dot((-forcing).dot(u))
+    # noise beyond the float range overflows here; the residual test below
+    # rejects the NaN that follows, with the error in place of the warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        forcing = reduction.reduced_input @ reduction.reduced_input.T
+        f = u.T.dot((-forcing).dot(u))
     y = _triangular_lyapunov(r, f)
     min_re_mu = float(np.min(np.abs(np.diag(r))))
     q_x = u.dot(y).dot(u.T)

@@ -7,8 +7,10 @@ breakpoint search (budgets at the box-sum ends return the corners); lack of an
 admissible synchronous state is encoded as a penalty value so the
 security-domain constraint never silently disappears.  The search is
 differential evolution (DE/rand/1/bin with deferred updates: each generation's
-trials come from the previous population and are scored as one stack) and a
-Nelder-Mead polish, one point at a time; it is deterministic for a fixed seed.
+trials come from the previous population and are projected and scored as one
+stack) and a Nelder-Mead polish that scores each step's candidate points as
+one stack and counts only the points the method evaluates; it is
+deterministic for a fixed seed.
 """
 from __future__ import annotations
 
@@ -18,10 +20,15 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-import scipy.optimize
 
 from .baselines import order_parameter, phase_cohesiveness
-from .errors import ConfigError, InfeasibleSpecError, NoFeasiblePointError, require_int
+from .errors import (
+    ConfigError,
+    InfeasibleSpecError,
+    NoFeasiblePointError,
+    SynchronousStateError,
+    require_int,
+)
 from .escape import DEFAULT_EPS, Analysis, run_stages
 from .network import Network
 from .powerflow import _HALVINGS
@@ -143,44 +150,50 @@ def project_to_budget_box(
 ) -> np.ndarray:
     """Euclidean projection of ``x`` onto {sum = budget, lower <= . <= upper}.
 
-    The KKT conditions give theta = clip(x - tau, lower, upper) for a scalar
-    tau.  S(tau) = sum(theta) is continuous, piecewise linear and
-    nonincreasing, with kinks at x - upper and x - lower: a bisection over the
-    sorted kinks finds the segment where S crosses the budget, and there tau
-    has a closed form; O(k log k) time and O(k) memory.  A budget at or beyond
-    sum(lower) (sum(upper)), within BUDGET_TOL, returns lower (upper) exactly.
+    ``x`` is one point or a (B, d) array of points, each projected on its
+    own; a row gets the bits of the point projected alone.  The KKT
+    conditions give theta = clip(x - tau, lower, upper) for a scalar tau.
+    S(tau) = sum(theta) is continuous, piecewise linear and nonincreasing,
+    with kinks at x - upper and x - lower: a bisection over the sorted kinks,
+    run for every row at once, finds the segment where S crosses the budget,
+    and there tau has a closed form; O(k log k) time and O(k) memory per
+    point.  A budget at or beyond sum(lower) (sum(upper)), within
+    BUDGET_TOL, returns lower (upper) exactly.
     """
     x, lower, upper = (np.asarray(a, dtype=float) for a in (x, lower, upper))
     total_low, total_high = float(lower.sum()), float(upper.sum())
     if not total_low - BUDGET_TOL <= budget <= total_high + BUDGET_TOL:
         raise InfeasibleSpecError("budget outside the box sum range")
     if budget <= total_low:
-        return np.array(lower, dtype=float)
+        return np.array(np.broadcast_to(lower, x.shape))
     if budget >= total_high:
-        return np.array(upper, dtype=float)
-    enter, leave = x - upper, x - lower
-    kinks = np.sort(np.concatenate((enter, leave)))
-    # S(kinks[0]) = total_high > budget > total_low = S(kinks[-1]); keep
-    # S(kinks[lo]) > budget >= S(kinks[hi]) while halving the index range
-    lo, hi, s_lo, s_hi = 0, kinks.size - 1, total_high, total_low
-    while hi - lo > 1:
+        return np.array(np.broadcast_to(upper, x.shape))
+    points = np.atleast_2d(x)
+    rows = np.arange(len(points))
+    enter, leave = points - upper, points - lower
+    kinks = np.sort(np.concatenate((enter, leave), axis=1), axis=1)
+    # S(kinks[:, 0]) = total_high > budget > total_low = S(kinks[:, -1]); keep
+    # S(kinks[lo]) > budget >= S(kinks[hi]) while halving each row's range
+    lo = np.zeros(len(points), dtype=np.intp)
+    hi = np.full(len(points), kinks.shape[1] - 1)
+    s_lo, s_hi = np.full(len(points), total_high), np.full(len(points), total_low)
+    while (active := hi - lo > 1).any():
         mid = (lo + hi) // 2
-        s = float(np.minimum(np.maximum(x - kinks[mid], lower), upper).sum())
-        if s > budget:
-            lo, s_lo = mid, s
-        else:
-            hi, s_hi = mid, s
+        s = np.minimum(np.maximum(points - kinks[rows, mid][:, None], lower), upper).sum(axis=1)
+        up, down = active & (s > budget), active & ~(s > budget)
+        lo[up], s_lo[up] = mid[up], s[up]
+        hi[down], s_hi[down] = mid[down], s[down]
     # no kink lies between kinks[lo] and kinks[hi]: S falls there with slope
     # -n_free, or is flat where roundoff brackets a budget with n_free = 0;
     # tau is measured from kinks[hi] only where S(kinks[lo]) overflowed
-    n_free = np.count_nonzero((enter <= kinks[lo]) & (leave >= kinks[hi]))
-    if not n_free:
-        tau = kinks[lo]
-    elif s_lo < math.inf:
-        tau = kinks[lo] + (s_lo - budget) / n_free
-    else:
-        tau = kinks[hi] - (budget - s_hi) / n_free
-    return np.clip(x - tau, lower, upper)
+    kink_lo, kink_hi = kinks[rows, lo], kinks[rows, hi]
+    n_free = np.count_nonzero((enter <= kink_lo[:, None]) & (leave >= kink_hi[:, None]), axis=1)
+    tau = kink_lo.copy()
+    below = (n_free > 0) & (s_lo < math.inf)
+    tau[below] = kink_lo[below] + (s_lo[below] - budget) / n_free[below]
+    beyond = (n_free > 0) & ~(s_lo < math.inf)
+    tau[beyond] = kink_hi[beyond] - (budget - s_hi[beyond]) / n_free[beyond]
+    return np.clip(points - tau[:, None], lower, upper).reshape(x.shape)
 
 
 def apply_decision(net: Network, spec: DecisionSpec, theta: np.ndarray) -> Network:
@@ -337,8 +350,9 @@ def optimize(
     Every candidate is projected onto the budget/box set before evaluation.
     The returned best-so-far history is monotone, with one entry for the
     initial population, one per DE generation and one after the polish.  Raises
-    :class:`NoFeasiblePointError` if no evaluated candidate admitted a
-    synchronous state, and :class:`ConfigError` for an unknown ``kind``.
+    :class:`NoFeasiblePointError` if no evaluated candidate was feasible (its
+    message names the first failure past the synchronous state, if any), and
+    :class:`ConfigError` for an unknown ``kind``.
     """
     kind = ObjectiveKind(kind)
     search = search or SearchConfig()
@@ -352,34 +366,44 @@ def optimize(
 
     evals = 0
     best: dict = {"score": math.inf, "feasible": False, "theta": None, "natural": math.inf}
+    failure = None  # the first committed error of a stage past the state
+
+    def score(thetas: np.ndarray) -> list:
+        """Per candidate of a stack, in order, its (score, natural value, error).
+
+        Scoring has no side effect: a candidate counts only once committed.
+        """
+        outcomes = []
+        for analysis, error in _analysed_candidates(base, spec, thetas, objective.stage):
+            if error is None:
+                natural = objective.read(analysis)
+                outcomes.append((-natural if maximize else natural, natural, None))
+            else:
+                outcomes.append((objective.penalty, objective.penalty, error))
+        return outcomes
+
+    def commit(theta: np.ndarray, outcome) -> float:
+        """Count one scored candidate and keep it if it is the best so far; its score."""
+        nonlocal evals, failure
+        value, natural, error = outcome
+        evals += 1
+        feasible = error is None
+        if failure is None and not feasible and not isinstance(error, SynchronousStateError):
+            failure = error
+        if (value, 0 if feasible else 1) < (best["score"], 0 if best["feasible"] else 1):
+            best.update(score=value, feasible=feasible, theta=theta.copy(), natural=natural)
+        return value
 
     def evaluate(thetas: np.ndarray) -> np.ndarray:
-        """Scores of a stack of candidates, best-so-far updated in stack order."""
-        nonlocal evals
-        scores = np.empty(len(thetas))
-        analysed = _analysed_candidates(base, spec, thetas, objective.stage)
-        for j, (analysis, error) in enumerate(analysed):
-            evals += 1
-            feasible = error is None
-            if feasible:
-                natural = objective.read(analysis)
-                score = -natural if maximize else natural
-            else:
-                natural = score = objective.penalty
-            key = (score, 0 if feasible else 1)
-            if key < (best["score"], 0 if best["feasible"] else 1):
-                best.update(score=score, feasible=feasible, theta=thetas[j].copy(),
-                            natural=natural)
-            scores[j] = score
-        return scores
-
-    start = project_to_budget_box(current_values(net, spec), lower, upper, budget)
+        """Scores of a stack of candidates, committed in stack order."""
+        return np.array([commit(t, outcome) for t, outcome in zip(thetas, score(thetas))])
 
     # degenerate box: the feasible set is a single point
     if np.array_equal(lower, upper):
         (value,) = evaluate(lower[None])
         if not best["feasible"]:
-            raise NoFeasiblePointError("the single feasible point admits no state")
+            raise _no_feasible_point(failure, "the single feasible point admits no state",
+                                     "the single feasible point")
         natural = -value if maximize else value
         return OptimizationResult(
             theta=lower.copy(),
@@ -392,15 +416,9 @@ def optimize(
 
     rng = np.random.default_rng(search.seed)
     pop_size = max(4, DE_POPULATION_PER_DIM * dim)
-    population = np.empty((pop_size, dim))
-    population[0] = start
-    population[1] = project_to_budget_box(
-        np.full(dim, budget / dim), lower, upper, budget
-    )
-    for i in range(2, pop_size):
-        population[i] = project_to_budget_box(
-            rng.uniform(lower, upper), lower, upper, budget
-        )
+    starts = (current_values(net, spec), np.full(dim, budget / dim))
+    draws = rng.uniform(lower, upper, size=(pop_size - len(starts), dim))
+    population = project_to_budget_box(np.vstack((*starts, draws)), lower, upper, budget)
     scores = evaluate(population)
     if not math.isfinite(scores[0]):
         objective_initial = math.inf  # infeasible start keeps the sentinel value
@@ -423,7 +441,7 @@ def optimize(
         picks += picks >= np.arange(count)[:, None]  # skip the target member
         a, b, c = population[picks].transpose(1, 0, 2)
         mutants = np.where(mask, a + DE_MUTATION * (b - c), population[:count])
-        trials = np.array([project_to_budget_box(t, lower, upper, budget) for t in mutants])
+        trials = project_to_budget_box(mutants, lower, upper, budget)
         trial_scores = evaluate(trials)
         won = np.flatnonzero(trial_scores <= scores[: len(trials)])
         population[won] = trials[won]
@@ -433,18 +451,19 @@ def optimize(
     if search.polish and best["theta"] is not None:
         remaining = search.max_evals + POLISH_MAX_EVALS - evals
         if remaining >= dim + 2:
-            scipy.optimize.minimize(
-                lambda x: evaluate(project_to_budget_box(x, lower, upper, budget)[None])[0],
-                best["theta"],
-                method="Nelder-Mead",
-                options={"maxfev": remaining, "xatol": 1e-10, "fatol": 1e-14},
-            )
+            # the simplex moves in R^dim; each stack of its points is
+            # projected once, and a committed point counts as its projection
+            def polish_score(points: np.ndarray) -> list:
+                thetas = project_to_budget_box(points, lower, upper, budget)
+                return list(zip(thetas, score(thetas)))
+
+            _nelder_mead(polish_score, lambda row: commit(*row), best["theta"], remaining)
             history.append((generation + 1, float(best["natural"])))
 
     if not best["feasible"]:
-        raise NoFeasiblePointError(
-            "no evaluated candidate admitted an in-domain synchronous state"
-        )
+        raise _no_feasible_point(
+            failure, "no evaluated candidate admitted an in-domain synchronous state",
+            "no evaluated candidate was feasible; the first with a state")
     return OptimizationResult(
         theta=best["theta"],
         objective_initial=float(objective_initial),
@@ -453,6 +472,112 @@ def optimize(
         evaluations=evals,
         history=tuple(history),
     )
+
+
+def _no_feasible_point(failure, no_state: str, failed: str) -> NoFeasiblePointError:
+    """The error of candidates none of which was feasible.
+
+    ``no_state`` is its text when every candidate lacked a synchronous state
+    (``failure`` None); otherwise ``failure``, the first error of a later
+    stage, is named after ``failed``.
+    """
+    if failure is None:
+        return NoFeasiblePointError(no_state)
+    return NoFeasiblePointError(f"{failed} failed with {type(failure).__name__}: {failure}")
+
+
+#: Nelder-Mead's stopping tolerances on the simplex's spread in x and in f
+_NM_XATOL = 1e-10
+_NM_FATOL = 1e-14
+
+
+class _Exhausted(Exception):
+    """Nelder-Mead has committed its last allowed evaluation."""
+
+
+def _by_value(sim: np.ndarray, fsim: np.ndarray):
+    """Simplex vertices and their values, sorted by value as scipy sorts them."""
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def _nelder_mead(score: Callable, commit: Callable, x0: np.ndarray, maxfev: int) -> None:
+    """Nelder-Mead minimization from ``x0`` (Nelder & Mead 1965), in stacks.
+
+    ``score(points)`` maps a (B, N) array of points to one outcome per row,
+    without side effects; ``commit(outcome)`` counts that point's evaluation
+    and returns its value.  The method is that of
+    ``scipy.optimize.minimize(method="Nelder-Mead")`` with ``xatol``
+    :data:`_NM_XATOL` and ``fatol`` :data:`_NM_FATOL`, step for step: its
+    initial simplex, its coefficients (reflection 1, expansion 2, contraction
+    and shrink 1/2), its sort and stopping test, and its stop after exactly
+    ``maxfev`` evaluations, also inside an iteration.  The points one
+    iteration may need (reflection, expansion, outside and inside
+    contraction) are scored as one stack, and so are the initial simplex and
+    a shrink; only the points scipy evaluates are committed, in its order.
+    """
+    calls = 0
+
+    def call(outcome) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _Exhausted
+        calls += 1
+        return commit(outcome)
+
+    # scipy's initial simplex: x0, and x0 with one coordinate moved by 5 %
+    # (set to 0.00025 where it is 0)
+    n = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * sim[0, k] if sim[0, k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k, outcome in enumerate(score(sim)):
+            fsim[k] = call(outcome)
+    except _Exhausted:
+        pass
+    sim, fsim = _by_value(sim, fsim)
+    sim, fsim = _by_value(sim, fsim)  # scipy sorts twice; argsort may move ties
+
+    while calls < maxfev:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _NM_XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= _NM_FATOL):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            worst = sim[-1]
+            # reflection, expansion, outside and inside contraction, each
+            # with scipy's operations and so with its bits
+            points = np.array([2 * xbar - worst, 3 * xbar - 2 * worst,
+                               1.5 * xbar - 0.5 * worst, 0.5 * xbar + 0.5 * worst])
+            outcomes = score(points)
+            fxr = call(outcomes[0])
+            shrink = False
+            if fxr < fsim[0]:
+                fxe = call(outcomes[1])
+                sim[-1], fsim[-1] = (points[1], fxe) if fxe < fxr else (points[0], fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = points[0], fxr
+            elif fxr < fsim[-1]:
+                fxc = call(outcomes[2])
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = points[2], fxc
+                else:
+                    shrink = True
+            else:
+                fxcc = call(outcomes[3])
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = points[3], fxcc
+                else:
+                    shrink = True
+            if shrink:
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                for k, outcome in enumerate(score(sim[1:]), 1):
+                    fsim[k] = call(outcome)
+        except _Exhausted:
+            pass
+        sim, fsim = _by_value(sim, fsim)
 
 
 def min_max_sigma_equivalence_check(
@@ -470,22 +595,21 @@ def min_max_sigma_equivalence_check(
     infinity norms.  Returns True iff all sampled pairs agree.
 
     Raises :class:`ConfigError` unless ``n_samples`` is an int >= 1 and ``seed``
-    an int >= 0, and :class:`NoFeasiblePointError` if no sample has a state.
+    an int >= 0, and :class:`NoFeasiblePointError` if no sample is feasible.
     """
     require_int(n_samples, "n_samples", 1)
     require_int(seed, "seed", 0)
     validate_spec(net, spec)
     base = Analysis(net, eps)
     rng = np.random.default_rng(seed)
-    thetas = [
-        project_to_budget_box(
-            rng.uniform(spec.lower, spec.upper), spec.lower, spec.upper, spec.budget
-        )
-        for _ in range(n_samples)
-    ]
+    draws = rng.uniform(spec.lower, spec.upper, size=(n_samples, spec.dim))
+    thetas = project_to_budget_box(draws, spec.lower, spec.upper, spec.budget)
     f_norms, s_norms = [], []
+    failure = None  # the first error of a stage past the state
     for analysis, error in _analysed_candidates(base, spec, thetas, "report"):
         if error is not None:
+            if failure is None and not isinstance(error, SynchronousStateError):
+                failure = error
             continue
         sigma2, f_omega = analysis.variance.sigma2_omega, analysis.report.f_omega
         if int(np.argmax(f_omega)) != int(np.argmax(sigma2)):
@@ -493,7 +617,9 @@ def min_max_sigma_equivalence_check(
         f_norms.append(float(np.max(f_omega)))
         s_norms.append(float(np.max(sigma2)))
     if not f_norms:
-        raise NoFeasiblePointError("no sampled candidate admitted an in-domain synchronous state")
+        raise _no_feasible_point(
+            failure, "no sampled candidate admitted an in-domain synchronous state",
+            "no sampled candidate was feasible; the first with a state")
     order_f = np.argsort(np.array(f_norms), kind="stable")
     order_s = np.argsort(np.array(s_norms), kind="stable")
     return bool(np.array_equal(order_f, order_s))

@@ -556,7 +556,9 @@ def test_a_sweep_past_the_variance_range_reports_infeasible_points(tmp_path):
      "infeasible specification (generation budget 1e+308 does not balance the "
      "fixed injections (1.1 required))"),
     (["optimize", "--decision", "line_capacity", "--budget", "1e308"], 3,
-     "no evaluated candidate admitted an in-domain synchronous state"),
+     "no evaluated candidate was feasible; the first with a state failed with "
+     "LyapunovSolveError: the closed-form covariance overflows: a denominator or an "
+     "entry is not finite in double precision"),
 ], ids=["range-steps", "add-line-id", "generation-budget", "capacity-budget"])
 def test_huge_flag_values_exit_with_one_error_line(tmp_path, capsys, argv, code, message):
     argv = [argv[0], str(DEMO_RING5), *argv[1:]]

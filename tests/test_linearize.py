@@ -571,6 +571,23 @@ def test_noise_that_overflows_the_lyapunov_solve_raises():
         crep_package.Analysis(net).variance
 
 
+def test_noise_that_overflows_the_lyapunov_solve_raises_without_a_warning():
+    noisy = _mixed_damping(ring5_net().with_arrays(noise=ring5_net().noise * 1e160))
+    nets = (ring5_net(), _mixed_damping(ring5_net()))
+    alone = [crep_package.Analysis(net).variance for net in nets]
+    analyses = [crep_package.Analysis(net) for net in (noisy, *nets)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LyapunovSolveError, match="Lyapunov residual nan"):
+            crep_package.Analysis(noisy).variance
+        errors = run_stages(analyses, "variance")
+    assert isinstance(errors[0], LyapunovSolveError) and errors[1:] == [None, None]
+    for analysis, variance in zip(analyses[1:], alone):
+        for field in fields(variance):
+            assert np.asarray(getattr(analysis.variance, field.name)).tobytes() == \
+                np.asarray(getattr(variance, field.name)).tobytes(), field.name
+
+
 @pytest.mark.parametrize("mixed", [False, True], ids=["closed-form", "lyapunov"])
 def test_a_laplacian_beyond_the_float_range_raises(mixed):
     # node 2's diagonal entry, 1.5e308, doubles past the float range when the

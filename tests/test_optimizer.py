@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -170,6 +173,33 @@ def test_projection_accepts_list_bounds():
     theta = crep.project_to_budget_box([0.5, 1.0], [0.0, 0.0], [1.0, 1.0], 1.0)
     assert np.allclose(theta, [0.25, 0.75], atol=1e-15)
     assert theta.sum() == 1.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 40, 200])
+def test_projection_of_a_stack_is_the_projection_of_each_row(d):
+    rng = np.random.default_rng(54 + d)
+    tol = crep.optimizer.BUDGET_TOL
+    lower = rng.uniform(-1.0, 1.0, d)
+    upper = lower + rng.uniform(0.0, 3.0, d) * (rng.random(d) < 0.9)
+    x = rng.normal(0.0, 2.0, (25, d)) * 10.0 ** rng.uniform(-3.0, 2.0, (25, 1))
+    x[1] = x[0]
+    x[2] = np.clip(x[2], lower, upper)
+    low, high = float(lower.sum()), float(upper.sum())
+    # the budgets at and beyond both box ends return the corners
+    budgets = [low, low - 0.5 * tol, high, high + 0.5 * tol,
+               *(low + f * (high - low) for f in (1e-12, 0.3, 0.5, 0.9, 1 - 1e-12))]
+    # and boxes whose sums overflow, where tau is measured from the upper kink
+    huge = rng.choice([1e308, -1e308, 1.0, 3e307], size=(25, d))
+    cases = [(x, lower, upper, budget) for budget in budgets]
+    cases.append((huge, np.full(d, 2e305), np.full(d, 1e308), 1e308))
+    cases.append((huge, np.zeros(d), np.full(d, 1.5e308), 6e307))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for points, low_box, high_box, budget in cases:
+            stack = project_to_budget_box(points, low_box, high_box, budget)
+            rows = [project_to_budget_box(row, low_box, high_box, budget) for row in points]
+            assert stack.shape == points.shape
+            assert stack.tobytes() == np.array(rows).tobytes(), budget
 
 
 def test_spec_validation():
@@ -568,3 +598,165 @@ def test_componentwise_variance_ordering_matches_escape_ordering():
     sig_b, f_b = moments(weak)
     assert np.max(sig_a) != np.max(sig_b)
     assert (np.max(f_a) < np.max(f_b)) == (np.max(sig_a) < np.max(sig_b))
+
+
+#: a fixed, seeded max-type objective: the largest of |A x - b| over its rows
+_MAX_ROWS = np.random.default_rng(60).normal(size=(7, 6))
+_MAX_RHS = np.random.default_rng(61).normal(size=7)
+
+#: Nelder-Mead test problems in 2-6 dimensions: (objective, start); the
+#: plateau objective gives tied values, as infeasible candidates' penalties do
+_NM_PROBLEMS = {
+    "quadratic-2": (lambda x: float((x[0] - 1.0) ** 2 + 10.0 * (x[1] + 0.5) ** 2 + x[0] * x[1]),
+                    [0.3, 0.0]),
+    "rosenbrock-3": (lambda x: float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                                            + (1.0 - x[:-1]) ** 2)), [-1.2, 1.0, 0.5]),
+    "max-2": (lambda x: float(np.max(np.abs(_MAX_ROWS[:, :2] @ x - _MAX_RHS))), [2.0, -1.0]),
+    "max-5": (lambda x: float(np.max(np.abs(_MAX_ROWS[:, :5] @ x - _MAX_RHS))),
+              [0.5, 0.0, -0.3, 1.0, 0.2]),
+    "plateau-6": (lambda x: min(1.0, float(np.sum((x - 0.3) ** 2))),
+                  [0.9, 0.1, 0.0, 0.4, 0.7, 1.2]),
+    "max-6": (lambda x: float(np.max(np.abs(_MAX_ROWS @ x - _MAX_RHS))), np.full(6, 0.25)),
+}
+
+
+def _scipy_nelder_mead_calls(f, x0, maxfev):
+    calls = []
+
+    def logged(x):
+        value = f(x)
+        calls.append((x.tobytes(), value))
+        return value
+
+    scipy.optimize.minimize(logged, np.array(x0, dtype=float), method="Nelder-Mead",
+                            options={"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-14})
+    return calls
+
+
+def _stacked_nelder_mead_calls(f, x0, maxfev):
+    """Committed (stack, row, point, value) in order, and the size of every scored stack."""
+    committed, stacks = [], []
+
+    def score(points):
+        stacks.append(len(points))
+        return [(len(stacks) - 1, row, p.tobytes(), f(p)) for row, p in enumerate(points)]
+
+    def commit(outcome):
+        committed.append(outcome)
+        return outcome[3]
+
+    crep.optimizer._nelder_mead(score, commit, np.array(x0, dtype=float), maxfev)
+    return committed, stacks
+
+
+def _cut_kinds(committed, stacks, n):
+    """Per kind of step, the first maxfev that stops inside such a step.
+
+    The first stack is the initial simplex, a stack of four is an iteration
+    (n is never 4 here) and any other stack a shrink.
+    """
+    cuts = {}
+    for i, (stack, row, _, _) in enumerate(committed[:-1]):
+        next_stack, next_row = committed[i + 1][:2]
+        if stack == 0 or next_stack != stack:
+            continue
+        if stacks[stack] != 4:
+            kind = "shrink"
+        else:
+            kind = "expansion" if next_row == 1 else "contraction"
+        cuts.setdefault(kind, i + 1)
+    return cuts
+
+
+def test_nelder_mead_commits_the_points_scipy_evaluates():
+    # every stop, also one inside an expansion, a contraction or a shrink,
+    # commits the points scipy evaluates, in its order and with its bits
+    seen, converged = set(), 0
+    for f, x0 in _NM_PROBLEMS.values():
+        n = len(x0)
+        full, stacks = _stacked_nelder_mead_calls(f, x0, 4000)
+        converged += len(full) < 4000
+        cuts = _cut_kinds(full, stacks, n)
+        seen.update(cuts)
+        assert set(stacks[1:]) <= {4, n}
+        for maxfev in {1, n, n + 1, n + 2, 4000, *cuts.values()}:
+            committed, _ = _stacked_nelder_mead_calls(f, x0, maxfev)
+            assert [(point, value) for _, _, point, value in committed] == \
+                _scipy_nelder_mead_calls(f, x0, maxfev), maxfev
+            assert len(committed) == min(maxfev, len(full))
+    assert seen == {"expansion", "contraction", "shrink"}
+    assert converged  # some runs stop at the tolerance test, not at maxfev
+
+
+def _scipy_polish(score, commit, x0, maxfev):
+    """The polish as scipy runs it: one point at a time, each scored and committed."""
+    scipy.optimize.minimize(lambda x: commit(score(x[None])[0]), x0, method="Nelder-Mead",
+                            options={"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-14})
+
+
+@pytest.mark.parametrize("variable,budget,low,kind", [
+    ("line_capacity", 5.0, 0.2, ObjectiveKind.crep_phi_delta),
+    ("line_capacity", 2.6, 0.05, ObjectiveKind.trace_q_delta),
+    ("damping", 4.0, 0.4, ObjectiveKind.crep_phi),
+], ids=["capacity", "capacity-infeasible", "damping"])
+def test_stacked_polish_gives_the_search_of_one_point_at_a_time(
+        monkeypatch, variable, budget, low, kind):
+    # speculative rows the polish scores but never commits move neither the
+    # evaluation count nor the best point
+    net = ring5_net()
+    spec = DecisionSpec(variable, tuple(range(1, 6)), budget, np.full(5, low), np.full(5, 2.0))
+    search = SearchConfig(seed=5, max_evals=200)
+    rows = []
+    run_stages = crep.optimizer.run_stages
+    monkeypatch.setattr(crep.optimizer, "run_stages",
+                        lambda analyses, through: rows.append(len(analyses))
+                        or run_stages(analyses, through))
+    stacked = optimize(net, spec, kind, search=search)
+    assert sum(rows) > stacked.evaluations
+    monkeypatch.setattr(crep.optimizer, "_nelder_mead", _scipy_polish)
+    single = optimize(net, spec, kind, search=search)
+    assert stacked.theta.tobytes() == single.theta.tobytes()
+    assert stacked.evaluations == single.evaluations == 200 + crep.optimizer.POLISH_MAX_EVALS
+    assert stacked.history == single.history
+    assert (stacked.objective_initial, stacked.objective_final) == \
+        (single.objective_initial, single.objective_final)
+
+
+def test_importing_crep_leaves_scipy_optimize_out():
+    src = os.path.dirname(os.path.dirname(crep.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, crep, crep.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def _huge_capacity_spec(lower, upper=1e308):
+    # ring5's variances overflow at a capacity total of 1e308, while its
+    # power flow solves; crep optimize sets the lower bound 2e305
+    return DecisionSpec("line_capacity", tuple(range(1, 6)), 1e308,
+                        np.full(5, lower), np.full(5, upper))
+
+
+def test_no_feasible_point_names_the_first_failure_past_the_state():
+    net = ring5_net()
+    named = "failed with LyapunovSolveError: "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoFeasiblePointError, match=re.escape(
+                "no evaluated candidate was feasible; the first with a state " + named)):
+            optimize(net, _huge_capacity_spec(2e305), ObjectiveKind.crep_phi_delta,
+                     search=SearchConfig(max_evals=40))
+        with pytest.raises(NoFeasiblePointError, match=re.escape(
+                "the single feasible point " + named)):
+            optimize(net, _huge_capacity_spec(2e307, 2e307), ObjectiveKind.trace_q_delta)
+        with pytest.raises(NoFeasiblePointError, match=re.escape(
+                "no sampled candidate was feasible; the first with a state " + named)):
+            min_max_sigma_equivalence_check(net, _huge_capacity_spec(2e305), n_samples=10)
+    # a candidate without a state keeps the message of a missing state
+    with pytest.raises(NoFeasiblePointError, match="^no evaluated candidate admitted an "
+                       "in-domain synchronous state$"):
+        optimize(net, DecisionSpec("line_capacity", tuple(range(1, 6)), 0.5,
+                                   np.full(5, 0.05), np.full(5, 0.2)),
+                 ObjectiveKind.trace_q_delta, search=SearchConfig(max_evals=40))

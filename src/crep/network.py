@@ -37,6 +37,9 @@ _NODE_FIELDS = ("id",) + _NODE_ARRAYS
 #: line order) and the interleaved ends (the power flow's Laplacian diagonal)
 _LINE_END_CACHES = ("incidence", "line_ends")
 _LINE_FIELDS = ("from", "to", "capacity")
+#: what a node violates, for each of its checks in the order they run
+_NODE_FAULTS = tuple(f"{name} must be finite" for name in _NODE_ARRAYS) + (
+    "inertia must be > 0", "damping must be > 0", "noise must be >= 0")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -49,7 +52,9 @@ class Network:
     this order: each array converts (line ends to integers, without
     rounding); array shapes; nodes, in node order; lines (self-loop,
     capacity, endpoints, duplicate), in line order; power balance;
-    connectivity.  Networks are equal when all seven arrays are.
+    connectivity.  A copy made by :meth:`with_arrays` checks only what it
+    replaces and raises what the constructor would.  Networks are equal when
+    all seven arrays are.
     """
 
     power: np.ndarray
@@ -61,19 +66,7 @@ class Network:
     capacity: np.ndarray
 
     def __post_init__(self):
-        for name in _ARRAYS:
-            given = getattr(self, name)
-            is_end = name.startswith("line_")
-            try:
-                arr = np.array(given, np.int64 if is_end else float)
-            except (OverflowError, TypeError, ValueError) as exc:
-                raise NetworkValidationError(f"{name}: {exc}") from exc
-            # a derived network's ends are int64 already and skip the rounding test
-            if (is_end and getattr(given, "dtype", None) != np.int64
-                    and not np.array_equal(arr, given)):
-                raise NetworkValidationError(f"{name}: line ends must be integer node indices")
-            object.__setattr__(self, name, _frozen(arr))
-        _validate(self)
+        _admit(self, {name: getattr(self, name) for name in _ARRAYS})
 
     def __eq__(self, other):
         if not isinstance(other, Network):
@@ -111,7 +104,7 @@ class Network:
         """Both ends of every line in line order: from and to of line 1, then of line 2..."""
         return _frozen(np.array((self.line_from, self.line_to)).T.ravel())
 
-    # -- derived networks, each validated as a new one ---------------------------
+    # -- derived networks -----------------------------------------------------
 
     def with_arrays(
         self,
@@ -123,26 +116,18 @@ class Network:
     ) -> "Network":
         """Copy of this network with whole parameter vectors replaced.
 
-        The copy shares this network's line ends and every array it keeps; a
-        replaced vector is converted and frozen as the constructor does.  It
-        raises the error the constructor would: the checks that depend on the
-        line ends alone (self-loops, endpoints, duplicates, connectivity),
-        which this network has passed, are not run again.
+        The copy shares this network's line ends, their caches and every
+        array it keeps.  A replaced vector enters as in the constructor, and
+        the copy checks only what it replaces: the invariants that read the
+        replaced vectors, with the constructor's order and message.  The
+        others hold already, for this network has passed them.
         """
         replaced = {"power": power, "inertia": inertia, "damping": damping,
                     "noise": noise, "capacity": capacity}
         derived = object.__new__(Network)
-        derived.__dict__.update({name: getattr(self, name) for name in _ARRAYS})
         # the line-end caches are computed once, on this network, and shared
-        derived.__dict__.update({name: getattr(self, name) for name in _LINE_END_CACHES})
-        for name, given in replaced.items():
-            if given is not None:
-                try:
-                    arr = np.array(given, float)
-                except (OverflowError, TypeError, ValueError) as exc:
-                    raise NetworkValidationError(f"{name}: {exc}") from exc
-                derived.__dict__[name] = _frozen(arr)
-        _validate(derived, ends_valid=True)
+        derived.__dict__.update({name: getattr(self, name) for name in _ARRAYS + _LINE_END_CACHES})
+        _admit(derived, {name: given for name, given in replaced.items() if given is not None})
         return derived
 
     def with_added_line(self, from_node: int, to_node: int, capacity: float) -> "Network":
@@ -188,19 +173,37 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _distinct_lines_between_nodes(ends: list[tuple[int, int]], n: int) -> bool:
-    """No self-loop, no duplicate line and no end outside 0..n-1."""
-    keys = {(a, b) if a < b else (b, a) for a, b in ends}
-    return len(keys) == len(ends) and all(0 <= a < b < n for a, b in keys)
+def _admit(net: Network, arrays: dict) -> None:
+    """Set ``arrays`` (name: value) on ``net`` as read-only arrays and check them.
+
+    Each value is copied into an ``int64`` (line ends) or ``float`` array;
+    line ends must convert without rounding.  Then :func:`_validate` runs
+    the invariants that read these arrays.
+    """
+    for name, given in arrays.items():
+        is_end = name.startswith("line_")
+        try:
+            arr = np.array(given, np.int64 if is_end else float)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise NetworkValidationError(f"{name}: {exc}") from exc
+        if is_end and not np.array_equal(arr, given):
+            raise NetworkValidationError(f"{name}: line ends must be integer node indices")
+        object.__setattr__(net, name, _frozen(arr))
+    _validate(net, arrays.keys())
 
 
-def _validate(net: Network, ends_valid: bool = False) -> None:
+def _validate(net: Network, arrived) -> None:
     """Raise for the first violated invariant, in the order :class:`Network` lists.
 
-    ``ends_valid`` skips the checks that depend on the node count and line
-    ends alone, for a network derived from a valid one with the same of both.
+    Shapes are always checked; each other group runs only when an array it
+    reads is among the names ``arrived``: the node checks for a node array,
+    the line checks for the capacities or the line ends, the balance for
+    ``power``.  The checks that read the line ends alone (self-loop,
+    endpoints, duplicate, connectivity) run only for new line ends.  The
+    arrays that did not arrive come from a valid network.
     """
-    n, m = net.n, net.m
+    # sizes, not lengths: a 0-d array has no length
+    n, m = net.power.size, net.capacity.size
     shapes = [getattr(net, name).shape for name in _ARRAYS]
     if shapes != [(n,)] * 4 + [(m,)] * 3:
         raise NetworkValidationError(
@@ -210,58 +213,49 @@ def _validate(net: Network, ends_valid: bool = False) -> None:
     if n == 0:
         raise NetworkValidationError("network has no nodes")
 
-    power, inertia, damping, noise = (getattr(net, name).tolist() for name in _NODE_ARRAYS)
-    # Each group looks for its first offender only when a cheap all-valid test
-    # fails.  A float sum is finite only if every term is; overflow merely
-    # takes the slow path.
-    if not (
-        math.isfinite(sum(power) + sum(inertia) + sum(damping) + sum(noise))
-        and min(inertia) > 0.0 and min(damping) > 0.0 and min(noise) >= 0.0
-    ):
-        for node, values in enumerate(zip(power, inertia, damping, noise), start=1):
-            for name, value in zip(_NODE_ARRAYS, values):
-                if not math.isfinite(value):
-                    raise NetworkValidationError(f"node {node}: {name} must be finite")
-            if values[1] <= 0.0:
-                raise NetworkValidationError(f"node {node}: inertia must be > 0")
-            if values[2] <= 0.0:
-                raise NetworkValidationError(f"node {node}: damping must be > 0")
-            if values[3] < 0.0:
-                raise NetworkValidationError(f"node {node}: noise must be >= 0")
+    if not arrived.isdisjoint(_NODE_ARRAYS):
+        columns = (getattr(net, name).tolist() for name in _NODE_ARRAYS)
+        for node, (power, inertia, damping, noise) in enumerate(zip(*columns), start=1):
+            faults = (not math.isfinite(power), not math.isfinite(inertia),
+                      not math.isfinite(damping), not math.isfinite(noise),
+                      inertia <= 0.0, damping <= 0.0, noise < 0.0)
+            if any(faults):
+                raise NetworkValidationError(f"node {node}: {_NODE_FAULTS[faults.index(True)]}")
 
-    ends = list(zip(net.line_from.tolist(), net.line_to.tolist()))
-    capacity = net.capacity.tolist()
-    if m and not (
-        (ends_valid or _distinct_lines_between_nodes(ends, n))
-        and math.isfinite(sum(capacity)) and min(capacity) > 0.0
-    ):
+    new_ends = not arrived.isdisjoint(("line_from", "line_to"))
+    if new_ends or "capacity" in arrived:
+        froms, tos = net.line_from.tolist(), net.line_to.tolist()
         seen: set[tuple[int, int]] = set()
-        for (a, b), c in zip(ends, capacity):
-            where = f"line ({a + 1},{b + 1})"
-            if a == b:
-                raise NetworkValidationError(f"{where}: self-loops are not allowed")
+        for a, b, c in zip(froms, tos, net.capacity.tolist()):
+            if new_ends and a == b:
+                raise NetworkValidationError(f"line ({a + 1},{b + 1}): self-loops are not allowed")
             if not math.isfinite(c):
-                raise NetworkValidationError(f"{where}: capacity must be finite")
+                raise NetworkValidationError(f"line ({a + 1},{b + 1}): capacity must be finite")
             if c <= 0.0:
-                raise NetworkValidationError(f"{where}: capacity must be > 0")
+                raise NetworkValidationError(f"line ({a + 1},{b + 1}): capacity must be > 0")
+            if not new_ends:
+                continue
             for end in (a, b):
                 if not 0 <= end < n:
-                    raise NetworkValidationError(f"{where}: unknown node id {end + 1}")
+                    raise NetworkValidationError(
+                        f"line ({a + 1},{b + 1}): unknown node id {end + 1}"
+                    )
             key = (a, b) if a < b else (b, a)
             if key in seen:
                 raise NetworkValidationError(f"duplicate line between nodes {a + 1} and {b + 1}")
             seen.add(key)
 
-    # Python's sequential sum: np.sum's pairwise order would move the tolerance edge
-    imbalance = abs(sum(power))
-    if imbalance > POWER_BALANCE_TOL:
-        raise NetworkValidationError(
-            f"power imbalance: sum of injections is {imbalance:.3e} (must be 0)"
-        )
-    if ends_valid:
+    if "power" in arrived:
+        # Python's sequential sum: np.sum's pairwise order would move the tolerance edge
+        imbalance = abs(sum(net.power.tolist()))
+        if imbalance > POWER_BALANCE_TOL:
+            raise NetworkValidationError(
+                f"power imbalance: sum of injections is {imbalance:.3e} (must be 0)"
+            )
+    if not new_ends:
         return
     adjacent: list[list[int]] = [[] for _ in range(n)]
-    for a, b in ends:
+    for a, b in zip(froms, tos):
         adjacent[a].append(b)
         adjacent[b].append(a)
     reached, stack = {0}, [0]

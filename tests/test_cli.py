@@ -125,6 +125,18 @@ def test_sweep_inertia_leaves_escape_constant(tmp_path, smib_file):
     assert np.ptp(col) <= 1e-6 * np.mean(col)
 
 
+def test_sweep_damping_lowers_escape(tmp_path):
+    for metric in ("phi_delta", "phi_omega"):
+        col = _sweep_column(tmp_path, str(DEMO_RING5), "Dt", "2:8:4", metric)
+        assert np.all(np.diff(col) < 0)
+
+
+def test_sweep_load_of_a_network_without_loads_exit_code(tmp_path, capsys):
+    path = write_net(tmp_path, two_node_net(p=0.0))
+    assert main(["sweep", path, "--param", "Pt", "--range", "1:2:2"]) == 1
+    assert capsys.readouterr().err == "error: cannot sweep Pt: the network has no loads\n"
+
+
 def test_sweep_flags_infeasible_points(tmp_path, smib_file):
     out = str(tmp_path / "sweep.csv")
     assert main([
@@ -277,6 +289,36 @@ def test_network_out_naming_the_report_is_rejected_before_any_work(
         f"error: --network-out and --out name the same file: {out}\n"
     )
     assert not os.path.exists(out)
+
+
+def test_optimize_writes_the_network_to_the_working_directory_by_default(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(["optimize", str(DEMO_RING5), "--decision", "line_capacity",
+                 "--max-evals", "40"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["network_out"] == "optimized.network.json"
+    optimized = crep.load_network(tmp_path / "optimized.network.json")
+    assert optimized.capacity.tolist() == report["result"]["theta"]
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "bounds file not found: {bounds}"),
+    ("{lower: 0.1}", "bounds file is not valid JSON: Expecting property name enclosed in "
+                     "double quotes: line 1 column 2 (char 1)"),
+    ('{"lower": 0.1, "step": 1.0}', "unknown bounds fields: ['step']"),
+], ids=["missing", "not-json", "unknown-field"])
+def test_unusable_bounds_file_exit_code(tmp_path, capsys, content, message):
+    bounds = tmp_path / "bounds.json"
+    if content is not None:
+        bounds.write_text(content)
+    assert main([
+        "optimize", str(DEMO_RING5), "--decision", "line_capacity", "--bounds", str(bounds),
+        "--network-out", str(tmp_path / "n.json"),
+    ]) == 1
+    assert capsys.readouterr().err == "error: " + message.format(bounds=bounds) + "\n"
+    assert not (tmp_path / "n.json").exists()
 
 
 def test_optimize_degenerate_bounds_single_evaluation(tmp_path):
@@ -568,6 +610,38 @@ def test_huge_flag_values_exit_with_one_error_line(tmp_path, capsys, argv, code,
         warnings.simplefilter("error")
         assert main(argv) == code
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "n.json").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["braess", "--add-line", "1:2"], "--add-line must be from:to:capacity, got '1:2'"),
+    (["braess", "--set-capacity", "x:1.0"],
+     "bad --set-capacity 'x:1.0': invalid literal for int() with base 10: 'x'"),
+    (["sweep", "--param", "Lt", "--range", "1:2:0"], "--range needs at least one step"),
+    (["sweep", "--param", "Lt", "--range", "1:2:2", "--metrics", ","],
+     "--metrics must name at least one metric"),
+], ids=["add-line-arity", "set-capacity-value", "range-steps", "metrics-empty"])
+def test_malformed_flag_value_exit_code(capsys, argv, message):
+    assert main([argv[0], str(DEMO_RING5), *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_capacities_spanning_the_float_range_exit_without_a_warning(tmp_path, capsys):
+    # a lower bound of 0.1 beside capacities near 1e308: some power-flow rows
+    # step to inf phases, whose gaps are NaN, and fail without a numpy warning
+    bounds = tmp_path / "bounds.json"
+    bounds.write_text(json.dumps({"lower": 0.1}))
+    argv = ["optimize", str(DEMO_RING5), "--decision", "line_capacity", "--budget", "1e308",
+            "--bounds", str(bounds), "--max-evals", "40",
+            "--network-out", str(tmp_path / "n.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: no evaluated candidate was feasible; the first with a state failed with "
+        "LyapunovSolveError: the closed-form covariance overflows: a denominator or an "
+        "entry is not finite in double precision\n"
+    )
     assert not (tmp_path / "n.json").exists()
 
 

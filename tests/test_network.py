@@ -304,6 +304,20 @@ SINGLE_VIOLATIONS = {
         "{'power': (3,), 'inertia': (2,), 'damping': (2,), 'noise': (2,), "
         "'line_from': (1,), 'line_to': (1,), 'capacity': (1,)}",
     ),
+    "scalar": (
+        lambda: crep.Network(0.0, [1.0], [1.0], [0.1], [], [], []),
+        "network arrays must be 1-D with one length per node and per line, got shapes "
+        "{'power': (), 'inertia': (1,), 'damping': (1,), 'noise': (1,), "
+        "'line_from': (0,), 'line_to': (0,), 'capacity': (0,)}",
+    ),
+    "line index 0": (
+        lambda: crep.network_from_dict(path_doc()).with_line_capacity(0, 1.0),
+        "no line with index 0",
+    ),
+    "line index m + 1": (
+        lambda: crep.network_from_dict(path_doc()).with_line_capacity(3, 1.0),
+        "no line with index 3",
+    ),
 }
 
 
@@ -345,6 +359,29 @@ MULTIPLE_VIOLATIONS = {
 def test_first_violation_is_reported(nodes, lines, message):
     with pytest.raises(NetworkValidationError) as info:
         network_from_arrays(*zip(*nodes), lines)
+    assert str(info.value) == message
+
+
+PARSE_ERRORS = {
+    "top level": (lambda: crep.network_from_dict([path_doc()]),
+                  "top-level document must be an object"),
+    "no lines": (lambda: from_edited_path(lambda doc: doc.pop("lines")),
+                 'document must contain "nodes" and "lines"'),
+    "nodes object": (lambda: from_edited_path(lambda doc: doc.update(nodes={})),
+                     '"nodes" and "lines" must be arrays'),
+    "node list": (lambda: from_edited_path(lambda doc: doc["nodes"].append([4, 0.0])),
+                  "nodes[3]: expected an object"),
+    "node field": (lambda: from_edited_path(lambda doc: doc["nodes"][1].pop("noise")),
+                   "nodes[1]: missing fields ['noise']"),
+    "string power": (edit_node(0, power="1.0"), "nodes[0].power: expected a number, got '1.0'"),
+    "float id": (edit_node(2, id=3.0), "nodes[2].id: expected an integer, got 3.0"),
+}
+
+
+@pytest.mark.parametrize("build,message", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+def test_parse_error_message(build, message):
+    with pytest.raises(NetworkParseError) as info:
+        build()
     assert str(info.value) == message
 
 
@@ -440,6 +477,36 @@ def test_derived_network_raises_what_the_constructor_raises(field, bad):
         crep.Network(**{**arrays, field: bad(net)})
     with pytest.raises(NetworkValidationError) as derived:
         net.with_arrays(**{field: bad(net)})
+    assert str(derived.value) == str(built.value)
+
+
+TWO_REPLACED = {
+    # a line check runs before the balance
+    "capacity and balance": lambda net: {
+        "power": net.power + 1e-3, "capacity": _replaced(net.capacity, 1, -1.0)},
+    # the earlier node's violation is reported, whichever array holds it
+    "damping first": lambda net: {
+        "inertia": _replaced(net.inertia, 4, 0.0), "damping": _replaced(net.damping, 2, math.nan)},
+    "inertia first": lambda net: {
+        "inertia": _replaced(net.inertia, 1, -2.0), "damping": _replaced(net.damping, 3, 0.0)},
+    # at one node, every finiteness check runs before the signs
+    "one node": lambda net: {
+        "inertia": _replaced(net.inertia, 2, 0.0), "noise": _replaced(net.noise, 2, math.inf)},
+    # the node checks run before the line checks
+    "node before line": lambda net: {
+        "capacity": _replaced(net.capacity, 0, 0.0), "noise": _replaced(net.noise, 5, -1.0)},
+}
+
+
+@pytest.mark.parametrize("bad", TWO_REPLACED.values(), ids=TWO_REPLACED)
+def test_derived_network_replacing_two_arrays_raises_what_the_constructor_raises(bad):
+    net = random_connected_network(np.random.default_rng(12), n_min=6)
+    arrays = {name: getattr(net, name) for name in (
+        "power", "inertia", "damping", "noise", "line_from", "line_to", "capacity")}
+    with pytest.raises(NetworkValidationError) as built:
+        crep.Network(**{**arrays, **bad(net)})
+    with pytest.raises(NetworkValidationError) as derived:
+        net.with_arrays(**bad(net))
     assert str(derived.value) == str(built.value)
 
 

@@ -175,6 +175,13 @@ def test_projection_accepts_list_bounds():
     assert theta.sum() == 1.0
 
 
+@pytest.mark.parametrize("budget", [0.5 - 2e-9, 3.0 + 2e-9])
+def test_projection_rejects_a_budget_outside_the_box(budget):
+    # the box sums range over [0.5, 3.0]; BUDGET_TOL is 1e-9
+    with pytest.raises(InfeasibleSpecError, match="^budget outside the box sum range$"):
+        project_to_budget_box([0.5, 1.0], [0.0, 0.5], [1.0, 2.0], budget)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 40, 200])
 def test_projection_of_a_stack_is_the_projection_of_each_row(d):
     rng = np.random.default_rng(54 + d)
@@ -213,6 +220,10 @@ def test_spec_validation():
         DecisionSpec("inertia", (1,), 5.0, np.array([1.0]), np.array([2.0]))
     with pytest.raises(InfeasibleSpecError):
         DecisionSpec("inertia", (1,), 1.5, np.array([2.0]), np.array([1.0]))
+    with pytest.raises(InfeasibleSpecError, match="^lower/upper must have one entry per index$"):
+        DecisionSpec("inertia", (1, 2), 2.0, np.ones(3), np.full(2, 2.0))
+    with pytest.raises(InfeasibleSpecError, match="^lower/upper must have one entry per index$"):
+        DecisionSpec("inertia", (1, 2), 2.0, np.ones(2), np.full(1, 2.0))
 
 
 @pytest.mark.parametrize(
@@ -617,6 +628,9 @@ _NM_PROBLEMS = {
     "plateau-6": (lambda x: min(1.0, float(np.sum((x - 0.3) ** 2))),
                   [0.9, 0.1, 0.0, 0.4, 0.7, 1.2]),
     "max-6": (lambda x: float(np.max(np.abs(_MAX_ROWS @ x - _MAX_RHS))), np.full(6, 0.25)),
+    # Rastrigin's function: its ripples reject outside contractions
+    "rastrigin-3": (lambda x: float(30.0 + np.sum(x ** 2 - 10.0 * np.cos(2.0 * np.pi * x))),
+                    [2.3, -1.7, 0.9]),
 }
 
 
@@ -668,14 +682,28 @@ def _cut_kinds(committed, stacks, n):
     return cuts
 
 
+def _outside_contraction_shrinks(committed, stacks):
+    """How many iterations reject their outside contraction and shrink.
+
+    Such an iteration commits its reflection and outside contraction (rows 0
+    and 2 of its stack of four), and a shrink is the next stack scored.
+    """
+    rows = {}
+    for stack, row, _, _ in committed:
+        rows.setdefault(stack, []).append(row)
+    return sum(rows[stack] == [0, 2] and stack + 1 < len(stacks) and stacks[stack + 1] != 4
+               for stack in rows if stack and stacks[stack] == 4)
+
+
 def test_nelder_mead_commits_the_points_scipy_evaluates():
     # every stop, also one inside an expansion, a contraction or a shrink,
     # commits the points scipy evaluates, in its order and with its bits
-    seen, converged = set(), 0
+    seen, converged, outside_shrinks = set(), 0, 0
     for f, x0 in _NM_PROBLEMS.values():
         n = len(x0)
         full, stacks = _stacked_nelder_mead_calls(f, x0, 4000)
         converged += len(full) < 4000
+        outside_shrinks += _outside_contraction_shrinks(full, stacks)
         cuts = _cut_kinds(full, stacks, n)
         seen.update(cuts)
         assert set(stacks[1:]) <= {4, n}
@@ -686,6 +714,7 @@ def test_nelder_mead_commits_the_points_scipy_evaluates():
             assert len(committed) == min(maxfev, len(full))
     assert seen == {"expansion", "contraction", "shrink"}
     assert converged  # some runs stop at the tolerance test, not at maxfev
+    assert outside_shrinks  # some iteration shrinks after its outside contraction
 
 
 def _scipy_polish(score, commit, x0, maxfev):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,3 +211,21 @@ def test_iteration_limit_fails_only_the_rows_still_running(monkeypatch):
     monkeypatch.setattr(crep.powerflow, "MAX_ITER", 3)
     with pytest.raises(NoConvergence, match="did not converge in 3 iterations"):
         solve_synchronous_state(fast)
+
+
+def test_a_row_stepping_to_infinite_phases_fails_without_a_warning():
+    # capacities near 1e308 beside 0.1: the full Newton step puts inf phases
+    # in the trial, whose gaps are NaN, and no halving lowers the mismatch
+    net = ring5_net()
+    huge = net.with_arrays(capacity=[3.4821579507518357e307, 0.1, 3.897665175412208e307, 0.1,
+                                     2.6201768738359554e307])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        failed, state = crep.powerflow.solve_synchronous_states([huge, net])
+    assert isinstance(failed, NoConvergence) and str(failed) == (
+        "no damped Newton step reduced the mismatch at iteration 1 "
+        "(residual 9.000e-01 > tol 1.000e-10)"
+    )
+    alone = solve_synchronous_state(net)
+    assert state.phase.tobytes() == alone.phase.tobytes()
+    assert state.output_phase_diffs.tobytes() == alone.output_phase_diffs.tobytes()

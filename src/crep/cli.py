@@ -43,9 +43,8 @@ from .optimizer import (
     DecisionSpec,
     ObjectiveKind,
     SearchConfig,
-    _DECISION_FIELDS,
     apply_decision,
-    index_positions,
+    current_values,
     optimize,
 )
 
@@ -54,7 +53,9 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_NO_FEASIBLE_POINT = 3
 
-SWEEP_PARAMS = ("Pt", "Lt", "Mt", "Dt")
+#: sweep parameter -> the Network array it scales; Pt scales the loads
+_SCALED_ARRAYS = {"Lt": "capacity", "Mt": "inertia", "Dt": "damping"}
+SWEEP_PARAMS = ("Pt", *_SCALED_ARRAYS)
 SWEEP_METRICS = (
     "phi",
     "phi_delta",
@@ -193,15 +194,12 @@ def scale_network(net: Network, param: str, total: float) -> Network:
         if load <= 0.0:
             raise UsageError("cannot sweep Pt: the network has no loads")
         power = net.power * (total / load)
-        power = power - power.sum() / net.n  # keep the float sum balanced
-        return net.with_arrays(power=power)
-    if param == "Lt":
-        return net.with_arrays(capacity=net.capacity * (total / float(net.capacity.sum())))
-    if param == "Mt":
-        return net.with_arrays(inertia=net.inertia * (total / float(net.inertia.sum())))
-    if param == "Dt":
-        return net.with_arrays(damping=net.damping * (total / float(net.damping.sum())))
-    raise UsageError(f"unknown sweep parameter {param!r}")
+        return net.with_arrays(power=power - power.sum() / net.n)  # float sum balanced
+    if param not in _SCALED_ARRAYS:
+        raise UsageError(f"unknown sweep parameter {param!r}")
+    name = _SCALED_ARRAYS[param]
+    values = getattr(net, name)
+    return net.with_arrays(**{name: values * (total / float(values.sum()))})
 
 
 def cmd_sweep(net: Network, args) -> str:
@@ -302,14 +300,14 @@ def _decision_spec(net: Network, args) -> DecisionSpec:
     if not (isinstance(indices, list) and all(_is_json(i, int) for i in indices)):
         raise UsageError("bounds field 'indices' must be a list of integers")
     indices = tuple(indices) or _default_indices(net, args.decision)
-    positions = index_positions(net, args.decision, indices)
+    current = current_values(net, args.decision, indices)  # range-checks the indices
     k = len(indices)
     if args.budget is not None:
         if not math.isfinite(args.budget):
             raise UsageError(f"--budget must be finite, got {args.budget}")
         budget = args.budget
     else:
-        budget = float(getattr(net, _DECISION_FIELDS[args.decision])[positions].sum())
+        budget = float(current.sum())
     low = 0.0 if args.decision == "generation" else 0.01 * budget / k
     lower = _bound(bounds, "lower", k, low)
     upper = _bound(bounds, "upper", k, budget)
@@ -374,15 +372,19 @@ def cmd_braess(net: Network, args) -> dict:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_sim_flags(sub, samples_required: bool):
-    sub.add_argument("--dt", type=float, default=1e-3, help="integration step (s)")
-    sub.add_argument("--tmax", dest="t_max", type=float, default=1e5, help="horizon (s)")
+def _add_sim_flags(sub, samples_required: bool, exit_mode: str):
+    sub.add_argument("--dt", type=float, default=SimConfig.dt, help="integration step (s)")
+    sub.add_argument("--tmax", dest="t_max", type=float, default=SimConfig.t_max,
+                     help="horizon (s)")
     sub.add_argument(
-        "--samples", dest="n_samples", type=int, default=None if samples_required else 1000,
+        "--samples", dest="n_samples", type=int,
+        default=None if samples_required else SimConfig.n_samples,
         required=samples_required, help="number of trajectories",
     )
-    sub.add_argument("--seed", dest="master_seed", type=int, default=0, help="master seed")
+    sub.add_argument("--seed", dest="master_seed", type=int, default=SimConfig.master_seed,
+                     help="master seed")
     sub.add_argument("--workers", type=int, default=1, help="upper bound on worker processes")
+    sub.add_argument("--exit-mode", choices=EXIT_MODES, default=exit_mode)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--metrics", default="phi_delta,phi_omega,phi")
 
     hitting = command("hitting-time", cmd_hitting_time, "Monte-Carlo mean first hitting time")
-    _add_sim_flags(hitting, samples_required=True)
-    hitting.add_argument("--exit-mode", choices=EXIT_MODES, default="both")
+    _add_sim_flags(hitting, samples_required=True, exit_mode=SimConfig.exit_mode)
 
     opt = command("optimize", cmd_optimize, "minimize a stability objective over one family")
     opt.add_argument("--decision", choices=DECISION_VARIABLES, required=True)
@@ -418,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="total over the optimized indices (default: current total)")
     opt.add_argument("--bounds", default=None,
                      help="JSON file with optional indices/lower/upper")
-    opt.add_argument("--seed", type=int, default=0)
-    opt.add_argument("--max-evals", type=int, default=2000)
+    opt.add_argument("--seed", type=int, default=SearchConfig.seed)
+    opt.add_argument("--max-evals", type=int, default=SearchConfig.max_evals)
     opt.add_argument("--network-out", type=_out_path, default=None,
                      help="path for the optimized network file")
 
@@ -427,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     braess.add_argument("--add-line", default=None, help="from:to:capacity")
     braess.add_argument("--set-capacity", default=None, help="line:capacity")
     braess.add_argument("--with-hitting-time", action="store_true")
-    _add_sim_flags(braess, samples_required=False)
-    braess.add_argument("--exit-mode", choices=EXIT_MODES, default="phase_only")
+    _add_sim_flags(braess, samples_required=False, exit_mode="phase_only")
     return parser
 
 

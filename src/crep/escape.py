@@ -17,15 +17,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import erfc
 
-from .linearize import (
-    VarianceReport,
-    cos_laplacians,
-    modal_variances,
-    reduce_stack,
-    solve_lyapunov,
-    uniform_damping_ratios,
-)
-from .errors import METRIC_UNDEFINED, ConfigError, CrepError, require_real
+from .linearize import VarianceReport, variances
+from .errors import ConfigError, CrepError, require_real
 from .network import Network, network_from_arrays
 from .powerflow import HALF_PI, SynchronousState, solve_synchronous_states
 
@@ -175,13 +168,11 @@ class Analysis:
     traceback, and computes nothing.  An ``eps`` that is not finite and > 0
     raises :class:`ConfigError` at once.
 
-    ``variance`` reduces the linearization at the state spectrally
-    (:func:`~crep.linearize.reduce_stack`) and takes its solver from the
-    parameters: a network whose damping ratio d_i / m_i is the same at every
-    node gets the closed form of :func:`~crep.linearize.modal_variances`,
-    any other network :func:`~crep.linearize.solve_lyapunov`.  Each stage is
-    the stacked stage of :func:`run_stages` run on a stack of one, so a
-    network analysed alone and in a stack gives the same bits.
+    ``variance`` is :func:`~crep.linearize.variances` at the state: the
+    closed form where the damping ratio d_i / m_i is the same at every node,
+    the Lyapunov solve otherwise.  Each stage is the stacked stage of
+    :func:`run_stages` run on a stack of one, so a network analysed alone
+    and in a stack gives the same bits.
 
     ``solved_state``, if given, is taken as the outcome of the power flow
     without solving it: a state fills ``state``, a
@@ -223,62 +214,42 @@ class Analysis:
         return self.__dict__[stage]
 
 
-def _variances(analyses: Sequence[Analysis]) -> list[VarianceReport | CrepError]:
-    """Variance stage of analyses whose states are solved, by path.
-
-    The stack is reduced once.  Its uniform-damping-ratio rows run as one
-    stack of the closed form, the others the Schur path one at a time.
-    Returns per analysis its report or :data:`~crep.errors.METRIC_UNDEFINED` error.
-    """
-    nets = [a.net for a in analyses]
-    reduction, results = reduce_stack(cos_laplacians(nets, [a.state for a in analyses]), nets)
-    gamma = uniform_damping_ratios(nets)
-    rows = [j for j, error in enumerate(results) if error is None]
-    modal = [j for j in rows if not math.isnan(gamma[j])]
-    for j in rows:
-        if math.isnan(gamma[j]):
-            try:
-                results[j] = solve_lyapunov(reduction.spectral_reduction(j, nets[j]))
-            except METRIC_UNDEFINED as exc:
-                results[j] = exc
-    if modal:
-        if len(modal) < len(nets):
-            reduction = reduction.take(modal)
-        solved = modal_variances(reduction, gamma[modal])
-        for j, result in zip(modal, solved):
-            results[j] = result
-    return results
-
-
-_STAGES = ("state", "variance", "report")
+#: the stages of an analysis in order, each one stacked call over the rows
+#: that need it: the power flow, the variances at the states, the escape
+#: probabilities of the moments
+_STAGES = (
+    ("state", lambda rows: solve_synchronous_states([a.net for a in rows])),
+    ("variance", lambda rows: variances([a.net for a in rows], [a.state for a in rows])),
+    ("report", lambda rows: crep_reports(
+        np.array([a.state.output_phase_diffs for a in rows]),
+        np.array([a.variance.sigma2_delta for a in rows]),
+        np.array([a.variance.sigma2_omega for a in rows]),
+        rows[0].eps,
+    )),
+)
 
 
 def run_stages(analyses: Sequence[Analysis], through: str = "report") -> list[CrepError | None]:
     """Fill the stages of a stack of analyses, in order, up to ``through``.
 
     The stages are ``state``, ``variance`` and ``report``.  Each stage runs
-    once over the rows that still need it and hold no error: one stacked
-    power flow, one variance stage, one escape-probability stage.  A row
-    keeps the :data:`~crep.errors.METRIC_UNDEFINED` error of its network in
-    its analysis.  Returns per analysis None where its stages are filled,
-    and its kept error otherwise; reading the filled stages runs nothing,
-    and gives the bits the analysis computes alone.  Raises ValueError
-    unless the analyses share their node count, line ends and ``eps``.
+    once over the rows that still need it and hold no error, as one call:
+    :func:`~crep.powerflow.solve_synchronous_states`,
+    :func:`~crep.linearize.variances`, :func:`crep_reports`.  A row keeps
+    the :data:`~crep.errors.METRIC_UNDEFINED` error of its network in its
+    analysis.  Returns per analysis None where its stages are filled, and
+    its kept error otherwise; reading the filled stages runs nothing, and
+    gives the bits the analysis computes alone.  Raises ValueError unless
+    the analyses share their node count, line ends and ``eps``, or for an
+    unknown ``through``.
     """
     _check_stack(analyses)
-
-    def fill(stage, compute):
+    last = [stage for stage, _ in _STAGES].index(through)
+    for stage, compute in _STAGES[:last + 1]:
         rows = [a for a in analyses if stage not in a.__dict__ and "_error" not in a.__dict__]
         if rows:
             for a, result in zip(rows, compute(rows)):
                 a.__dict__["_error" if isinstance(result, CrepError) else stage] = result
-
-    last = _STAGES.index(through)
-    fill("state", lambda rows: solve_synchronous_states([a.net for a in rows]))
-    if last >= 1:
-        fill("variance", _variances)
-    if last >= 2:
-        fill("report", _reports)
     return [None if through in a.__dict__ else a.__dict__["_error"] for a in analyses]
 
 
@@ -300,15 +271,6 @@ def _check_stack(analyses: Sequence[Analysis]) -> None:
                               or np.array_equal(net.line_from, ends_from)
                               and np.array_equal(net.line_to, ends_to)):
             raise ValueError("the networks of one stack must share node count and line ends")
-
-
-def _reports(analyses: Sequence[Analysis]) -> list[CrepReport]:
-    return crep_reports(
-        np.array([a.state.output_phase_diffs for a in analyses]),
-        np.array([a.variance.sigma2_delta for a in analyses]),
-        np.array([a.variance.sigma2_omega for a in analyses]),
-        analyses[0].eps,
-    )
 
 
 def crep(net: Network, eps: float = DEFAULT_EPS) -> CrepReport:

@@ -14,11 +14,14 @@ reduced system, whose real Schur form also gives the slowest decay rate
 min |Re mu|.  Its triangular stage splits the Schur factor recursively
 between 2x2 blocks and solves the blocks mostly in matrix products; LAPACK
 ``trsyl`` solves each block of at most :data:`_LYAP_LEAF` rows, so smaller
-systems keep scipy's sequence of calls.  :func:`spectral_reduce` is the same
-reduction on a stack of one network.
+systems keep scipy's sequence of calls.  :func:`variances`, the variance
+stage of the analysis pipeline, reduces a stack and runs each row on its
+solver.  :func:`spectral_reduce` is the same reduction on a stack of one
+network.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -74,10 +77,6 @@ class StackedReduction:
     eigenvectors: np.ndarray    # (B, n, n) orthogonal columns
     reduced_input: np.ndarray   # (B, 2n-1, n)
     reduced_output: np.ndarray  # (B, m+n, 2n-1)
-
-    def take(self, rows) -> StackedReduction:
-        """The reduction of the given rows of the stack, in their order."""
-        return StackedReduction(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     def spectral_reduction(self, j: int, net: Network) -> SpectralReduction:
         """Row j with the reduced system matrix A2 of ``net``, the network of the row."""
@@ -430,3 +429,33 @@ def modal_variances(
         )
         for ok, report in zip(finite, reports)
     ]
+
+
+def variances(
+    nets: Sequence[Network], states: Sequence[SynchronousState]
+) -> list[VarianceReport | DegenerateSystemError | LyapunovSolveError]:
+    """Variance stage of a stack of networks, which share their line ends, at their states.
+
+    The stack is reduced once (:func:`reduce_stack`).  Its rows with a uniform
+    damping ratio run as one stack of :func:`modal_variances`, the others
+    :func:`solve_lyapunov` one at a time.  Returns per network its report or
+    the error of its row.
+    """
+    reduction, results = reduce_stack(cos_laplacians(nets, states), nets)
+    gamma = uniform_damping_ratios(nets)
+    rows = [j for j, error in enumerate(results) if error is None]
+    modal = [j for j in rows if not math.isnan(gamma[j])]
+    for j in rows:
+        if math.isnan(gamma[j]):
+            try:
+                results[j] = solve_lyapunov(reduction.spectral_reduction(j, nets[j]))
+            except LyapunovSolveError as exc:
+                results[j] = exc
+    if modal:
+        if len(modal) < len(nets):
+            reduction = StackedReduction(*(getattr(reduction, f.name)[modal]
+                                           for f in fields(reduction)))
+        solved = modal_variances(reduction, gamma[modal])
+        for j, result in zip(modal, solved):
+            results[j] = result
+    return results

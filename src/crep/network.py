@@ -26,8 +26,10 @@ from scipy import sparse
 
 from .errors import NetworkParseError, NetworkValidationError
 
-#: absolute tolerance on sum(power) == 0
+#: tolerance on sum(power) == 0 while n * sum |P_i| is below about 4.5e6; see
+#: :func:`power_balanced`
 POWER_BALANCE_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 _NODE_ARRAYS = ("power", "inertia", "damping", "noise")
 _ARRAYS = _NODE_ARRAYS + ("line_from", "line_to", "capacity")
@@ -247,10 +249,11 @@ def _validate(net: Network, arrived) -> None:
 
     if "power" in arrived:
         # Python's sequential sum: np.sum's pairwise order would move the tolerance edge
-        imbalance = abs(sum(net.power.tolist()))
-        if imbalance > POWER_BALANCE_TOL:
+        power = net.power.tolist()
+        total = sum(power)
+        if not power_balanced(total, power, n):
             raise NetworkValidationError(
-                f"power imbalance: sum of injections is {imbalance:.3e} (must be 0)"
+                f"power imbalance: sum of injections is {abs(total):.3e} (must be 0)"
             )
     if not new_ends:
         return
@@ -266,6 +269,19 @@ def _validate(net: Network, arrived) -> None:
                 stack.append(j)
     if len(reached) != n:
         raise NetworkValidationError("graph is not connected")
+
+
+def power_balanced(total: float, terms: Iterable[float], n: int) -> bool:
+    """Whether the injections of n nodes balance: their float sum ``total`` lies
+    within max(:data:`POWER_BALANCE_TOL`, n eps sum |P_i|) of 0.
+
+    ``terms`` are the injections, or sums of groups of them, such as a
+    generation budget beside the fixed injections.  A float sum of n terms
+    can miss the exact sum by about n eps sum |P_i|, so balanced networks
+    with large injections pass.  Each |term| is scaled by eps, a power of 2,
+    before it is added, which is exact and keeps the bound finite.
+    """
+    return abs(total) <= max(POWER_BALANCE_TOL, n * sum(abs(t) * _EPS for t in terms))
 
 
 def _require_number(value, where: str) -> float:

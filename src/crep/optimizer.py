@@ -30,7 +30,7 @@ from .errors import (
     require_int,
 )
 from .escape import DEFAULT_EPS, Analysis, run_stages
-from .network import Network
+from .network import Network, power_balanced
 from .powerflow import _HALVINGS
 
 BUDGET_TOL = 1e-9
@@ -135,7 +135,8 @@ def validate_spec(net: Network, spec: DecisionSpec) -> None:
                 "generation indices must point at generator nodes (power > 0)"
             )
         fixed = float(net.power.sum() - net.power[idx].sum())
-        if abs(spec.budget + fixed) > BUDGET_TOL:
+        others = np.delete(net.power, idx).tolist()
+        if not power_balanced(spec.budget + fixed, [spec.budget, *others], net.n):
             raise InfeasibleSpecError(
                 f"generation budget {spec.budget} does not balance the fixed "
                 f"injections ({-fixed} required)"
@@ -205,9 +206,12 @@ def apply_decision(net: Network, spec: DecisionSpec, theta: np.ndarray) -> Netwo
     return net.with_arrays(**{field: updated})
 
 
-def current_values(net: Network, spec: DecisionSpec) -> np.ndarray:
-    idx = np.array(spec.indices, dtype=int) - 1
-    return getattr(net, _DECISION_FIELDS[spec.variable])[idx].copy()
+def current_values(net: Network, variable: str, indices) -> np.ndarray:
+    """The network's values of a decision's 1-based ``indices``, as a new array.
+
+    Raises InfeasibleSpecError as :func:`index_positions` does.
+    """
+    return getattr(net, _DECISION_FIELDS[variable])[index_positions(net, variable, indices)]
 
 
 @dataclass(frozen=True)
@@ -416,7 +420,7 @@ def optimize(
 
     rng = np.random.default_rng(search.seed)
     pop_size = max(4, DE_POPULATION_PER_DIM * dim)
-    starts = (current_values(net, spec), np.full(dim, budget / dim))
+    starts = (current_values(net, spec.variable, spec.indices), np.full(dim, budget / dim))
     draws = rng.uniform(lower, upper, size=(pop_size - len(starts), dim))
     population = project_to_budget_box(np.vstack((*starts, draws)), lower, upper, budget)
     scores = evaluate(population)

@@ -33,12 +33,17 @@ import numpy as np
 from .errors import NoConvergence, OutOfDomain, SynchronousStateError
 from .network import Network
 
-#: max-norm power mismatch at which the Newton iteration stops
+#: max-norm power mismatch at which the Newton iteration stops, unless the
+#: injections are so large that roundoff alone leaves more: a row's tolerance is
+#: max(TOL, TOL_SCALE * machine epsilon * sum |P_i|), which stays TOL while
+#: sum |P_i| is below about 7000
 TOL = 1e-10
+TOL_SCALE = 64
 MAX_ITER = 50
 #: strictness margin of the security-domain check
 DOMAIN_MARGIN = 1e-12
 HALF_PI = math.pi / 2.0
+_EPS = float(np.finfo(float).eps)
 _MAX_HALVINGS = 30
 #: step scales of the halvings after a failed full step: 2**-1 .. 2**-29
 _HALVINGS = 0.5 ** np.arange(1, _MAX_HALVINGS)
@@ -140,7 +145,11 @@ def solve_synchronous_states(
     topology = nets[0]  # every row has its node count and line ends
     results: list = [None] * len(nets)
     rows = np.arange(len(nets))
-    power = np.array([net.power for net in nets]).T
+    power = np.array([net.power for net in nets])
+    # TOL_SCALE * eps is a power of 2, so scaling each term first is exact and
+    # cannot overflow; each row sums alone, as in a stack of one
+    tol = np.maximum(TOL, np.abs(power * (TOL_SCALE * _EPS)).sum(axis=1))
+    power = power.T
     capacity = np.array([net.capacity for net in nets]).T
     phase = np.zeros(power.shape)
     mism, gaps = _mismatch(topology, power, capacity, phase)
@@ -148,11 +157,11 @@ def solve_synchronous_states(
 
     def retire(leaving, verdicts):
         """Record the verdicts of the rows in the mask ``leaving``; drop them."""
-        nonlocal rows, power, capacity, phase, mism, gaps, norm
+        nonlocal rows, power, capacity, phase, mism, gaps, norm, tol
         for row, verdict in zip(rows[leaving].tolist(), verdicts):
             results[row] = verdict
         keep = (~leaving).nonzero()[0]  # take is faster than a boolean mask here
-        rows, norm = rows[keep], norm[keep]
+        rows, norm, tol = rows[keep], norm[keep], tol[keep]
         power, capacity, phase, mism, gaps = (
             a.take(keep, axis=1) for a in (power, capacity, phase, mism, gaps)
         )
@@ -160,16 +169,16 @@ def solve_synchronous_states(
     # every pass retires its converged rows; the pass after the last
     # iteration also fails the rest
     for iteration in range(1, MAX_ITER + 2):
-        done = norm <= TOL
+        done = norm <= tol
         if done.any():
             retire(done, _converged_states(phase[:, done], gaps[:, done], norm[done]))
         if iteration > MAX_ITER:
             retire(np.ones(rows.size, dtype=bool), [
                 NoConvergence(
                     f"power flow did not converge in {MAX_ITER} iterations "
-                    f"(residual {residual:.3e} > tol {TOL:.3e})"
+                    f"(residual {residual:.3e} > tol {row_tol:.3e})"
                 )
-                for residual in norm
+                for residual, row_tol in zip(norm, tol)
             ])
         if not rows.size:
             break
@@ -214,9 +223,9 @@ def solve_synchronous_states(
             retire(stalled, [
                 NoConvergence(
                     f"no damped Newton step reduced the mismatch at iteration {iteration} "
-                    f"(residual {residual:.3e} > tol {TOL:.3e})"
+                    f"(residual {residual:.3e} > tol {row_tol:.3e})"
                 )
-                for residual in before[stalled]
+                for residual, row_tol in zip(before[stalled], tol[stalled])
             ])
     return results
 
@@ -225,8 +234,9 @@ def solve_synchronous_state(net: Network) -> SynchronousState:
     """Find the in-domain synchronous state of ``net``: a stack of one.
 
     Raises :class:`NoConvergence` when no halving of a Newton step lowers
-    the mismatch (the message names the iteration and the residual) or when
-    the iteration does not reach ``TOL`` within ``MAX_ITER`` steps, and
+    the mismatch (the message names the iteration, the residual and the
+    tolerance) or when the iteration does not reach its tolerance (see
+    :data:`TOL`) within ``MAX_ITER`` steps, and
     :class:`OutOfDomain` when the converged phases put some line gap outside
     (-pi/2, pi/2).  Either error means no admissible synchronous state was
     found for these parameters.

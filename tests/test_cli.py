@@ -237,6 +237,16 @@ def test_hitting_time_byte_identical_runs(tmp_path):
     assert estimate["mean_mle"] >= estimate["mean"]
 
 
+def test_hitting_time_writes_a_missing_half_width_as_null(tmp_path):
+    out = tmp_path / "hit.json"
+    assert main([
+        "hitting-time", str(DEMO_RING5), "--samples", "1", "--eps", "0",
+        "--exit-mode", "freq_only", "--out", str(out),
+    ]) == 0
+    estimate = json.loads(out.read_text())["estimate"]
+    assert estimate["n_exited"] == 1 and estimate["half_width"] is None
+
+
 def test_optimize_round_trip(tmp_path):
     path = write_net(tmp_path, ring5_net())
     out = str(tmp_path / "result.json")
@@ -346,6 +356,16 @@ def test_optimize_no_feasible_point_exit_code(tmp_path):
         "--bounds", str(bounds), "--max-evals", "40",
         "--network-out", str(tmp_path / "n.json"),
     ]) == 3
+
+
+def test_optimize_generation_without_generators_exit_code(tmp_path, capsys):
+    path = write_net(tmp_path, ring5_net().with_arrays(power=np.zeros(5)))
+    assert main(["optimize", path, "--decision", "generation",
+                 "--network-out", str(tmp_path / "n.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: infeasible specification (network has no generator nodes (power > 0))\n"
+    )
+    assert not (tmp_path / "n.json").exists()
 
 
 def test_optimize_infeasible_spec_exit_code(tmp_path):
@@ -463,7 +483,7 @@ def test_error_outside_crep_error_propagates(tmp_path, capsys, monkeypatch):
     def broken(*args):
         raise ValueError("internal failure")
 
-    monkeypatch.setattr(crep.escape, "solve_lyapunov", broken)
+    monkeypatch.setattr(crep.linearize, "solve_lyapunov", broken)
     # unequal damping ratios keep the variance stage on the Lyapunov path
     path = write_net(tmp_path, two_node_net(damping=(1.0, 1.5), noise=(0.2, 0.1)))
     with pytest.raises(ValueError, match="internal failure"):

@@ -129,6 +129,14 @@ def test_zero_eps_exits_at_first_step():
     assert outcome.exit_node is not None
 
 
+def test_a_single_exit_has_no_half_width():
+    net = two_node_net(p=0.0, noise=(0.3, 0.3))
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_samples=1, eps=0.0, exit_mode="freq_only")
+    estimate = estimate_hitting_time(net, cfg)
+    assert estimate.n_exited == 1 and estimate.mean == cfg.dt
+    assert math.isnan(estimate.half_width)
+
+
 def test_estimate_is_deterministic_across_runs_and_workers():
     net = ring5_net()
     cfg = SimConfig(dt=1e-3, t_max=25.0, n_samples=300, eps=0.02,

@@ -12,7 +12,7 @@ from crep import (
     save_network,
 )
 
-from conftest import random_connected_network, two_node_net
+from conftest import random_connected_network, ring5_net, two_node_net
 
 
 def minimal_doc():
@@ -534,3 +534,30 @@ def test_equality_compares_all_arrays():
     assert net == two_node_net()
     assert net != two_node_net(cap=3.0)
     assert net != two_node_net(noise=(0.0, 0.1))
+
+
+@pytest.mark.parametrize("scale,slack,balanced", [
+    (1.0, 0.9e-9, True), (1.0, 1.1e-9, False),
+    # max(1e-9, n eps sum |P_i|) = 5 eps 2.25e8 = 2.5e-7 at scale 1e8
+    (1e8, 2e-7, True), (1e8, 3e-7, False),
+])
+def test_balance_tolerance_scales_with_the_injections(scale, slack, balanced):
+    # dyadic injections: the scaled ones and their sums are exact
+    net = ring5_net()
+    power = np.array([0.875, -0.25, 0.25, -0.5, -0.375]) * scale
+    assert sum(power.tolist()) == 0.0
+    power[0] += slack
+    if balanced:
+        assert net.with_arrays(power=power).n == 5
+    else:
+        with pytest.raises(NetworkValidationError, match="power imbalance"):
+            net.with_arrays(power=power)
+
+
+def test_balance_tolerance_does_not_overflow():
+    # sum |P_i| beyond the float range keeps a finite bound, 4 eps 6.8e308
+    # = 6.1e293, and an infinite sum is never balanced
+    huge = [1.7e308, -1.7e308, 1.7e308, -1.7e308]
+    assert crep.network.power_balanced(1e293, huge, 4)
+    assert not crep.network.power_balanced(1e294, huge, 4)
+    assert not crep.network.power_balanced(math.inf, huge, 4)

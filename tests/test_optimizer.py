@@ -789,3 +789,16 @@ def test_no_feasible_point_names_the_first_failure_past_the_state():
         optimize(net, DecisionSpec("line_capacity", tuple(range(1, 6)), 0.5,
                                    np.full(5, 0.05), np.full(5, 0.2)),
                  ObjectiveKind.trace_q_delta, search=SearchConfig(max_evals=40))
+
+
+@pytest.mark.parametrize("scale", [3e6, 1e7, 3e7, 1e8])
+def test_generation_searches_of_a_scaled_ring5_return_a_result(scale):
+    # ring5 with injections and capacities x scale: the budget balances the
+    # loads, and every candidate's injections, only to roundoff of their size
+    net = ring5_net()
+    net = net.with_arrays(power=net.power * scale, capacity=net.capacity * scale)
+    budget = 1.1 * scale
+    spec = DecisionSpec("generation", (1, 3), budget, np.zeros(2), np.full(2, budget))
+    result = optimize(net, spec, ObjectiveKind.crep_phi, search=SearchConfig(seed=1, max_evals=600))
+    assert result.feasible and result.evaluations >= 600
+    assert result.theta.sum() == pytest.approx(budget, rel=1e-14)

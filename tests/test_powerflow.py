@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -229,3 +230,25 @@ def test_a_row_stepping_to_infinite_phases_fails_without_a_warning():
     alone = solve_synchronous_state(net)
     assert state.phase.tobytes() == alone.phase.tobytes()
     assert state.output_phase_diffs.tobytes() == alone.output_phase_diffs.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e8])
+def test_scaled_injections_and_capacities_solve_to_the_same_phases(scale):
+    # the flow equations are homogeneous in (P, K); at these scales roundoff
+    # alone leaves a mismatch above TOL (1.2e-10 and 7.5e-9 on ring5)
+    net = ring5_net()
+    scaled = net.with_arrays(power=net.power * scale, capacity=net.capacity * scale)
+    state = solve_synchronous_state(scaled)
+    assert np.max(np.abs(state.phase - solve_synchronous_state(net).phase)) <= 1e-12
+
+
+def test_each_row_stops_at_its_own_tolerance():
+    # overloaded two-node networks: max(TOL, 64 eps sum |P_i|) is TOL for a
+    # sum of 6000 and 64 eps 6e8 = 8.527e-06 for a sum of 6e8, alone or stacked
+    small, large = two_node_net(p=3e3, cap=2e3), two_node_net(p=3e8, cap=2e8)
+    tol = 64 * np.finfo(float).eps * 6e8
+    for errors in ([crep.powerflow.solve_synchronous_states([net])[0] for net in (small, large)],
+                   crep.powerflow.solve_synchronous_states([small, large])):
+        assert [re.search(r"tol (\S+)\)$", str(error)).group(1) for error in errors] == \
+            ["1.000e-10", f"{tol:.3e}"]
+        assert all(isinstance(error, NoConvergence) for error in errors)

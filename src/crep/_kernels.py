@@ -19,10 +19,17 @@ sorted CSR indices make every node add its lines' flows in line order from 0,
 with the rounding of a per-line loop.  A column is dropped as soon as its trajectory exits, so a step
 costs work only for the trajectories still running.
 
-A step's ``2n`` uniforms come from one broadcast add, since value ``k`` of a
-stream after ``state`` is ``mix(state + k * GOLD)``, and are turned into
-Gaussians in place.  Exit steps and components are bit-identical for any
-batch split.
+Since value ``k`` of a stream after ``state`` is ``mix(state + k * GOLD)``,
+the uniforms of several steps come from one broadcast add.  A batch of ``r``
+trajectories draws its Gaussians ``block = max(1, _BLOCK_CELLS // (n * r))``
+steps at a time: one add, one Box-Muller pass and one scaling by the noise
+per block.  On small batches a step's own draw cost nearly as much as the
+rest of the step: on ring5 with 8 running trajectories (409 steps per block)
+a step takes about 18 us, against 31 us drawing step by step, on 2 cores.
+Rows that exit take the unread rest of their block with them, so each exited
+trajectory wastes up to ``block - 1`` steps of draws, and the last block
+stops at the horizon.  Large grids get ``block == 1`` and draw step by step.
+Exit steps and components are bit-identical for any batch split.
 """
 from __future__ import annotations
 
@@ -42,6 +49,9 @@ _SH11 = np.uint64(11)
 _ONE = np.uint64(1)
 _INV53 = 2.0**-53
 _TWO_PI = 6.283185307179586
+#: Gaussians x trajectories a batch draws at once: a block holds this many
+#: float64 draws and twice as many uint64 stream values
+_BLOCK_CELLS = 1 << 14
 
 
 def _mix_inplace(z):
@@ -60,11 +70,11 @@ def _stream_seeds_vec(master, lo, hi):
 
 
 def _draw_offsets(count):
-    """Stream offsets of one step's ``count`` draws, as a (2 * count, 1) column.
+    """Stream offsets of the next ``count`` draws, as a (2 * count, 1) column.
 
     The offset of stream value ``k`` is ``k * GOLD``.  Draw ``i`` uses values
     ``2i + 1`` and ``2i + 2``; the column holds all the first values, then all
-    the second ones, so each half of a step's draws is contiguous.
+    the second ones, so each half of a block's draws is contiguous.
     """
     k = np.arange(1, 2 * count + 1, dtype=np.uint64).reshape(count, 2).T
     return (k * _GOLD).reshape(2 * count, 1)
@@ -73,7 +83,7 @@ def _draw_offsets(count):
 def _normals_vec(states, offsets):
     """Next ``len(offsets) // 2`` Gaussians of each stream, shape (count, rows).
 
-    All of a step's draws come from one broadcast add of ``offsets`` (from
+    All of a block's draws come from one broadcast add of ``offsets`` (from
     ``_draw_offsets``) to ``states``; ``states`` is then advanced in place past
     them.  Draw ``i`` of a stream is Box-Muller on its values ``2i + 1`` and
     ``2i + 2``.
@@ -91,8 +101,8 @@ def _normals_vec(states, offsets):
     np.log(u1, out=u1)
     u1 *= -2.0
     np.sqrt(u1, out=u1)
-    u2 *= _INV53
-    u2 *= _TWO_PI
+    # _INV53 is a power of 2, so this is (u2 * _INV53) * _TWO_PI bit for bit
+    u2 *= _TWO_PI * _INV53
     np.cos(u2, out=u2)
     u1 *= u2
     return u1
@@ -138,7 +148,10 @@ def simulate_chunk(
     # that exit are dropped, so every step advances running trajectories only.
     live = np.arange(batch)
     incidence = net.incidence
-    offsets = _draw_offsets(n)
+    # the scaled increments of the next steps, z[j] for the next one
+    block = max(1, _BLOCK_CELLS // (n * batch))
+    offsets = _draw_offsets(n * block)
+    z, j = np.empty((0, n, batch)), 0
     cap = net.capacity[:, None]
     drift = (dt * (1.0 / net.inertia))[:, None]
     kick = (net.noise / net.inertia * math.sqrt(dt))[:, None]
@@ -149,14 +162,20 @@ def simulate_chunk(
         flow *= cap
         coup = incidence @ flow
         delta += omega * dt
-        z = _normals_vec(states, offsets)
+        if j == z.shape[0]:
+            z = None  # free the consumed block before drawing the next
+            if n_steps - s < block - 1:
+                offsets = _draw_offsets(n * (n_steps - s + 1))
+            z = _normals_vec(states, offsets).reshape(-1, n, live.shape[0])
+            z *= kick
+            j = 0
         acc = damping * omega
         np.subtract(power, acc, out=acc)
         acc -= coup
         acc *= drift
         omega += acc
-        z *= kick
-        omega += z
+        omega += z[j]
+        j += 1
         np.subtract(delta[line_from], delta[line_to], out=gaps)
         viol = np.abs(x[watched]) >= limit
         if viol.any():
@@ -169,6 +188,9 @@ def simulate_chunk(
             if live.shape[0] == 0:
                 break
             states = states[keep]
+            if j < z.shape[0]:
+                z = np.compress(keep, z[j:], axis=2)
+                j = 0
             x = np.compress(keep, x, axis=1)
             delta, gaps, omega = x[:n], x[n:n + m], x[n + m:]
     return exit_step, exit_comp

@@ -10,7 +10,7 @@ bound: a run makes one batch per worker the machine's usable CPUs allow,
 split further only when a batch's rows x nodes would exceed a fixed memory
 cap, and runs them in as many processes as its rows x nodes x steps pay for:
 the calling process runs its share of the batches and worker processes the
-rest, since a kernel step is some 35 numpy calls that hold the GIL and
+rest, since a kernel step is some 20 numpy calls that hold the GIL and
 threads cannot run two batches at once.
 """
 from __future__ import annotations

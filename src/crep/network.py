@@ -18,7 +18,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from functools import cached_property
+import operator
+from functools import cached_property, reduce
 from typing import Iterable
 
 import numpy as np
@@ -248,9 +249,9 @@ def _validate(net: Network, arrived) -> None:
             seen.add(key)
 
     if "power" in arrived:
-        # Python's sequential sum: np.sum's pairwise order would move the tolerance edge
+        # np.sum's pairwise order would move the tolerance edge
         power = net.power.tolist()
-        total = sum(power)
+        total = _sequential_sum(power)
         if not power_balanced(total, power, n):
             raise NetworkValidationError(
                 f"power imbalance: sum of injections is {abs(total):.3e} (must be 0)"
@@ -281,7 +282,16 @@ def power_balanced(total: float, terms: Iterable[float], n: int) -> bool:
     with large injections pass.  Each |term| is scaled by eps, a power of 2,
     before it is added, which is exact and keeps the bound finite.
     """
-    return abs(total) <= max(POWER_BALANCE_TOL, n * sum(abs(t) * _EPS for t in terms))
+    return abs(total) <= max(POWER_BALANCE_TOL, n * _sequential_sum(abs(t) * _EPS for t in terms))
+
+
+def _sequential_sum(values: Iterable[float]) -> float:
+    """The float sum of ``values`` added left to right, on every Python version.
+
+    The builtin ``sum`` of floats is compensated from Python 3.12 on, so its
+    result, and which networks balance, would depend on the interpreter.
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 def _require_number(value, where: str) -> float:

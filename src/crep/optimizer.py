@@ -20,6 +20,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+from scipy.special import log_ndtr
 
 from .baselines import order_parameter, phase_cohesiveness
 from .errors import (
@@ -608,7 +609,7 @@ def min_max_sigma_equivalence_check(
     rng = np.random.default_rng(seed)
     draws = rng.uniform(spec.lower, spec.upper, size=(n_samples, spec.dim))
     thetas = project_to_budget_box(draws, spec.lower, spec.upper, spec.budget)
-    f_norms, s_norms = [], []
+    f_norms, log_norms, s_norms = [], [], []
     failure = None  # the first error of a stage past the state
     for analysis, error in _analysed_candidates(base, spec, thetas, "report"):
         if error is not None:
@@ -616,14 +617,21 @@ def min_max_sigma_equivalence_check(
                 failure = error
             continue
         sigma2, f_omega = analysis.variance.sigma2_omega, analysis.report.f_omega
-        if int(np.argmax(f_omega)) != int(np.argmax(sigma2)):
+        # f_omega is erfc(eps / (sigma sqrt 2)); the logarithms of tails that
+        # underflowed to 0 still rank them
+        with np.errstate(divide="ignore"):
+            log_tails = log_ndtr(-eps / np.sqrt(sigma2))
+        tails = f_omega if f_omega.any() else log_tails
+        if int(np.argmax(tails)) != int(np.argmax(sigma2)):
             return False
         f_norms.append(float(np.max(f_omega)))
+        log_norms.append(float(np.max(log_tails)))
         s_norms.append(float(np.max(sigma2)))
     if not f_norms:
         raise _no_feasible_point(
             failure, "no sampled candidate admitted an in-domain synchronous state",
             "no sampled candidate was feasible; the first with a state")
-    order_f = np.argsort(np.array(f_norms), kind="stable")
+    # by f_omega's norm, its ties (underflowed ones among them) by the logarithm
+    order_f = np.lexsort((log_norms, f_norms))
     order_s = np.argsort(np.array(s_norms), kind="stable")
     return bool(np.array_equal(order_f, order_s))

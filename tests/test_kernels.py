@@ -205,3 +205,42 @@ def test_kernel_matches_row_major_loop_with_per_component_limits():
     assert 0 not in exited
     assert min(exited) < net.m <= max(exited)
     assert len(set(s for s in steps if s > 0)) > 1 and len(exited) < 40
+
+
+def _block_case(case, exit_mode):
+    """(net, cfg, block) of a 40-row batch whose rows exit on the first and on
+    the last step of some block, some mid-block and some at no step."""
+    if case == "meshed":
+        return (*_meshed_case(2, exit_mode), 6)
+    eps = {"phase_only": 0.5, "freq_only": 1.2, "both": 1.4}[exit_mode]
+    cfg = crep.SimConfig(dt=1e-2, t_max=2.5, n_samples=40, eps=eps,
+                         master_seed=11, exit_mode=exit_mode)
+    return ring5_net(caps=(0.7,) * 5), cfg, 4
+
+
+@pytest.mark.parametrize("exit_mode", ["phase_only", "freq_only", "both"])
+@pytest.mark.parametrize("case", ["ring5", "meshed"])
+def test_block_draws_match_row_major_loop(monkeypatch, case, exit_mode):
+    # a few steps' draws per block: rows that exit leave unread draws that the
+    # rows still running must not shift, and the horizon cuts the last block
+    net, cfg, block = _block_case(case, exit_mode)
+    monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block * net.n * 40)
+    assert cfg.n_steps % block != 0
+    (steps, comps), reference = _chunk_and_reference(net, cfg, 5, 45)
+    assert [steps, comps] == reference
+    exited = [s for s in steps if s > 0]
+    assert any(s % block == 1 for s in exited) and any(s % block == 0 for s in exited)
+    assert any(s % block not in (0, 1) for s in exited)
+    assert 0 < len(exited) < 40
+
+
+def test_block_length_does_not_change_the_bits(monkeypatch):
+    # 80, 11 (16 for the last 5 rows) and 2 steps per block
+    net, cfg, _ = _block_case("ring5", "both")
+    monkeypatch.setattr(_kernels, "_BLOCK_CELLS", 2 * net.n * 40)
+    runs = []
+    for size in (1, 7, 40):
+        parts = [_chunk(net, cfg, lo, min(lo + size, 40)) for lo in range(0, 40, size)]
+        runs.append([np.concatenate([p[k] for p in parts]).tolist() for k in (0, 1)])
+    assert runs[0] == runs[1] == runs[2]
+    assert 0 in runs[0][0] and len(set(runs[0][0])) > 2

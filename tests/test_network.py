@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -520,13 +522,27 @@ def test_derived_network_shares_only_its_fields_and_line_end_caches():
 
 
 def test_balance_is_the_sequential_float_sum():
-    # the tolerance applies to Python's left-to-right sum, which is exactly 0
-    # here; numpy's pairwise sum of the same ten entries is 2
-    power = [-1.0, 1.0, 1e16, -1e16, 1e16, 2.0, -1.0, -1e16, -1e16, 1e16]
-    assert sum(power) == 0.0 and float(np.sum(power)) == 2.0
+    # the tolerance, 1e-9 at these injections, applies to their sum added left
+    # to right on every Python version; numpy's pairwise sum and the exact sum
+    # (close to the builtin sum of Python 3.12 on) fall on its other side
+    cases = [
+        # left to right 1.00000017e-9, pairwise 9.9999994e-10, exactly 1e-9
+        ([1.0, 1.0, -2.0, 0.5, 0.5, 1e-9, 1e-9, -0.5, -0.5, -1e-9], False),
+        # left to right 9.9999997e-10, pairwise 1.00000008e-9, exactly 1.00000005e-9
+        ([1.0, 1.0, 0.5, -2.0, 1e-9, -0.5, 1e-9, -9.9999995e-10, 0.5, -0.5], True),
+    ]
     lines = [(i, i + 1, 1.0) for i in range(1, 10)]
-    net = network_from_arrays(power, [1.0] * 10, [1.0] * 10, [0.1] * 10, lines)
-    assert net.n == 10
+    for power, balanced in cases:
+        assert 10 * math.fsum(abs(p) for p in power) * np.finfo(float).eps < 1e-9
+        assert (abs(functools.reduce(operator.add, power)) <= 1e-9) == balanced
+        assert (abs(float(np.sum(power))) <= 1e-9) != balanced
+        assert (abs(math.fsum(power)) <= 1e-9) != balanced
+        args = (power, [1.0] * 10, [1.0] * 10, [0.1] * 10, lines)
+        if balanced:
+            assert network_from_arrays(*args).n == 10
+        else:
+            with pytest.raises(NetworkValidationError, match="power imbalance"):
+                network_from_arrays(*args)
 
 
 def test_equality_compares_all_arrays():

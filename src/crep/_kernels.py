@@ -27,8 +27,9 @@ per block.  On small batches a step's own draw cost nearly as much as the
 rest of the step: on ring5 with 8 running trajectories (409 steps per block)
 a step takes about 18 us, against 31 us drawing step by step, on 2 cores.
 Rows that exit take the unread rest of their block with them, so each exited
-trajectory wastes up to ``block - 1`` steps of draws, and the last block
-stops at the horizon.  Large grids get ``block == 1`` and draw step by step.
+trajectory wastes up to ``block - 1`` steps of draws, and so does the last
+block of a batch, which may reach past the horizon.  Large grids get
+``block == 1`` and draw step by step.
 Exit steps and components are bit-identical for any batch split.
 """
 from __future__ import annotations
@@ -164,8 +165,6 @@ def simulate_chunk(
         delta += omega * dt
         if j == z.shape[0]:
             z = None  # free the consumed block before drawing the next
-            if n_steps - s < block - 1:
-                offsets = _draw_offsets(n * (n_steps - s + 1))
             z = _normals_vec(states, offsets).reshape(-1, n, live.shape[0])
             z *= kick
             j = 0

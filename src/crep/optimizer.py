@@ -609,29 +609,26 @@ def min_max_sigma_equivalence_check(
     rng = np.random.default_rng(seed)
     draws = rng.uniform(spec.lower, spec.upper, size=(n_samples, spec.dim))
     thetas = project_to_budget_box(draws, spec.lower, spec.upper, spec.budget)
-    f_norms, log_norms, s_norms = [], [], []
+    log_norms, s_norms = [], []
     failure = None  # the first error of a stage past the state
     for analysis, error in _analysed_candidates(base, spec, thetas, "report"):
         if error is not None:
             if failure is None and not isinstance(error, SynchronousStateError):
                 failure = error
             continue
-        sigma2, f_omega = analysis.variance.sigma2_omega, analysis.report.f_omega
-        # f_omega is erfc(eps / (sigma sqrt 2)); the logarithms of tails that
-        # underflowed to 0 still rank them
+        sigma2 = analysis.variance.sigma2_omega
+        # f_omega is erfc(eps / (sigma sqrt 2)) = 2 ndtr(-eps / sigma); its
+        # logarithm ranks the tails alike and does not underflow to 0
         with np.errstate(divide="ignore"):
             log_tails = log_ndtr(-eps / np.sqrt(sigma2))
-        tails = f_omega if f_omega.any() else log_tails
-        if int(np.argmax(tails)) != int(np.argmax(sigma2)):
+        if int(np.argmax(log_tails)) != int(np.argmax(sigma2)):
             return False
-        f_norms.append(float(np.max(f_omega)))
         log_norms.append(float(np.max(log_tails)))
         s_norms.append(float(np.max(sigma2)))
-    if not f_norms:
+    if not log_norms:
         raise _no_feasible_point(
             failure, "no sampled candidate admitted an in-domain synchronous state",
             "no sampled candidate was feasible; the first with a state")
-    # by f_omega's norm, its ties (underflowed ones among them) by the logarithm
-    order_f = np.lexsort((log_norms, f_norms))
+    order_f = np.argsort(np.array(log_norms), kind="stable")
     order_s = np.argsort(np.array(s_norms), kind="stable")
     return bool(np.array_equal(order_f, order_s))

@@ -222,7 +222,7 @@ def _block_case(case, exit_mode):
 @pytest.mark.parametrize("case", ["ring5", "meshed"])
 def test_block_draws_match_row_major_loop(monkeypatch, case, exit_mode):
     # a few steps' draws per block: rows that exit leave unread draws that the
-    # rows still running must not shift, and the horizon cuts the last block
+    # rows still running must not shift, and the last block passes the horizon
     net, cfg, block = _block_case(case, exit_mode)
     monkeypatch.setattr(_kernels, "_BLOCK_CELLS", block * net.n * 40)
     assert cfg.n_steps % block != 0

@@ -298,8 +298,14 @@ def smib_analytic(
     infinite bus through capacity K and loaded with 0 <= P < K, the stationary
     variances are ``b^2 / (2 D sqrt(K^2 - P^2))`` for the phase gap and
     ``b^2 / (2 M D)`` for the frequency, around the mean gap ``arcsin(P/K)``.
-    Serves as the oracle for the full network pipeline.
+    Serves as the oracle for the full network pipeline.  Raises ValueError
+    naming the first argument that is not finite, or that is out of range.
     """
+    arguments = {"inertia": inertia, "damping": damping, "capacity": capacity,
+                 "power": power, "noise": noise}
+    for name, value in arguments.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if inertia <= 0.0 or damping <= 0.0 or capacity <= 0.0:
         raise ValueError("inertia, damping and capacity must be > 0")
     if noise < 0.0:

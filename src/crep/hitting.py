@@ -42,6 +42,11 @@ _BATCH_CELLS = 1 << 18
 #: lost or tied below about 5e5 in all and won from about 1e6 (ring5 and a
 #: 200-node grid, 2 batches)
 _PROCESS_WORK = 1 << 18
+#: most trajectories one run takes: a run holds every trajectory's exit step
+#: and component until it aggregates them, 58 bytes per trajectory at its
+#: peak (measured on ring5 at 10**7 trajectories, all exiting), so this many
+#: hold about 3.9 GB; more would exhaust memory rather than start
+MAX_SAMPLES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,10 @@ class SimConfig:
         if self.t_max / self.dt >= 2**63:
             raise ConfigError(f"t_max / dt must be < 2**63, got {self.t_max / self.dt!r}")
         require_int(self.n_samples, "n_samples", 1)
+        if self.n_samples > MAX_SAMPLES:
+            raise ConfigError(
+                f"n_samples must be at most MAX_SAMPLES = {MAX_SAMPLES}, got {self.n_samples}"
+            )
         require_int(self.master_seed, "master_seed", 0)
         if self.master_seed >= 2**64:
             raise ConfigError(f"master_seed must be < 2**64, got {self.master_seed!r}")

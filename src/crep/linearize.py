@@ -35,6 +35,15 @@ from .powerflow import SynchronousState, _laplacian
 #: eigenvalues below this times max(1, largest eigenvalue magnitude) are
 #: treated as the structural zero mode
 ZERO_EIG_TOL = 1e-10
+#: modal eigenvalues whose gap is at most this times n eps lambda_max are one
+#: cluster in the closed form (see modal_variances).  LAPACK bounds the error
+#: of each eigenvalue eigh computes by p(n) eps ||A||_2, with p(n) a modestly
+#: growing function of n (LAPACK Users' Guide, sec. 4.7.1), and ||A||_2 is
+#: lambda_max here; with p(n) = 8n, a gap within twice that bound may be
+#: roundoff between copies of one eigenvalue.  Eigh splits ring5's double
+#: eigenvalues at huge capacities by at most 1.02 eps lambda_max; at its own
+#: capacities their nearest pair lies 7e13 eps lambda_max apart
+_CLUSTER_TOL = 16
 #: relative ceiling on ||A2 Q + Q A2^T + B2 B2^T||_max
 LYAP_RESIDUAL_TOL = 1e-8
 #: order at and below which LAPACK trsyl solves a block of the triangular
@@ -82,15 +91,15 @@ class StackedReduction:
         """Row j with the reduced system matrix A2 of ``net``, the network of the row."""
         n = net.n
         eigvals, vectors = self.eigenvalues[j], self.eigenvectors[j]
-        damping_term = vectors.T @ ((net.damping / net.inertia)[:, None] * vectors)
-        a_e = np.zeros((2 * n, 2 * n))
-        a_e[:n, n:] = np.eye(n)
-        a_e[n:, :n] = -np.diag(eigvals)
-        a_e[n:, n:] = -damping_term
+        # [[0, I], [-diag(eigvals), -U^T diag(d/m) U]] less the zero mode's position
+        a2 = np.zeros((2 * n - 1, 2 * n - 1))
+        a2[:n - 1, n:] = np.eye(n - 1)
+        a2[n - 1:, :n - 1] = -np.diag(eigvals)[:, 1:]
+        a2[n - 1:, n - 1:] = -(vectors.T @ ((net.damping / net.inertia)[:, None] * vectors))
         return SpectralReduction(
             eigenvalues=eigvals,
             eigenvectors=vectors,
-            reduced_sys=a_e[1:, 1:],
+            reduced_sys=a2,
             reduced_input=self.reduced_input[j],
             reduced_output=self.reduced_output[j],
         )
@@ -194,15 +203,15 @@ def reduce_stack(
     flip = (first & (vectors < 0.0)).any(axis=-2, keepdims=True)
     vectors = np.where(flip, -vectors, vectors)
 
-    b_e = np.zeros((len(nets), 2 * n, n))
-    b_e[:, n:, :] = np.swapaxes(vectors, -1, -2) * (inv_sqrt_m * noise)[:, None, :]
+    b2 = np.zeros((len(nets), 2 * n - 1, n))
+    b2[:, n - 1:, :] = np.swapaxes(vectors, -1, -2) * (inv_sqrt_m * noise)[:, None, :]
     # output map of the deflated state: line gaps, then node frequencies
     scaled = inv_sqrt_m[:, :, None] * vectors
-    c_e = np.zeros((len(nets), m + n, 2 * n))
-    c_e[:, :m, :n] = scaled[:, net.line_from, :] - scaled[:, net.line_to, :]
-    c_e[:, m:, n:] = scaled
+    c2 = np.zeros((len(nets), m + n, 2 * n - 1))
+    c2[:, :m, :n - 1] = scaled[:, net.line_from, 1:] - scaled[:, net.line_to, 1:]
+    c2[:, m:, n - 1:] = scaled
     return StackedReduction(eigenvalues=eigvals, eigenvectors=vectors,
-                            reduced_input=b_e[:, 1:, :], reduced_output=c_e[:, :, 1:]), errors
+                            reduced_input=b2, reduced_output=c2), errors
 
 
 def spectral_reduce(model: LinearizedModel, net: Network) -> SpectralReduction:
@@ -386,7 +395,11 @@ def modal_variances(
     finite.  A denominator made infinite by (lambda_i - lambda_j)^2 alone is
     allowed: its quotients are then 0 where their true values are negligible
     beside the row's diagonal (ring5 reaches it at a capacity total near
-    3e154).
+    3e154).  Eigenvalues within :data:`_CLUSTER_TOL` n eps lambda_max of
+    each other count as one: their gap is set to 0, the degenerate limit,
+    since eigh's roundoff in it, squared, would outgrow 2 gamma^2
+    (lambda_i + lambda_j) from lambda near 1e32 gamma^2 on and decouple
+    modes that symmetry couples.
     """
     lam = reduction.eigenvalues
     n = lam.shape[1]
@@ -396,6 +409,8 @@ def modal_variances(
     g = gamma[:, None, None]
     li, lj = lam[:, 1:, None], lam[:, None, 1:]
     total, gap = li + lj, li - lj
+    cluster = _CLUSTER_TOL * n * np.finfo(float).eps * lam[:, -1, None, None]
+    gap[np.abs(gap) <= cluster] = 0.0
     damped = 2.0 * g * g * total
     p = 2.0 * g * s[:, 1:, 1:] / (damped + gap * gap)
     v = np.empty_like(s)

@@ -374,23 +374,24 @@ def optimize(
     failure = None  # the first committed error of a stage past the state
 
     def score(thetas: np.ndarray) -> list:
-        """Per candidate of a stack, in order, its (score, natural value, error).
+        """Per candidate of a stack, in order, its (theta, score, natural value, error).
 
         Scoring has no side effect: a candidate counts only once committed.
         """
         outcomes = []
-        for analysis, error in _analysed_candidates(base, spec, thetas, objective.stage):
+        for theta, (analysis, error) in zip(
+                thetas, _analysed_candidates(base, spec, thetas, objective.stage)):
             if error is None:
                 natural = objective.read(analysis)
-                outcomes.append((-natural if maximize else natural, natural, None))
+                outcomes.append((theta, -natural if maximize else natural, natural, None))
             else:
-                outcomes.append((objective.penalty, objective.penalty, error))
+                outcomes.append((theta, objective.penalty, objective.penalty, error))
         return outcomes
 
-    def commit(theta: np.ndarray, outcome) -> float:
+    def commit(outcome) -> float:
         """Count one scored candidate and keep it if it is the best so far; its score."""
         nonlocal evals, failure
-        value, natural, error = outcome
+        theta, value, natural, error = outcome
         evals += 1
         feasible = error is None
         if failure is None and not feasible and not isinstance(error, SynchronousStateError):
@@ -401,7 +402,7 @@ def optimize(
 
     def evaluate(thetas: np.ndarray) -> np.ndarray:
         """Scores of a stack of candidates, committed in stack order."""
-        return np.array([commit(t, outcome) for t, outcome in zip(thetas, score(thetas))])
+        return np.array([commit(outcome) for outcome in score(thetas)])
 
     # degenerate box: the feasible set is a single point
     if np.array_equal(lower, upper):
@@ -458,11 +459,9 @@ def optimize(
         if remaining >= dim + 2:
             # the simplex moves in R^dim; each stack of its points is
             # projected once, and a committed point counts as its projection
-            def polish_score(points: np.ndarray) -> list:
-                thetas = project_to_budget_box(points, lower, upper, budget)
-                return list(zip(thetas, score(thetas)))
-
-            _nelder_mead(polish_score, lambda row: commit(*row), best["theta"], remaining)
+            _nelder_mead(
+                lambda points: score(project_to_budget_box(points, lower, upper, budget)),
+                commit, best["theta"], remaining)
             history.append((generation + 1, float(best["natural"])))
 
     if not best["feasible"]:
@@ -611,7 +610,7 @@ def min_max_sigma_equivalence_check(
     thetas = project_to_budget_box(draws, spec.lower, spec.upper, spec.budget)
     log_norms, s_norms = [], []
     failure = None  # the first error of a stage past the state
-    for analysis, error in _analysed_candidates(base, spec, thetas, "report"):
+    for analysis, error in _analysed_candidates(base, spec, thetas, "variance"):
         if error is not None:
             if failure is None and not isinstance(error, SynchronousStateError):
                 failure = error

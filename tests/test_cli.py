@@ -399,6 +399,24 @@ def test_braess_capacity_increase_improves(tmp_path):
     assert doc["verdicts"]["f_delta_norm"] == "improves"
 
 
+@pytest.mark.parametrize("command", [
+    ["hitting-time", str(DEMO_RING5)],
+    ["braess", str(DEMO_RING5), "--set-capacity", "1:1.5", "--with-hitting-time"],
+])
+def test_a_sample_count_past_the_cap_is_rejected_before_any_run(capsys, monkeypatch, command):
+    # a run of this count would list about 1.9e15 batches before its first
+    # step; should the cap let it through, the run stops at its power flow
+    def refuse(net):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(crep.hitting, "solve_synchronous_state", refuse)
+    assert main([*command, "--samples", "100000000000000000000"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: n_samples must be at most MAX_SAMPLES = {crep.hitting.MAX_SAMPLES}, "
+        "got 100000000000000000000\n"
+    )
+
+
 def test_braess_triangle_with_hitting_time(tmp_path):
     net = crep.network_from_arrays(
         [0.6, -0.2, -0.4], [1.0] * 3, [0.8] * 3, [0.4, 0.3, 0.2],

@@ -404,6 +404,14 @@ def test_smib_analytic_values():
     assert closed.sigma2_omega == pytest.approx(1.0 / 12.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("name", ["inertia", "damping", "capacity", "power", "noise"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_smib_analytic_rejects_a_non_finite_argument(name, value):
+    arguments = {"inertia": 2.0, "damping": 3.0, "capacity": 5.0, "power": 3.0, "noise": 1.0}
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        smib_analytic(**{**arguments, name: value})
+
+
 def test_smib_analytic_no_load_case():
     b, D, K = 0.7, 1.3, 2.0
     closed = smib_analytic(1.0, D, K, 0.0, b)

@@ -48,6 +48,12 @@ def test_config_rejects_bad_sample_count_and_seed(field, value):
         SimConfig(**{field: value})
 
 
+def test_config_caps_the_sample_count():
+    assert SimConfig(n_samples=hitting.MAX_SAMPLES).n_samples == hitting.MAX_SAMPLES
+    with pytest.raises(ConfigError, match=f"at most MAX_SAMPLES = {hitting.MAX_SAMPLES}"):
+        SimConfig(n_samples=hitting.MAX_SAMPLES + 1)
+
+
 def test_largest_seed_runs_and_negative_index_is_rejected():
     net = two_node_net(p=0.0, noise=(0.3, 0.3))
     state = solve_synchronous_state(net)

@@ -553,6 +553,17 @@ def test_capacities_that_overflow_the_closed_form_raise(total):
             crep_package.Analysis(net).variance
 
 
+@pytest.mark.parametrize("total", [1e32, 1e40, 1e100])
+def test_the_closed_form_keeps_double_eigenvalues_coupled_at_huge_capacities(total):
+    # ring5 grows mirror-symmetric (nodes 1-5, 2-4) as its capacities grow,
+    # and its nonzero modal eigenvalues pair up; eigh splits each pair by
+    # roundoff, which squared would outgrow 2 gamma^2 (lambda_i + lambda_j)
+    reference = crep_package.Analysis(_ring5_with_total_capacity(1e20)).variance
+    sigma2 = crep_package.Analysis(_ring5_with_total_capacity(total)).variance.sigma2_omega
+    assert sigma2 == pytest.approx(sigma2[::-1], rel=1e-12)
+    assert sigma2 == pytest.approx(reference.sigma2_omega, rel=1e-12)
+
+
 def test_noise_that_overflows_the_closed_form_raises():
     net = ring5_net().with_arrays(noise=ring5_net().noise * 1e160)
     with warnings.catch_warnings():

@@ -557,6 +557,20 @@ def test_min_max_sigma_equivalence_on_ring():
     assert min_max_sigma_equivalence_check(net, spec, n_samples=50, seed=0)
 
 
+def test_min_max_sigma_equivalence_reads_only_the_variance_stage(monkeypatch):
+    # criterion 06's spec; the check reads sigma^2_omega alone
+    net = ring5_net(b=(0.7, 0.1, 0.1, 0.1, 0.7))
+    spec = DecisionSpec("damping", tuple(range(1, 6)), 4.0,
+                        np.full(5, 0.4), np.full(5, 2.0))
+    unpatched = min_max_sigma_equivalence_check(net, spec, n_samples=50, seed=0)
+
+    def refuse(*args):
+        raise AssertionError("the check filled the report stage")
+
+    monkeypatch.setattr(crep.escape, "crep_reports", refuse)
+    assert min_max_sigma_equivalence_check(net, spec, n_samples=50, seed=0) == unpatched
+
+
 @pytest.mark.parametrize("field,value", [
     ("n_samples", 0), ("n_samples", -3), ("n_samples", True), ("n_samples", 2.5),
     ("seed", -1),

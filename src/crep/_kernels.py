@@ -177,7 +177,8 @@ def simulate_chunk(
         j += 1
         np.subtract(delta[line_from], delta[line_to], out=gaps)
         viol = np.abs(x[watched]) >= limit
-        if viol.any():
+        # count_nonzero costs a fraction of any() on a step's small array
+        if np.count_nonzero(viol):
             hit = viol.any(axis=0)
             exited = live[hit]
             exit_step[exited] = s

@@ -92,8 +92,14 @@ def order_parameter(state: SynchronousState) -> float:
     the solver's reference gauge and :func:`centroid_magnitude` for the exact
     circular-centroid magnitude.
     """
-    centered = state.phase - np.mean(state.phase)
-    return 1.0 - float(np.dot(centered, centered)) / state.phase.size
+    return float(order_parameters(state.phase[None])[0])
+
+
+def order_parameters(phase: np.ndarray) -> np.ndarray:
+    """:func:`order_parameter` of each row of a (B, n) stack of phases."""
+    centered = phase - np.mean(phase, axis=1, keepdims=True)
+    # one np.dot per row keeps each row's bits; a stacked product may round differently
+    return np.array([1.0 - float(np.dot(row, row)) / row.size for row in centered])
 
 
 def order_parameter_reference(state: SynchronousState) -> float:
@@ -108,9 +114,12 @@ def centroid_magnitude(state: SynchronousState) -> float:
 
 def phase_cohesiveness(state: SynchronousState) -> float:
     """Infinity norm of the synchronous line phase gaps (0 without lines)."""
-    if state.output_phase_diffs.size == 0:
-        return 0.0
-    return float(np.max(np.abs(state.output_phase_diffs)))
+    return float(cohesiveness(state.output_phase_diffs[None])[0])
+
+
+def cohesiveness(gaps: np.ndarray) -> np.ndarray:
+    """:func:`phase_cohesiveness` of each row of a (B, m) stack of line gaps."""
+    return np.abs(gaps).max(axis=1, initial=0.0)
 
 
 def metrics_bundle(net: Network, eps: float = DEFAULT_EPS) -> MetricsBundle:

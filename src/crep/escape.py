@@ -10,17 +10,17 @@ The metric is the infinity norm of the stacked escape-probability vector.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erfc
 
-from .linearize import VarianceReport, variances
-from .errors import ConfigError, CrepError, require_real
+from .errors import ConfigError, CrepError, SynchronousStateError, require_real
+from .linearize import VarianceReport, variance_stack, variances
 from .network import Network, network_from_arrays
-from .powerflow import HALF_PI, SynchronousState, solve_synchronous_states
+from .powerflow import HALF_PI, SynchronousState, solve_state_stack, solve_synchronous_states
 
 #: default half-width eps of the critical frequency interval (rad/s)
 DEFAULT_EPS = 0.02
@@ -108,6 +108,39 @@ def crep_reports(
 ) -> list[CrepReport]:
     """Reports of a stack of moments, one row per network.
 
+    The arguments are (B, m), (B, m) and (B, n) arrays; the probabilities are
+    those of :func:`escape_probabilities`, which raises as documented there.
+    """
+    f_delta, f_omega = escape_probabilities(y_delta_star, sigma2_delta, sigma2_omega, eps)
+    m = f_delta.shape[1]
+    argmax_lines = np.argmax(f_delta, axis=1).tolist() if m else [None] * len(f_omega)
+    argmax_nodes = np.argmax(f_omega, axis=1).tolist()
+    reports = []
+    for j, (line, node) in enumerate(zip(argmax_lines, argmax_nodes)):
+        phi_delta = 0.0 if line is None else float(f_delta[j, line])
+        phi_omega = float(f_omega[j, node])
+        reports.append(CrepReport(
+            f_delta=f_delta[j],
+            f_omega=f_omega[j],
+            phi=max(phi_delta, phi_omega),
+            phi_delta=phi_delta,
+            phi_omega=phi_omega,
+            argmax_line=None if line is None else line + 1,
+            argmax_node=node + 1,
+            epsilon=eps,
+        ))
+    return reports
+
+
+def escape_probabilities(
+    y_delta_star: np.ndarray,
+    sigma2_delta: np.ndarray,
+    sigma2_omega: np.ndarray,
+    eps: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Escape probabilities (B, m) of the line gaps and (B, n) of the node
+    frequencies of a stack of moments, one row per network.
+
     The arguments are (B, m), (B, m) and (B, n) arrays.  Each probability is
     the one :func:`escape_prob_line` or :func:`escape_prob_freq` gives for
     its entry: one ``scipy.special.erfc`` call evaluates every tail of the
@@ -137,24 +170,7 @@ def crep_reports(
             eps / (np.sqrt(sigma2_omega) * _SQRT2),
         ), axis=1)
     tails = erfc(args)
-    f_delta, f_omega = 0.5 * (tails[:, :m] + tails[:, m:2 * m]), tails[:, 2 * m:]
-    argmax_lines = np.argmax(f_delta, axis=1).tolist() if m else [None] * len(f_omega)
-    argmax_nodes = np.argmax(f_omega, axis=1).tolist()
-    reports = []
-    for j, (line, node) in enumerate(zip(argmax_lines, argmax_nodes)):
-        phi_delta = 0.0 if line is None else float(f_delta[j, line])
-        phi_omega = float(f_omega[j, node])
-        reports.append(CrepReport(
-            f_delta=f_delta[j],
-            f_omega=f_omega[j],
-            phi=max(phi_delta, phi_omega),
-            phi_delta=phi_delta,
-            phi_omega=phi_omega,
-            argmax_line=None if line is None else line + 1,
-            argmax_node=node + 1,
-            epsilon=eps,
-        ))
-    return reports
+    return 0.5 * (tails[:, :m] + tails[:, m:2 * m]), tails[:, 2 * m:]
 
 
 @dataclass(frozen=True)
@@ -173,25 +189,13 @@ class Analysis:
     the Lyapunov solve otherwise.  Each stage is the stacked stage of
     :func:`run_stages` run on a stack of one, so a network analysed alone
     and in a stack gives the same bits.
-
-    ``solved_state``, if given, is taken as the outcome of the power flow
-    without solving it: a state fills ``state``, a
-    :class:`~crep.errors.SynchronousStateError` is kept as its error.  It must
-    be the outcome for a network with the same injections, lines and
-    capacities; the state does not depend on inertia or damping.
     """
 
     net: Network
     eps: float = DEFAULT_EPS
-    solved_state: InitVar[SynchronousState | CrepError | None] = None
 
-    def __post_init__(self, solved_state):
+    def __post_init__(self):
         _check_eps(self.eps)
-        if solved_state is not None:
-            # fills the cache that the ``state`` cached_property reads first,
-            # or the error entry that run_stages keeps beside the stages
-            failed = isinstance(solved_state, CrepError)
-            self.__dict__["_error" if failed else "state"] = solved_state
 
     @cached_property
     def state(self) -> SynchronousState:
@@ -251,6 +255,66 @@ def run_stages(analyses: Sequence[Analysis], through: str = "report") -> list[Cr
             for a, result in zip(rows, compute(rows)):
                 a.__dict__["_error" if isinstance(result, CrepError) else stage] = result
     return [None if through in a.__dict__ else a.__dict__["_error"] for a in analyses]
+
+
+def stage_arrays(
+    topology: Network,
+    rows: dict[str, np.ndarray],
+    eps: float,
+    through: str = "report",
+    state: SynchronousState | SynchronousStateError | None = None,
+) -> tuple[np.ndarray, dict[str, np.ndarray], list[CrepError | None]]:
+    """The stages through ``through`` of a stack of parameter rows, as arrays.
+
+    ``rows`` maps each of ``power``, ``inertia``, ``damping``, ``noise`` and
+    ``capacity`` to its (B, n) or (B, m) rows on ``topology``'s lines;
+    broadcast views are fine.  The stages are :func:`run_stages`' on the
+    networks of the rows, with their bits, but no per-row object is built:
+    :func:`~crep.powerflow.solve_state_stack`,
+    :func:`~crep.linearize.variance_stack` and
+    :func:`escape_probabilities` run once each on the rows that still hold
+    no error.  ``state``, if given, is the power flow's outcome for every
+    row (a state, or its error), taken without solving: it must be that of
+    the rows' injections and capacities, since the state does not depend on
+    inertia or damping.
+
+    Returns ``(live, stages, errors)``: per row None or its
+    :data:`~crep.errors.METRIC_UNDEFINED` error, the indices ``live`` of the
+    rows without one, and those rows' stacked stage arrays: ``phase`` and
+    ``gaps`` (the state), ``sigma2_delta`` and ``sigma2_omega`` (the
+    variances), ``f_delta`` and ``f_omega`` (the escape probabilities), as
+    far as ``through``.  Raises :class:`ConfigError` for a bad ``eps`` and
+    ValueError for an unknown ``through``.
+    """
+    _check_eps(eps)
+    last = [stage for stage, _ in _STAGES].index(through)
+    count, n, m = len(rows["capacity"]), topology.n, topology.m
+    if state is None:
+        phase, gaps, _, errors = solve_state_stack(topology, rows["power"], rows["capacity"])
+    else:
+        solved = isinstance(state, SynchronousState)
+        phase = np.broadcast_to(state.phase if solved else 0.0, (count, n))
+        gaps = np.broadcast_to(state.output_phase_diffs if solved else 0.0, (count, m))
+        errors = [None if solved else state] * count
+    live = np.flatnonzero([error is None for error in errors])
+    stages = {"phase": phase[live], "gaps": gaps[live]}
+    if last == 0 or not live.size:
+        return live, stages, errors
+    (_, _, variances, _), failed = variance_stack(
+        topology, rows["capacity"][live], stages["gaps"],
+        *(rows[name][live] for name in ("inertia", "damping", "noise")))
+    stages.update(sigma2_delta=variances[:, :m], sigma2_omega=variances[:, m:])
+    kept = [i for i, error in enumerate(failed) if error is None]
+    if len(kept) < live.size:
+        for j, error in zip(live.tolist(), failed):
+            errors[j] = error
+        live = live[kept]
+        stages = {name: stage[kept] for name, stage in stages.items()}
+    if last == 1 or not live.size:
+        return live, stages, errors
+    stages["f_delta"], stages["f_omega"] = escape_probabilities(
+        stages["gaps"], stages["sigma2_delta"], stages["sigma2_omega"], eps)
+    return live, stages, errors
 
 
 def _check_stack(analyses: Sequence[Analysis]) -> None:

@@ -43,9 +43,10 @@ _BATCH_CELLS = 1 << 18
 #: 200-node grid, 2 batches)
 _PROCESS_WORK = 1 << 18
 #: most trajectories one run takes: a run holds every trajectory's exit step
-#: and component until it aggregates them, 58 bytes per trajectory at its
-#: peak (measured on ring5 at 10**7 trajectories, all exiting), so this many
-#: hold about 3.9 GB; more would exhaust memory rather than start
+#: and component until it aggregates them, 25 bytes per trajectory at its
+#: peak (measured with tracemalloc on ring5 at 2**22 and 2**23 one-step
+#: trajectories, all exiting), so this many hold about 1.7 GB; more would
+#: exhaust memory rather than start
 MAX_SAMPLES = 1 << 26
 
 
@@ -209,17 +210,26 @@ def estimate_hitting_time(
     bounds = [(lo, min(lo + size, total)) for lo in range(0, total, size)]
     procs = min(workers, len(bounds), max(1, total * net.n * cfg.n_steps // _PROCESS_WORK))
     args = (net, phase0, limit, cfg)
+    # each batch's exit steps and components land in place, and the batch
+    # is released
+    exit_step = np.empty(total, dtype=np.int64)
+    exit_comp = np.empty(total, dtype=np.int64)
+
+    def land(span, batch):
+        exit_step[span[0]:span[1]], exit_comp[span[0]:span[1]] = batch
+
     # a daemonic process may not start children
     if procs == 1 or multiprocessing.current_process().daemon:
-        batches = [_simulate(span, *args) for span in bounds]
+        for span in bounds:
+            land(span, _simulate(span, *args))
     else:
         own = len(bounds) // procs
         with ProcessPoolExecutor(max_workers=procs - 1) as pool:
             futures = [pool.submit(_simulate, span, *args) for span in bounds[own:]]
-            batches = [_simulate(span, *args) for span in bounds[:own]]
-            batches += [future.result() for future in futures]
-    exit_step = np.concatenate([step for step, _ in batches])
-    exit_comp = np.concatenate([comp for _, comp in batches])
+            for span in bounds[:own]:
+                land(span, _simulate(span, *args))
+            for span, future in zip(bounds[own:], futures):
+                land(span, future.result())
 
     exited = exit_step > 0
     n_exited = int(np.count_nonzero(exited))
@@ -228,7 +238,13 @@ def estimate_hitting_time(
         raise AllCensoredError(
             f"no trajectory exited before t_max={cfg.t_max} (all {total} censored)"
         )
-    times = exit_step[exited] * cfg.dt
+    # scaled before the exited are picked, so no int64 copy of them is made,
+    # and each full array is released once read
+    times = exit_step * cfg.dt
+    del exit_step
+    times = times[exited]
+    comps = exit_comp[exited]
+    del exit_comp, exited
     mean = float(np.mean(times))
     mean_mle = float((np.sum(times) + n_censored * (cfg.n_steps * cfg.dt)) / n_exited)
     if n_exited >= 2:
@@ -236,9 +252,9 @@ def estimate_hitting_time(
     else:
         half_width = float("nan")
 
-    comps = exit_comp[exited]
-    line_hist = np.bincount(comps[comps < net.m], minlength=net.m)[: net.m]
-    node_hist = np.bincount(comps[comps >= net.m] - net.m, minlength=net.n)[: net.n]
+    # the exit components are the m lines, then the n nodes
+    counts = np.bincount(comps, minlength=net.m + net.n)
+    line_hist, node_hist = counts[:net.m], counts[net.m:]
     return HittingTimeEstimate(
         mean=mean,
         half_width=half_width,

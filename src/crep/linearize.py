@@ -14,9 +14,10 @@ reduced system, whose real Schur form also gives the slowest decay rate
 min |Re mu|.  Its triangular stage splits the Schur factor recursively
 between 2x2 blocks and solves the blocks mostly in matrix products; LAPACK
 ``trsyl`` solves each block of at most :data:`_LYAP_LEAF` rows, so smaller
-systems keep scipy's sequence of calls.  :func:`variances`, the variance
-stage of the analysis pipeline, reduces a stack and runs each row on its
-solver.  :func:`spectral_reduce` is the same reduction on a stack of one
+systems keep scipy's sequence of calls.  :func:`variance_stack`, the
+variance stage of the analysis pipeline, reduces a stack of parameter rows
+and runs each row on its solver; :func:`variances` runs it on a list of
+networks.  :func:`spectral_reduce` is the same reduction on a stack of one
 network.
 """
 from __future__ import annotations
@@ -87,15 +88,16 @@ class StackedReduction:
     reduced_input: np.ndarray   # (B, 2n-1, n)
     reduced_output: np.ndarray  # (B, m+n, 2n-1)
 
-    def spectral_reduction(self, j: int, net: Network) -> SpectralReduction:
-        """Row j with the reduced system matrix A2 of ``net``, the network of the row."""
-        n = net.n
+    def spectral_reduction(self, j: int, damping: np.ndarray,
+                           inertia: np.ndarray) -> SpectralReduction:
+        """Row j with the reduced system matrix A2 of its node ``damping`` and ``inertia``."""
         eigvals, vectors = self.eigenvalues[j], self.eigenvectors[j]
+        n = eigvals.size
         # [[0, I], [-diag(eigvals), -U^T diag(d/m) U]] less the zero mode's position
         a2 = np.zeros((2 * n - 1, 2 * n - 1))
         a2[:n - 1, n:] = np.eye(n - 1)
         a2[n - 1:, :n - 1] = -np.diag(eigvals)[:, 1:]
-        a2[n - 1:, n - 1:] = -(vectors.T @ ((net.damping / net.inertia)[:, None] * vectors))
+        a2[n - 1:, n - 1:] = -(vectors.T @ ((damping / inertia)[:, None] * vectors))
         return SpectralReduction(
             eigenvalues=eigvals,
             eigenvectors=vectors,
@@ -122,7 +124,7 @@ class VarianceReport:
 def build_linearization(net: Network, state: SynchronousState) -> LinearizedModel:
     """Assemble the system matrix A and the cosine-weighted Laplacian at ``state``."""
     n = net.n
-    lap = cos_laplacians([net], [state])[0]
+    lap = cos_laplacians(net, net.capacity[None], state.output_phase_diffs[None])[0]
     inv_m = 1.0 / net.inertia
     sys_matrix = np.zeros((2 * n, 2 * n))
     sys_matrix[:n, n:] = np.eye(n)
@@ -154,34 +156,32 @@ def _deflate(eigvals: np.ndarray) -> list[DegenerateSystemError | None]:
     return errors
 
 
-def cos_laplacians(nets: Sequence[Network], states: Sequence[SynchronousState]) -> np.ndarray:
+def cos_laplacians(topology: Network, capacity: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """(B, n, n) cosine-weighted Laplacians: weight l_k cos(gap_k) on line k of row j.
 
-    The gaps are those of ``states[j]``; the networks share their line ends.
+    ``capacity`` and ``gaps`` are (B, m) rows on ``topology``'s lines.
     """
-    gaps = np.array([state.output_phase_diffs for state in states])
-    weights = np.array([net.capacity for net in nets]) * np.cos(gaps)
-    return _laplacian(weights.T, nets[0]).transpose(2, 0, 1)
+    return _laplacian((capacity * np.cos(gaps)).T, topology).transpose(2, 0, 1)
 
 
 def reduce_stack(
-    laplacians: np.ndarray, nets: Sequence[Network]
+    laplacians: np.ndarray, inertia: np.ndarray, noise: np.ndarray, topology: Network
 ) -> tuple[StackedReduction, list[DegenerateSystemError | LyapunovSolveError | None]]:
     """Diagonalize the mass-scaled Laplacians of a stack and deflate their zero modes.
 
-    ``laplacians`` holds each network's cosine-weighted Laplacian (see
-    :func:`cos_laplacians`); the networks share their node count and line
-    ends.  One batched ``np.linalg.eigh`` diagonalizes the whole stack, one
-    matrix per LAPACK call, so each row has the bits it has in a stack of
-    one.  Returns the reduction and, per row, None or its
+    ``laplacians`` holds each row's cosine-weighted Laplacian (see
+    :func:`cos_laplacians`), ``inertia`` and ``noise`` its (B, n) node rows;
+    the rows share ``topology``'s line ends.  One batched ``np.linalg.eigh``
+    diagonalizes the whole stack, one matrix per LAPACK call, so each row
+    has the bits it has in a stack of one.  Returns the reduction and, per
+    row, None or its
     :class:`DegenerateSystemError` (see :func:`_deflate`), or a
     :class:`LyapunovSolveError` where the mass-scaled Laplacian has an entry
     beyond the float range; such a row is no input of either variance solver.
     """
-    net = nets[0]
-    n, m = net.n, net.m
-    inv_sqrt_m = 1.0 / np.sqrt([row.inertia for row in nets])
-    noise = np.array([row.noise for row in nets])
+    n, m = topology.n, topology.m
+    count = len(laplacians)
+    inv_sqrt_m = 1.0 / np.sqrt(inertia)
     with np.errstate(over="ignore"):
         mass_scaled = inv_sqrt_m[:, :, None] * laplacians * inv_sqrt_m[:, None, :]
         sym = 0.5 * (mass_scaled + np.swapaxes(mass_scaled, -1, -2))
@@ -203,12 +203,12 @@ def reduce_stack(
     flip = (first & (vectors < 0.0)).any(axis=-2, keepdims=True)
     vectors = np.where(flip, -vectors, vectors)
 
-    b2 = np.zeros((len(nets), 2 * n - 1, n))
+    b2 = np.zeros((count, 2 * n - 1, n))
     b2[:, n - 1:, :] = np.swapaxes(vectors, -1, -2) * (inv_sqrt_m * noise)[:, None, :]
     # output map of the deflated state: line gaps, then node frequencies
     scaled = inv_sqrt_m[:, :, None] * vectors
-    c2 = np.zeros((len(nets), m + n, 2 * n - 1))
-    c2[:, :m, :n - 1] = scaled[:, net.line_from, 1:] - scaled[:, net.line_to, 1:]
+    c2 = np.zeros((count, m + n, 2 * n - 1))
+    c2[:, :m, :n - 1] = scaled[:, topology.line_from, 1:] - scaled[:, topology.line_to, 1:]
     c2[:, m:, n - 1:] = scaled
     return StackedReduction(eigenvalues=eigvals, eigenvectors=vectors,
                             reduced_input=b2, reduced_output=c2), errors
@@ -220,10 +220,12 @@ def spectral_reduce(model: LinearizedModel, net: Network) -> SpectralReduction:
     :func:`reduce_stack` on a stack of one, with the reduced system matrix.
     Raises the :class:`DegenerateSystemError` of a marginally stable state.
     """
-    reduction, (error,) = reduce_stack(model.laplacian[None], [net])
+    reduction, (error,) = reduce_stack(
+        model.laplacian[None], net.inertia[None], net.noise[None], net
+    )
     if error is not None:
         raise error
-    return reduction.spectral_reduction(0, net)
+    return reduction.spectral_reduction(0, net.damping, net.inertia)
 
 
 def solve_lyapunov(reduction: SpectralReduction) -> VarianceReport:
@@ -246,6 +248,15 @@ def solve_lyapunov(reduction: SpectralReduction) -> VarianceReport:
     it reports an illegal argument or scales its solution down to avoid
     overflow, or when the residual exceeds its bound.
     """
+    q_x, min_re_mu = _reduced_covariance(reduction)
+    q_y = _output_covariances(q_x[None], reduction.reduced_output[None])
+    (report,) = _variance_reports(q_x[None], q_y, output_variances(q_y), [min_re_mu])
+    return report
+
+
+def _reduced_covariance(reduction: SpectralReduction) -> tuple[np.ndarray, float]:
+    """The covariance Q of the reduced state and min |Re mu|, by :func:`solve_lyapunov`'s
+    method; raises its :class:`LyapunovSolveError`."""
     a2 = reduction.reduced_sys
     r, u = scipy.linalg.schur(a2, output="real")
     # noise beyond the float range overflows here; the residual test below
@@ -268,9 +279,7 @@ def solve_lyapunov(reduction: SpectralReduction) -> VarianceReport:
         raise LyapunovSolveError(
             f"Lyapunov residual {residual:.3e} exceeds {LYAP_RESIDUAL_TOL:.1e} * {scale:.3e}"
         )
-
-    (report,) = _output_variances(q_x[None], reduction.reduced_output[None], [min_re_mu])
-    return report
+    return q_x, min_re_mu
 
 
 def _split(r: np.ndarray) -> int:
@@ -338,35 +347,43 @@ def _triangular_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.nda
     return x
 
 
-def _output_variances(q_x: np.ndarray, c2: np.ndarray, min_re_mu) -> list[VarianceReport]:
-    """Reports of a stack of reduced-state covariances seen through their output maps.
-
-    ``q_x`` and ``c2`` carry one network per leading index, ``min_re_mu``
-    one number each.
-    """
+def _output_covariances(q_x: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Output covariances C2 Q C2^T, symmetrized, of a stack of reduced-state
+    covariances ``q_x`` and output maps ``c2``, one network per leading index."""
     q_y = c2 @ q_x @ np.swapaxes(c2, -1, -2)
-    q_y = 0.5 * (q_y + np.swapaxes(q_y, -1, -2))
-    m = c2.shape[-2] - (c2.shape[-1] + 1) // 2
-    # clamp roundoff-negative variances
-    diag = np.maximum(np.diagonal(q_y, axis1=-2, axis2=-1), 0.0)
+    return 0.5 * (q_y + np.swapaxes(q_y, -1, -2))
+
+
+def output_variances(q_y: np.ndarray) -> np.ndarray:
+    """Per row of a stack of output covariances its variances: the diagonal,
+    the m line gaps then the n node frequencies, with roundoff-negative
+    entries clamped to 0."""
+    return np.maximum(np.diagonal(q_y, axis1=-2, axis2=-1), 0.0)
+
+
+def _variance_reports(q_x: np.ndarray, q_y: np.ndarray, diag: np.ndarray,
+                      min_re_mu) -> list[VarianceReport]:
+    """One report per row of stacked covariances, their :func:`output_variances`
+    ``diag`` and decay rates."""
+    m = q_y.shape[-1] - (q_x.shape[-1] + 1) // 2
     return [
         VarianceReport(q_x[j], q_y[j], diag[j, :m], diag[j, m:], float(min_re_mu[j]))
         for j in range(q_x.shape[0])
     ]
 
 
-def uniform_damping_ratios(nets: Sequence[Network]) -> np.ndarray:
-    """Per network, gamma where d_i / m_i is the same number gamma at every
-    node, else NaN; the networks share their node count."""
-    ratio = np.array([net.damping for net in nets]) / np.array([net.inertia for net in nets])
+def uniform_damping_ratios(damping: np.ndarray, inertia: np.ndarray) -> np.ndarray:
+    """Per row of (B, n) ``damping`` and ``inertia``, gamma where d_i / m_i is
+    the same number gamma at every node, else NaN."""
+    ratio = damping / inertia
     return np.where((ratio == ratio[:, :1]).all(axis=1), ratio[:, 0], np.nan)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # checked at the end
 def modal_variances(
     reduction: StackedReduction, gamma: np.ndarray
-) -> list[VarianceReport | LyapunovSolveError]:
-    """Stationary variances, in closed form, of networks with a uniform damping ratio.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stationary covariances, in closed form, of networks with a uniform damping ratio.
 
     ``reduction`` is the :func:`reduce_stack` reduction of networks whose
     every row has its structural zero mode (no :class:`DegenerateSystemError`),
@@ -387,15 +404,16 @@ def modal_variances(
 
     and mode j decays at |Re mu| = gamma / 2 when 4 lambda_j > gamma^2,
     else lambda_j / (gamma / 2 + sqrt(gamma^2 / 4 - lambda_j)); the zero mode
-    at gamma.  A row's result does not depend on the stack.  Returns, per
-    network, its report: the fields of :func:`solve_lyapunov`'s, in the
-    coordinates of the same eigenbasis; or a :class:`LyapunovSolveError`
-    where huge capacities or noise overflow the formulas: 2 gamma, a term
-    2 gamma^2 (lambda_i + lambda_j) or an entry of its covariances is not
-    finite.  A denominator made infinite by (lambda_i - lambda_j)^2 alone is
-    allowed: its quotients are then 0 where their true values are negligible
-    beside the row's diagonal (ring5 reaches it at a capacity total near
-    3e154).  Eigenvalues within :data:`_CLUSTER_TOL` n eps lambda_max of
+    at gamma.  A row's result does not depend on the stack.  Returns the
+    stacked covariances of the reduced state, in the coordinates of
+    :func:`solve_lyapunov`'s eigenbasis, each row's min |Re mu|, and the
+    mask of the rows where huge capacities or noise overflow the formulas:
+    2 gamma, a term 2 gamma^2 (lambda_i + lambda_j) or an entry of the
+    covariance is not finite (:func:`variance_stack` fails these rows, and
+    those whose output covariance is not finite).  A denominator made
+    infinite by (lambda_i - lambda_j)^2 alone is allowed: its quotients are
+    then 0 where their true values are negligible beside the row's diagonal
+    (ring5 reaches it at a capacity total near 3e154).  Eigenvalues within :data:`_CLUSTER_TOL` n eps lambda_max of
     each other count as one: their gap is set to 0, the degenerate limit,
     since eigh's roundoff in it, squared, would outgrow 2 gamma^2
     (lambda_i + lambda_j) from lambda near 1e32 gamma^2 on and decouple
@@ -431,19 +449,66 @@ def modal_variances(
         slack < 0.0, half, lam[:, 1:] / (half + np.sqrt(np.maximum(slack, 0.0)))
     )
     min_re_mu = np.minimum(gamma, rates.min(axis=1, initial=np.inf))
-    reports = _output_variances(q_x, reduction.reduced_output, min_re_mu)
     # 2 gamma^2 + lambda_j overflows only where 2 gamma^2 (lambda_j + lambda_j) does
-    finite = (
+    overflowed = ~(
         np.isfinite(2.0 * gamma) & np.isfinite(damped).all(axis=(1, 2))
         & np.isfinite(q_x).all(axis=(1, 2))
-    ).tolist()
-    return [
-        report if ok and np.isfinite(report.q_y).all() else LyapunovSolveError(
-            "the closed-form covariance overflows: a denominator or an entry "
-            "is not finite in double precision"
-        )
-        for ok, report in zip(finite, reports)
-    ]
+    )
+    return q_x, min_re_mu, overflowed
+
+
+def variance_stack(
+    topology: Network, capacity: np.ndarray, gaps: np.ndarray,
+    inertia: np.ndarray, damping: np.ndarray, noise: np.ndarray,
+) -> tuple[tuple[np.ndarray, ...], list[DegenerateSystemError | LyapunovSolveError | None]]:
+    """Variance stage of a stack of parameter rows on ``topology``'s lines at their line gaps.
+
+    ``capacity`` and ``gaps`` are (B, m) rows, the node arrays (B, n) rows;
+    any may be a broadcast view.  The stack is reduced once
+    (:func:`reduce_stack`).  Its rows with a uniform damping ratio run as one
+    stack of :func:`modal_variances`, the others the solve of
+    :func:`solve_lyapunov` one at a time.  Returns the stacked
+    (q_x, q_y, variances, min_re_mu), ``variances`` being
+    :func:`output_variances` of q_y, and per row None or its error; the
+    entries of a failed row are not defined.
+    """
+    count, n = len(gaps), topology.n
+    reduction, errors = reduce_stack(cos_laplacians(topology, capacity, gaps), inertia, noise,
+                                     topology)
+    gamma = uniform_damping_ratios(damping, inertia)
+    rows = [j for j, error in enumerate(errors) if error is None]
+    modal = [j for j in rows if not math.isnan(gamma[j])]
+    solved = {}
+    for j in rows:
+        if math.isnan(gamma[j]):
+            try:
+                solved[j] = _reduced_covariance(
+                    reduction.spectral_reduction(j, damping[j], inertia[j]))
+            except LyapunovSolveError as exc:
+                errors[j] = exc
+    if len(modal) == count:
+        q_x, min_re_mu, overflowed = modal_variances(reduction, gamma)
+    else:
+        # allocated after the Schur solves, so that their peak holds no stack
+        q_x, min_re_mu = np.zeros((count, 2 * n - 1, 2 * n - 1)), np.zeros(count)
+        overflowed = np.zeros(count, dtype=bool)
+        if modal:
+            q_x[modal], min_re_mu[modal], overflowed[modal] = modal_variances(
+                StackedReduction(*(getattr(reduction, f.name)[modal] for f in fields(reduction))),
+                gamma[modal])
+        for j in list(solved):
+            q_x[j], min_re_mu[j] = solved.pop(j)
+    # a closed form whose output covariance overflows is an error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_y = _output_covariances(q_x, reduction.reduced_output)
+    overflowed |= ~np.isfinite(q_y).all(axis=(1, 2))
+    for j in modal:
+        if overflowed[j]:
+            errors[j] = LyapunovSolveError(
+                "the closed-form covariance overflows: a denominator or an entry "
+                "is not finite in double precision"
+            )
+    return (q_x, q_y, output_variances(q_y), min_re_mu), errors
 
 
 def variances(
@@ -451,26 +516,13 @@ def variances(
 ) -> list[VarianceReport | DegenerateSystemError | LyapunovSolveError]:
     """Variance stage of a stack of networks, which share their line ends, at their states.
 
-    The stack is reduced once (:func:`reduce_stack`).  Its rows with a uniform
-    damping ratio run as one stack of :func:`modal_variances`, the others
-    :func:`solve_lyapunov` one at a time.  Returns per network its report or
-    the error of its row.
+    :func:`variance_stack` on the networks' arrays: per network its report
+    or the error of its row.
     """
-    reduction, results = reduce_stack(cos_laplacians(nets, states), nets)
-    gamma = uniform_damping_ratios(nets)
-    rows = [j for j, error in enumerate(results) if error is None]
-    modal = [j for j in rows if not math.isnan(gamma[j])]
-    for j in rows:
-        if math.isnan(gamma[j]):
-            try:
-                results[j] = solve_lyapunov(reduction.spectral_reduction(j, nets[j]))
-            except LyapunovSolveError as exc:
-                results[j] = exc
-    if modal:
-        if len(modal) < len(nets):
-            reduction = StackedReduction(*(getattr(reduction, f.name)[modal]
-                                           for f in fields(reduction)))
-        solved = modal_variances(reduction, gamma[modal])
-        for j, result in zip(modal, solved):
-            results[j] = result
-    return results
+    rows = {name: np.array([getattr(net, name) for net in nets])
+            for name in ("capacity", "inertia", "damping", "noise")}
+    gaps = np.array([state.output_phase_diffs for state in states])
+    stack, errors = variance_stack(
+        nets[0], rows["capacity"], gaps, rows["inertia"], rows["damping"], rows["noise"])
+    reports = _variance_reports(*stack)
+    return [report if error is None else error for report, error in zip(reports, errors)]

@@ -272,6 +272,29 @@ def _validate(net: Network, arrived) -> None:
         raise NetworkValidationError("graph is not connected")
 
 
+def check_rows(net: Network, name: str, rows: np.ndarray) -> None:
+    """Raise what ``net.with_arrays(**{name: row})`` raises for the first row it rejects.
+
+    ``rows`` is a (B, k) float array of replacements for ``net``'s
+    ``power``, ``inertia``, ``damping`` or ``capacity``.  The invariants that
+    read the replaced array run once for the whole stack: every entry finite,
+    and each row balanced (``power``) or every entry > 0 (the others).  Each
+    row that fails them, in order, is passed to :meth:`Network.with_arrays`,
+    which raises the error, with its message, of the first one.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows fail anyway
+        bad = ~np.isfinite(rows).all(axis=1)
+        if name == "power":
+            # accumulate adds left to right, as _sequential_sum does
+            total = np.add.accumulate(rows, axis=1)[:, -1]
+            bound = net.n * np.add.accumulate(np.abs(rows) * _EPS, axis=1)[:, -1]
+            bad |= ~(np.abs(total) <= np.maximum(POWER_BALANCE_TOL, bound))
+        else:
+            bad |= (rows <= 0.0).any(axis=1)
+    for row in rows[bad]:
+        net.with_arrays(**{name: row})
+
+
 def power_balanced(total: float, terms: Iterable[float], n: int) -> bool:
     """Whether the injections of n nodes balance: their float sum ``total`` lies
     within max(:data:`POWER_BALANCE_TOL`, n eps sum |P_i|) of 0.

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import log_ndtr
 
-from .baselines import order_parameter, phase_cohesiveness
+from .baselines import cohesiveness, order_parameters
 from .errors import (
     ConfigError,
     InfeasibleSpecError,
@@ -30,8 +30,8 @@ from .errors import (
     SynchronousStateError,
     require_int,
 )
-from .escape import DEFAULT_EPS, Analysis, run_stages
-from .network import Network, power_balanced
+from .escape import DEFAULT_EPS, Analysis, run_stages, stage_arrays
+from .network import Network, check_rows, power_balanced
 from .powerflow import _HALVINGS
 
 BUDGET_TOL = 1e-9
@@ -57,6 +57,8 @@ class ObjectiveKind(str, Enum):
 #: decision variables that the synchronous state does not depend on
 _MACHINE_VARIABLES = frozenset({"inertia", "damping"})
 
+#: the Network parameter arrays, which the stages read
+_PARAMETERS = ("power", "inertia", "damping", "noise", "capacity")
 #: decision variable -> the Network parameter array it writes
 _DECISION_FIELDS = {
     "generation": "power",
@@ -217,37 +219,41 @@ def current_values(net: Network, variable: str, indices) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Objective:
-    """How one objective kind is read off a network's :class:`Analysis`.
+    """How one objective kind is read off the stage arrays of a stack.
 
-    ``stage`` is the last stage of :func:`run_stages` it reads (an objective
-    that reads only the state ignores inertia and damping), ``read`` returns
-    its natural value from the filled stages, ``penalty`` is the value of a
-    network without an admissible synchronous state, and ``maximize`` says
-    whether the search maximizes it.
+    ``stage`` is the last stage of :func:`~crep.escape.stage_arrays` it reads
+    (an objective that reads only the state ignores inertia and damping),
+    ``read`` returns the natural values of the stack's rows from their stage
+    arrays, with the bits each row's own network gives, ``penalty`` is the
+    value of a network without an admissible synchronous state, and
+    ``maximize`` says whether the search maximizes it.
     """
 
     stage: str
-    read: Callable[[Analysis], float]
+    read: Callable[[dict], np.ndarray]
     penalty: float = math.inf
     maximize: bool = False
+
+
+def _phi_delta(stages: dict) -> np.ndarray:
+    """Per row the largest line escape probability; 0 without lines."""
+    return stages["f_delta"].max(axis=1, initial=0.0)
 
 
 #: one row per objective; the escape probabilities are penalized at 1, their
 #: natural ceiling
 _OBJECTIVES = {
-    ObjectiveKind.crep_phi: _Objective("report", lambda a: a.report.phi, 1.0),
-    ObjectiveKind.crep_phi_delta: _Objective("report", lambda a: a.report.phi_delta, 1.0),
-    ObjectiveKind.crep_phi_omega: _Objective("report", lambda a: a.report.phi_omega, 1.0),
-    ObjectiveKind.trace_q_delta: _Objective(
-        "variance", lambda a: float(np.sum(a.variance.sigma2_delta))),
-    ObjectiveKind.trace_q_omega: _Objective(
-        "variance", lambda a: float(np.sum(a.variance.sigma2_omega))),
+    ObjectiveKind.crep_phi: _Objective(
+        "report", lambda s: np.maximum(_phi_delta(s), s["f_omega"].max(axis=1)), 1.0),
+    ObjectiveKind.crep_phi_delta: _Objective("report", _phi_delta, 1.0),
+    ObjectiveKind.crep_phi_omega: _Objective("report", lambda s: s["f_omega"].max(axis=1), 1.0),
+    ObjectiveKind.trace_q_delta: _Objective("variance", lambda s: s["sigma2_delta"].sum(axis=1)),
+    ObjectiveKind.trace_q_omega: _Objective("variance", lambda s: s["sigma2_omega"].sum(axis=1)),
     ObjectiveKind.max_sigma2_omega: _Objective(
-        "variance", lambda a: float(np.max(a.variance.sigma2_omega))),
-    ObjectiveKind.phase_cohesiveness: _Objective(
-        "state", lambda a: phase_cohesiveness(a.state)),
+        "variance", lambda s: s["sigma2_omega"].max(axis=1)),
+    ObjectiveKind.phase_cohesiveness: _Objective("state", lambda s: cohesiveness(s["gaps"])),
     ObjectiveKind.order_parameter: _Objective(
-        "state", lambda a: order_parameter(a.state), maximize=True),
+        "state", lambda s: order_parameters(s["phase"]), maximize=True),
 }
 
 
@@ -259,29 +265,59 @@ _OBJECTIVES = {
 _STACK_CELLS = 1 << 20
 
 
-def _analysed_candidates(base: Analysis, spec: DecisionSpec, thetas, through: str):
-    """Analyses of ``base.net`` with each theta written into the decision, in order.
+def _candidate_rows(net: Network, spec: DecisionSpec, thetas) -> dict[str, np.ndarray]:
+    """The parameter rows of ``net`` with each of the (B, k) ``thetas`` written into the decision.
 
-    Yields per theta its :class:`Analysis`, with the stages through
-    ``through`` filled, and the error of :func:`run_stages` (None where the
-    stages are filled).  The thetas are analysed in stacks of at most
-    ``_STACK_CELLS`` cells (see there), and each stack is released before
-    the next is built, so memory stays bounded for any count of thetas.
-    Inertia and damping candidates inherit the outcome of the base network's
-    power flow, solved once on first use: its state, or its error, which
-    each candidate's own power flow would raise with the same message.
+    The decision's array is one (B, k) copy of ``net``'s with the thetas in
+    its decision columns; every other array is ``net``'s, broadcast.  Raises
+    what :func:`apply_decision` raises for the first theta, in order, that it
+    rejects.
+    """
+    field = _DECISION_FIELDS[spec.variable]
+    rows = {name: np.broadcast_to(getattr(net, name), (len(thetas), getattr(net, name).size))
+            for name in _PARAMETERS}
+    written = rows[field].copy()
+    written[:, np.array(spec.indices) - 1] = thetas
+    check_rows(net, field, written)
+    rows[field] = written
+    return rows
+
+
+def _candidate_stages(base: Analysis, spec: DecisionSpec, thetas, through: str):
+    """Stage arrays of ``base.net`` with each theta written into the decision, in order.
+
+    Yields, per stack of thetas, what :func:`~crep.escape.stage_arrays`
+    returns for it through ``through``, with the indices of its rows
+    counted from the first theta.  The thetas are analysed in stacks of at
+    most ``_STACK_CELLS`` cells (see there), and each stack is released
+    before the next is built, so memory stays bounded for any count of
+    thetas.  Inertia and damping candidates inherit the outcome of the base
+    network's power flow, solved once on first use: its state, or its error,
+    which each candidate's own power flow would raise with the same message.
     """
     state = None
     if spec.variable in _MACHINE_VARIABLES:
         (error,) = run_stages([base], "state")
         state = base.state if error is None else error
     net = base.net
-    rows = max(1, _STACK_CELLS // ((2 * net.n + net.m) ** 2 + _HALVINGS.size * net.n))
-    for start in range(0, len(thetas), rows):
-        analyses = [Analysis(apply_decision(net, spec, theta), base.eps, state)
-                    for theta in thetas[start:start + rows]]
-        yield from zip(analyses, run_stages(analyses, through))
-        del analyses
+    size = max(1, _STACK_CELLS // ((2 * net.n + net.m) ** 2 + _HALVINGS.size * net.n))
+    for start in range(0, len(thetas), size):
+        rows = _candidate_rows(net, spec, thetas[start:start + size])
+        live, stages, errors = stage_arrays(net, rows, base.eps, through, state)
+        yield start + live, stages, errors
+
+
+def _candidate_values(base: Analysis, spec: DecisionSpec, thetas,
+                      objective: _Objective) -> tuple[np.ndarray, list]:
+    """Per theta, in order, its natural objective value and None, or the
+    objective's penalty and the error of its stages."""
+    naturals = np.full(len(thetas), objective.penalty)
+    errors: list = []
+    for live, stages, stack_errors in _candidate_stages(base, spec, thetas, objective.stage):
+        if live.size:
+            naturals[live] = objective.read(stages)
+        errors += stack_errors
+    return naturals, errors
 
 
 def evaluate_objective(net: Network, kind: ObjectiveKind, eps: float = DEFAULT_EPS) -> float:
@@ -294,9 +330,9 @@ def evaluate_objective(net: Network, kind: ObjectiveKind, eps: float = DEFAULT_E
     :class:`ConfigError` for an unknown ``kind``.
     """
     objective = _OBJECTIVES[ObjectiveKind(kind)]
-    analysis = Analysis(net, eps)
-    (error,) = run_stages([analysis], objective.stage)
-    return objective.penalty if error is not None else objective.read(analysis)
+    rows = {name: getattr(net, name)[None] for name in _PARAMETERS}
+    live, stages, _ = stage_arrays(net, rows, eps, objective.stage)
+    return float(objective.read(stages)[0]) if live.size else objective.penalty
 
 
 #: DE population per dimension (at least 4), mutation, crossover; polish budget
@@ -378,15 +414,11 @@ def optimize(
 
         Scoring has no side effect: a candidate counts only once committed.
         """
-        outcomes = []
-        for theta, (analysis, error) in zip(
-                thetas, _analysed_candidates(base, spec, thetas, objective.stage)):
-            if error is None:
-                natural = objective.read(analysis)
-                outcomes.append((theta, -natural if maximize else natural, natural, None))
-            else:
-                outcomes.append((theta, objective.penalty, objective.penalty, error))
-        return outcomes
+        naturals, errors = _candidate_values(base, spec, thetas, objective)
+        values = naturals
+        if maximize:  # a penalty stays what it is
+            values = np.where([error is None for error in errors], -naturals, naturals)
+        return list(zip(thetas, values.tolist(), naturals.tolist(), errors))
 
     def commit(outcome) -> float:
         """Count one scored candidate and keep it if it is the best so far; its score."""
@@ -610,24 +642,25 @@ def min_max_sigma_equivalence_check(
     thetas = project_to_budget_box(draws, spec.lower, spec.upper, spec.budget)
     log_norms, s_norms = [], []
     failure = None  # the first error of a stage past the state
-    for analysis, error in _analysed_candidates(base, spec, thetas, "variance"):
-        if error is not None:
-            if failure is None and not isinstance(error, SynchronousStateError):
-                failure = error
+    for live, stages, errors in _candidate_stages(base, spec, thetas, "variance"):
+        if failure is None:
+            failure = next((error for error in errors if error is not None
+                            and not isinstance(error, SynchronousStateError)), None)
+        if not live.size:
             continue
-        sigma2 = analysis.variance.sigma2_omega
+        sigma2 = stages["sigma2_omega"]
         # f_omega is erfc(eps / (sigma sqrt 2)) = 2 ndtr(-eps / sigma); its
         # logarithm ranks the tails alike and does not underflow to 0
         with np.errstate(divide="ignore"):
             log_tails = log_ndtr(-eps / np.sqrt(sigma2))
-        if int(np.argmax(log_tails)) != int(np.argmax(sigma2)):
+        if not np.array_equal(np.argmax(log_tails, axis=1), np.argmax(sigma2, axis=1)):
             return False
-        log_norms.append(float(np.max(log_tails)))
-        s_norms.append(float(np.max(sigma2)))
+        log_norms.append(np.max(log_tails, axis=1))
+        s_norms.append(np.max(sigma2, axis=1))
     if not log_norms:
         raise _no_feasible_point(
             failure, "no sampled candidate admitted an in-domain synchronous state",
             "no sampled candidate was feasible; the first with a state")
-    order_f = np.argsort(np.array(log_norms), kind="stable")
-    order_s = np.argsort(np.array(s_norms), kind="stable")
+    order_f = np.argsort(np.concatenate(log_norms), kind="stable")
+    order_s = np.argsort(np.concatenate(s_norms), kind="stable")
     return bool(np.array_equal(order_f, order_s))

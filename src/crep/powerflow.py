@@ -107,59 +107,54 @@ def _singular_rows(jac: np.ndarray, rhs: np.ndarray):
     return steps, errors
 
 
-def _converged_states(phase: np.ndarray, gaps: np.ndarray, norm: np.ndarray) -> list:
-    """States at the converged columns ``phase`` and their line ``gaps``.
+def _domain_errors(gaps: np.ndarray) -> list:
+    """Per converged column of line ``gaps``, None or its :class:`OutOfDomain` error.
 
-    No step moves node 1, so its phase is the 0 it starts at.  A column with
-    a line gap outside the security domain gets an :class:`OutOfDomain`
-    error instead.
+    A column with a line gap outside the security domain gets the error.
     """
     diffs = np.abs(gaps)
     outside = np.max(diffs, axis=0, initial=0.0) >= HALF_PI - DOMAIN_MARGIN
-    phase, gaps = phase.T.copy(), gaps.T.copy()
-    phase.flags.writeable = gaps.flags.writeable = False
-    states = []
-    for j, (leaves, residual) in enumerate(zip(outside.tolist(), norm.tolist())):
-        if leaves:
-            worst = int(np.argmax(diffs[:, j]))
-            states.append(OutOfDomain(
-                f"converged state leaves the security domain on line {worst + 1} "
-                f"(|gap| = {diffs[worst, j]:.6f} >= pi/2)"
-            ))
-        else:
-            states.append(SynchronousState(phase[j], gaps[j], residual))
-    return states
+    errors: list = [None] * gaps.shape[1]
+    for j in np.flatnonzero(outside):
+        worst = int(np.argmax(diffs[:, j]))
+        errors[j] = OutOfDomain(
+            f"converged state leaves the security domain on line {worst + 1} "
+            f"(|gap| = {diffs[worst, j]:.6f} >= pi/2)"
+        )
+    return errors
 
 
 @np.errstate(invalid="ignore", over="ignore")  # a diverging row's NaN norm fails its tests
-def solve_synchronous_states(
-    nets: Sequence[Network],
-) -> list[SynchronousState | SynchronousStateError]:
-    """Synchronous states of a stack of networks with one node count and line set.
+def solve_state_stack(
+    topology: Network, power: np.ndarray, capacity: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[SynchronousStateError | None]]:
+    """Synchronous states of a stack of parameter rows on ``topology``'s lines.
 
-    Returns, per network in order, its state or the
-    :class:`SynchronousStateError` that :func:`solve_synchronous_state` raises
-    for it alone, with the same bits and message.  The networks may differ in
-    every parameter but their line ends.
+    ``power`` (B, n) and ``capacity`` (B, m) hold one network per row; the
+    rows share ``topology``'s node count and line ends, and may be broadcast
+    views.  Returns the stacked phases (B, n), line gaps (B, m) and
+    residuals (B,), and per row None or the :class:`SynchronousStateError`
+    that :func:`solve_synchronous_state` raises for that network alone, with
+    the same bits and message; the arrays of a failed row are not defined.
     """
-    topology = nets[0]  # every row has its node count and line ends
-    results: list = [None] * len(nets)
-    rows = np.arange(len(nets))
-    power = np.array([net.power for net in nets])
+    count = len(power)
+    out_phase, out_gaps = np.zeros((count, topology.n)), np.zeros((count, topology.m))
+    out_residual = np.zeros(count)
+    errors: list = [None] * count
+    rows = np.arange(count)
     # TOL_SCALE * eps is a power of 2, so scaling each term first is exact and
     # cannot overflow; each row sums alone, as in a stack of one
     tol = np.maximum(TOL, np.abs(power * (TOL_SCALE * _EPS)).sum(axis=1))
-    power = power.T
-    capacity = np.array([net.capacity for net in nets]).T
+    power, capacity = power.T, capacity.T
     phase = np.zeros(power.shape)
     mism, gaps = _mismatch(topology, power, capacity, phase)
     norm = np.abs(mism).max(axis=0)
 
     def retire(leaving, verdicts):
-        """Record the verdicts of the rows in the mask ``leaving``; drop them."""
+        """Record the errors of the rows in the mask ``leaving``; drop them."""
         nonlocal rows, power, capacity, phase, mism, gaps, norm, tol
         for row, verdict in zip(rows[leaving].tolist(), verdicts):
-            results[row] = verdict
+            errors[row] = verdict
         keep = (~leaving).nonzero()[0]  # take is faster than a boolean mask here
         rows, norm, tol = rows[keep], norm[keep], tol[keep]
         power, capacity, phase, mism, gaps = (
@@ -171,7 +166,11 @@ def solve_synchronous_states(
     for iteration in range(1, MAX_ITER + 2):
         done = norm <= tol
         if done.any():
-            retire(done, _converged_states(phase[:, done], gaps[:, done], norm[done]))
+            # no step moves node 1, so its phase is the 0 it starts at
+            landed = rows[done]
+            out_phase[landed], out_gaps[landed] = phase[:, done].T, gaps[:, done].T
+            out_residual[landed] = norm[done]
+            retire(done, _domain_errors(gaps[:, done]))
         if iteration > MAX_ITER:
             retire(np.ones(rows.size, dtype=bool), [
                 NoConvergence(
@@ -227,7 +226,26 @@ def solve_synchronous_states(
                 )
                 for residual, row_tol in zip(before[stalled], tol[stalled])
             ])
-    return results
+    return out_phase, out_gaps, out_residual, errors
+
+
+def solve_synchronous_states(
+    nets: Sequence[Network],
+) -> list[SynchronousState | SynchronousStateError]:
+    """Synchronous states of a stack of networks with one node count and line set.
+
+    :func:`solve_state_stack` on the networks' arrays: per network in order,
+    its state or its error.  The networks may differ in every parameter but
+    their line ends.
+    """
+    phase, gaps, residual, errors = solve_state_stack(
+        nets[0], np.array([net.power for net in nets]), np.array([net.capacity for net in nets])
+    )
+    phase.flags.writeable = gaps.flags.writeable = False
+    return [
+        error if error is not None else SynchronousState(phase[j], gaps[j], float(residual[j]))
+        for j, error in enumerate(errors)
+    ]
 
 
 def solve_synchronous_state(net: Network) -> SynchronousState:

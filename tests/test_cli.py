@@ -501,7 +501,7 @@ def test_error_outside_crep_error_propagates(tmp_path, capsys, monkeypatch):
     def broken(*args):
         raise ValueError("internal failure")
 
-    monkeypatch.setattr(crep.linearize, "solve_lyapunov", broken)
+    monkeypatch.setattr(crep.linearize, "_reduced_covariance", broken)
     # unequal damping ratios keep the variance stage on the Lyapunov path
     path = write_net(tmp_path, two_node_net(damping=(1.0, 1.5), noise=(0.2, 0.1)))
     with pytest.raises(ValueError, match="internal failure"):

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -52,6 +53,23 @@ def test_config_caps_the_sample_count():
     assert SimConfig(n_samples=hitting.MAX_SAMPLES).n_samples == hitting.MAX_SAMPLES
     with pytest.raises(ConfigError, match=f"at most MAX_SAMPLES = {hitting.MAX_SAMPLES}"):
         SimConfig(n_samples=hitting.MAX_SAMPLES + 1)
+
+
+def test_a_run_holds_at_most_26_bytes_per_trajectory():
+    # 2**22 one-step ring5 trajectories that all exit: at this count the
+    # aggregation, not a kernel batch, sets the peak.  Each batch lands in
+    # the two int64 result arrays, and the aggregation scales and picks the
+    # exit steps without an int64 copy of them
+    samples = 1 << 22
+    cfg = SimConfig(dt=1e-3, t_max=1e-3, n_samples=samples, eps=0.0, exit_mode="freq_only")
+    tracemalloc.start()
+    try:
+        estimate = estimate_hitting_time(ring5_net(), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert estimate.n_exited == samples
+    assert 16 * samples < peak <= 26 * samples
 
 
 def test_largest_seed_runs_and_negative_index_is_rejected():

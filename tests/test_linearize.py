@@ -28,15 +28,43 @@ from crep.linearize import (
     LYAP_RESIDUAL_TOL,
     _LYAP_LEAF,
     StackedReduction,
+    VarianceReport,
+    _output_covariances,
     _triangular_lyapunov,
     cos_laplacians,
     modal_variances,
+    output_variances,
     reduce_stack,
     uniform_damping_ratios,
 )
 from crep.powerflow import SynchronousState
 
 from conftest import random_connected_network, ring5_net, two_node_net
+
+
+def reduced(nets, states):
+    """reduce_stack of networks that share their line ends, at their states."""
+    def rows(name):
+        return np.array([getattr(net, name) for net in nets])
+
+    gaps = np.array([state.output_phase_diffs for state in states])
+    laplacians = cos_laplacians(nets[0], rows("capacity"), gaps)
+    return reduce_stack(laplacians, rows("inertia"), rows("noise"), nets[0])
+
+
+def damping_ratio(net):
+    """uniform_damping_ratios of one network."""
+    return uniform_damping_ratios(net.damping[None], net.inertia[None])
+
+
+def closed_form(net, state):
+    """The report of modal_variances for one network at its state."""
+    reduction, _ = reduced([net], [state])
+    q_x, min_re_mu, overflowed = modal_variances(reduction, damping_ratio(net))
+    q_y = _output_covariances(q_x, reduction.reduced_output)
+    assert not overflowed.any() and np.isfinite(q_y).all()
+    diag = output_variances(q_y)[0]
+    return VarianceReport(q_x[0], q_y[0], diag[:net.m], diag[net.m:], float(min_re_mu[0]))
 
 
 def pipeline(net):
@@ -108,8 +136,7 @@ def test_cos_laplacian_matches_per_line_loop_bitwise():
         )
         for case in (net, flipped):
             gaps = rng.uniform(-3.0, 3.0, case.m)
-            at_gaps = SynchronousState(np.zeros(case.n), gaps, 0.0)
-            assert np.array_equal(cos_laplacians([case], [at_gaps])[0],
+            assert np.array_equal(cos_laplacians(case, case.capacity[None], gaps[None])[0],
                                   _loop_laplacian(case, gaps))
             state = solve_synchronous_state(case)
             assert np.array_equal(
@@ -480,8 +507,7 @@ def test_uniform_damping_ratio_closed_form_matches_the_lyapunov_solve():
     for net in [_uniform_ratio_network(rng, trial) for trial in range(60)] + rings:
         state = solve_synchronous_state(net)
         reference = solve_lyapunov(spectral_reduce(build_linearization(net, state), net))
-        reduction, _ = reduce_stack(cos_laplacians([net], [state]), [net])
-        (modal,) = modal_variances(reduction, uniform_damping_ratios([net]))
+        modal = closed_form(net, state)
         for field in ("sigma2_delta", "sigma2_omega", "min_re_mu"):
             np.testing.assert_allclose(getattr(modal, field), getattr(reference, field),
                                        rtol=1e-12, atol=0, err_msg=field)
@@ -500,10 +526,10 @@ def test_a_reduced_stack_gives_the_bits_of_its_rows_alone(n):
     net = random_connected_network(np.random.default_rng(17 + n), n_min=n, n_max=n)
     nets = [net.with_arrays(capacity=scale * net.capacity) for scale in (1.0, 1.7, 3.1)]
     states = [solve_synchronous_state(row) for row in nets]
-    reduction, errors = reduce_stack(cos_laplacians(nets, states), nets)
+    reduction, errors = reduced(nets, states)
     assert errors == [None] * 3
     for j, (row, state) in enumerate(zip(nets, states)):
-        alone, _ = reduce_stack(cos_laplacians([row], [state]), [row])
+        alone, _ = reduced([row], [state])
         for field in fields(StackedReduction):
             value = getattr(reduction, field.name)[j]
             assert value.tobytes() == getattr(alone, field.name)[0].tobytes(), field.name
@@ -516,15 +542,14 @@ def test_closed_form_answers_a_stiff_network_the_lyapunov_solve_rejects():
     state = solve_synchronous_state(net)
     with pytest.raises(LyapunovSolveError):
         solve_lyapunov(spectral_reduce(build_linearization(net, state), net))
-    reduction, _ = reduce_stack(cos_laplacians([net], [state]), [net])
-    (modal,) = modal_variances(reduction, uniform_damping_ratios([net]))
+    modal = closed_form(net, state)
     assert modal.sigma2_omega == pytest.approx([0.005, 0.005], rel=1e-9)
     assert modal.min_re_mu == pytest.approx(0.5, rel=1e-12)
 
 
 def test_closed_form_rejects_a_marginally_stable_state():
     net = two_node_net(p=0.0, cap=1e-14, noise=(0.1, 0.1))
-    assert not np.isnan(uniform_damping_ratios([net])[0])
+    assert not np.isnan(damping_ratio(net)[0])
     with pytest.raises(DegenerateSystemError, match="marginally stable"):
         crep_package.Analysis(net).variance
 
@@ -577,7 +602,7 @@ def test_noise_that_overflows_the_closed_form_raises():
 def test_noise_that_overflows_the_lyapunov_solve_raises():
     # B2 B2^T overflows, so the residual is NaN, which fails its test
     net = _mixed_damping(ring5_net().with_arrays(noise=ring5_net().noise * 1e160))
-    assert np.isnan(uniform_damping_ratios([net])[0])
+    assert np.isnan(damping_ratio(net)[0])
     with pytest.raises(LyapunovSolveError, match="Lyapunov residual nan"):
         crep_package.Analysis(net).variance
 

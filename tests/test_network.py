@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -543,6 +544,34 @@ def test_balance_is_the_sequential_float_sum():
         else:
             with pytest.raises(NetworkValidationError, match="power imbalance"):
                 network_from_arrays(*args)
+
+
+def test_a_stack_of_rows_raises_what_with_arrays_raises_for_its_first_bad_row():
+    net = ring5_net()
+    bad_rows = {
+        "power": [net.power + 1e-3, _replaced(net.power, 2, math.nan)],
+        "inertia": [_replaced(net.inertia, 3, 0.0), _replaced(net.inertia, 1, math.inf)],
+        "damping": [_replaced(net.damping, 1, math.nan), _replaced(net.damping, 0, -1.0)],
+        "capacity": [_replaced(net.capacity, 4, 0.0), _replaced(net.capacity, 2, math.inf)],
+    }
+    for name, (first, second) in bad_rows.items():
+        valid = getattr(net, name)
+        rows = np.array([valid, first, valid, second], dtype=float)
+        crep.network.check_rows(net, name, rows[[0, 2]])
+        for stack in (rows, rows[[0, 3, 1]]):
+            with pytest.raises(NetworkValidationError) as alone:
+                net.with_arrays(**{name: stack[1]})
+            with pytest.raises(NetworkValidationError, match=f"^{re.escape(str(alone.value))}$"):
+                crep.network.check_rows(net, name, stack)
+    # the balance of a stack's rows is their sum added left to right: this
+    # row's pairwise sum would pass
+    balanced = [1.0, 1.0, 0.5, -2.0, 1e-9, -0.5, 1e-9, -9.9999995e-10, 0.5, -0.5]
+    unbalanced = [1.0, 1.0, -2.0, 0.5, 0.5, 1e-9, 1e-9, -0.5, -0.5, -1e-9]
+    path = network_from_arrays(balanced, [1.0] * 10, [1.0] * 10, [0.1] * 10,
+                               [(i, i + 1, 1.0) for i in range(1, 10)])
+    crep.network.check_rows(path, "power", np.array([balanced]))
+    with pytest.raises(NetworkValidationError, match="^power imbalance"):
+        crep.network.check_rows(path, "power", np.array([balanced, unbalanced]))
 
 
 def test_equality_compares_all_arrays():

@@ -327,7 +327,7 @@ def test_variance_objectives_never_compute_escape_probabilities(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("escape probabilities computed")
 
-    monkeypatch.setattr(crep.escape, "crep_reports", forbidden)
+    monkeypatch.setattr(crep.escape, "escape_probabilities", forbidden)
     net = ring5_net()
     for kind in (ObjectiveKind.trace_q_delta, ObjectiveKind.trace_q_omega,
                  ObjectiveKind.max_sigma2_omega):
@@ -445,6 +445,10 @@ def test_machine_parameter_searches_solve_the_power_flow_once(monkeypatch, varia
     solve = crep.escape.solve_synchronous_states
     monkeypatch.setattr(crep.escape, "solve_synchronous_states",
                         lambda nets: solves.extend(nets) or solve(nets))
+    # the power flow of a stack of candidates runs on their arrays
+    solve_stack = crep.escape.solve_state_stack
+    monkeypatch.setattr(crep.escape, "solve_state_stack",
+                        lambda net, *rows: solves.append("stack") or solve_stack(net, *rows))
     net = ring5_net()
     spec = DecisionSpec(variable, tuple(range(1, 6)), 4.0,
                         np.full(5, 0.4), np.full(5, 2.0))
@@ -466,12 +470,10 @@ def test_machine_parameter_searches_solve_the_power_flow_once(monkeypatch, varia
     assert solves == [overloaded]
     theta = np.array([0.7, 1.3])
     base = crep.Analysis(overloaded)
-    ((inherited, error),) = crep.optimizer._analysed_candidates(base, spec, [theta], "report")
+    ((_, _, (error,)),) = crep.optimizer._candidate_stages(base, spec, [theta], "report")
     with pytest.raises(crep.SynchronousStateError) as alone:
         crep.Analysis(apply_decision(overloaded, spec, theta)).report
     assert type(error) is type(alone.value) and str(error) == str(alone.value)
-    with pytest.raises(type(error), match=re.escape(str(alone.value))):
-        inherited.report
 
 
 def test_searches_in_small_stacks_give_the_results_of_whole_generations(monkeypatch):
@@ -489,10 +491,10 @@ def test_searches_in_small_stacks_give_the_results_of_whole_generations(monkeypa
 
     whole, whole_check = run()
     sizes = []
-    run_stages = crep.optimizer.run_stages
-    monkeypatch.setattr(crep.optimizer, "run_stages",
-                        lambda analyses, through: sizes.append(len(analyses))
-                        or run_stages(analyses, through))
+    stage_arrays = crep.optimizer.stage_arrays
+    monkeypatch.setattr(crep.optimizer, "stage_arrays",
+                        lambda net, stack, *args: sizes.append(len(stack["capacity"]))
+                        or stage_arrays(net, stack, *args))
     monkeypatch.setattr(crep.optimizer, "_STACK_CELLS", 3 * 370 + 10)
     split, split_check = run()
     assert max(sizes) == 3 and sizes.count(3) > 100
@@ -500,6 +502,115 @@ def test_searches_in_small_stacks_give_the_results_of_whole_generations(monkeypa
     assert split.history == whole.history and split.evaluations == whole.evaluations
     assert split.objective_final == whole.objective_final
     assert split_check == whole_check
+
+
+def _mixed(net):
+    """``net`` with node 1's damping at 1.3: its d/m is no longer uniform."""
+    damping = net.damping.copy()
+    damping[0] = 1.3
+    return net.with_arrays(damping=damping)
+
+
+def _parity_cases(variable):
+    """(network, spec, thetas) stacks of ring5 candidates for ``variable``.
+
+    Between them the rows of each variable meet a Newton iteration that
+    stalls (NoConvergence), a converged state outside the security domain
+    (OutOfDomain), the closed-form variances and the Lyapunov solve.
+    """
+    ring = ring5_net()
+    weak = ring5_net(caps=(0.5,) * 5)
+    if variable == "generation":
+        spec = DecisionSpec("generation", (1, 3), 1.1, np.zeros(2), np.full(2, 1.1))
+        thetas = np.array([[0.0, 1.1], [0.25, 0.85], [0.95, 0.15], [0.5, 0.6]])
+        return [(net, spec, thetas) for net in (weak, _mixed(weak))]
+    if variable == "line_capacity":
+        spec = DecisionSpec("line_capacity", tuple(range(1, 6)), 5.0,
+                            np.full(5, 0.05), np.full(5, 3.0))
+        thetas = np.array([
+            [1.817805256484719, 0.7346390844898462, 0.059640174498202955, 0.05, 2.337915484527232],
+            [1.493353608692845, 0.5903001942367467, 0.9527395106263614, 0.40441838054656376,
+             1.5591883058974823],
+            [0.1595941045649668, 2.187787844719583, 1.2387206235222386, 0.5255601008727029,
+             0.8883373263205102],
+            [1.0] * 5,
+        ])
+        return [(net, spec, thetas) for net in (ring, _mixed(ring))]
+    # the machine variables inherit the base's power flow: a state, a stall
+    # or a state outside the domain
+    outside = weak.with_arrays(power=np.array([0.95, -0.3, 0.15, -0.5, -0.3]))
+    bases = (ring, ring5_net(caps=(0.4,) * 5), outside)
+    if variable == "inertia":
+        spec = DecisionSpec("inertia", tuple(range(1, 6)), 5.0, np.full(5, 0.2), np.full(5, 3.0))
+        thetas = np.array([[1.0] * 5, [0.6, 1.4, 1.0, 0.8, 1.2]])
+    else:
+        spec = DecisionSpec("damping", tuple(range(1, 6)), 4.0, np.full(5, 0.4), np.full(5, 2.0))
+        thetas = np.array([[0.8] * 5, [0.6, 1.2, 0.8, 0.7, 0.7]])
+    return [(net, spec, thetas) for net in bases]
+
+
+@pytest.mark.parametrize("variable", crep.optimizer.DECISION_VARIABLES)
+def test_stacked_scores_are_those_of_each_candidate_alone(variable):
+    # every allowed objective of every candidate row, scored in one stack,
+    # has the bits of evaluate_objective on the candidate's own network, and
+    # every failed row the error, type and message, of its own analysis
+    seen = set()
+    for net, spec, thetas in _parity_cases(variable):
+        base = crep.Analysis(net)
+        for kind in ObjectiveKind:
+            objective = crep.optimizer._OBJECTIVES[kind]
+            if objective.stage == "state" and variable in ("inertia", "damping"):
+                continue
+            naturals, errors = crep.optimizer._candidate_values(base, spec, thetas, objective)
+            assert len(naturals) == len(errors) == len(thetas)
+            for theta, natural, error in zip(thetas, naturals.tolist(), errors):
+                candidate = apply_decision(net, spec, theta)
+                assert natural.hex() == evaluate_objective(candidate, kind).hex(), (kind, theta)
+                try:
+                    getattr(crep.Analysis(candidate), objective.stage)
+                    alone = None
+                except crep.CrepError as exc:
+                    alone = exc
+                assert type(error) is type(alone) and str(error) == str(alone), (kind, theta)
+                uniform = np.all(candidate.damping / candidate.inertia == 0.8)
+                seen.add(type(error).__name__ if error else
+                         "closed form" if uniform else "lyapunov")
+    assert seen == {"NoConvergence", "OutOfDomain", "closed form", "lyapunov"}
+
+
+#: ring5 searches at seed 1 and max_evals 300, recorded before candidates
+#: were scored as array stacks: theta's bytes, then the initial and final
+#: objective, the evaluations and the history, floats as float.hex
+_PINNED_SEARCHES = {
+    ("line_capacity", 5.0, 0.2, 3.0, "crep_phi_delta"): (
+        "257fe5d1b1e0f03f9a9999999999c93ff9d6d914ca34db3fe23c3a1f8bf2f13f844d3bab2e960140",
+        "0x1.af76393da3128p-5", "0x1.507ec0b6e15b6p-9", 500,
+        ["0x1.4bd221817ebdap-7", "0x1.096b1a28a944cp-7", "0x1.096b1a28a944cp-7",
+         "0x1.a4a6a869ff782p-8", "0x1.507ec0b6e15b6p-9"]),
+    ("line_capacity", 5.0, 0.2, 3.0, "trace_q_delta"): (
+        "c21ad7c27fdfee3f920a5553074ae03ff70e486722b0e33f17df88602824f03fca06bde0026ffe3f",
+        "0x1.13cbe8deb1e3bp+0", "0x1.d6e81adf35a8ep-1", 500,
+        ["0x1.e9695a425f388p-1", "0x1.d9a975be279bcp-1", "0x1.d9a975be279bcp-1",
+         "0x1.d9a975be279bcp-1", "0x1.d6e81adf35a8ep-1"]),
+    ("damping", 4.0, 0.4, 2.0, "crep_phi"): (
+        "9ed5d938ee7ef63f9a9999999999d93f9a9999999999d93f9a9999999999d93f30f7f293de4df63f",
+        "0x1.f402ac9dd852dp-1", "0x1.f12ee35f4b35dp-1", 500,
+        ["0x1.f20a1c7c3c078p-1", "0x1.f1a615fbdaefbp-1", "0x1.f1a615fbdaefbp-1",
+         "0x1.f17f97d8f8e07p-1", "0x1.f12ee35f4b35dp-1"]),
+}
+
+
+@pytest.mark.parametrize("case", _PINNED_SEARCHES, ids=lambda case: f"{case[0]}-{case[-1]}")
+def test_searches_keep_their_recorded_bits(case):
+    variable, budget, low, high, kind = case
+    theta, initial, final, evaluations, history = _PINNED_SEARCHES[case]
+    spec = DecisionSpec(variable, tuple(range(1, 6)), budget, np.full(5, low), np.full(5, high))
+    result = optimize(ring5_net(), spec, ObjectiveKind(kind),
+                      search=SearchConfig(seed=1, max_evals=300))
+    assert result.theta.tobytes().hex() == theta
+    assert (result.objective_initial.hex(), result.objective_final.hex()) == (initial, final)
+    assert result.evaluations == evaluations
+    assert result.history == tuple(enumerate(float.fromhex(value) for value in history))
 
 
 def test_no_feasible_point_error():
@@ -567,7 +678,7 @@ def test_min_max_sigma_equivalence_reads_only_the_variance_stage(monkeypatch):
     def refuse(*args):
         raise AssertionError("the check filled the report stage")
 
-    monkeypatch.setattr(crep.escape, "crep_reports", refuse)
+    monkeypatch.setattr(crep.escape, "escape_probabilities", refuse)
     assert min_max_sigma_equivalence_check(net, spec, n_samples=50, seed=0) == unpatched
 
 
@@ -750,10 +861,10 @@ def test_stacked_polish_gives_the_search_of_one_point_at_a_time(
     spec = DecisionSpec(variable, tuple(range(1, 6)), budget, np.full(5, low), np.full(5, 2.0))
     search = SearchConfig(seed=5, max_evals=200)
     rows = []
-    run_stages = crep.optimizer.run_stages
-    monkeypatch.setattr(crep.optimizer, "run_stages",
-                        lambda analyses, through: rows.append(len(analyses))
-                        or run_stages(analyses, through))
+    stage_arrays = crep.optimizer.stage_arrays
+    monkeypatch.setattr(crep.optimizer, "stage_arrays",
+                        lambda net, stack, *args: rows.append(len(stack["capacity"]))
+                        or stage_arrays(net, stack, *args))
     stacked = optimize(net, spec, kind, search=search)
     assert sum(rows) > stacked.evaluations
     monkeypatch.setattr(crep.optimizer, "_nelder_mead", _scipy_polish)

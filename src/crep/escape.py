@@ -12,15 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc
 
-from .errors import ConfigError, CrepError, SynchronousStateError, require_real
-from .linearize import VarianceReport, variance_stack, variances
+from .errors import (
+    METRIC_UNDEFINED, ConfigError, CrepError, SynchronousStateError, require_real,
+)
+from .linearize import VarianceReport, variance_report, variance_stack
 from .network import Network, network_from_arrays
-from .powerflow import HALF_PI, SynchronousState, solve_state_stack, solve_synchronous_states
+from .powerflow import HALF_PI, SynchronousState, solve_state_stack, solve_synchronous_state
 
 #: default half-width eps of the critical frequency interval (rad/s)
 DEFAULT_EPS = 0.02
@@ -90,46 +92,31 @@ def crep_from_moments(
     sigma2_omega: np.ndarray,
     eps: float,
 ) -> CrepReport:
-    """Assemble a report from synchronous line gaps and stationary variances."""
-    (report,) = crep_reports(
+    """Assemble a report from synchronous line gaps and stationary variances.
+
+    The probabilities are :func:`escape_probabilities` on a stack of one,
+    which raises as documented there.
+    """
+    (f_delta,), (f_omega,) = escape_probabilities(
         np.asarray(y_delta_star, dtype=float)[None],
         np.asarray(sigma2_delta, dtype=float)[None],
         np.asarray(sigma2_omega, dtype=float)[None],
         eps,
     )
-    return report
-
-
-def crep_reports(
-    y_delta_star: np.ndarray,
-    sigma2_delta: np.ndarray,
-    sigma2_omega: np.ndarray,
-    eps: float,
-) -> list[CrepReport]:
-    """Reports of a stack of moments, one row per network.
-
-    The arguments are (B, m), (B, m) and (B, n) arrays; the probabilities are
-    those of :func:`escape_probabilities`, which raises as documented there.
-    """
-    f_delta, f_omega = escape_probabilities(y_delta_star, sigma2_delta, sigma2_omega, eps)
-    m = f_delta.shape[1]
-    argmax_lines = np.argmax(f_delta, axis=1).tolist() if m else [None] * len(f_omega)
-    argmax_nodes = np.argmax(f_omega, axis=1).tolist()
-    reports = []
-    for j, (line, node) in enumerate(zip(argmax_lines, argmax_nodes)):
-        phi_delta = 0.0 if line is None else float(f_delta[j, line])
-        phi_omega = float(f_omega[j, node])
-        reports.append(CrepReport(
-            f_delta=f_delta[j],
-            f_omega=f_omega[j],
-            phi=max(phi_delta, phi_omega),
-            phi_delta=phi_delta,
-            phi_omega=phi_omega,
-            argmax_line=None if line is None else line + 1,
-            argmax_node=node + 1,
-            epsilon=eps,
-        ))
-    return reports
+    line = int(np.argmax(f_delta)) if f_delta.size else None
+    node = int(np.argmax(f_omega))
+    phi_delta = 0.0 if line is None else float(f_delta[line])
+    phi_omega = float(f_omega[node])
+    return CrepReport(
+        f_delta=f_delta,
+        f_omega=f_omega,
+        phi=max(phi_delta, phi_omega),
+        phi_delta=phi_delta,
+        phi_omega=phi_omega,
+        argmax_line=None if line is None else line + 1,
+        argmax_node=node + 1,
+        epsilon=eps,
+    )
 
 
 def escape_probabilities(
@@ -178,17 +165,18 @@ class Analysis:
     """The metric pipeline of one network, each stage computed on first read.
 
     ``state`` -> ``variance`` -> ``report``: power flow, invariant variance
-    and escape probabilities.  Reading a stage runs the stages it depends
-    on, once.  A stage that fails (see :func:`crep`) keeps its error: every
-    read of it or of a later stage raises that error again, with a fresh
-    traceback, and computes nothing.  An ``eps`` that is not finite and > 0
-    raises :class:`ConfigError` at once.
+    and escape probabilities, by :func:`~crep.powerflow.solve_synchronous_state`,
+    :func:`~crep.linearize.variance_report` and :func:`crep_from_moments`.
+    Reading a stage runs the stages it depends on, once.  A stage that fails
+    with a :data:`~crep.errors.METRIC_UNDEFINED` error (see :func:`crep`)
+    keeps it: every read of it or of a later stage raises that error again,
+    with a fresh traceback, and computes nothing.  An ``eps`` that is not
+    finite and > 0 raises :class:`ConfigError` at once.
 
-    ``variance`` is :func:`~crep.linearize.variances` at the state: the
-    closed form where the damping ratio d_i / m_i is the same at every node,
-    the Lyapunov solve otherwise.  Each stage is the stacked stage of
-    :func:`run_stages` run on a stack of one, so a network analysed alone
-    and in a stack gives the same bits.
+    ``variance`` is the closed form where the damping ratio d_i / m_i is the
+    same at every node, the Lyapunov solve otherwise.  Each stage is the
+    array core of :func:`stage_arrays` run on a stack of one, so a network
+    analysed alone and in a stack gives the same bits.
     """
 
     net: Network
@@ -199,62 +187,32 @@ class Analysis:
 
     @cached_property
     def state(self) -> SynchronousState:
-        return self._run_through("state")
+        return self._kept(solve_synchronous_state, self.net)
 
     @cached_property
     def variance(self) -> VarianceReport:
-        return self._run_through("variance")
+        return self._kept(variance_report, self.net, self.state)
 
     @cached_property
     def report(self) -> CrepReport:
-        return self._run_through("report")
+        variance = self.variance
+        return self._kept(crep_from_moments, self.state.output_phase_diffs,
+                          variance.sigma2_delta, variance.sigma2_omega, self.eps)
 
-    def _run_through(self, stage: str):
-        """Fill the stages up to ``stage`` as a stack of one; raise its error."""
-        (error,) = run_stages([self], stage)
-        if error is not None:
-            # a kept error is raised once per read, so drop the last traceback
-            raise error.with_traceback(None)
-        return self.__dict__[stage]
-
-
-#: the stages of an analysis in order, each one stacked call over the rows
-#: that need it: the power flow, the variances at the states, the escape
-#: probabilities of the moments
-_STAGES = (
-    ("state", lambda rows: solve_synchronous_states([a.net for a in rows])),
-    ("variance", lambda rows: variances([a.net for a in rows], [a.state for a in rows])),
-    ("report", lambda rows: crep_reports(
-        np.array([a.state.output_phase_diffs for a in rows]),
-        np.array([a.variance.sigma2_delta for a in rows]),
-        np.array([a.variance.sigma2_omega for a in rows]),
-        rows[0].eps,
-    )),
-)
+    def _kept(self, stage, *args):
+        """``stage(*args)``, unless this analysis keeps an error; raise the kept error."""
+        error = self.__dict__.get("_error")
+        if error is None:
+            try:
+                return stage(*args)
+            except METRIC_UNDEFINED as exc:
+                self.__dict__["_error"] = error = exc
+        # a kept error is raised once per read, so drop the last traceback
+        raise error.with_traceback(None)
 
 
-def run_stages(analyses: Sequence[Analysis], through: str = "report") -> list[CrepError | None]:
-    """Fill the stages of a stack of analyses, in order, up to ``through``.
-
-    The stages are ``state``, ``variance`` and ``report``.  Each stage runs
-    once over the rows that still need it and hold no error, as one call:
-    :func:`~crep.powerflow.solve_synchronous_states`,
-    :func:`~crep.linearize.variances`, :func:`crep_reports`.  A row keeps
-    the :data:`~crep.errors.METRIC_UNDEFINED` error of its network in its
-    analysis.  Returns per analysis None where its stages are filled, and
-    its kept error otherwise; reading the filled stages runs nothing, and
-    gives the bits the analysis computes alone.  Raises ValueError unless
-    the analyses share their node count, line ends and ``eps``, or for an
-    unknown ``through``.
-    """
-    _check_stack(analyses)
-    last = [stage for stage, _ in _STAGES].index(through)
-    for stage, compute in _STAGES[:last + 1]:
-        rows = [a for a in analyses if stage not in a.__dict__ and "_error" not in a.__dict__]
-        if rows:
-            for a, result in zip(rows, compute(rows)):
-                a.__dict__["_error" if isinstance(result, CrepError) else stage] = result
-    return [None if through in a.__dict__ else a.__dict__["_error"] for a in analyses]
+#: the stages of an analysis, in order
+_STAGES = ("state", "variance", "report")
 
 
 def stage_arrays(
@@ -268,9 +226,9 @@ def stage_arrays(
 
     ``rows`` maps each of ``power``, ``inertia``, ``damping``, ``noise`` and
     ``capacity`` to its (B, n) or (B, m) rows on ``topology``'s lines;
-    broadcast views are fine.  The stages are :func:`run_stages`' on the
-    networks of the rows, with their bits, but no per-row object is built:
-    :func:`~crep.powerflow.solve_state_stack`,
+    broadcast views are fine.  The stages are those of :class:`Analysis` on
+    the networks of the rows, with their bits, but no per-row object is
+    built: :func:`~crep.powerflow.solve_state_stack`,
     :func:`~crep.linearize.variance_stack` and
     :func:`escape_probabilities` run once each on the rows that still hold
     no error.  ``state``, if given, is the power flow's outcome for every
@@ -287,7 +245,7 @@ def stage_arrays(
     ValueError for an unknown ``through``.
     """
     _check_eps(eps)
-    last = [stage for stage, _ in _STAGES].index(through)
+    last = _STAGES.index(through)
     count, n, m = len(rows["capacity"]), topology.n, topology.m
     if state is None:
         phase, gaps, _, errors = solve_state_stack(topology, rows["power"], rows["capacity"])
@@ -315,26 +273,6 @@ def stage_arrays(
     stages["f_delta"], stages["f_omega"] = escape_probabilities(
         stages["gaps"], stages["sigma2_delta"], stages["sigma2_omega"], eps)
     return live, stages, errors
-
-
-def _check_stack(analyses: Sequence[Analysis]) -> None:
-    """Raise ValueError unless the analyses share node count, line ends and eps.
-
-    A derived network shares its base's line-end arrays, so a stack of
-    candidates passes with one identity test per array.
-    """
-    if not analyses:
-        return
-    top = analyses[0]
-    n, ends_from, ends_to = top.net.n, top.net.line_from, top.net.line_to
-    for a in analyses:
-        if a.eps != top.eps:
-            raise ValueError("the analyses of one stack must share eps")
-        net = a.net
-        if net.n != n or not (net.line_from is ends_from and net.line_to is ends_to
-                              or np.array_equal(net.line_from, ends_from)
-                              and np.array_equal(net.line_to, ends_to)):
-            raise ValueError("the networks of one stack must share node count and line ends")
 
 
 def crep(net: Network, eps: float = DEFAULT_EPS) -> CrepReport:

@@ -16,15 +16,14 @@ between 2x2 blocks and solves the blocks mostly in matrix products; LAPACK
 ``trsyl`` solves each block of at most :data:`_LYAP_LEAF` rows, so smaller
 systems keep scipy's sequence of calls.  :func:`variance_stack`, the
 variance stage of the analysis pipeline, reduces a stack of parameter rows
-and runs each row on its solver; :func:`variances` runs it on a list of
-networks.  :func:`spectral_reduce` is the same reduction on a stack of one
-network.
+and runs each row on its solver; :func:`variance_report` runs it on a stack
+of one network.  :func:`spectral_reduce` is the same reduction on a stack of
+one network.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -250,8 +249,7 @@ def solve_lyapunov(reduction: SpectralReduction) -> VarianceReport:
     """
     q_x, min_re_mu = _reduced_covariance(reduction)
     q_y = _output_covariances(q_x[None], reduction.reduced_output[None])
-    (report,) = _variance_reports(q_x[None], q_y, output_variances(q_y), [min_re_mu])
-    return report
+    return _first_report(q_x[None], q_y, output_variances(q_y), [min_re_mu])
 
 
 def _reduced_covariance(reduction: SpectralReduction) -> tuple[np.ndarray, float]:
@@ -361,15 +359,12 @@ def output_variances(q_y: np.ndarray) -> np.ndarray:
     return np.maximum(np.diagonal(q_y, axis1=-2, axis2=-1), 0.0)
 
 
-def _variance_reports(q_x: np.ndarray, q_y: np.ndarray, diag: np.ndarray,
-                      min_re_mu) -> list[VarianceReport]:
-    """One report per row of stacked covariances, their :func:`output_variances`
-    ``diag`` and decay rates."""
+def _first_report(q_x: np.ndarray, q_y: np.ndarray, diag: np.ndarray,
+                  min_re_mu) -> VarianceReport:
+    """The report of the first row of stacked covariances, their
+    :func:`output_variances` ``diag`` and decay rates."""
     m = q_y.shape[-1] - (q_x.shape[-1] + 1) // 2
-    return [
-        VarianceReport(q_x[j], q_y[j], diag[j, :m], diag[j, m:], float(min_re_mu[j]))
-        for j in range(q_x.shape[0])
-    ]
+    return VarianceReport(q_x[0], q_y[0], diag[0, :m], diag[0, m:], float(min_re_mu[0]))
 
 
 def uniform_damping_ratios(damping: np.ndarray, inertia: np.ndarray) -> np.ndarray:
@@ -511,18 +506,14 @@ def variance_stack(
     return (q_x, q_y, output_variances(q_y), min_re_mu), errors
 
 
-def variances(
-    nets: Sequence[Network], states: Sequence[SynchronousState]
-) -> list[VarianceReport | DegenerateSystemError | LyapunovSolveError]:
-    """Variance stage of a stack of networks, which share their line ends, at their states.
+def variance_report(net: Network, state: SynchronousState) -> VarianceReport:
+    """Variance stage of ``net`` at ``state``: :func:`variance_stack` on a stack of one.
 
-    :func:`variance_stack` on the networks' arrays: per network its report
-    or the error of its row.
+    Raises the row's :class:`DegenerateSystemError` or :class:`LyapunovSolveError`.
     """
-    rows = {name: np.array([getattr(net, name) for net in nets])
-            for name in ("capacity", "inertia", "damping", "noise")}
-    gaps = np.array([state.output_phase_diffs for state in states])
-    stack, errors = variance_stack(
-        nets[0], rows["capacity"], gaps, rows["inertia"], rows["damping"], rows["noise"])
-    reports = _variance_reports(*stack)
-    return [report if error is None else error for report, error in zip(reports, errors)]
+    stack, (error,) = variance_stack(
+        net, net.capacity[None], state.output_phase_diffs[None],
+        net.inertia[None], net.damping[None], net.noise[None])
+    if error is not None:
+        raise error
+    return _first_report(*stack)

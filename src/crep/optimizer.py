@@ -30,7 +30,7 @@ from .errors import (
     SynchronousStateError,
     require_int,
 )
-from .escape import DEFAULT_EPS, Analysis, run_stages, stage_arrays
+from .escape import DEFAULT_EPS, Analysis, stage_arrays
 from .network import Network, check_rows, power_balanced
 from .powerflow import _HALVINGS
 
@@ -297,8 +297,10 @@ def _candidate_stages(base: Analysis, spec: DecisionSpec, thetas, through: str):
     """
     state = None
     if spec.variable in _MACHINE_VARIABLES:
-        (error,) = run_stages([base], "state")
-        state = base.state if error is None else error
+        try:
+            state = base.state
+        except SynchronousStateError as error:
+            state = error
     net = base.net
     size = max(1, _STACK_CELLS // ((2 * net.n + net.m) ** 2 + _HALVINGS.size * net.n))
     for start in range(0, len(thetas), size):

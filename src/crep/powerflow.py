@@ -14,19 +14,19 @@ numerically singular along the path, which is the saddle-node of a network
 without an admissible state.  The solver then raises :class:`NoConvergence`
 at once instead of spending its remaining iterations on vanishing steps.
 
-One solver runs a stack of networks that share their node count and line
-ends, as in an optimizer generation: the Newton systems of all running rows
-are one batched solve, and the halvings of every row whose full step failed
-are one tensor of trial phases.  Arrays are node- (or line-) major with the
-stack on the trailing axis, and every row keeps its own iteration, stopping
-rule and verdict, with the arithmetic of a network solved alone: a row's
-state and error are the same bits at any stack size.
+:func:`solve_state_stack` solves a stack of parameter rows on one
+network's lines, as in an optimizer generation, and
+:func:`solve_synchronous_state` is its stack of one.  The Newton systems of
+all running rows are one batched solve, and the halvings of every row whose
+full step failed are one tensor of trial phases.  Arrays are node- (or
+line-) major with the stack on the trailing axis, and every row keeps its
+own iteration, stopping rule and verdict, with the arithmetic of a network
+solved alone: a row's state and error are the same bits at any stack size.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -229,27 +229,9 @@ def solve_state_stack(
     return out_phase, out_gaps, out_residual, errors
 
 
-def solve_synchronous_states(
-    nets: Sequence[Network],
-) -> list[SynchronousState | SynchronousStateError]:
-    """Synchronous states of a stack of networks with one node count and line set.
-
-    :func:`solve_state_stack` on the networks' arrays: per network in order,
-    its state or its error.  The networks may differ in every parameter but
-    their line ends.
-    """
-    phase, gaps, residual, errors = solve_state_stack(
-        nets[0], np.array([net.power for net in nets]), np.array([net.capacity for net in nets])
-    )
-    phase.flags.writeable = gaps.flags.writeable = False
-    return [
-        error if error is not None else SynchronousState(phase[j], gaps[j], float(residual[j]))
-        for j, error in enumerate(errors)
-    ]
-
-
 def solve_synchronous_state(net: Network) -> SynchronousState:
-    """Find the in-domain synchronous state of ``net``: a stack of one.
+    """Find the in-domain synchronous state of ``net``: :func:`solve_state_stack`
+    on a stack of one.
 
     Raises :class:`NoConvergence` when no halving of a Newton step lowers
     the mismatch (the message names the iteration, the residual and the
@@ -259,7 +241,8 @@ def solve_synchronous_state(net: Network) -> SynchronousState:
     (-pi/2, pi/2).  Either error means no admissible synchronous state was
     found for these parameters.
     """
-    (result,) = solve_synchronous_states([net])
-    if isinstance(result, SynchronousStateError):
-        raise result
-    return result
+    phase, gaps, residual, (error,) = solve_state_stack(net, net.power[None], net.capacity[None])
+    if error is not None:
+        raise error
+    phase.flags.writeable = gaps.flags.writeable = False
+    return SynchronousState(phase[0], gaps[0], float(residual[0]))

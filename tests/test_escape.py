@@ -175,14 +175,14 @@ def test_stacked_escape_probabilities_are_the_scalar_ones():
     means = rng.uniform(-1.5, 1.5, (6, 7))
     var_delta = rng.uniform(0.0, 2.0, (6, 7)) * (rng.random((6, 7)) < 0.8)
     var_omega = rng.uniform(0.0, 1e-3, (6, 4)) * (rng.random((6, 4)) < 0.8)
-    reports = crep.escape.crep_reports(means, var_delta, var_omega, 0.02)
-    for row, report in enumerate(reports):
+    f_delta, f_omega = crep.escape.escape_probabilities(means, var_delta, var_omega, 0.02)
+    for row in range(6):
         for k in range(7):
             sigma = math.sqrt(float(var_delta[row, k]))
-            assert report.f_delta[k] == escape_prob_line(float(means[row, k]), sigma)
+            assert f_delta[row, k] == escape_prob_line(float(means[row, k]), sigma)
         for i in range(4):
             sigma = math.sqrt(float(var_omega[row, i]))
-            assert report.f_omega[i] == escape_prob_freq(sigma, 0.02)
+            assert f_omega[row, i] == escape_prob_freq(sigma, 0.02)
 
 
 def test_crep_argmax_tie_breaks_to_lowest_index():
@@ -277,24 +277,29 @@ def test_a_stack_gives_the_bits_of_its_rows_alone(dampings):
     rng = np.random.default_rng(40)
     thetas = [crep.project_to_budget_box(x, spec.lower, spec.upper, spec.budget)
               for x in rng.uniform(0.2, 3.0, (75, 5))]
-    stack = [crep.Analysis(crep.apply_decision(nets[j % len(nets)], spec, t))
-             for j, t in enumerate(thetas)]
-    errors = crep.escape.run_stages(stack)
+    stack = [crep.apply_decision(nets[j % len(nets)], spec, t) for j, t in enumerate(thetas)]
+    rows = {name: np.array([getattr(net, name) for net in stack])
+            for name in ("power", "inertia", "damping", "noise", "capacity")}
+    live, stages, errors = crep.escape.stage_arrays(stack[0], rows, crep.DEFAULT_EPS)
     infeasible = 0
-    for analysis, error in zip(stack, errors):
-        alone = crep.Analysis(analysis.net)
+    for j, (net, error) in enumerate(zip(stack, errors)):
+        alone = crep.Analysis(net)
         try:
             alone.report
         except crep.CrepError as exc:
             assert type(error) is type(exc) and str(error) == str(exc)
+            assert j not in live
             infeasible += 1
             continue
         assert error is None
-        for stage in ("state", "variance", "report"):
-            for field in fields(getattr(alone, stage)):
-                value = getattr(getattr(analysis, stage), field.name)
-                want = getattr(getattr(alone, stage), field.name)
-                assert np.asarray(value).tobytes() == np.asarray(want).tobytes(), field.name
+        (row,) = np.flatnonzero(live == j)
+        for name, want in (("phase", alone.state.phase),
+                           ("gaps", alone.state.output_phase_diffs),
+                           ("sigma2_delta", alone.variance.sigma2_delta),
+                           ("sigma2_omega", alone.variance.sigma2_omega),
+                           ("f_delta", alone.report.f_delta),
+                           ("f_omega", alone.report.f_omega)):
+            assert stages[name][row].tobytes() == want.tobytes(), name
     assert 10 < infeasible < 65
 
 
@@ -304,9 +309,9 @@ def test_analysis_runs_each_stage_once(monkeypatch):
     # a failed stage keeps its error: the power flow of a network without a
     # state runs once, and every read raises its error with a fresh traceback
     solves = []
-    solve = crep.escape.solve_synchronous_states
-    monkeypatch.setattr(crep.escape, "solve_synchronous_states",
-                        lambda nets: solves.append(len(nets)) or solve(nets))
+    solve = crep.escape.solve_synchronous_state
+    monkeypatch.setattr(crep.escape, "solve_synchronous_state",
+                        lambda net: solves.append(1) or solve(net))
     failed = crep.Analysis(ring5_net(caps=(0.01,) * 5))
     raised = []
     for _ in range(3):
@@ -320,30 +325,37 @@ def test_analysis_runs_each_stage_once(monkeypatch):
     assert solves == [1]
 
 
-def test_a_stack_shares_its_node_count_line_ends_and_eps():
-    # ring5 rewired to lines (1,3), (2,3), (3,4), (4,5), (5,1) keeps the node
-    # arrays and capacities; solved with the first row's line ends, the
-    # rewired row would read phi 0.976583 instead of its own 0.976833
-    ring = ring5_net()
-    rewired = network_from_arrays(
-        ring.power, ring.inertia, ring.damping, ring.noise,
-        [(1, 3, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0), (5, 1, 1.0)],
-    )
-    chord = ring.with_added_line(1, 3, 1.0)
-    four = network_from_arrays([0.3, -0.1, 0.1, -0.3], [1.0] * 4, [0.8] * 4, [0.1] * 4,
-                               [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 1, 1.0)])
-    for other in (rewired, chord, four):
-        with pytest.raises(ValueError, match="node count and line ends"):
-            crep.escape.run_stages([crep.Analysis(ring), crep.Analysis(other)], "state")
-    with pytest.raises(ValueError, match="share eps"):
-        crep.escape.run_stages([crep.Analysis(ring), crep.Analysis(ring, 0.03)], "state")
-    # equal line ends in distinct arrays form a stack, with the bits of each row alone
-    copy = network_from_arrays(ring.power, ring.inertia, ring.damping, ring.noise,
-                               [(1, 2, 0.9), (2, 3, 1.1), (3, 4, 1.0), (4, 5, 1.0), (5, 1, 1.0)])
-    stack = [crep.Analysis(ring), crep.Analysis(copy)]
-    assert crep.escape.run_stages(stack) == [None, None]
-    for analysis in stack:
-        assert analysis.report.phi == crep.Analysis(analysis.net).report.phi
+def test_each_stage_runs_once_in_the_read_order_of_analyze(monkeypatch):
+    # crep analyze reads state, then variance, then the bundle's report,
+    # variance and state; each stage's core runs once, on its first read
+    calls = []
+    for module, name in ((crep.powerflow, "solve_state_stack"),
+                         (crep.linearize, "variance_stack"),
+                         (crep.escape, "escape_probabilities")):
+        core = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, core=core, name=name: calls.append(name) or core(*args))
+    mixed = ring5_net().with_arrays(damping=np.array(MIXED_DAMPING))
+    analysis = crep.Analysis(mixed)
+    analysis.state
+    assert calls == ["solve_state_stack"]
+    analysis.variance
+    assert calls == ["solve_state_stack", "variance_stack"]
+    for _ in range(2):
+        analysis.report, analysis.variance, analysis.state
+    assert calls == ["solve_state_stack", "variance_stack", "escape_probabilities"]
+    # a failed variance stage keeps its error; the state before it still reads
+    noisy = crep.Analysis(mixed.with_arrays(noise=mixed.noise * 1e160))
+    del calls[:]
+    with pytest.raises(crep.LyapunovSolveError, match="Lyapunov residual nan") as info:
+        noisy.variance
+    state = noisy.state
+    assert state is noisy.state and state.residual <= crep.powerflow.TOL
+    for stage in ("report", "variance"):
+        with pytest.raises(crep.LyapunovSolveError) as again:
+            getattr(noisy, stage)
+        assert again.value is info.value
+    assert calls == ["solve_state_stack", "variance_stack"]
 
 
 @pytest.mark.parametrize("damping", [UNIFORM_DAMPING, MIXED_DAMPING],
@@ -386,7 +398,7 @@ def test_eps_outside_the_open_half_line_is_a_config_error(eps):
     with pytest.raises(crep.ConfigError, match="eps must be finite and > 0"):
         crep.crep_from_moments(np.array([0.3]), np.array([0.01]), np.array([0.004]), eps)
     with pytest.raises(crep.ConfigError, match="eps must be finite and > 0"):
-        crep.escape.crep_reports(np.zeros((2, 1)), np.ones((2, 1)), np.ones((2, 3)), eps)
+        crep.escape.escape_probabilities(np.zeros((2, 1)), np.ones((2, 1)), np.ones((2, 3)), eps)
 
 
 @pytest.mark.parametrize("eps", ["0.1", None, True])

@@ -23,7 +23,6 @@ from crep import (
     spectral_reduce,
 )
 
-from crep.escape import run_stages
 from crep.linearize import (
     LYAP_RESIDUAL_TOL,
     _LYAP_LEAF,
@@ -36,20 +35,41 @@ from crep.linearize import (
     output_variances,
     reduce_stack,
     uniform_damping_ratios,
+    variance_stack,
 )
 from crep.powerflow import SynchronousState
 
 from conftest import random_connected_network, ring5_net, two_node_net
 
 
+def rows(nets, name):
+    """The ``name`` arrays of networks that share their line ends, stacked."""
+    return np.array([getattr(net, name) for net in nets])
+
+
 def reduced(nets, states):
     """reduce_stack of networks that share their line ends, at their states."""
-    def rows(name):
-        return np.array([getattr(net, name) for net in nets])
-
     gaps = np.array([state.output_phase_diffs for state in states])
-    laplacians = cos_laplacians(nets[0], rows("capacity"), gaps)
-    return reduce_stack(laplacians, rows("inertia"), rows("noise"), nets[0])
+    laplacians = cos_laplacians(nets[0], rows(nets, "capacity"), gaps)
+    return reduce_stack(laplacians, rows(nets, "inertia"), rows(nets, "noise"), nets[0])
+
+
+def stacked_variances(nets):
+    """variance_stack of networks that share their line ends, at their states."""
+    gaps = np.array([solve_synchronous_state(net).output_phase_diffs for net in nets])
+    return variance_stack(nets[0], rows(nets, "capacity"), gaps,
+                          *(rows(nets, name) for name in ("inertia", "damping", "noise")))
+
+
+def assert_row_has_the_bits_of(stack, j, variance):
+    """Row j of variance_stack's arrays holds the fields of ``variance``."""
+    q_x, q_y, diag, min_re_mu = stack
+    m = variance.sigma2_delta.size
+    row = {"q_x": q_x[j], "q_y": q_y[j], "sigma2_delta": diag[j, :m],
+           "sigma2_omega": diag[j, m:], "min_re_mu": min_re_mu[j]}
+    for field in fields(variance):
+        assert np.asarray(row[field.name]).tobytes() == \
+            np.asarray(getattr(variance, field.name)).tobytes(), field.name
 
 
 def damping_ratio(net):
@@ -611,17 +631,14 @@ def test_noise_that_overflows_the_lyapunov_solve_raises_without_a_warning():
     noisy = _mixed_damping(ring5_net().with_arrays(noise=ring5_net().noise * 1e160))
     nets = (ring5_net(), _mixed_damping(ring5_net()))
     alone = [crep_package.Analysis(net).variance for net in nets]
-    analyses = [crep_package.Analysis(net) for net in (noisy, *nets)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(LyapunovSolveError, match="Lyapunov residual nan"):
             crep_package.Analysis(noisy).variance
-        errors = run_stages(analyses, "variance")
+        stack, errors = stacked_variances([noisy, *nets])
     assert isinstance(errors[0], LyapunovSolveError) and errors[1:] == [None, None]
-    for analysis, variance in zip(analyses[1:], alone):
-        for field in fields(variance):
-            assert np.asarray(getattr(analysis.variance, field.name)).tobytes() == \
-                np.asarray(getattr(variance, field.name)).tobytes(), field.name
+    for j, variance in enumerate(alone, start=1):
+        assert_row_has_the_bits_of(stack, j, variance)
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["closed-form", "lyapunov"])
@@ -641,16 +658,12 @@ def test_a_laplacian_beyond_the_float_range_raises(mixed):
 def test_an_overflowing_row_leaves_its_stack_unchanged():
     ring5 = ring5_net()
     alone = crep_package.Analysis(ring5).variance
-    analyses = [crep_package.Analysis(net) for net in
-                (_ring5_with_total_capacity(1e308), ring5,
-                 ring5_net(caps=(1e308, 5e307, 1.0, 1.0, 1.0)))]
+    nets = (_ring5_with_total_capacity(1e308), ring5,
+            ring5_net(caps=(1e308, 5e307, 1.0, 1.0, 1.0)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        errors = run_stages(analyses, "variance")
+        stack, errors = stacked_variances(nets)
     assert isinstance(errors[0], LyapunovSolveError)
     assert errors[1] is None
     assert isinstance(errors[2], LyapunovSolveError)
-    variance = analyses[1].variance
-    for field in fields(variance):
-        assert np.asarray(getattr(variance, field.name)).tobytes() == \
-            np.asarray(getattr(alone, field.name)).tobytes(), field.name
+    assert_row_has_the_bits_of(stack, 1, alone)

@@ -442,9 +442,9 @@ def test_optimize_is_deterministic():
 @pytest.mark.parametrize("variable", ["inertia", "damping"])
 def test_machine_parameter_searches_solve_the_power_flow_once(monkeypatch, variable):
     solves = []
-    solve = crep.escape.solve_synchronous_states
-    monkeypatch.setattr(crep.escape, "solve_synchronous_states",
-                        lambda nets: solves.extend(nets) or solve(nets))
+    solve = crep.escape.solve_synchronous_state
+    monkeypatch.setattr(crep.escape, "solve_synchronous_state",
+                        lambda net: solves.append(net) or solve(net))
     # the power flow of a stack of candidates runs on their arrays
     solve_stack = crep.escape.solve_state_stack
     monkeypatch.setattr(crep.escape, "solve_state_stack",

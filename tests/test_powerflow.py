@@ -25,6 +25,12 @@ from conftest import (
 ARCSIN_HALF = math.asin(0.5)
 
 
+def solve_stack(nets):
+    """solve_state_stack of networks that share their line ends, on their arrays."""
+    return crep.powerflow.solve_state_stack(
+        nets[0], np.array([net.power for net in nets]), np.array([net.capacity for net in nets]))
+
+
 def test_two_node_arcsin():
     state = solve_synchronous_state(two_node_net(p=1.0, cap=2.0))
     assert state.output_phase_diffs[0] == pytest.approx(ARCSIN_HALF, abs=1e-12)
@@ -177,13 +183,14 @@ def test_a_singular_jacobian_fails_only_its_own_row(monkeypatch):
         return laplacian(weights, net)
 
     monkeypatch.setattr(crep.powerflow, "_laplacian", singular_middle)
-    states = crep.powerflow.solve_synchronous_states(nets)
-    assert isinstance(states[1], NoConvergence)
-    assert str(states[1]) == "singular Jacobian during Newton iteration"
-    assert isinstance(states[1].__cause__, np.linalg.LinAlgError)
-    for state, expected in zip(states[::2], alone[::2]):
-        assert np.array_equal(state.phase, expected.phase)
-        assert state.residual == expected.residual
+    phase, _, residual, errors = solve_stack(nets)
+    assert isinstance(errors[1], NoConvergence)
+    assert str(errors[1]) == "singular Jacobian during Newton iteration"
+    assert isinstance(errors[1].__cause__, np.linalg.LinAlgError)
+    for j in (0, 2):
+        assert errors[j] is None
+        assert np.array_equal(phase[j], alone[j].phase)
+        assert residual[j] == alone[j].residual
 
     monkeypatch.setattr(crep.powerflow, "_laplacian",
                         lambda weights, net: laplacian(0.0 * weights, net))
@@ -203,11 +210,11 @@ def test_iteration_limit_fails_only_the_rows_still_running(monkeypatch):
     )):
         solve_synchronous_state(slow)
     assert solve_synchronous_state(fast).residual <= crep.powerflow.TOL
-    states = crep.powerflow.solve_synchronous_states([fast, slow])
-    assert isinstance(states[1], NoConvergence)
-    assert np.array_equal(states[0].phase, alone.phase)
-    assert np.array_equal(states[0].output_phase_diffs, alone.output_phase_diffs)
-    assert states[0].residual == alone.residual
+    phase, gaps, residual, errors = solve_stack([fast, slow])
+    assert errors[0] is None and isinstance(errors[1], NoConvergence)
+    assert np.array_equal(phase[0], alone.phase)
+    assert np.array_equal(gaps[0], alone.output_phase_diffs)
+    assert residual[0] == alone.residual
 
     monkeypatch.setattr(crep.powerflow, "MAX_ITER", 3)
     with pytest.raises(NoConvergence, match="did not converge in 3 iterations"):
@@ -222,14 +229,15 @@ def test_a_row_stepping_to_infinite_phases_fails_without_a_warning():
                                      2.6201768738359554e307])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        failed, state = crep.powerflow.solve_synchronous_states([huge, net])
+        phase, gaps, _, (failed, error) = solve_stack([huge, net])
     assert isinstance(failed, NoConvergence) and str(failed) == (
         "no damped Newton step reduced the mismatch at iteration 1 "
         "(residual 9.000e-01 > tol 1.000e-10)"
     )
     alone = solve_synchronous_state(net)
-    assert state.phase.tobytes() == alone.phase.tobytes()
-    assert state.output_phase_diffs.tobytes() == alone.output_phase_diffs.tobytes()
+    assert error is None
+    assert phase[1].tobytes() == alone.phase.tobytes()
+    assert gaps[1].tobytes() == alone.output_phase_diffs.tobytes()
 
 
 @pytest.mark.parametrize("scale", [1e6, 1e8])
@@ -247,8 +255,8 @@ def test_each_row_stops_at_its_own_tolerance():
     # sum of 6000 and 64 eps 6e8 = 8.527e-06 for a sum of 6e8, alone or stacked
     small, large = two_node_net(p=3e3, cap=2e3), two_node_net(p=3e8, cap=2e8)
     tol = 64 * np.finfo(float).eps * 6e8
-    for errors in ([crep.powerflow.solve_synchronous_states([net])[0] for net in (small, large)],
-                   crep.powerflow.solve_synchronous_states([small, large])):
+    for errors in ([solve_stack([net])[3][0] for net in (small, large)],
+                   solve_stack([small, large])[3]):
         assert [re.search(r"tol (\S+)\)$", str(error)).group(1) for error in errors] == \
             ["1.000e-10", f"{tol:.3e}"]
         assert all(isinstance(error, NoConvergence) for error in errors)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import METRIC_UNDEFINED, AllCensoredError, DegenerateSystemError
+from .errors import METRIC_UNDEFINED, AllCensoredError, ConfigError, DegenerateSystemError
 from .escape import DEFAULT_EPS, Analysis, CrepReport
 from .hitting import HittingTimeEstimate, SimConfig, estimate_hitting_time
 from .linearize import ZERO_EIG_TOL, LinearizedModel
@@ -73,7 +73,8 @@ def gramian_h2_squared(a: np.ndarray, b: np.ndarray, c: np.ndarray,
 
     ``via='controllability'`` solves A Qc + Qc A^T + B B^T = 0 and returns
     tr(C Qc C^T); ``via='observability'`` solves A^T Qo + Qo A + C^T C = 0 and
-    returns tr(B^T Qo B).  The two routes agree for any Hurwitz A.
+    returns tr(B^T Qo B).  The two routes agree for any Hurwitz A.  Another
+    ``via`` raises :class:`ConfigError`.
     """
     if via == "controllability":
         q = scipy.linalg.solve_continuous_lyapunov(a, -b @ b.T)
@@ -81,7 +82,7 @@ def gramian_h2_squared(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     if via == "observability":
         q = scipy.linalg.solve_continuous_lyapunov(a.T, -c.T @ c)
         return float(np.trace(b.T @ q @ b))
-    raise ValueError(f"via must be 'controllability' or 'observability', got {via!r}")
+    raise ConfigError(f"via must be 'controllability' or 'observability', got {via!r}")
 
 
 def order_parameter(state: SynchronousState) -> float:

@@ -42,12 +42,14 @@ def escape_prob_line(mean: float, sigma: float) -> float:
 
     Evaluated as a sum of two complementary-error-function tails, which is
     exact and cancellation-free for means inside the interval.  ``sigma == 0``
-    returns 0 (the mean is strictly inside the interval).
+    returns 0 (the mean is strictly inside the interval).  Raises
+    :class:`ConfigError` unless ``sigma`` is finite and >= 0 and ``mean``
+    lies inside the interval.
     """
     if not 0.0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+        raise ConfigError(f"sigma must be finite and >= 0, got {sigma!r}")
     if not abs(mean) < HALF_PI:
-        raise ValueError(f"mean {mean!r} outside the open interval (-pi/2, pi/2)")
+        raise ConfigError(f"mean {mean!r} outside the open interval (-pi/2, pi/2)")
     if sigma == 0.0:
         return 0.0
     upper = (HALF_PI - mean) / (sigma * _SQRT2)
@@ -58,10 +60,11 @@ def escape_prob_line(mean: float, sigma: float) -> float:
 def escape_prob_freq(sigma: float, eps: float) -> float:
     """P(|X| >= eps) for mean-zero X ~ N(0, sigma^2); 0 when sigma == 0.
 
-    Raises :class:`ConfigError` unless ``eps`` is finite and > 0.
+    Raises :class:`ConfigError` unless ``sigma`` is finite and >= 0 and
+    ``eps`` is finite and > 0.
     """
     if not 0.0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+        raise ConfigError(f"sigma must be finite and >= 0, got {sigma!r}")
     _check_eps(eps)
     if sigma == 0.0:
         return 0.0
@@ -134,17 +137,17 @@ def escape_probabilities(
     stack, element by element as those functions do, so row j has the bits
     of :func:`crep_from_moments` on row j alone; a zero variance puts the
     argument of each tail at +inf, where ``erfc`` is exactly 0.  Raises
-    ValueError where those functions would: a variance that is not finite and
-    >= 0, a mean gap outside (-pi/2, pi/2) or NaN, or an ``eps`` that is not
-    finite and > 0 (:class:`ConfigError`).
+    :class:`ConfigError` where those functions would: a variance that is not
+    finite and >= 0, a mean gap outside (-pi/2, pi/2) or NaN, or an ``eps``
+    that is not finite and > 0.
     """
     for name, variance in (("sigma2_delta", sigma2_delta), ("sigma2_omega", sigma2_omega)):
         bad = ~((variance >= 0.0) & (variance < math.inf))
         if bad.any():
-            raise ValueError(f"{name} must be finite and >= 0, got {float(variance[bad][0])!r}")
+            raise ConfigError(f"{name} must be finite and >= 0, got {float(variance[bad][0])!r}")
     outside = ~(np.abs(y_delta_star) < HALF_PI)
     if outside.any():
-        raise ValueError(
+        raise ConfigError(
             f"mean {float(y_delta_star[outside][0])!r} outside the open interval (-pi/2, pi/2)"
         )
     _check_eps(eps)
@@ -241,10 +244,12 @@ def stage_arrays(
     rows without one, and those rows' stacked stage arrays: ``phase`` and
     ``gaps`` (the state), ``sigma2_delta`` and ``sigma2_omega`` (the
     variances), ``f_delta`` and ``f_omega`` (the escape probabilities), as
-    far as ``through``.  Raises :class:`ConfigError` for a bad ``eps`` and
-    ValueError for an unknown ``through``.
+    far as ``through``.  Raises :class:`ConfigError` for a bad ``eps`` or
+    an unknown ``through``.
     """
     _check_eps(eps)
+    if through not in _STAGES:
+        raise ConfigError(f"through must be one of {_STAGES}, got {through!r}")
     last = _STAGES.index(through)
     count, n, m = len(rows["capacity"]), topology.n, topology.m
     if state is None:
@@ -300,20 +305,21 @@ def smib_analytic(
     infinite bus through capacity K and loaded with 0 <= P < K, the stationary
     variances are ``b^2 / (2 D sqrt(K^2 - P^2))`` for the phase gap and
     ``b^2 / (2 M D)`` for the frequency, around the mean gap ``arcsin(P/K)``.
-    Serves as the oracle for the full network pipeline.  Raises ValueError
-    naming the first argument that is not finite, or that is out of range.
+    Serves as the oracle for the full network pipeline.  Raises
+    :class:`ConfigError` naming the first argument that is not finite, or
+    that is out of range.
     """
     arguments = {"inertia": inertia, "damping": damping, "capacity": capacity,
                  "power": power, "noise": noise}
     for name, value in arguments.items():
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            raise ConfigError(f"{name} must be finite, got {value!r}")
     if inertia <= 0.0 or damping <= 0.0 or capacity <= 0.0:
-        raise ValueError("inertia, damping and capacity must be > 0")
+        raise ConfigError("inertia, damping and capacity must be > 0")
     if noise < 0.0:
-        raise ValueError("noise must be >= 0")
+        raise ConfigError("noise must be >= 0")
     if not 0.0 <= power < capacity:
-        raise ValueError("power must satisfy 0 <= power < capacity")
+        raise ConfigError("power must satisfy 0 <= power < capacity")
     stiffness = math.sqrt(capacity**2 - power**2)
     sigma2_delta = noise**2 / (2.0 * damping * stiffness)
     sigma2_omega = noise**2 / (2.0 * inertia * damping)

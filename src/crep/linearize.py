@@ -367,9 +367,14 @@ def _first_report(q_x: np.ndarray, q_y: np.ndarray, diag: np.ndarray,
     return VarianceReport(q_x[0], q_y[0], diag[0, :m], diag[0, m:], float(min_re_mu[0]))
 
 
+@np.errstate(over="ignore")
 def uniform_damping_ratios(damping: np.ndarray, inertia: np.ndarray) -> np.ndarray:
     """Per row of (B, n) ``damping`` and ``inertia``, gamma where d_i / m_i is
-    the same number gamma at every node, else NaN."""
+    the same number gamma at every node, else NaN.
+
+    A ratio beyond the float range is inf, without a warning: its row fails
+    later, where its mass scaling or its 2 gamma is not finite.
+    """
     ratio = damping / inertia
     return np.where((ratio == ratio[:, :1]).all(axis=1), ratio[:, 0], np.nan)
 

@@ -55,9 +55,9 @@ class Network:
     this order: each array converts (line ends to integers, without
     rounding); array shapes; nodes, in node order; lines (self-loop,
     capacity, endpoints, duplicate), in line order; power balance;
-    connectivity.  A copy made by :meth:`with_arrays` checks only what it
-    replaces and raises what the constructor would.  Networks are equal when
-    all seven arrays are.
+    connectivity.  Every network, a derived copy included, is built and
+    checked by the constructor.  Networks are equal when all seven arrays
+    are.
     """
 
     power: np.ndarray
@@ -69,7 +69,16 @@ class Network:
     capacity: np.ndarray
 
     def __post_init__(self):
-        _admit(self, {name: getattr(self, name) for name in _ARRAYS})
+        for name in _ARRAYS:
+            given, is_end = getattr(self, name), name.startswith("line_")
+            try:
+                arr = np.array(given, np.int64 if is_end else float)
+            except (OverflowError, TypeError, ValueError) as exc:
+                raise NetworkValidationError(f"{name}: {exc}") from exc
+            if is_end and not np.array_equal(arr, given):
+                raise NetworkValidationError(f"{name}: line ends must be integer node indices")
+            object.__setattr__(self, name, _frozen(arr))
+        _validate(self)
 
     def __eq__(self, other):
         if not isinstance(other, Network):
@@ -119,18 +128,15 @@ class Network:
     ) -> "Network":
         """Copy of this network with whole parameter vectors replaced.
 
-        The copy shares this network's line ends, their caches and every
-        array it keeps.  A replaced vector enters as in the constructor, and
-        the copy checks only what it replaces: the invariants that read the
-        replaced vectors, with the constructor's order and message.  The
-        others hold already, for this network has passed them.
+        The copy is built and checked by the constructor, and then takes
+        over this network's line-end caches, so a sweep point does not
+        rebuild the incidence.
         """
         replaced = {"power": power, "inertia": inertia, "damping": damping,
                     "noise": noise, "capacity": capacity}
-        derived = object.__new__(Network)
-        # the line-end caches are computed once, on this network, and shared
-        derived.__dict__.update({name: getattr(self, name) for name in _ARRAYS + _LINE_END_CACHES})
-        _admit(derived, {name: given for name, given in replaced.items() if given is not None})
+        derived = dataclasses.replace(
+            self, **{name: given for name, given in replaced.items() if given is not None})
+        derived.__dict__.update({name: getattr(self, name) for name in _LINE_END_CACHES})
         return derived
 
     def with_added_line(self, from_node: int, to_node: int, capacity: float) -> "Network":
@@ -176,35 +182,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _admit(net: Network, arrays: dict) -> None:
-    """Set ``arrays`` (name: value) on ``net`` as read-only arrays and check them.
-
-    Each value is copied into an ``int64`` (line ends) or ``float`` array;
-    line ends must convert without rounding.  Then :func:`_validate` runs
-    the invariants that read these arrays.
-    """
-    for name, given in arrays.items():
-        is_end = name.startswith("line_")
-        try:
-            arr = np.array(given, np.int64 if is_end else float)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise NetworkValidationError(f"{name}: {exc}") from exc
-        if is_end and not np.array_equal(arr, given):
-            raise NetworkValidationError(f"{name}: line ends must be integer node indices")
-        object.__setattr__(net, name, _frozen(arr))
-    _validate(net, arrays.keys())
-
-
-def _validate(net: Network, arrived) -> None:
-    """Raise for the first violated invariant, in the order :class:`Network` lists.
-
-    Shapes are always checked; each other group runs only when an array it
-    reads is among the names ``arrived``: the node checks for a node array,
-    the line checks for the capacities or the line ends, the balance for
-    ``power``.  The checks that read the line ends alone (self-loop,
-    endpoints, duplicate, connectivity) run only for new line ends.  The
-    arrays that did not arrive come from a valid network.
-    """
+def _validate(net: Network) -> None:
+    """Raise for the first violated invariant, in the order :class:`Network` lists."""
     # sizes, not lengths: a 0-d array has no length
     n, m = net.power.size, net.capacity.size
     shapes = [getattr(net, name).shape for name in _ARRAYS]
@@ -216,48 +195,39 @@ def _validate(net: Network, arrived) -> None:
     if n == 0:
         raise NetworkValidationError("network has no nodes")
 
-    if not arrived.isdisjoint(_NODE_ARRAYS):
-        columns = (getattr(net, name).tolist() for name in _NODE_ARRAYS)
-        for node, (power, inertia, damping, noise) in enumerate(zip(*columns), start=1):
-            faults = (not math.isfinite(power), not math.isfinite(inertia),
-                      not math.isfinite(damping), not math.isfinite(noise),
-                      inertia <= 0.0, damping <= 0.0, noise < 0.0)
-            if any(faults):
-                raise NetworkValidationError(f"node {node}: {_NODE_FAULTS[faults.index(True)]}")
+    columns = (getattr(net, name).tolist() for name in _NODE_ARRAYS)
+    for node, (power, inertia, damping, noise) in enumerate(zip(*columns), start=1):
+        faults = (not math.isfinite(power), not math.isfinite(inertia),
+                  not math.isfinite(damping), not math.isfinite(noise),
+                  inertia <= 0.0, damping <= 0.0, noise < 0.0)
+        if any(faults):
+            raise NetworkValidationError(f"node {node}: {_NODE_FAULTS[faults.index(True)]}")
 
-    new_ends = not arrived.isdisjoint(("line_from", "line_to"))
-    if new_ends or "capacity" in arrived:
-        froms, tos = net.line_from.tolist(), net.line_to.tolist()
-        seen: set[tuple[int, int]] = set()
-        for a, b, c in zip(froms, tos, net.capacity.tolist()):
-            if new_ends and a == b:
-                raise NetworkValidationError(f"line ({a + 1},{b + 1}): self-loops are not allowed")
-            if not math.isfinite(c):
-                raise NetworkValidationError(f"line ({a + 1},{b + 1}): capacity must be finite")
-            if c <= 0.0:
-                raise NetworkValidationError(f"line ({a + 1},{b + 1}): capacity must be > 0")
-            if not new_ends:
-                continue
-            for end in (a, b):
-                if not 0 <= end < n:
-                    raise NetworkValidationError(
-                        f"line ({a + 1},{b + 1}): unknown node id {end + 1}"
-                    )
-            key = (a, b) if a < b else (b, a)
-            if key in seen:
-                raise NetworkValidationError(f"duplicate line between nodes {a + 1} and {b + 1}")
-            seen.add(key)
+    froms, tos = net.line_from.tolist(), net.line_to.tolist()
+    seen: set[tuple[int, int]] = set()
+    for a, b, c in zip(froms, tos, net.capacity.tolist()):
+        if a == b:
+            raise NetworkValidationError(f"line ({a + 1},{b + 1}): self-loops are not allowed")
+        if not math.isfinite(c):
+            raise NetworkValidationError(f"line ({a + 1},{b + 1}): capacity must be finite")
+        if c <= 0.0:
+            raise NetworkValidationError(f"line ({a + 1},{b + 1}): capacity must be > 0")
+        for end in (a, b):
+            if not 0 <= end < n:
+                raise NetworkValidationError(f"line ({a + 1},{b + 1}): unknown node id {end + 1}")
+        key = (a, b) if a < b else (b, a)
+        if key in seen:
+            raise NetworkValidationError(f"duplicate line between nodes {a + 1} and {b + 1}")
+        seen.add(key)
 
-    if "power" in arrived:
-        # np.sum's pairwise order would move the tolerance edge
-        power = net.power.tolist()
-        total = _sequential_sum(power)
-        if not power_balanced(total, power, n):
-            raise NetworkValidationError(
-                f"power imbalance: sum of injections is {abs(total):.3e} (must be 0)"
-            )
-    if not new_ends:
-        return
+    # np.sum's pairwise order would move the tolerance edge
+    power = net.power.tolist()
+    total = _sequential_sum(power)
+    if not power_balanced(total, power, n):
+        raise NetworkValidationError(
+            f"power imbalance: sum of injections is {abs(total):.3e} (must be 0)"
+        )
+
     adjacent: list[list[int]] = [[] for _ in range(n)]
     for a, b in zip(froms, tos):
         adjacent[a].append(b)

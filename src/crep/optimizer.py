@@ -201,11 +201,12 @@ def project_to_budget_box(
 
 
 def apply_decision(net: Network, spec: DecisionSpec, theta: np.ndarray) -> Network:
-    """Network with the decision vector written into the selected parameters."""
-    idx = np.array(spec.indices, dtype=int) - 1
+    """Network with the decision vector written into the selected parameters.
+
+    Raises what :func:`_candidate_rows` raises for ``theta`` alone.
+    """
     field = _DECISION_FIELDS[spec.variable]
-    updated = getattr(net, field).copy()
-    updated[idx] = np.asarray(theta, dtype=float)
+    (updated,) = _candidate_rows(net, spec, np.asarray(theta, dtype=float)[None])[field]
     return net.with_arrays(**{field: updated})
 
 
@@ -270,14 +271,15 @@ def _candidate_rows(net: Network, spec: DecisionSpec, thetas) -> dict[str, np.nd
 
     The decision's array is one (B, k) copy of ``net``'s with the thetas in
     its decision columns; every other array is ``net``'s, broadcast.  Raises
-    what :func:`apply_decision` raises for the first theta, in order, that it
+    InfeasibleSpecError as :func:`index_positions` does, and then what
+    :meth:`Network.with_arrays` raises for the first row, in order, that it
     rejects.
     """
     field = _DECISION_FIELDS[spec.variable]
     rows = {name: np.broadcast_to(getattr(net, name), (len(thetas), getattr(net, name).size))
             for name in _PARAMETERS}
     written = rows[field].copy()
-    written[:, np.array(spec.indices) - 1] = thetas
+    written[:, index_positions(net, spec.variable, spec.indices)] = thetas
     check_rows(net, field, written)
     rows[field] = written
     return rows

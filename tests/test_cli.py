@@ -683,6 +683,23 @@ def test_capacities_spanning_the_float_range_exit_without_a_warning(tmp_path, ca
     assert not (tmp_path / "n.json").exists()
 
 
+def test_a_subnormal_inertia_exits_without_a_warning(tmp_path, capsys):
+    # d_i / m_i overflows at an inertia of 1e-320; the row fails later, quietly
+    sweep = tmp_path / "sweep.csv"
+    base = ring5_net()
+    tiny = base.with_arrays(inertia=np.array([1e-320, *base.inertia[1:]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", str(DEMO_RING5), "--param", "Mt", "--range", "1e-320:1e-320:1",
+                     "--out", str(sweep)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["analyze", write_net(tmp_path, tiny)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the mass-scaled Laplacian overflows double precision; no variance is defined\n")
+    _, rows = read_csv(sweep)
+    assert [(row[0], row[-1]) for row in rows] == [("1e-320", "false")]
+
+
 #: every output path flag, after the command and its required flags
 OUTPUT_FLAGS = pytest.mark.parametrize("command,flag", [
     (["analyze"], "--out"),

@@ -410,6 +410,41 @@ def test_non_real_eps_is_a_config_error(eps):
         crep.Analysis(net, eps)
 
 
+def _stage_arrays_through(through):
+    net = ring5_net()
+    rows = {name: getattr(net, name)[None] for name in (
+        "power", "inertia", "damping", "noise", "capacity")}
+    crep.escape.stage_arrays(net, rows, 0.02, through)
+
+
+def _gramian_via(via):
+    one = np.ones((1, 1))
+    crep.baselines.gramian_h2_squared(-one, one, one, via)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: escape_prob_line(0.0, -1.0), "sigma must be finite and >= 0"),
+    (lambda: escape_prob_line(HALF_PI, 1.0), "outside the open interval"),
+    (lambda: escape_prob_freq(-0.1, 0.02), "sigma must be finite and >= 0"),
+    (lambda: crep.escape.escape_probabilities(
+        np.zeros((1, 1)), -np.ones((1, 1)), np.ones((1, 2)), 0.02), "sigma2_delta"),
+    (lambda: crep.escape.escape_probabilities(
+        np.zeros((1, 1)), np.ones((1, 1)), -np.ones((1, 2)), 0.02), "sigma2_omega"),
+    (lambda: crep.escape.escape_probabilities(
+        np.full((1, 1), 2.0), np.ones((1, 1)), np.ones((1, 2)), 0.02), "mean 2.0 outside"),
+    (lambda: smib_analytic(1.0, 1.0, 1.0, 1.0, 1.0), "power must satisfy"),
+    (lambda: smib_analytic(1.0, 1.0, 1.0, 0.5, -1.0), "noise must be >= 0"),
+    (lambda: _gramian_via("both"), "via must be"),
+    (lambda: _stage_arrays_through("phase"),
+     r"^through must be one of \('state', 'variance', 'report'\), got 'phase'$"),
+], ids=["line-sigma", "line-mean", "freq-sigma", "stack-sigma2-delta", "stack-sigma2-omega",
+        "stack-mean", "smib-power", "smib-noise", "gramian-via", "stage-through"])
+def test_bad_arguments_to_public_functions_are_config_errors(call, message):
+    with pytest.raises(crep.CrepError, match=message) as info:
+        call()
+    assert isinstance(info.value, crep.ConfigError)
+
+
 def test_smib_analytic_values():
     closed = smib_analytic(2.0, 3.0, 5.0, 3.0, 1.0)
     assert closed.sigma2_delta == pytest.approx(1.0 / 24.0, rel=1e-15)

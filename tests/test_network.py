@@ -472,7 +472,7 @@ def _replaced(values, position, value):
     ("power", lambda net: np.append(net.power, 0.0)),
 ])
 def test_derived_network_raises_what_the_constructor_raises(field, bad):
-    # with_arrays skips only the checks on the line ends it keeps
+    # with_arrays builds its copy through the constructor
     net = random_connected_network(np.random.default_rng(12), n_min=6)
     arrays = {name: getattr(net, name) for name in (
         "power", "inertia", "damping", "noise", "line_from", "line_to", "capacity")}

@@ -261,6 +261,17 @@ def test_spec_network_validation():
         crep.optimizer.validate_spec(net, spec)
 
 
+@pytest.mark.parametrize("variable,index,kind", [
+    ("line_capacity", 0, "line"), ("line_capacity", 6, "line"), ("inertia", 7, "node"),
+    ("damping", -1, "node"),
+])
+def test_apply_decision_rejects_an_index_out_of_range(variable, index, kind):
+    # index 0 would wrap to the last line, 7 past the end raise an IndexError
+    spec = DecisionSpec(variable, (index,), 2.0, [1.0], [3.0])
+    with pytest.raises(InfeasibleSpecError, match=f"^{kind} index out of range$"):
+        apply_decision(ring5_net(), spec, [2.0])
+
+
 def test_evaluate_objective_values():
     quiet = network_from_arrays([0.5, -0.5], [1.0] * 2, [1.0] * 2, [0.0] * 2,
                                 [(1, 2, 2.0)])

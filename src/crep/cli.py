@@ -34,6 +34,7 @@ from .errors import (
     LyapunovSolveError,
     NoFeasiblePointError,
     SynchronousStateError,
+    is_number,
 )
 from .escape import DEFAULT_EPS, Analysis
 from .hitting import EXIT_MODES, SimConfig, estimate_hitting_time
@@ -261,19 +262,14 @@ def _default_indices(net: Network, decision: str) -> tuple[int, ...]:
     return tuple(range(1, net.n + 1))
 
 
-def _is_json(value, kind) -> bool:
-    """Whether a decoded JSON value is of ``kind``; true and false are not numbers."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 def _bound(bounds: dict, name: str, k: int, default: float) -> np.ndarray:
     """Bounds field ``name`` as k floats: one number for all, or a list of k."""
     value = bounds.get(name, default)
     try:
-        if _is_json(value, (int, float)):
+        if is_number(value):
             return np.full(k, float(value))
         if not (isinstance(value, list) and len(value) == k
-                and all(_is_json(v, (int, float)) for v in value)):
+                and all(is_number(v) for v in value)):
             raise UsageError(f"bounds field {name!r} must be a number or a list of {k} numbers")
         return np.array(value, dtype=float)
     except OverflowError as exc:  # an integer beyond the float range
@@ -297,7 +293,7 @@ def _decision_spec(net: Network, args) -> DecisionSpec:
             raise UsageError(f"unknown bounds fields: {sorted(unknown)}")
 
     indices = bounds.get("indices", [])
-    if not (isinstance(indices, list) and all(_is_json(i, int) for i in indices)):
+    if not (isinstance(indices, list) and all(is_number(i, integral=True) for i in indices)):
         raise UsageError("bounds field 'indices' must be a list of integers")
     indices = tuple(indices) or _default_indices(net, args.decision)
     current = current_values(net, args.decision, indices)  # range-checks the indices

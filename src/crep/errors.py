@@ -58,13 +58,19 @@ class NoFeasiblePointError(CrepError):
 METRIC_UNDEFINED = (SynchronousStateError, DegenerateSystemError, LyapunovSolveError)
 
 
+def is_number(value, integral: bool = False) -> bool:
+    """Whether ``value`` is a real number, or with ``integral`` an integer, and not a bool."""
+    kind = numbers.Integral if integral else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def require_int(value, name: str, low: int) -> None:
     """Raise :class:`ConfigError` unless ``value`` is an int (not a bool) >= ``low``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+    if not is_number(value, integral=True) or value < low:
         raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 def require_real(value, name: str) -> None:
     """Raise :class:`ConfigError` unless ``value`` is a real number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_number(value):
         raise ConfigError(f"{name} must be a real number, got {value!r}")

@@ -306,12 +306,13 @@ def smib_analytic(
     variances are ``b^2 / (2 D sqrt(K^2 - P^2))`` for the phase gap and
     ``b^2 / (2 M D)`` for the frequency, around the mean gap ``arcsin(P/K)``.
     Serves as the oracle for the full network pipeline.  Raises
-    :class:`ConfigError` naming the first argument that is not finite, or
-    that is out of range.
+    :class:`ConfigError` naming the first argument that is not a real
+    number or not finite, or that is out of range.
     """
     arguments = {"inertia": inertia, "damping": damping, "capacity": capacity,
                  "power": power, "noise": noise}
     for name, value in arguments.items():
+        require_real(value, name)
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
     if inertia <= 0.0 or damping <= 0.0 or capacity <= 0.0:
@@ -344,8 +345,11 @@ def smib_network(
     Node 1 is the machine; node 2 approximates the infinite bus with inertia
     and damping ``bus_scale`` times larger and no noise.  The embedding error
     of the stationary moments relative to :func:`smib_analytic` is of order
-    ``1 / bus_scale``.
+    ``1 / bus_scale``.  A non-real argument raises :class:`ConfigError` naming it.
     """
+    for name, value in {"inertia": inertia, "damping": damping, "capacity": capacity,
+                        "power": power, "noise": noise, "bus_scale": bus_scale}.items():
+        require_real(value, name)
     return network_from_arrays(
         power=[power, -power],
         inertia=[inertia, inertia * bus_scale],

@@ -18,18 +18,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import operator
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 from scipy import sparse
 
-from .errors import NetworkParseError, NetworkValidationError
+from .errors import NetworkParseError, NetworkValidationError, is_number
 
-#: tolerance on sum(power) == 0 while n * sum |P_i| is below about 4.5e6; see
-#: :func:`power_balanced`
-POWER_BALANCE_TOL = 1e-9
+#: the terms of the power flow's stopping tolerance; see :func:`balance_tolerance`
+TOL = 1e-10
+TOL_SCALE = 64
 _EPS = float(np.finfo(float).eps)
 
 _NODE_ARRAYS = ("power", "inertia", "damping", "noise")
@@ -54,10 +53,10 @@ class Network:
     :class:`NetworkValidationError` naming the first violated invariant, in
     this order: each array converts (line ends to integers, without
     rounding); array shapes; nodes, in node order; lines (self-loop,
-    capacity, endpoints, duplicate), in line order; power balance;
-    connectivity.  Every network, a derived copy included, is built and
-    checked by the constructor.  Networks are equal when all seven arrays
-    are.
+    capacity, endpoints, duplicate), in line order; power balance (see
+    :func:`balance_tolerance`); connectivity.  Every network, a derived copy
+    included, is built and checked by the constructor.  Networks are equal
+    when all seven arrays are.
     """
 
     power: np.ndarray
@@ -146,9 +145,9 @@ class Network:
         range gets the constructor's unknown-node message.
         """
         for node in (from_node, to_node):
-            if not 1 <= node <= self.n:
+            if not (is_number(node) and 1 <= node <= self.n):
                 raise NetworkValidationError(
-                    f"line ({from_node},{to_node}): unknown node id {node}"
+                    f"line ({from_node},{to_node}): unknown node id {node!r}"
                 )
         return dataclasses.replace(
             self,
@@ -159,8 +158,8 @@ class Network:
 
     def with_line_capacity(self, line_index: int, capacity: float) -> "Network":
         """Copy with line ``line_index`` (1-based) set to ``capacity``."""
-        if not 1 <= line_index <= self.m:
-            raise NetworkValidationError(f"no line with index {line_index}")
+        if not (is_number(line_index, integral=True) and 1 <= line_index <= self.m):
+            raise NetworkValidationError(f"no line with index {line_index!r}")
         cap = self.capacity.copy()
         cap[line_index - 1] = capacity
         return self.with_arrays(capacity=cap)
@@ -220,10 +219,8 @@ def _validate(net: Network) -> None:
             raise NetworkValidationError(f"duplicate line between nodes {a + 1} and {b + 1}")
         seen.add(key)
 
-    # np.sum's pairwise order would move the tolerance edge
-    power = net.power.tolist()
-    total = _sequential_sum(power)
-    if not power_balanced(total, power, n):
+    total = imbalance(net.power)
+    if not abs(total) <= balance_tolerance(net.power):
         raise NetworkValidationError(
             f"power imbalance: sum of injections is {abs(total):.3e} (must be 0)"
         )
@@ -245,50 +242,41 @@ def _validate(net: Network) -> None:
 def check_rows(net: Network, name: str, rows: np.ndarray) -> None:
     """Raise what ``net.with_arrays(**{name: row})`` raises for the first row it rejects.
 
-    ``rows`` is a (B, k) float array of replacements for ``net``'s
-    ``power``, ``inertia``, ``damping`` or ``capacity``.  The invariants that
-    read the replaced array run once for the whole stack: every entry finite,
-    and each row balanced (``power``) or every entry > 0 (the others).  Each
-    row that fails them, in order, is passed to :meth:`Network.with_arrays`,
-    which raises the error, with its message, of the first one.
+    ``rows`` is a (B, k) float array of replacements for ``net``'s ``power``,
+    ``inertia``, ``damping`` or ``capacity``.  The invariants that read the
+    replaced array run once for the whole stack: every entry finite, and each
+    row balanced by :func:`balance_tolerance` (``power``) or every entry > 0
+    (the others).  Each row that fails them, in order, is passed to
+    :meth:`Network.with_arrays`, which raises the first one's error.
     """
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows fail anyway
         bad = ~np.isfinite(rows).all(axis=1)
         if name == "power":
-            # accumulate adds left to right, as _sequential_sum does
-            total = np.add.accumulate(rows, axis=1)[:, -1]
-            bound = net.n * np.add.accumulate(np.abs(rows) * _EPS, axis=1)[:, -1]
-            bad |= ~(np.abs(total) <= np.maximum(POWER_BALANCE_TOL, bound))
+            bad |= ~(np.abs(imbalance(rows)) <= balance_tolerance(rows))
         else:
             bad |= (rows <= 0.0).any(axis=1)
     for row in rows[bad]:
         net.with_arrays(**{name: row})
 
 
-def power_balanced(total: float, terms: Iterable[float], n: int) -> bool:
-    """Whether the injections of n nodes balance: their float sum ``total`` lies
-    within max(:data:`POWER_BALANCE_TOL`, n eps sum |P_i|) of 0.
-
-    ``terms`` are the injections, or sums of groups of them, such as a
-    generation budget beside the fixed injections.  A float sum of n terms
-    can miss the exact sum by about n eps sum |P_i|, so balanced networks
-    with large injections pass.  Each |term| is scaled by eps, a power of 2,
-    before it is added, which is exact and keeps the bound finite.
-    """
-    return abs(total) <= max(POWER_BALANCE_TOL, n * _sequential_sum(abs(t) * _EPS for t in terms))
+@np.errstate(over="ignore")  # a sum beyond the float range is inf, never balanced
+def imbalance(power: np.ndarray) -> np.ndarray:
+    """Sum of ``power`` along its last axis, added left to right on every Python
+    version: numpy's pairwise sum, or the builtin ``sum``, compensated from
+    Python 3.12 on, would move the edge of :func:`balance_tolerance`."""
+    return np.add.accumulate(power, axis=-1)[..., -1]
 
 
-def _sequential_sum(values: Iterable[float]) -> float:
-    """The float sum of ``values`` added left to right, on every Python version.
-
-    The builtin ``sum`` of floats is compensated from Python 3.12 on, so its
-    result, and which networks balance, would depend on the interpreter.
-    """
-    return reduce(operator.add, values, 0.0)
+def balance_tolerance(power: np.ndarray) -> np.ndarray:
+    """max(TOL, TOL_SCALE eps sum |P_i|) along the last axis: the power flow's
+    stopping tolerance, and the most :func:`imbalance` a network may carry, as
+    the Newton system leaves out node 1, whose mismatch tends to the imbalance.
+    TOL_SCALE eps is a power of 2: scaling each term first is exact and finite."""
+    return np.maximum(TOL, np.abs(power * (TOL_SCALE * _EPS)).sum(axis=-1))
 
 
 def _require_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise NetworkParseError(f"{where}: expected a number, got {value!r}")
     try:
         return float(value)
@@ -297,7 +285,7 @@ def _require_number(value, where: str) -> float:
 
 
 def _require_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_number(value, integral=True):
         raise NetworkParseError(f"{where}: expected an integer, got {value!r}")
     return value
 
@@ -372,6 +360,11 @@ def network_from_arrays(
     lines: Iterable[tuple[int, int, float]],
 ) -> Network:
     """Network from parallel node arrays and 1-based (from, to, capacity) triples."""
+    lines = [tuple(line) if np.iterable(line) else (line,) for line in lines]
+    for pos, line in enumerate(lines):
+        if len(line) != 3 or not (is_number(line[0]) and is_number(line[1])):
+            raise NetworkValidationError(
+                f"lines[{pos}]: expected (from, to, capacity) with numeric ends, got {line!r}")
     lines = [(a - 1, b - 1, c) for a, b, c in lines]
     line_from, line_to, capacity = zip(*lines) if lines else ((), (), ())
     nodes = (list(values) for values in (power, inertia, damping, noise))

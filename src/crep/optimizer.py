@@ -28,10 +28,11 @@ from .errors import (
     InfeasibleSpecError,
     NoFeasiblePointError,
     SynchronousStateError,
+    is_number,
     require_int,
 )
 from .escape import DEFAULT_EPS, Analysis, stage_arrays
-from .network import Network, check_rows, power_balanced
+from .network import Network, balance_tolerance, check_rows, imbalance
 from .powerflow import _HALVINGS
 
 BUDGET_TOL = 1e-9
@@ -89,7 +90,12 @@ class DecisionSpec:
             raise InfeasibleSpecError(
                 f"variable must be one of {DECISION_VARIABLES}, got {self.variable!r}"
             )
+        if not all(is_number(i, integral=True) for i in self.indices):
+            raise InfeasibleSpecError(f"indices must be integers, got {self.indices!r}")
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        for name in ("budget", "lower", "upper"):
+            if np.asarray(getattr(self, name)).dtype.kind not in "iuf":
+                raise InfeasibleSpecError(f"{name} must be numeric, got {getattr(self, name)!r}")
         object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
         object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
         k = len(self.indices)
@@ -130,19 +136,21 @@ def index_positions(net: Network, variable: str, indices) -> np.ndarray:
 
 
 def validate_spec(net: Network, spec: DecisionSpec) -> None:
-    """Check the spec against a concrete network; raises InfeasibleSpecError."""
+    """Check the spec against a concrete network; raises InfeasibleSpecError.
+
+    A generation budget must balance the fixed injections as a Network's do."""
     idx = index_positions(net, spec.variable, spec.indices)
     if spec.variable == "generation":
         if np.any(net.power[idx] <= 0.0):
             raise InfeasibleSpecError(
                 "generation indices must point at generator nodes (power > 0)"
             )
-        fixed = float(net.power.sum() - net.power[idx].sum())
-        others = np.delete(net.power, idx).tolist()
-        if not power_balanced(spec.budget + fixed, [spec.budget, *others], net.n):
+        fixed = np.delete(net.power, idx)
+        terms = np.concatenate(([spec.budget], fixed))
+        if not abs(imbalance(terms)) <= balance_tolerance(terms):
             raise InfeasibleSpecError(
                 f"generation budget {spec.budget} does not balance the fixed "
-                f"injections ({-fixed} required)"
+                f"injections ({-fixed.sum()} required)"
             )
     elif np.any(spec.lower <= 0.0):
         raise InfeasibleSpecError(f"{spec.variable} lower bounds must be > 0")

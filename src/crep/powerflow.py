@@ -5,7 +5,8 @@ damped Newton iteration on the reduced system, which leaves out node 1:
 every step moves the other phases only, so node 1 keeps the phase 0 it
 starts at.  Inside the security domain (every line phase gap strictly below
 pi/2) the reduced Jacobian is positive definite and the solution, when it
-exists, is unique.
+exists, is unique.  The iteration stops at
+:func:`~crep.network.balance_tolerance`, the bound on every network's imbalance.
 
 Each Newton step is damped by halving until the max-norm mismatch decreases.
 The full step solves J s = -F, so it is a descent direction; when all
@@ -31,19 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, OutOfDomain, SynchronousStateError
-from .network import Network
+from .network import TOL, TOL_SCALE, Network, balance_tolerance  # noqa: F401 (re-exported)
 
-#: max-norm power mismatch at which the Newton iteration stops, unless the
-#: injections are so large that roundoff alone leaves more: a row's tolerance is
-#: max(TOL, TOL_SCALE * machine epsilon * sum |P_i|), which stays TOL while
-#: sum |P_i| is below about 7000
-TOL = 1e-10
-TOL_SCALE = 64
 MAX_ITER = 50
 #: strictness margin of the security-domain check
 DOMAIN_MARGIN = 1e-12
 HALF_PI = math.pi / 2.0
-_EPS = float(np.finfo(float).eps)
 _MAX_HALVINGS = 30
 #: step scales of the halvings after a failed full step: 2**-1 .. 2**-29
 _HALVINGS = 0.5 ** np.arange(1, _MAX_HALVINGS)
@@ -142,9 +136,7 @@ def solve_state_stack(
     out_residual = np.zeros(count)
     errors: list = [None] * count
     rows = np.arange(count)
-    # TOL_SCALE * eps is a power of 2, so scaling each term first is exact and
-    # cannot overflow; each row sums alone, as in a stack of one
-    tol = np.maximum(TOL, np.abs(power * (TOL_SCALE * _EPS)).sum(axis=1))
+    tol = balance_tolerance(power)  # each row sums alone, as in a stack of one
     power, capacity = power.T, capacity.T
     phase = np.zeros(power.shape)
     mism, gaps = _mismatch(topology, power, capacity, phase)
@@ -236,7 +228,7 @@ def solve_synchronous_state(net: Network) -> SynchronousState:
     Raises :class:`NoConvergence` when no halving of a Newton step lowers
     the mismatch (the message names the iteration, the residual and the
     tolerance) or when the iteration does not reach its tolerance (see
-    :data:`TOL`) within ``MAX_ITER`` steps, and
+    :func:`~crep.network.balance_tolerance`) within ``MAX_ITER`` steps, and
     :class:`OutOfDomain` when the converged phases put some line gap outside
     (-pi/2, pi/2).  Either error means no admissible synchronous state was
     found for these parameters.

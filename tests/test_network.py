@@ -8,6 +8,7 @@ import pytest
 
 import crep
 from crep import (
+    ConfigError,
     NetworkParseError,
     NetworkValidationError,
     load_network,
@@ -523,21 +524,23 @@ def test_derived_network_shares_only_its_fields_and_line_end_caches():
 
 
 def test_balance_is_the_sequential_float_sum():
-    # the tolerance, 1e-9 at these injections, applies to their sum added left
-    # to right on every Python version; numpy's pairwise sum and the exact sum
-    # (close to the builtin sum of Python 3.12 on) fall on its other side
+    # the tolerance, TOL = 1e-10 at these injections, applies to their sum
+    # added left to right on every Python version; numpy's pairwise sum and
+    # the exact sum (close to the builtin sum of Python 3.12 on) fall on its
+    # other side
     cases = [
-        # left to right 1.00000017e-9, pairwise 9.9999994e-10, exactly 1e-9
-        ([1.0, 1.0, -2.0, 0.5, 0.5, 1e-9, 1e-9, -0.5, -0.5, -1e-9], False),
-        # left to right 9.9999997e-10, pairwise 1.00000008e-9, exactly 1.00000005e-9
-        ([1.0, 1.0, 0.5, -2.0, 1e-9, -0.5, 1e-9, -9.9999995e-10, 0.5, -0.5], True),
+        # left to right 1.00000017e-10, pairwise 9.9999795e-11, exactly 9.999976e-11
+        ([0.5, -0.5, 1.0, 9.999976e-11, 0.5, 1.0, -2.0, 1e-10, -0.5, -1e-10], False),
+        # left to right 9.9999992e-11, pairwise 1.00000325e-10, exactly 1.0000028e-10
+        ([1.0, 0.5, -9.999972e-11, -0.5, 1.0, 0.5, -2.0, -0.5, 1e-10, 1e-10], True),
     ]
     lines = [(i, i + 1, 1.0) for i in range(1, 10)]
+    tol = crep.network.TOL
     for power, balanced in cases:
-        assert 10 * math.fsum(abs(p) for p in power) * np.finfo(float).eps < 1e-9
-        assert (abs(functools.reduce(operator.add, power)) <= 1e-9) == balanced
-        assert (abs(float(np.sum(power))) <= 1e-9) != balanced
-        assert (abs(math.fsum(power)) <= 1e-9) != balanced
+        assert crep.network.balance_tolerance(np.array(power)) == tol
+        assert (abs(functools.reduce(operator.add, power)) <= tol) == balanced
+        assert (abs(float(np.sum(power))) <= tol) != balanced
+        assert (abs(math.fsum(power)) <= tol) != balanced
         args = (power, [1.0] * 10, [1.0] * 10, [0.1] * 10, lines)
         if balanced:
             assert network_from_arrays(*args).n == 10
@@ -565,8 +568,8 @@ def test_a_stack_of_rows_raises_what_with_arrays_raises_for_its_first_bad_row():
                 crep.network.check_rows(net, name, stack)
     # the balance of a stack's rows is their sum added left to right: this
     # row's pairwise sum would pass
-    balanced = [1.0, 1.0, 0.5, -2.0, 1e-9, -0.5, 1e-9, -9.9999995e-10, 0.5, -0.5]
-    unbalanced = [1.0, 1.0, -2.0, 0.5, 0.5, 1e-9, 1e-9, -0.5, -0.5, -1e-9]
+    balanced = [1.0, 0.5, -9.999972e-11, -0.5, 1.0, 0.5, -2.0, -0.5, 1e-10, 1e-10]
+    unbalanced = [0.5, -0.5, 1.0, 9.999976e-11, 0.5, 1.0, -2.0, 1e-10, -0.5, -1e-10]
     path = network_from_arrays(balanced, [1.0] * 10, [1.0] * 10, [0.1] * 10,
                                [(i, i + 1, 1.0) for i in range(1, 10)])
     crep.network.check_rows(path, "power", np.array([balanced]))
@@ -582,9 +585,9 @@ def test_equality_compares_all_arrays():
 
 
 @pytest.mark.parametrize("scale,slack,balanced", [
-    (1.0, 0.9e-9, True), (1.0, 1.1e-9, False),
-    # max(1e-9, n eps sum |P_i|) = 5 eps 2.25e8 = 2.5e-7 at scale 1e8
-    (1e8, 2e-7, True), (1e8, 3e-7, False),
+    (1.0, 0.9e-10, True), (1.0, 1.1e-10, False), (1.0, 1.1e-9, False),
+    # max(TOL, 64 eps sum |P_i|) = 64 eps 2.25e8 = 3.2e-6 at scale 1e8
+    (1e8, 2e-7, True), (1e8, 3e-7, True), (1e8, 3.4e-6, False),
 ])
 def test_balance_tolerance_scales_with_the_injections(scale, slack, balanced):
     # dyadic injections: the scaled ones and their sums are exact
@@ -600,9 +603,51 @@ def test_balance_tolerance_scales_with_the_injections(scale, slack, balanced):
 
 
 def test_balance_tolerance_does_not_overflow():
-    # sum |P_i| beyond the float range keeps a finite bound, 4 eps 6.8e308
-    # = 6.1e293, and an infinite sum is never balanced
-    huge = [1.7e308, -1.7e308, 1.7e308, -1.7e308]
-    assert crep.network.power_balanced(1e293, huge, 4)
-    assert not crep.network.power_balanced(1e294, huge, 4)
-    assert not crep.network.power_balanced(math.inf, huge, 4)
+    # sum |P_i| beyond the float range keeps a finite tolerance, 64 eps 6.8e308
+    # = 9.7e294, and a sum beyond the float range is inf and never balances
+    huge = 1.7e308
+    lines = [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]
+
+    def build(power):
+        return network_from_arrays(power, [1.0] * 4, [1.0] * 4, [0.0] * 4, lines)
+
+    tol = crep.network.balance_tolerance(np.array([huge, -huge, huge, -huge]))
+    assert tol == 4 * (huge * 2.0**-46)
+    assert build([huge, -huge, huge, 9e294 - huge]).n == 4
+    for power in ([huge, -huge, huge, 1e295 - huge], [huge, huge, -huge, -huge]):
+        with pytest.raises(NetworkValidationError, match="power imbalance"):
+            build(power)
+
+
+TWO_NODES = ([0.5, -0.5], [1.0] * 2, [1.0] * 2, [0.1] * 2)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: network_from_arrays(*TWO_NODES, [(1, 2)]), NetworkValidationError,
+     "lines[0]: expected (from, to, capacity) with numeric ends, got (1, 2)"),
+    (lambda: network_from_arrays(*TWO_NODES, [("1", 2, 1.0)]), NetworkValidationError,
+     "lines[0]: expected (from, to, capacity) with numeric ends, got ('1', 2, 1.0)"),
+    (lambda: network_from_arrays(*TWO_NODES, [(True, 2, 1.0)]), NetworkValidationError,
+     "lines[0]: expected (from, to, capacity) with numeric ends, got (True, 2, 1.0)"),
+    (lambda: ring5_net().with_line_capacity(1.5, 2.0), NetworkValidationError,
+     "no line with index 1.5"),
+    (lambda: ring5_net().with_line_capacity(True, 2.0), NetworkValidationError,
+     "no line with index True"),
+    (lambda: ring5_net().with_added_line("1", 3, 1.0), NetworkValidationError,
+     "line (1,3): unknown node id '1'"),
+    (lambda: ring5_net().with_added_line(1, True, 1.0), NetworkValidationError,
+     "line (1,True): unknown node id True"),
+    (lambda: crep.smib_analytic("x", 1.0, 2.0, 1.0, 0.4), ConfigError,
+     "inertia must be a real number, got 'x'"),
+    (lambda: crep.smib_network("x", 1.0, 2.0, 1.0, 0.4), ConfigError,
+     "inertia must be a real number, got 'x'"),
+    (lambda: crep.smib_network(1.0, 1.0, 2.0, 1.0, 0.4, bus_scale=None), ConfigError,
+     "bus_scale must be a real number, got None"),
+], ids=["short-line", "str-end", "bool-end", "fractional-index", "bool-index", "str-id",
+        "bool-id", "smib_analytic", "smib_network", "bus_scale"])
+def test_public_builders_reject_arguments_that_are_not_numbers(build, error, message):
+    # a named error, never a bare ValueError, TypeError or IndexError, and a
+    # bool is not read as the index 0 or 1
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

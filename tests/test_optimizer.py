@@ -261,6 +261,39 @@ def test_spec_network_validation():
         crep.optimizer.validate_spec(net, spec)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("indices", (1.7, 2)), ("indices", (True, 2)), ("indices", ("3", 2)),
+    ("indices", (math.nan, 2)), ("indices", (None, 2)),
+    ("budget", "3.0"), ("budget", None), ("budget", True),
+    ("lower", ["a", 1.0]), ("upper", [None, 2.0]),
+], ids=["fraction", "bool", "str", "nan", "none", "budget-str", "budget-none", "budget-bool",
+        "lower-str", "upper-none"])
+def test_spec_rejects_indices_budget_and_bounds_that_are_not_numbers(field, value):
+    # a fractional or bool index must not be read as the line it truncates to
+    spec = {"variable": "line_capacity", "indices": (1, 2), "budget": 3.0,
+            "lower": [1.0, 1.0], "upper": [2.0, 2.0]}
+    with pytest.raises(InfeasibleSpecError, match=f"^{field} must be (integers|numeric), got "):
+        DecisionSpec(**{**spec, field: value})
+
+
+@pytest.mark.parametrize("off", [5e-10, -5e-10])
+def test_a_generation_budget_beyond_the_balance_tolerance_is_rejected_before_any_search(
+    monkeypatch, off
+):
+    # ring5's loads need 1.1 of generation; a budget off by 5 TOL leaves every
+    # candidate an imbalance its power flow cannot meet, so none is scored
+    def scored(*args):
+        raise AssertionError("a candidate was scored")
+
+    monkeypatch.setattr(crep.optimizer, "stage_arrays", scored)
+    spec = DecisionSpec("generation", (1, 3), 1.1 + off, np.zeros(2), np.full(2, 2.0))
+    with pytest.raises(InfeasibleSpecError, match="does not balance the fixed injections"):
+        optimize(ring5_net(), spec, ObjectiveKind.crep_phi_delta)
+    # a budget off by half TOL balances
+    within = DecisionSpec("generation", (1, 3), 1.1 + off / 10, np.zeros(2), np.full(2, 2.0))
+    crep.optimizer.validate_spec(ring5_net(), within)
+
+
 @pytest.mark.parametrize("variable,index,kind", [
     ("line_capacity", 0, "line"), ("line_capacity", 6, "line"), ("inertia", 7, "node"),
     ("damping", -1, "node"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crep import (
+    NetworkValidationError,
     NoConvergence,
     OutOfDomain,
     SynchronousStateError,
@@ -260,3 +261,21 @@ def test_each_row_stops_at_its_own_tolerance():
         assert [re.search(r"tol (\S+)\)$", str(error)).group(1) for error in errors] == \
             ["1.000e-10", f"{tol:.3e}"]
         assert all(isinstance(error, NoConvergence) for error in errors)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_a_network_loads_exactly_when_the_power_flow_can_meet_its_imbalance(scale):
+    # dyadic injections sum to exactly 0; the Newton system leaves out node 1,
+    # whose mismatch tends to the slack added there, so a slack within the
+    # stopping tolerance loads and solves, and one beyond it does not load
+    net = ring5_net()
+    power = np.array([0.875, -0.25, 0.25, -0.5, -0.375]) * scale
+    tol = crep.network.balance_tolerance(power)
+    slack = np.zeros(5)
+    slack[0] = 0.9 * tol
+    state = solve_synchronous_state(
+        net.with_arrays(power=power + slack, capacity=net.capacity * scale))
+    assert 0.9 * tol * (1 - 1e-3) <= state.residual <= tol
+    slack[0] = 1.1 * tol
+    with pytest.raises(NetworkValidationError, match="^power imbalance"):
+        net.with_arrays(power=power + slack, capacity=net.capacity * scale)

@@ -22,7 +22,9 @@ from .errors import (
 )
 from .linearize import VarianceReport, variance_report, variance_stack
 from .network import Network, network_from_arrays
-from .powerflow import HALF_PI, SynchronousState, solve_state_stack, solve_synchronous_state
+from .powerflow import (
+    _HALVINGS, HALF_PI, SynchronousState, solve_state_stack, solve_synchronous_state,
+)
 
 #: default half-width eps of the critical frequency interval (rad/s)
 DEFAULT_EPS = 0.02
@@ -217,6 +219,13 @@ class Analysis:
 #: the stages of an analysis, in order
 _STAGES = ("state", "variance", "report")
 
+#: cap on the cells of one slice of a stack, counted per row as
+#: (2n + m)^2 + 29 n: no matrix an analysis keeps is larger than (2n + m)^2,
+#: and its power flow tries 29 halvings of n phases at once.  Each of the few
+#: such arrays of a slice stays within 8 MiB at any network size; a ring5
+#: generation is one slice
+_STACK_CELLS = 1 << 20
+
 
 def stage_arrays(
     topology: Network,
@@ -233,25 +242,35 @@ def stage_arrays(
     the networks of the rows, with their bits, but no per-row object is
     built: :func:`~crep.powerflow.solve_state_stack`,
     :func:`~crep.linearize.variance_stack` and
-    :func:`escape_probabilities` run once each on the rows that still hold
-    no error.  ``state``, if given, is the power flow's outcome for every
-    row (a state, or its error), taken without solving: it must be that of
-    the rows' injections and capacities, since the state does not depend on
-    inertia or damping.
+    :func:`escape_probabilities` run once each per slice of at most
+    ``_STACK_CELLS`` cells (see there) on the rows that still hold no
+    error, so memory stays bounded at any B.  ``state``, if given, is the
+    power flow's outcome for every row (a state, or its error), taken
+    without solving: it must be that of the rows' injections and
+    capacities, since the state does not depend on inertia or damping.
 
     Returns ``(live, stages, errors)``: per row None or its
     :data:`~crep.errors.METRIC_UNDEFINED` error, the indices ``live`` of the
     rows without one, and those rows' stacked stage arrays: ``phase`` and
     ``gaps`` (the state), ``sigma2_delta`` and ``sigma2_omega`` (the
-    variances), ``f_delta`` and ``f_omega`` (the escape probabilities), as
-    far as ``through``.  Raises :class:`ConfigError` for a bad ``eps`` or
-    an unknown ``through``.
+    variances), ``f_delta`` and ``f_omega`` (the escape probabilities),
+    every one through ``through``, with 0 rows if no row is live.  Raises
+    :class:`ConfigError` for a bad ``eps`` or an unknown ``through``.
     """
     _check_eps(eps)
     if through not in _STAGES:
         raise ConfigError(f"through must be one of {_STAGES}, got {through!r}")
-    last = _STAGES.index(through)
     count, n, m = len(rows["capacity"]), topology.n, topology.m
+    size = max(1, _STACK_CELLS // ((2 * n + m) ** 2 + _HALVINGS.size * n))
+    if count > size:
+        starts = range(0, count, size)
+        slices = [stage_arrays(topology, {name: rows[name][start:start + size] for name in rows},
+                               eps, through, state) for start in starts]
+        live = np.concatenate([start + live for start, (live, _, _) in zip(starts, slices)])
+        stages = {name: np.concatenate([stages[name] for _, stages, _ in slices])
+                  for name in slices[0][1]}
+        return live, stages, [error for _, _, errors in slices for error in errors]
+    last = _STAGES.index(through)
     if state is None:
         phase, gaps, _, errors = solve_state_stack(topology, rows["power"], rows["capacity"])
     else:
@@ -261,7 +280,7 @@ def stage_arrays(
         errors = [None if solved else state] * count
     live = np.flatnonzero([error is None for error in errors])
     stages = {"phase": phase[live], "gaps": gaps[live]}
-    if last == 0 or not live.size:
+    if last == 0:
         return live, stages, errors
     (_, _, variances, _), failed = variance_stack(
         topology, rows["capacity"][live], stages["gaps"],
@@ -273,7 +292,7 @@ def stage_arrays(
             errors[j] = error
         live = live[kept]
         stages = {name: stage[kept] for name, stage in stages.items()}
-    if last == 1 or not live.size:
+    if last == 1:
         return live, stages, errors
     stages["f_delta"], stages["f_omega"] = escape_probabilities(
         stages["gaps"], stages["sigma2_delta"], stages["sigma2_omega"], eps)

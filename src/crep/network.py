@@ -52,8 +52,9 @@ class Network:
     the line ends, ``float`` otherwise) and raises
     :class:`NetworkValidationError` naming the first violated invariant, in
     this order: each array converts (line ends to integers, without
-    rounding); array shapes; nodes, in node order; lines (self-loop,
-    capacity, endpoints, duplicate), in line order; power balance (see
+    rounding) and holds integers or floats, not bools or strings; array
+    shapes; nodes, in node order; lines (self-loop, capacity, endpoints,
+    duplicate), in line order; power balance (see
     :func:`balance_tolerance`); connectivity.  Every network, a derived copy
     included, is built and checked by the constructor.  Networks are equal
     when all seven arrays are.
@@ -74,6 +75,9 @@ class Network:
                 arr = np.array(given, np.int64 if is_end else float)
             except (OverflowError, TypeError, ValueError) as exc:
                 raise NetworkValidationError(f"{name}: {exc}") from exc
+            dtype = np.asarray(given).dtype
+            if dtype.kind not in "iuf":  # a bool is not an integer
+                raise NetworkValidationError(f"{name}: expected integers or floats, got {dtype}")
             if is_end and not np.array_equal(arr, given):
                 raise NetworkValidationError(f"{name}: line ends must be integer node indices")
             object.__setattr__(self, name, _frozen(arr))

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .escape import DEFAULT_EPS, Analysis, stage_arrays
 from .network import Network, balance_tolerance, check_rows, imbalance
-from .powerflow import _HALVINGS
 
 BUDGET_TOL = 1e-9
 
@@ -266,14 +265,6 @@ _OBJECTIVES = {
 }
 
 
-#: cap on the cells of one stack of candidates, counted per row as
-#: (2n + m)^2 + 29 n: no matrix an analysis keeps is larger than (2n + m)^2,
-#: and its power flow tries 29 halvings of n phases at once.  Each of the few
-#: such arrays of a stack stays within 8 MiB at any network size; a ring5
-#: generation is one stack
-_STACK_CELLS = 1 << 20
-
-
 def _candidate_rows(net: Network, spec: DecisionSpec, thetas) -> dict[str, np.ndarray]:
     """The parameter rows of ``net`` with each of the (B, k) ``thetas`` written into the decision.
 
@@ -294,14 +285,10 @@ def _candidate_rows(net: Network, spec: DecisionSpec, thetas) -> dict[str, np.nd
 
 
 def _candidate_stages(base: Analysis, spec: DecisionSpec, thetas, through: str):
-    """Stage arrays of ``base.net`` with each theta written into the decision, in order.
+    """What :func:`~crep.escape.stage_arrays` returns through ``through`` for
+    ``base.net`` with each theta written into the decision, in order.
 
-    Yields, per stack of thetas, what :func:`~crep.escape.stage_arrays`
-    returns for it through ``through``, with the indices of its rows
-    counted from the first theta.  The thetas are analysed in stacks of at
-    most ``_STACK_CELLS`` cells (see there), and each stack is released
-    before the next is built, so memory stays bounded for any count of
-    thetas.  Inertia and damping candidates inherit the outcome of the base
+    Inertia and damping candidates inherit the outcome of the base
     network's power flow, solved once on first use: its state, or its error,
     which each candidate's own power flow would raise with the same message.
     """
@@ -311,24 +298,17 @@ def _candidate_stages(base: Analysis, spec: DecisionSpec, thetas, through: str):
             state = base.state
         except SynchronousStateError as error:
             state = error
-    net = base.net
-    size = max(1, _STACK_CELLS // ((2 * net.n + net.m) ** 2 + _HALVINGS.size * net.n))
-    for start in range(0, len(thetas), size):
-        rows = _candidate_rows(net, spec, thetas[start:start + size])
-        live, stages, errors = stage_arrays(net, rows, base.eps, through, state)
-        yield start + live, stages, errors
+    rows = _candidate_rows(base.net, spec, thetas)
+    return stage_arrays(base.net, rows, base.eps, through, state)
 
 
 def _candidate_values(base: Analysis, spec: DecisionSpec, thetas,
                       objective: _Objective) -> tuple[np.ndarray, list]:
     """Per theta, in order, its natural objective value and None, or the
     objective's penalty and the error of its stages."""
+    live, stages, errors = _candidate_stages(base, spec, thetas, objective.stage)
     naturals = np.full(len(thetas), objective.penalty)
-    errors: list = []
-    for live, stages, stack_errors in _candidate_stages(base, spec, thetas, objective.stage):
-        if live.size:
-            naturals[live] = objective.read(stages)
-        errors += stack_errors
+    naturals[live] = objective.read(stages)
     return naturals, errors
 
 
@@ -652,27 +632,20 @@ def min_max_sigma_equivalence_check(
     rng = np.random.default_rng(seed)
     draws = rng.uniform(spec.lower, spec.upper, size=(n_samples, spec.dim))
     thetas = project_to_budget_box(draws, spec.lower, spec.upper, spec.budget)
-    log_norms, s_norms = [], []
-    failure = None  # the first error of a stage past the state
-    for live, stages, errors in _candidate_stages(base, spec, thetas, "variance"):
-        if failure is None:
-            failure = next((error for error in errors if error is not None
-                            and not isinstance(error, SynchronousStateError)), None)
-        if not live.size:
-            continue
-        sigma2 = stages["sigma2_omega"]
-        # f_omega is erfc(eps / (sigma sqrt 2)) = 2 ndtr(-eps / sigma); its
-        # logarithm ranks the tails alike and does not underflow to 0
-        with np.errstate(divide="ignore"):
-            log_tails = log_ndtr(-eps / np.sqrt(sigma2))
-        if not np.array_equal(np.argmax(log_tails, axis=1), np.argmax(sigma2, axis=1)):
-            return False
-        log_norms.append(np.max(log_tails, axis=1))
-        s_norms.append(np.max(sigma2, axis=1))
-    if not log_norms:
+    live, stages, errors = _candidate_stages(base, spec, thetas, "variance")
+    if not live.size:
+        failure = next((error for error in errors
+                        if not isinstance(error, SynchronousStateError)), None)
         raise _no_feasible_point(
             failure, "no sampled candidate admitted an in-domain synchronous state",
             "no sampled candidate was feasible; the first with a state")
-    order_f = np.argsort(np.concatenate(log_norms), kind="stable")
-    order_s = np.argsort(np.concatenate(s_norms), kind="stable")
+    sigma2 = stages["sigma2_omega"]
+    # f_omega is erfc(eps / (sigma sqrt 2)) = 2 ndtr(-eps / sigma); its
+    # logarithm ranks the tails alike and does not underflow to 0
+    with np.errstate(divide="ignore"):
+        log_tails = log_ndtr(-eps / np.sqrt(sigma2))
+    if not np.array_equal(np.argmax(log_tails, axis=1), np.argmax(sigma2, axis=1)):
+        return False
+    order_f = np.argsort(np.max(log_tails, axis=1), kind="stable")
+    order_s = np.argsort(np.max(sigma2, axis=1), kind="stable")
     return bool(np.array_equal(order_f, order_s))

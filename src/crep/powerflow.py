@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, OutOfDomain, SynchronousStateError
-from .network import TOL, TOL_SCALE, Network, balance_tolerance  # noqa: F401 (re-exported)
+from .network import Network, balance_tolerance
 
 MAX_ITER = 50
 #: strictness margin of the security-domain check

@@ -261,6 +261,20 @@ def test_every_entry_point_reproduces_the_stagewise_pipeline(eps):
 
 
 UNIFORM_DAMPING, MIXED_DAMPING = (0.8,) * 5, (0.8, 0.9, 0.7, 1.0, 0.6)
+PARAMETERS = ("power", "inertia", "damping", "noise", "capacity")
+
+
+def _capacity_generation(dampings):
+    """75 ring5 networks of line capacities on the budget 5, the j-th with
+    ``dampings[j % len(dampings)]``, and their stacked parameter rows."""
+    nets = [ring5_net().with_arrays(damping=np.array(damping)) for damping in dampings]
+    spec = crep.DecisionSpec("line_capacity", tuple(range(1, 6)), 5.0,
+                             np.full(5, 0.2), np.full(5, 3.0))
+    rng = np.random.default_rng(40)
+    thetas = [crep.project_to_budget_box(x, spec.lower, spec.upper, spec.budget)
+              for x in rng.uniform(0.2, 3.0, (75, 5))]
+    stack = [crep.apply_decision(nets[j % len(nets)], spec, t) for j, t in enumerate(thetas)]
+    return stack, {name: np.array([getattr(net, name) for net in stack]) for name in PARAMETERS}
 
 
 @pytest.mark.parametrize("dampings", [[UNIFORM_DAMPING], [MIXED_DAMPING],
@@ -271,15 +285,7 @@ def test_a_stack_gives_the_bits_of_its_rows_alone(dampings):
     # without a state; uniform damping takes the closed form, mixed the Schur
     # path, and the interleaved rows alternate them, so one stack's shared
     # reduction is split between the two solvers
-    nets = [ring5_net().with_arrays(damping=np.array(damping)) for damping in dampings]
-    spec = crep.DecisionSpec("line_capacity", tuple(range(1, 6)), 5.0,
-                             np.full(5, 0.2), np.full(5, 3.0))
-    rng = np.random.default_rng(40)
-    thetas = [crep.project_to_budget_box(x, spec.lower, spec.upper, spec.budget)
-              for x in rng.uniform(0.2, 3.0, (75, 5))]
-    stack = [crep.apply_decision(nets[j % len(nets)], spec, t) for j, t in enumerate(thetas)]
-    rows = {name: np.array([getattr(net, name) for net in stack])
-            for name in ("power", "inertia", "damping", "noise", "capacity")}
+    stack, rows = _capacity_generation(dampings)
     live, stages, errors = crep.escape.stage_arrays(stack[0], rows, crep.DEFAULT_EPS)
     infeasible = 0
     for j, (net, error) in enumerate(zip(stack, errors)):
@@ -301,6 +307,63 @@ def test_a_stack_gives_the_bits_of_its_rows_alone(dampings):
                            ("f_omega", alone.report.f_omega)):
             assert stages[name][row].tobytes() == want.tobytes(), name
     assert 10 < infeasible < 65
+
+
+@pytest.mark.parametrize("through", ["state", "variance", "report"])
+def test_a_stack_in_slices_gives_the_bits_of_the_whole_stack(monkeypatch, through):
+    # rows without a state, closed-form rows and Schur rows, interleaved; a
+    # cap of three ring5 rows ((2n + m)^2 + 29n = 370 cells each) runs the
+    # 75 rows in 25 slices, which give the whole stack's arrays and errors
+    stack, rows = _capacity_generation([UNIFORM_DAMPING, MIXED_DAMPING])
+    whole = crep.escape.stage_arrays(stack[0], rows, crep.DEFAULT_EPS, through)
+    sizes = []
+    solve_state_stack = crep.escape.solve_state_stack
+    monkeypatch.setattr(crep.escape, "solve_state_stack",
+                        lambda net, power, capacity: sizes.append(len(capacity))
+                        or solve_state_stack(net, power, capacity))
+    monkeypatch.setattr(crep.escape, "_STACK_CELLS", 3 * 370 + 10)
+    live, stages, errors = crep.escape.stage_arrays(stack[0], rows, crep.DEFAULT_EPS, through)
+    assert sizes == [3] * 25
+    assert live.dtype == whole[0].dtype and live.tobytes() == whole[0].tobytes()
+    assert 10 < len(stack) - live.size < 65
+    assert list(stages) == list(whole[1])
+    for name, array in stages.items():
+        assert array.shape == whole[1][name].shape and array.tobytes() == whole[1][name].tobytes()
+    assert [(type(error), str(error)) for error in errors] == \
+        [(type(error), str(error)) for error in whole[2]]
+
+
+def _failing_stacks():
+    """(name, topology, rows, state, failed stage) of three ring5 rows each of
+    which fails: without a state (solved, or the base's error given), or
+    with an overflowing Lyapunov solve."""
+    net = ring5_net(caps=(0.01,) * 5)
+    noisy = ring5_net().with_arrays(damping=np.array(MIXED_DAMPING),
+                                    noise=ring5_net().noise * 1e160)
+    with pytest.raises(crep.SynchronousStateError) as base:
+        crep.Analysis(net).state
+
+    def rows(of):
+        return {name: np.broadcast_to(getattr(of, name), (3, getattr(of, name).size))
+                for name in PARAMETERS}
+    return [("no-state", net, rows(net), None, crep.SynchronousStateError),
+            ("base-error", net, rows(net), base.value, crep.SynchronousStateError),
+            ("lyapunov", noisy, rows(noisy), None, crep.LyapunovSolveError)]
+
+
+@pytest.mark.parametrize("through, keys", [
+    ("variance", ["phase", "gaps", "sigma2_delta", "sigma2_omega"]),
+    ("report", ["phase", "gaps", "sigma2_delta", "sigma2_omega", "f_delta", "f_omega"]),
+], ids=["variance", "report"])
+def test_a_stack_without_a_feasible_row_returns_every_stage_with_0_rows(through, keys):
+    for name, net, rows, state, failure in _failing_stacks():
+        live, stages, errors = crep.escape.stage_arrays(net, rows, crep.DEFAULT_EPS,
+                                                        through, state)
+        assert live.size == 0 and list(stages) == keys, name
+        for key, array in stages.items():
+            width = net.n if key in ("phase", "sigma2_omega", "f_omega") else net.m
+            assert array.shape == (0, width), (name, key)
+        assert all(isinstance(error, failure) for error in errors) and len(errors) == 3, name
 
 
 def test_analysis_runs_each_stage_once(monkeypatch):
@@ -350,7 +413,7 @@ def test_each_stage_runs_once_in_the_read_order_of_analyze(monkeypatch):
     with pytest.raises(crep.LyapunovSolveError, match="Lyapunov residual nan") as info:
         noisy.variance
     state = noisy.state
-    assert state is noisy.state and state.residual <= crep.powerflow.TOL
+    assert state is noisy.state and state.residual <= crep.network.TOL
     for stage in ("report", "variance"):
         with pytest.raises(crep.LyapunovSolveError) as again:
             getattr(noisy, stage)

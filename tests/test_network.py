@@ -651,3 +651,35 @@ def test_public_builders_reject_arguments_that_are_not_numbers(build, error, mes
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: crep.Network(["0.5", "-0.5"], *TWO_NODES[1:], [0], [1], [1.5]),
+     "power: expected integers or floats, got <U4"),
+    (lambda: crep.Network(*TWO_NODES, [0], [1], ["1.5"]),
+     "capacity: expected integers or floats, got <U3"),
+    (lambda: crep.Network(*TWO_NODES, [False], [True], [1.5]),
+     "line_from: expected integers or floats, got bool"),
+    (lambda: crep.Network(*TWO_NODES, [0], np.array([True]), [1.5]),
+     "line_to: expected integers or floats, got bool"),
+    (lambda: crep.Network(TWO_NODES[0], [True, True], *TWO_NODES[2:], [0], [1], [1.5]),
+     "inertia: expected integers or floats, got bool"),
+    (lambda: network_from_arrays(["0.5", "-0.5"], *TWO_NODES[1:], [(1, 2, 1.5)]),
+     "power: expected integers or floats, got <U4"),
+    (lambda: network_from_arrays(*TWO_NODES, [(1, 2, "1.5")]),
+     "capacity: expected integers or floats, got <U3"),
+    (lambda: two_node_net().with_arrays(damping=[True, True]),
+     "damping: expected integers or floats, got bool"),
+], ids=["str-power", "str-capacity", "bool-ends", "numpy-bool-end", "bool-inertia",
+        "builder-str-power", "builder-str-capacity", "derived-bool-damping"])
+def test_constructor_rejects_arrays_that_are_not_integers_or_floats(build, message):
+    # a numeric string would parse and a bool would read as the index 0 or 1
+    with pytest.raises(NetworkValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_constructor_accepts_any_integer_or_float_dtype():
+    built = crep.Network(*TWO_NODES, np.array([0], np.uint8), np.array([1], np.int32),
+                         np.array([1.5], np.float32))
+    assert built == crep.Network(*TWO_NODES, [0], [1], [1.5])

@@ -514,7 +514,7 @@ def test_machine_parameter_searches_solve_the_power_flow_once(monkeypatch, varia
     assert solves == [overloaded]
     theta = np.array([0.7, 1.3])
     base = crep.Analysis(overloaded)
-    ((_, _, (error,)),) = crep.optimizer._candidate_stages(base, spec, [theta], "report")
+    _, _, (error,) = crep.optimizer._candidate_stages(base, spec, [theta], "report")
     with pytest.raises(crep.SynchronousStateError) as alone:
         crep.Analysis(apply_decision(overloaded, spec, theta)).report
     assert type(error) is type(alone.value) and str(error) == str(alone.value)
@@ -522,7 +522,7 @@ def test_machine_parameter_searches_solve_the_power_flow_once(monkeypatch, varia
 
 def test_searches_in_small_stacks_give_the_results_of_whole_generations(monkeypatch):
     # a cap of three ring5 rows ((2n + m)^2 + 29n = 370 cells each) splits
-    # every generation of 75 into stacks; rows are independent, so neither the
+    # every generation of 75 into slices; rows are independent, so neither the
     # search nor the sampled check moves by a bit
     net = ring5_net()
     spec = DecisionSpec("line_capacity", tuple(range(1, 6)), 5.0,
@@ -535,11 +535,11 @@ def test_searches_in_small_stacks_give_the_results_of_whole_generations(monkeypa
 
     whole, whole_check = run()
     sizes = []
-    stage_arrays = crep.optimizer.stage_arrays
-    monkeypatch.setattr(crep.optimizer, "stage_arrays",
-                        lambda net, stack, *args: sizes.append(len(stack["capacity"]))
-                        or stage_arrays(net, stack, *args))
-    monkeypatch.setattr(crep.optimizer, "_STACK_CELLS", 3 * 370 + 10)
+    solve_state_stack = crep.escape.solve_state_stack
+    monkeypatch.setattr(crep.escape, "solve_state_stack",
+                        lambda net, power, capacity: sizes.append(len(capacity))
+                        or solve_state_stack(net, power, capacity))
+    monkeypatch.setattr(crep.escape, "_STACK_CELLS", 3 * 370 + 10)
     split, split_check = run()
     assert max(sizes) == 3 and sizes.count(3) > 100
     assert split.theta.tobytes() == whole.theta.tobytes()

@@ -210,7 +210,7 @@ def test_iteration_limit_fails_only_the_rows_still_running(monkeypatch):
         r"\(residual \d\.\d{3}e[-+]\d+ > tol 1\.000e-10\)$"
     )):
         solve_synchronous_state(slow)
-    assert solve_synchronous_state(fast).residual <= crep.powerflow.TOL
+    assert solve_synchronous_state(fast).residual <= crep.network.TOL
     phase, gaps, residual, errors = solve_stack([fast, slow])
     assert errors[0] is None and isinstance(errors[1], NoConvergence)
     assert np.array_equal(phase[0], alone.phase)

@@ -45,9 +45,12 @@ def escape_prob_line(mean: float, sigma: float) -> float:
     Evaluated as a sum of two complementary-error-function tails, which is
     exact and cancellation-free for means inside the interval.  ``sigma == 0``
     returns 0 (the mean is strictly inside the interval).  Raises
-    :class:`ConfigError` unless ``sigma`` is finite and >= 0 and ``mean``
-    lies inside the interval.
+    :class:`ConfigError` naming an argument that is not a real number (or is
+    a bool), and unless ``sigma`` is finite and >= 0 and ``mean`` lies
+    inside the interval.
     """
+    require_real(mean, "mean")
+    require_real(sigma, "sigma")
     if not 0.0 <= sigma < math.inf:
         raise ConfigError(f"sigma must be finite and >= 0, got {sigma!r}")
     if not abs(mean) < HALF_PI:
@@ -62,9 +65,11 @@ def escape_prob_line(mean: float, sigma: float) -> float:
 def escape_prob_freq(sigma: float, eps: float) -> float:
     """P(|X| >= eps) for mean-zero X ~ N(0, sigma^2); 0 when sigma == 0.
 
-    Raises :class:`ConfigError` unless ``sigma`` is finite and >= 0 and
-    ``eps`` is finite and > 0.
+    Raises :class:`ConfigError` naming an argument that is not a real number
+    (or is a bool), and unless ``sigma`` is finite and >= 0 and ``eps`` is
+    finite and > 0.
     """
+    require_real(sigma, "sigma")
     if not 0.0 <= sigma < math.inf:
         raise ConfigError(f"sigma must be finite and >= 0, got {sigma!r}")
     _check_eps(eps)
@@ -100,7 +105,8 @@ def crep_from_moments(
     """Assemble a report from synchronous line gaps and stationary variances.
 
     The probabilities are :func:`escape_probabilities` on a stack of one,
-    which raises as documented there.
+    which raises as documented there, also where an argument is not 1-D or
+    ``sigma2_delta`` lacks the shape of ``y_delta_star``.
     """
     (f_delta,), (f_omega,) = escape_probabilities(
         np.asarray(y_delta_star, dtype=float)[None],
@@ -141,8 +147,16 @@ def escape_probabilities(
     argument of each tail at +inf, where ``erfc`` is exactly 0.  Raises
     :class:`ConfigError` where those functions would: a variance that is not
     finite and >= 0, a mean gap outside (-pi/2, pi/2) or NaN, or an ``eps``
-    that is not finite and > 0.
+    that is not finite and > 0; also, naming the shapes, for arrays whose
+    shapes disagree, which would otherwise broadcast.
     """
+    shapes = tuple(np.shape(array) for array in (y_delta_star, sigma2_delta, sigma2_omega))
+    if not (len(shapes[0]) == len(shapes[2]) == 2 and shapes[0] == shapes[1]
+            and shapes[0][0] == shapes[2][0]):
+        raise ConfigError(
+            "y_delta_star, sigma2_delta and sigma2_omega must be (B, m), (B, m) and "
+            f"(B, n) arrays, got shapes {shapes[0]}, {shapes[1]} and {shapes[2]}"
+        )
     for name, variance in (("sigma2_delta", sigma2_delta), ("sigma2_omega", sigma2_omega)):
         bad = ~((variance >= 0.0) & (variance < math.inf))
         if bad.any():
@@ -364,11 +378,14 @@ def smib_network(
     Node 1 is the machine; node 2 approximates the infinite bus with inertia
     and damping ``bus_scale`` times larger and no noise.  The embedding error
     of the stationary moments relative to :func:`smib_analytic` is of order
-    ``1 / bus_scale``.  A non-real argument raises :class:`ConfigError` naming it.
+    ``1 / bus_scale``.  A non-real argument raises :class:`ConfigError` naming
+    it; any other real number counts as its float.
     """
-    for name, value in {"inertia": inertia, "damping": damping, "capacity": capacity,
-                        "power": power, "noise": noise, "bus_scale": bus_scale}.items():
+    arguments = {"inertia": inertia, "damping": damping, "capacity": capacity,
+                 "power": power, "noise": noise, "bus_scale": bus_scale}
+    for name, value in arguments.items():
         require_real(value, name)
+    inertia, damping, capacity, power, noise, bus_scale = map(float, arguments.values())
     return network_from_arrays(
         power=[power, -power],
         inertia=[inertia, inertia * bus_scale],

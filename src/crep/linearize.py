@@ -6,24 +6,26 @@ output (line phase gaps and node frequencies) does.  Transforming with the
 orthogonal eigenbasis of ``M^{-1/2} L_c M^{-1/2}`` isolates the structural
 zero mode in the first coordinate; dropping that coordinate leaves a Hurwitz
 (2n-1)-dimensional system.  :func:`reduce_stack` computes that reduction
-for a stack of networks at once, and both variance solvers read it: when
-the damping ratio d_i / m_i is the same at every node the modes decouple in
-pairs and :func:`modal_variances` gives the stationary covariances in closed
-form; otherwise :func:`solve_lyapunov` solves the Lyapunov equation of the
-reduced system, whose real Schur form also gives the slowest decay rate
-min |Re mu|.  Its triangular stage splits the Schur factor recursively
-between 2x2 blocks and solves the blocks mostly in matrix products; LAPACK
-``trsyl`` solves each block of at most :data:`_LYAP_LEAF` rows, so smaller
-systems keep scipy's sequence of calls.  :func:`variance_stack`, the
-variance stage of the analysis pipeline, reduces a stack of parameter rows
-and runs each row on its solver; :func:`variance_report` runs it on a stack
-of one network.  :func:`spectral_reduce` is the same reduction on a stack of
-one network.
+for a stack of networks at once, as arrays, and both variance solvers read
+them: when the damping ratio d_i / m_i is the same at every node the modes
+decouple in pairs and :func:`modal_variances` gives the stationary
+covariances in closed form; otherwise the row's reduced system matrix A2
+(:func:`_reduced_sys`) goes to a Lyapunov solve, whose real Schur form
+also gives the slowest decay rate min |Re mu|.  Its triangular stage
+splits the Schur factor recursively between 2x2 blocks and solves the
+blocks mostly in matrix products; LAPACK ``trsyl`` solves each block of
+at most :data:`_LYAP_LEAF` rows, so smaller systems keep scipy's sequence
+of calls.  :func:`variance_stack`, the variance stage of the analysis
+pipeline, reduces a stack of parameter rows and runs each row on its
+solver; :func:`variance_report` runs it on a stack of one network.  The
+reference chain :func:`build_linearization`, :func:`spectral_reduce`,
+:func:`solve_lyapunov` gives one network's bits through objects the
+pipeline never builds.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -74,36 +76,6 @@ class SpectralReduction:
     reduced_sys: np.ndarray    # (2n-1, 2n-1)
     reduced_input: np.ndarray  # (2n-1, n)
     reduced_output: np.ndarray  # (m+n, 2n-1)
-
-
-@dataclass(frozen=True)
-class StackedReduction:
-    """Spectral reductions of a stack of networks, one row each: the fields of
-    :class:`SpectralReduction` but the reduced system matrix, which depends
-    on the damping and only the Schur path builds (:meth:`spectral_reduction`)."""
-
-    eigenvalues: np.ndarray     # (B, n) ascending, eigenvalues[:, 0] == 0
-    eigenvectors: np.ndarray    # (B, n, n) orthogonal columns
-    reduced_input: np.ndarray   # (B, 2n-1, n)
-    reduced_output: np.ndarray  # (B, m+n, 2n-1)
-
-    def spectral_reduction(self, j: int, damping: np.ndarray,
-                           inertia: np.ndarray) -> SpectralReduction:
-        """Row j with the reduced system matrix A2 of its node ``damping`` and ``inertia``."""
-        eigvals, vectors = self.eigenvalues[j], self.eigenvectors[j]
-        n = eigvals.size
-        # [[0, I], [-diag(eigvals), -U^T diag(d/m) U]] less the zero mode's position
-        a2 = np.zeros((2 * n - 1, 2 * n - 1))
-        a2[:n - 1, n:] = np.eye(n - 1)
-        a2[n - 1:, :n - 1] = -np.diag(eigvals)[:, 1:]
-        a2[n - 1:, n - 1:] = -(vectors.T @ ((damping / inertia)[:, None] * vectors))
-        return SpectralReduction(
-            eigenvalues=eigvals,
-            eigenvectors=vectors,
-            reduced_sys=a2,
-            reduced_input=self.reduced_input[j],
-            reduced_output=self.reduced_output[j],
-        )
 
 
 @dataclass(frozen=True)
@@ -165,15 +137,20 @@ def cos_laplacians(topology: Network, capacity: np.ndarray, gaps: np.ndarray) ->
 
 def reduce_stack(
     laplacians: np.ndarray, inertia: np.ndarray, noise: np.ndarray, topology: Network
-) -> tuple[StackedReduction, list[DegenerateSystemError | LyapunovSolveError | None]]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+           list[DegenerateSystemError | LyapunovSolveError | None]]:
     """Diagonalize the mass-scaled Laplacians of a stack and deflate their zero modes.
 
     ``laplacians`` holds each row's cosine-weighted Laplacian (see
     :func:`cos_laplacians`), ``inertia`` and ``noise`` its (B, n) node rows;
     the rows share ``topology``'s line ends.  One batched ``np.linalg.eigh``
     diagonalizes the whole stack, one matrix per LAPACK call, so each row
-    has the bits it has in a stack of one.  Returns the reduction and, per
-    row, None or its
+    has the bits it has in a stack of one.  Returns the stacked reduction
+    ``(eigvals, vectors, b2, c2)``: the (B, n) ascending eigenvalues with
+    ``eigvals[:, 0] == 0``, the (B, n, n) orthogonal eigenvectors, the
+    (B, 2n-1, n) reduced noise inputs and the (B, m+n, 2n-1) output maps,
+    the fields of :class:`SpectralReduction` but A2, which depends on the
+    damping (see :func:`_reduced_sys`).  Also returns, per row, None or its
     :class:`DegenerateSystemError` (see :func:`_deflate`), or a
     :class:`LyapunovSolveError` where the mass-scaled Laplacian has an entry
     beyond the float range; such a row is no input of either variance solver.
@@ -209,8 +186,20 @@ def reduce_stack(
     c2 = np.zeros((count, m + n, 2 * n - 1))
     c2[:, :m, :n - 1] = scaled[:, topology.line_from, 1:] - scaled[:, topology.line_to, 1:]
     c2[:, m:, n - 1:] = scaled
-    return StackedReduction(eigenvalues=eigvals, eigenvectors=vectors,
-                            reduced_input=b2, reduced_output=c2), errors
+    return (eigvals, vectors, b2, c2), errors
+
+
+def _reduced_sys(eigvals: np.ndarray, vectors: np.ndarray, damping: np.ndarray,
+                 inertia: np.ndarray) -> np.ndarray:
+    """Reduced system matrix A2 of one row of :func:`reduce_stack`'s ``eigvals``
+    and ``vectors``, at its node ``damping`` and ``inertia``."""
+    n = eigvals.size
+    # [[0, I], [-diag(eigvals), -U^T diag(d/m) U]] less the zero mode's position
+    a2 = np.zeros((2 * n - 1, 2 * n - 1))
+    a2[:n - 1, n:] = np.eye(n - 1)
+    a2[n - 1:, :n - 1] = -np.diag(eigvals)[:, 1:]
+    a2[n - 1:, n - 1:] = -(vectors.T @ ((damping / inertia)[:, None] * vectors))
+    return a2
 
 
 def spectral_reduce(model: LinearizedModel, net: Network) -> SpectralReduction:
@@ -219,12 +208,13 @@ def spectral_reduce(model: LinearizedModel, net: Network) -> SpectralReduction:
     :func:`reduce_stack` on a stack of one, with the reduced system matrix.
     Raises the :class:`DegenerateSystemError` of a marginally stable state.
     """
-    reduction, (error,) = reduce_stack(
+    ((eigvals,), (vectors,), (b2,), (c2,)), (error,) = reduce_stack(
         model.laplacian[None], net.inertia[None], net.noise[None], net
     )
     if error is not None:
         raise error
-    return reduction.spectral_reduction(0, net.damping, net.inertia)
+    a2 = _reduced_sys(eigvals, vectors, net.damping, net.inertia)
+    return SpectralReduction(eigvals, vectors, a2, b2, c2)
 
 
 def solve_lyapunov(reduction: SpectralReduction) -> VarianceReport:
@@ -247,20 +237,20 @@ def solve_lyapunov(reduction: SpectralReduction) -> VarianceReport:
     it reports an illegal argument or scales its solution down to avoid
     overflow, or when the residual exceeds its bound.
     """
-    q_x, min_re_mu = _reduced_covariance(reduction)
+    q_x, min_re_mu = _reduced_covariance(reduction.reduced_sys, reduction.reduced_input)
     q_y = _output_covariances(q_x[None], reduction.reduced_output[None])
     return _first_report(q_x[None], q_y, output_variances(q_y), [min_re_mu])
 
 
-def _reduced_covariance(reduction: SpectralReduction) -> tuple[np.ndarray, float]:
-    """The covariance Q of the reduced state and min |Re mu|, by :func:`solve_lyapunov`'s
-    method; raises its :class:`LyapunovSolveError`."""
-    a2 = reduction.reduced_sys
+def _reduced_covariance(a2: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, float]:
+    """The covariance Q of the reduced state with system matrix ``a2`` and noise
+    input ``b2``, and min |Re mu|, by :func:`solve_lyapunov`'s method; raises
+    its :class:`LyapunovSolveError`."""
     r, u = scipy.linalg.schur(a2, output="real")
     # noise beyond the float range overflows here; the residual test below
     # rejects the NaN that follows, with the error in place of the warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        forcing = reduction.reduced_input @ reduction.reduced_input.T
+        forcing = b2 @ b2.T
         f = u.T.dot((-forcing).dot(u))
     y = _triangular_lyapunov(r, f)
     min_re_mu = float(np.min(np.abs(np.diag(r))))
@@ -381,15 +371,17 @@ def uniform_damping_ratios(damping: np.ndarray, inertia: np.ndarray) -> np.ndarr
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # checked at the end
 def modal_variances(
-    reduction: StackedReduction, gamma: np.ndarray
+    eigvals: np.ndarray, b2: np.ndarray, gamma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stationary covariances, in closed form, of networks with a uniform damping ratio.
 
-    ``reduction`` is the :func:`reduce_stack` reduction of networks whose
-    every row has its structural zero mode (no :class:`DegenerateSystemError`),
-    and ``gamma`` holds each network's ratio d_i / m_i, the same at all of
-    its nodes (see :func:`uniform_damping_ratios`).  The modal damping term is
-    then gamma I, so in the eigenbasis (lambda, U) of M^{-1/2} L_c M^{-1/2}
+    ``eigvals`` and ``b2`` are the (B, n) eigenvalues and (B, 2n-1, n)
+    reduced noise inputs that :func:`reduce_stack` gives for networks whose
+    every row has its structural zero mode (no
+    :class:`DegenerateSystemError`), and ``gamma`` holds each network's ratio
+    d_i / m_i, the same at all of its nodes (see
+    :func:`uniform_damping_ratios`).  The modal damping term is then
+    gamma I, so in the eigenbasis (lambda, U) of M^{-1/2} L_c M^{-1/2}
     each pair of modes decouples (Poolla, Bolognani & Dorfler 2017).  With
     S = U^T diag(b^2/m) U the modal forcing (the velocity rows of B2 B2^T),
     the covariances of the mode positions (P), of position and velocity (X)
@@ -419,24 +411,23 @@ def modal_variances(
     (lambda_i + lambda_j) from lambda near 1e32 gamma^2 on and decouple
     modes that symmetry couples.
     """
-    lam = reduction.eigenvalues
-    n = lam.shape[1]
-    forcing = reduction.reduced_input[:, n - 1:, :]
+    n = eigvals.shape[1]
+    forcing = b2[:, n - 1:, :]
     s = forcing @ np.swapaxes(forcing, -1, -2)
     s = 0.5 * (s + np.swapaxes(s, -1, -2))
     g = gamma[:, None, None]
-    li, lj = lam[:, 1:, None], lam[:, None, 1:]
+    li, lj = eigvals[:, 1:, None], eigvals[:, None, 1:]
     total, gap = li + lj, li - lj
-    cluster = _CLUSTER_TOL * n * np.finfo(float).eps * lam[:, -1, None, None]
+    cluster = _CLUSTER_TOL * n * np.finfo(float).eps * eigvals[:, -1, None, None]
     gap[np.abs(gap) <= cluster] = 0.0
     damped = 2.0 * g * g * total
     p = 2.0 * g * s[:, 1:, 1:] / (damped + gap * gap)
     v = np.empty_like(s)
     v[:, 1:, 1:] = 0.5 * total * p
-    v[:, 0, 1:] = gamma[:, None] * s[:, 0, 1:] / (2.0 * gamma[:, None] ** 2 + lam[:, 1:])
+    v[:, 0, 1:] = gamma[:, None] * s[:, 0, 1:] / (2.0 * gamma[:, None] ** 2 + eigvals[:, 1:])
     v[:, 1:, 0] = v[:, 0, 1:]
     v[:, 0, 0] = s[:, 0, 0] / (2.0 * gamma)
-    q_x = np.empty((len(lam), 2 * n - 1, 2 * n - 1))
+    q_x = np.empty((len(eigvals), 2 * n - 1, 2 * n - 1))
     q_x[:, : n - 1, : n - 1] = p
     q_x[:, : n - 1, n:] = gap * p / (2.0 * g)
     q_x[:, : n - 1, n - 1] = v[:, 1:, 0] / gamma[:, None]
@@ -444,9 +435,9 @@ def modal_variances(
     q_x[:, n - 1:, n - 1:] = v
 
     half = 0.5 * gamma[:, None]
-    slack = half * half - lam[:, 1:]
+    slack = half * half - eigvals[:, 1:]
     rates = np.where(
-        slack < 0.0, half, lam[:, 1:] / (half + np.sqrt(np.maximum(slack, 0.0)))
+        slack < 0.0, half, eigvals[:, 1:] / (half + np.sqrt(np.maximum(slack, 0.0)))
     )
     min_re_mu = np.minimum(gamma, rates.min(axis=1, initial=np.inf))
     # 2 gamma^2 + lambda_j overflows only where 2 gamma^2 (lambda_j + lambda_j) does
@@ -466,15 +457,16 @@ def variance_stack(
     ``capacity`` and ``gaps`` are (B, m) rows, the node arrays (B, n) rows;
     any may be a broadcast view.  The stack is reduced once
     (:func:`reduce_stack`).  Its rows with a uniform damping ratio run as one
-    stack of :func:`modal_variances`, the others the solve of
-    :func:`solve_lyapunov` one at a time.  Returns the stacked
+    stack of :func:`modal_variances`, the others one at a time the Schur
+    solve of :func:`solve_lyapunov` on their A2 (:func:`_reduced_sys`).
+    Returns the stacked
     (q_x, q_y, variances, min_re_mu), ``variances`` being
     :func:`output_variances` of q_y, and per row None or its error; the
     entries of a failed row are not defined.
     """
     count, n = len(gaps), topology.n
-    reduction, errors = reduce_stack(cos_laplacians(topology, capacity, gaps), inertia, noise,
-                                     topology)
+    (eigvals, vectors, b2, c2), errors = reduce_stack(
+        cos_laplacians(topology, capacity, gaps), inertia, noise, topology)
     gamma = uniform_damping_ratios(damping, inertia)
     rows = [j for j, error in enumerate(errors) if error is None]
     modal = [j for j in rows if not math.isnan(gamma[j])]
@@ -483,24 +475,23 @@ def variance_stack(
         if math.isnan(gamma[j]):
             try:
                 solved[j] = _reduced_covariance(
-                    reduction.spectral_reduction(j, damping[j], inertia[j]))
+                    _reduced_sys(eigvals[j], vectors[j], damping[j], inertia[j]), b2[j])
             except LyapunovSolveError as exc:
                 errors[j] = exc
     if len(modal) == count:
-        q_x, min_re_mu, overflowed = modal_variances(reduction, gamma)
+        q_x, min_re_mu, overflowed = modal_variances(eigvals, b2, gamma)
     else:
         # allocated after the Schur solves, so that their peak holds no stack
         q_x, min_re_mu = np.zeros((count, 2 * n - 1, 2 * n - 1)), np.zeros(count)
         overflowed = np.zeros(count, dtype=bool)
         if modal:
             q_x[modal], min_re_mu[modal], overflowed[modal] = modal_variances(
-                StackedReduction(*(getattr(reduction, f.name)[modal] for f in fields(reduction))),
-                gamma[modal])
+                eigvals[modal], b2[modal], gamma[modal])
         for j in list(solved):
             q_x[j], min_re_mu[j] = solved.pop(j)
     # a closed form whose output covariance overflows is an error below
     with np.errstate(over="ignore", invalid="ignore"):
-        q_y = _output_covariances(q_x, reduction.reduced_output)
+        q_y = _output_covariances(q_x, c2)
     overflowed |= ~np.isfinite(q_y).all(axis=(1, 2))
     for j in modal:
         if overflowed[j]:

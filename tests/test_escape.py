@@ -2,6 +2,7 @@ import math
 import sys
 import traceback
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -333,6 +334,43 @@ def test_a_stack_in_slices_gives_the_bits_of_the_whole_stack(monkeypatch, throug
         [(type(error), str(error)) for error in whole[2]]
 
 
+def test_the_pipeline_builds_no_spectral_reduction(monkeypatch):
+    # SpectralReduction belongs to the reference chain (spectral_reduce,
+    # solve_lyapunov): the variance stage passes the reduction's arrays, on
+    # the closed form and on the Schur path alike
+    net = ring5_net().with_arrays(damping=np.array(MIXED_DAMPING))
+    stack, rows = _capacity_generation([UNIFORM_DAMPING, MIXED_DAMPING])
+    spec = crep.DecisionSpec("damping", tuple(range(1, 6)), 4.0,
+                             np.full(5, 0.4), np.full(5, 2.0))
+
+    def run():
+        search = crep.optimize(ring5_net(), spec, crep.ObjectiveKind.crep_phi,
+                               search=crep.SearchConfig(seed=4, max_evals=150))
+        return (crep.Analysis(net).variance.q_y,
+                crep.escape.stage_arrays(stack[0], rows, crep.DEFAULT_EPS), search)
+
+    expected = run()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pipeline built a SpectralReduction")
+
+    monkeypatch.setattr(crep.linearize, "SpectralReduction", forbidden)
+    q_y, (live, stages, errors), search = run()
+    assert q_y.tobytes() == expected[0].tobytes()
+    # rows without a state, and closed-form (even) and Schur (odd) rows
+    assert any(isinstance(error, crep.SynchronousStateError) for error in errors)
+    assert (live % 2 == 0).any() and (live % 2 == 1).any()
+    assert live.tobytes() == expected[1][0].tobytes()
+    for name, array in stages.items():
+        assert array.tobytes() == expected[1][1][name].tobytes(), name
+    assert search.evaluations >= 150
+    assert search.theta.tobytes() == expected[2].theta.tobytes()
+    assert search.history == expected[2].history
+    # the reference chain is the one that builds it
+    with pytest.raises(AssertionError, match="built a SpectralReduction"):
+        crep.spectral_reduce(crep.build_linearization(net, crep.solve_synchronous_state(net)), net)
+
+
 def _failing_stacks():
     """(name, topology, rows, state, failed stage) of three ring5 rows each of
     which fails: without a state (solved, or the base's error given), or
@@ -495,13 +533,30 @@ def _gramian_via(via):
         np.zeros((1, 1)), np.ones((1, 1)), -np.ones((1, 2)), 0.02), "sigma2_omega"),
     (lambda: crep.escape.escape_probabilities(
         np.full((1, 1), 2.0), np.ones((1, 1)), np.ones((1, 2)), 0.02), "mean 2.0 outside"),
+    # a named error in place of a bare TypeError, and a bool is no number
+    (lambda: escape_prob_line(0.1, None), "^sigma must be a real number, got None$"),
+    (lambda: escape_prob_line(None, 0.5), "^mean must be a real number, got None$"),
+    (lambda: escape_prob_line(0.1, True), "^sigma must be a real number, got True$"),
+    (lambda: escape_prob_freq("x", 0.02), "^sigma must be a real number, got 'x'$"),
+    (lambda: escape_prob_freq(False, 0.02), "^sigma must be a real number, got False$"),
+    # moments whose shapes disagree used to broadcast: four f_omega entries for two nodes
+    (lambda: crep.crep_from_moments([0.1], [0.01, 0.02], [0.1, 0.1], 0.02),
+     r"must be \(B, m\), \(B, m\) and \(B, n\) arrays, got shapes \(1, 1\), \(1, 2\) "
+     r"and \(1, 2\)$"),
+    (lambda: crep.crep_from_moments(0.1, 0.01, [0.1], 0.02),
+     r"got shapes \(1,\), \(1,\) and \(1, 1\)$"),
+    (lambda: crep.escape.escape_probabilities(
+        np.zeros((2, 1)), np.ones((2, 1)), np.ones((1, 2)), 0.02),
+     r"got shapes \(2, 1\), \(2, 1\) and \(1, 2\)$"),
     (lambda: smib_analytic(1.0, 1.0, 1.0, 1.0, 1.0), "power must satisfy"),
     (lambda: smib_analytic(1.0, 1.0, 1.0, 0.5, -1.0), "noise must be >= 0"),
     (lambda: _gramian_via("both"), "via must be"),
     (lambda: _stage_arrays_through("phase"),
      r"^through must be one of \('state', 'variance', 'report'\), got 'phase'$"),
 ], ids=["line-sigma", "line-mean", "freq-sigma", "stack-sigma2-delta", "stack-sigma2-omega",
-        "stack-mean", "smib-power", "smib-noise", "gramian-via", "stage-through"])
+        "stack-mean", "line-sigma-none", "line-mean-none", "line-sigma-bool", "freq-sigma-str",
+        "freq-sigma-bool", "moments-lines", "moments-scalars", "stack-rows", "smib-power",
+        "smib-noise", "gramian-via", "stage-through"])
 def test_bad_arguments_to_public_functions_are_config_errors(call, message):
     with pytest.raises(crep.CrepError, match=message) as info:
         call()
@@ -557,6 +612,19 @@ def test_smib_f_delta_monotone_toward_capacity():
 def test_smib_f_delta_independent_of_inertia():
     values = {smib_analytic(m, 1.1, 2.0, 1.0, 0.4).f_delta for m in (0.5, 1.0, 7.0)}
     assert len(values) == 1
+
+
+@pytest.mark.parametrize("name", ["inertia", "damping", "capacity", "power", "noise",
+                                  "bus_scale"])
+def test_smib_network_reads_any_real_number_as_its_float(name):
+    # a Fraction used to make an object array, which the constructor rejects
+    arguments = {"inertia": 1.0, "damping": 1.0, "capacity": 2.0, "power": 0.5,
+                 "noise": 0.1, "bus_scale": 1e12}
+    exact = smib_network(**{**arguments, name: Fraction(arguments[name])})
+    net = smib_network(**arguments)
+    for array in PARAMETERS + ("line_from", "line_to"):
+        assert getattr(exact, array).dtype == getattr(net, array).dtype, array
+        assert getattr(exact, array).tobytes() == getattr(net, array).tobytes(), array
 
 
 def test_pipeline_matches_analytic_oracle_across_parameters():

@@ -26,7 +26,6 @@ from crep import (
 from crep.linearize import (
     LYAP_RESIDUAL_TOL,
     _LYAP_LEAF,
-    StackedReduction,
     VarianceReport,
     _output_covariances,
     _triangular_lyapunov,
@@ -79,9 +78,9 @@ def damping_ratio(net):
 
 def closed_form(net, state):
     """The report of modal_variances for one network at its state."""
-    reduction, _ = reduced([net], [state])
-    q_x, min_re_mu, overflowed = modal_variances(reduction, damping_ratio(net))
-    q_y = _output_covariances(q_x, reduction.reduced_output)
+    (eigvals, _, b2, c2), _ = reduced([net], [state])
+    q_x, min_re_mu, overflowed = modal_variances(eigvals, b2, damping_ratio(net))
+    q_y = _output_covariances(q_x, c2)
     assert not overflowed.any() and np.isfinite(q_y).all()
     diag = output_variances(q_y)[0]
     return VarianceReport(q_x[0], q_y[0], diag[:net.m], diag[net.m:], float(min_re_mu[0]))
@@ -550,9 +549,8 @@ def test_a_reduced_stack_gives_the_bits_of_its_rows_alone(n):
     assert errors == [None] * 3
     for j, (row, state) in enumerate(zip(nets, states)):
         alone, _ = reduced([row], [state])
-        for field in fields(StackedReduction):
-            value = getattr(reduction, field.name)[j]
-            assert value.tobytes() == getattr(alone, field.name)[0].tobytes(), field.name
+        for name, stacked, single in zip(("eigvals", "vectors", "b2", "c2"), reduction, alone):
+            assert stacked[j].tobytes() == single[0].tobytes(), name
 
 
 def test_closed_form_answers_a_stiff_network_the_lyapunov_solve_rejects():

@@ -30,6 +30,8 @@ from .powerflow import (
 DEFAULT_EPS = 0.02
 
 _SQRT2 = math.sqrt(2.0)
+#: the signs of a line gap in the arguments of its two tails: pi/2 - y and pi/2 + y
+_TAIL_SIGNS = np.array([[-1.0], [1.0]])
 
 
 def _check_eps(eps: float) -> None:
@@ -157,26 +159,25 @@ def escape_probabilities(
             "y_delta_star, sigma2_delta and sigma2_omega must be (B, m), (B, m) and "
             f"(B, n) arrays, got shapes {shapes[0]}, {shapes[1]} and {shapes[2]}"
         )
+    # one pass per array over the stack, and the first bad entry only if
+    # there is one; a NaN fails every comparison
     for name, variance in (("sigma2_delta", sigma2_delta), ("sigma2_omega", sigma2_omega)):
-        bad = ~((variance >= 0.0) & (variance < math.inf))
-        if bad.any():
+        if not (np.minimum.reduce(variance, axis=None, initial=0.0) >= 0.0
+                and np.maximum.reduce(variance, axis=None, initial=0.0) < math.inf):
+            bad = ~((variance >= 0.0) & (variance < math.inf))
             raise ConfigError(f"{name} must be finite and >= 0, got {float(variance[bad][0])!r}")
-    outside = ~(np.abs(y_delta_star) < HALF_PI)
-    if outside.any():
+    if not np.maximum.reduce(np.abs(y_delta_star), axis=None, initial=0.0) < HALF_PI:
+        outside = ~(np.abs(y_delta_star) < HALF_PI)
         raise ConfigError(
             f"mean {float(y_delta_star[outside][0])!r} outside the open interval (-pi/2, pi/2)"
         )
     _check_eps(eps)
-    m = y_delta_star.shape[1]
     scale_delta = np.sqrt(sigma2_delta) * _SQRT2
+    # pi/2 + (-y) is pi/2 - y, bit for bit
     with np.errstate(divide="ignore"):
-        args = np.concatenate((
-            (HALF_PI - y_delta_star) / scale_delta,
-            (HALF_PI + y_delta_star) / scale_delta,
-            eps / (np.sqrt(sigma2_omega) * _SQRT2),
-        ), axis=1)
-    tails = erfc(args)
-    return 0.5 * (tails[:, :m] + tails[:, m:2 * m]), tails[:, 2 * m:]
+        tails = erfc((HALF_PI + y_delta_star[:, None] * _TAIL_SIGNS) / scale_delta[:, None])
+        f_omega = erfc(eps / (np.sqrt(sigma2_omega) * _SQRT2))
+    return 0.5 * (tails[:, 0] + tails[:, 1]), f_omega
 
 
 @dataclass(frozen=True)
@@ -293,12 +294,17 @@ def stage_arrays(
         gaps = np.broadcast_to(state.output_phase_diffs if solved else 0.0, (count, m))
         errors = [None if solved else state] * count
     live = np.flatnonzero([error is None for error in errors])
-    stages = {"phase": phase[live], "gaps": gaps[live]}
+    if live.size < count:  # a stack whose rows all solved passes on its arrays
+        phase, gaps = phase[live], gaps[live]
+        rows = {name: rows[name][live] for name in ("capacity", "inertia", "damping", "noise")}
+    stages = {"phase": phase, "gaps": gaps}
     if last == 0:
         return live, stages, errors
-    (_, _, variances, _), failed = variance_stack(
-        topology, rows["capacity"][live], stages["gaps"],
-        *(rows[name][live] for name in ("inertia", "damping", "noise")))
+    # a stage runs on the live rows only, and on none if there are none
+    variances, failed = np.zeros((0, m + n)), []
+    if live.size:
+        (_, _, variances, _), failed = variance_stack(
+            topology, rows["capacity"], gaps, rows["inertia"], rows["damping"], rows["noise"])
     stages.update(sigma2_delta=variances[:, :m], sigma2_omega=variances[:, m:])
     kept = [i for i, error in enumerate(failed) if error is None]
     if len(kept) < live.size:
@@ -308,8 +314,10 @@ def stage_arrays(
         stages = {name: stage[kept] for name, stage in stages.items()}
     if last == 1:
         return live, stages, errors
-    stages["f_delta"], stages["f_omega"] = escape_probabilities(
-        stages["gaps"], stages["sigma2_delta"], stages["sigma2_omega"], eps)
+    stages["f_delta"], stages["f_omega"] = np.zeros((0, m)), np.zeros((0, n))
+    if live.size:
+        stages["f_delta"], stages["f_omega"] = escape_probabilities(
+            stages["gaps"], stages["sigma2_delta"], stages["sigma2_omega"], eps)
     return live, stages, errors
 
 

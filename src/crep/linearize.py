@@ -32,7 +32,7 @@ import scipy.linalg
 
 from .errors import DegenerateSystemError, LyapunovSolveError
 from .network import Network
-from .powerflow import SynchronousState, _laplacian
+from .powerflow import SynchronousState, laplacians
 
 #: eigenvalues below this times max(1, largest eigenvalue magnitude) are
 #: treated as the structural zero mode
@@ -46,6 +46,7 @@ ZERO_EIG_TOL = 1e-10
 #: eigenvalues at huge capacities by at most 1.02 eps lambda_max; at its own
 #: capacities their nearest pair lies 7e13 eps lambda_max apart
 _CLUSTER_TOL = 16
+_EPS = float(np.finfo(float).eps)
 #: relative ceiling on ||A2 Q + Q A2^T + B2 B2^T||_max
 LYAP_RESIDUAL_TOL = 1e-8
 #: order at and below which LAPACK trsyl solves a block of the triangular
@@ -115,8 +116,9 @@ def _deflate(eigvals: np.ndarray) -> list[DegenerateSystemError | None]:
     missing = eigvals[:, 0] > zero_tol
     marginal = eigvals[:, 1] <= zero_tol if eigvals.shape[1] > 1 else missing & False
     errors: list = [None] * len(eigvals)
-    if (missing | marginal).any():
-        for j in np.flatnonzero(missing | marginal):
+    degenerate = missing | marginal
+    if np.count_nonzero(degenerate):
+        for j in np.flatnonzero(degenerate):
             errors[j] = DegenerateSystemError(
                 f"no structural zero mode found (smallest eigenvalue {eigvals[j, 0]:.3e})"
                 if missing[j] else
@@ -132,7 +134,7 @@ def cos_laplacians(topology: Network, capacity: np.ndarray, gaps: np.ndarray) ->
 
     ``capacity`` and ``gaps`` are (B, m) rows on ``topology``'s lines.
     """
-    return _laplacian((capacity * np.cos(gaps)).T, topology).transpose(2, 0, 1)
+    return laplacians(capacity * np.cos(gaps), topology)
 
 
 def reduce_stack(
@@ -160,31 +162,32 @@ def reduce_stack(
     inv_sqrt_m = 1.0 / np.sqrt(inertia)
     with np.errstate(over="ignore"):
         mass_scaled = inv_sqrt_m[:, :, None] * laplacians * inv_sqrt_m[:, None, :]
-        sym = 0.5 * (mass_scaled + np.swapaxes(mass_scaled, -1, -2))
+        sym = 0.5 * (mass_scaled + mass_scaled.transpose(0, 2, 1))
     # eigh would raise for the whole stack on a row beyond the float range;
     # such a row is an error, and its zeroed matrix is not read
-    overflow = ~np.isfinite(sym).all(axis=(1, 2))
-    sym[overflow] = 0.0
+    overflow = ()
+    if not np.logical_and.reduce(np.isfinite(sym), axis=None):
+        overflow = (~np.isfinite(sym).all(axis=(1, 2))).nonzero()[0]
+        sym[overflow] = 0.0
     eigvals, vectors = np.linalg.eigh(sym)
     del sym  # held to the return, it adds 1 MB to sweep-grid's peak RSS
     errors = _deflate(eigvals)
-    for j in overflow.nonzero()[0]:
+    for j in overflow:
         errors[j] = LyapunovSolveError(
             "the mass-scaled Laplacian overflows double precision; no variance is defined"
         )
-    # flip each eigenvector so that its first non-negligible entry is positive;
-    # the first large entry of a column is the one whose running count is 1
-    large = np.abs(vectors) > 1e-12
-    first = large & (large.cumsum(axis=-2) == 1)
-    flip = (first & (vectors < 0.0)).any(axis=-2, keepdims=True)
-    vectors = np.where(flip, -vectors, vectors)
+    # flip each eigenvector so that its first non-negligible entry is positive
+    first = (np.abs(vectors) > 1e-12).argmax(axis=1)
+    lead = vectors[np.arange(count)[:, None], first, np.arange(n)]
+    vectors = vectors * np.copysign(1.0, lead)[:, None, :]
 
     b2 = np.zeros((count, 2 * n - 1, n))
-    b2[:, n - 1:, :] = np.swapaxes(vectors, -1, -2) * (inv_sqrt_m * noise)[:, None, :]
+    b2[:, n - 1:, :] = vectors.transpose(0, 2, 1) * (inv_sqrt_m * noise)[:, None, :]
     # output map of the deflated state: line gaps, then node frequencies
     scaled = inv_sqrt_m[:, :, None] * vectors
     c2 = np.zeros((count, m + n, 2 * n - 1))
-    c2[:, :m, :n - 1] = scaled[:, topology.line_from, 1:] - scaled[:, topology.line_to, 1:]
+    c2[:, :m, :n - 1] = (scaled.take(topology.line_from, axis=1)
+                         - scaled.take(topology.line_to, axis=1))[:, :, 1:]
     c2[:, m:, n - 1:] = scaled
     return (eigvals, vectors, b2, c2), errors
 
@@ -338,15 +341,15 @@ def _triangular_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.nda
 def _output_covariances(q_x: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Output covariances C2 Q C2^T, symmetrized, of a stack of reduced-state
     covariances ``q_x`` and output maps ``c2``, one network per leading index."""
-    q_y = c2 @ q_x @ np.swapaxes(c2, -1, -2)
-    return 0.5 * (q_y + np.swapaxes(q_y, -1, -2))
+    q_y = c2 @ q_x @ c2.transpose(0, 2, 1)
+    return 0.5 * (q_y + q_y.transpose(0, 2, 1))
 
 
 def output_variances(q_y: np.ndarray) -> np.ndarray:
     """Per row of a stack of output covariances its variances: the diagonal,
     the m line gaps then the n node frequencies, with roundoff-negative
     entries clamped to 0."""
-    return np.maximum(np.diagonal(q_y, axis1=-2, axis2=-1), 0.0)
+    return np.maximum(q_y.diagonal(0, -2, -1), 0.0)
 
 
 def _first_report(q_x: np.ndarray, q_y: np.ndarray, diag: np.ndarray,
@@ -366,7 +369,7 @@ def uniform_damping_ratios(damping: np.ndarray, inertia: np.ndarray) -> np.ndarr
     later, where its mass scaling or its 2 gamma is not finite.
     """
     ratio = damping / inertia
-    return np.where((ratio == ratio[:, :1]).all(axis=1), ratio[:, 0], np.nan)
+    return np.where(np.logical_and.reduce(ratio == ratio[:, :1], axis=1), ratio[:, 0], np.nan)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # checked at the end
@@ -413,37 +416,37 @@ def modal_variances(
     """
     n = eigvals.shape[1]
     forcing = b2[:, n - 1:, :]
-    s = forcing @ np.swapaxes(forcing, -1, -2)
-    s = 0.5 * (s + np.swapaxes(s, -1, -2))
+    s = forcing @ forcing.transpose(0, 2, 1)
+    s = 0.5 * (s + s.transpose(0, 2, 1))
     g = gamma[:, None, None]
+    twice = 2.0 * g
     li, lj = eigvals[:, 1:, None], eigvals[:, None, 1:]
     total, gap = li + lj, li - lj
-    cluster = _CLUSTER_TOL * n * np.finfo(float).eps * eigvals[:, -1, None, None]
+    cluster = _CLUSTER_TOL * n * _EPS * eigvals[:, -1, None, None]
     gap[np.abs(gap) <= cluster] = 0.0
-    damped = 2.0 * g * g * total
-    p = 2.0 * g * s[:, 1:, 1:] / (damped + gap * gap)
-    v = np.empty_like(s)
+    damped = twice * g * total
+    p = twice * s[:, 1:, 1:] / (damped + gap * gap)
+    q_x = np.empty((len(eigvals), 2 * n - 1, 2 * n - 1))
+    v = q_x[:, n - 1:, n - 1:]
     v[:, 1:, 1:] = 0.5 * total * p
     v[:, 0, 1:] = gamma[:, None] * s[:, 0, 1:] / (2.0 * gamma[:, None] ** 2 + eigvals[:, 1:])
     v[:, 1:, 0] = v[:, 0, 1:]
-    v[:, 0, 0] = s[:, 0, 0] / (2.0 * gamma)
-    q_x = np.empty((len(eigvals), 2 * n - 1, 2 * n - 1))
+    v[:, 0, 0] = s[:, 0, 0] / twice[:, 0, 0]
     q_x[:, : n - 1, : n - 1] = p
-    q_x[:, : n - 1, n:] = gap * p / (2.0 * g)
+    q_x[:, : n - 1, n:] = gap * p / twice
     q_x[:, : n - 1, n - 1] = v[:, 1:, 0] / gamma[:, None]
-    q_x[:, n - 1:, : n - 1] = np.swapaxes(q_x[:, : n - 1, n - 1:], -1, -2)
-    q_x[:, n - 1:, n - 1:] = v
+    q_x[:, n - 1:, : n - 1] = q_x[:, : n - 1, n - 1:].transpose(0, 2, 1)
 
     half = 0.5 * gamma[:, None]
     slack = half * half - eigvals[:, 1:]
     rates = np.where(
         slack < 0.0, half, eigvals[:, 1:] / (half + np.sqrt(np.maximum(slack, 0.0)))
     )
-    min_re_mu = np.minimum(gamma, rates.min(axis=1, initial=np.inf))
+    min_re_mu = np.minimum(gamma, np.minimum.reduce(rates, axis=1, initial=np.inf))
     # 2 gamma^2 + lambda_j overflows only where 2 gamma^2 (lambda_j + lambda_j) does
     overflowed = ~(
-        np.isfinite(2.0 * gamma) & np.isfinite(damped).all(axis=(1, 2))
-        & np.isfinite(q_x).all(axis=(1, 2))
+        np.isfinite(twice[:, 0, 0]) & np.logical_and.reduce(np.isfinite(damped), axis=(1, 2))
+        & np.logical_and.reduce(np.isfinite(q_x), axis=(1, 2))
     )
     return q_x, min_re_mu, overflowed
 
@@ -468,11 +471,12 @@ def variance_stack(
     (eigvals, vectors, b2, c2), errors = reduce_stack(
         cos_laplacians(topology, capacity, gaps), inertia, noise, topology)
     gamma = uniform_damping_ratios(damping, inertia)
+    mixed = [math.isnan(ratio) for ratio in gamma.tolist()]
     rows = [j for j, error in enumerate(errors) if error is None]
-    modal = [j for j in rows if not math.isnan(gamma[j])]
+    modal = [j for j in rows if not mixed[j]]
     solved = {}
     for j in rows:
-        if math.isnan(gamma[j]):
+        if mixed[j]:
             try:
                 solved[j] = _reduced_covariance(
                     _reduced_sys(eigvals[j], vectors[j], damping[j], inertia[j]), b2[j])
@@ -492,13 +496,14 @@ def variance_stack(
     # a closed form whose output covariance overflows is an error below
     with np.errstate(over="ignore", invalid="ignore"):
         q_y = _output_covariances(q_x, c2)
-    overflowed |= ~np.isfinite(q_y).all(axis=(1, 2))
-    for j in modal:
-        if overflowed[j]:
-            errors[j] = LyapunovSolveError(
-                "the closed-form covariance overflows: a denominator or an entry "
-                "is not finite in double precision"
-            )
+    if np.count_nonzero(overflowed) or not np.logical_and.reduce(np.isfinite(q_y), axis=None):
+        overflowed |= ~np.isfinite(q_y).all(axis=(1, 2))
+        for j in modal:
+            if overflowed[j]:
+                errors[j] = LyapunovSolveError(
+                    "the closed-form covariance overflows: a denominator or an entry "
+                    "is not finite in double precision"
+                )
     return (q_x, q_y, output_variances(q_y), min_re_mu), errors
 
 

@@ -8,10 +8,11 @@ per line its 0-based ends ``line_from``/``line_to`` and a positive
 lines from 1.  A ``Network`` is immutable and is the single source of truth
 for every downstream computation.
 
-The signed incidence ``Network.incidence`` is the one line-to-node sum of the
-package: the power flow's mismatch and the trajectory kernel's coupling both
-reach the nodes through a product with it, which adds each node's lines in
-line order.
+Every line-to-node sum of the package adds each node's lines in line order,
+starting from 0: the trajectory kernel's coupling through a product with the
+signed incidence ``Network.incidence``, the power flow's mismatch by adding
+the signed flows at ``Network.line_ends``, and every Laplacian by adding the
+line weights at ``Network.laplacian_index``.
 """
 from __future__ import annotations
 
@@ -35,9 +36,9 @@ _NODE_ARRAYS = ("power", "inertia", "damping", "noise")
 _ARRAYS = _NODE_ARRAYS + ("line_from", "line_to", "capacity")
 _NODE_FIELDS = ("id",) + _NODE_ARRAYS
 #: caches of the line ends alone, which derived networks share: the incidence
-#: (the power flow's and the kernel's line-to-node sum, each node's lines in
-#: line order) and the interleaved ends (the power flow's Laplacian diagonal)
-_LINE_END_CACHES = ("incidence", "line_ends")
+#: (the kernel's line-to-node sum), the interleaved ends (the power flow's) and
+#: the Laplacian entries' positions
+_LINE_END_CACHES = ("incidence", "line_ends", "laplacian_index")
 _LINE_FIELDS = ("from", "to", "capacity")
 #: what a node violates, for each of its checks in the order they run
 _NODE_FAULTS = tuple(f"{name} must be finite" for name in _NODE_ARRAYS) + (
@@ -118,6 +119,28 @@ class Network:
     def line_ends(self) -> np.ndarray:
         """Both ends of every line in line order: from and to of line 1, then of line 2..."""
         return _frozen(np.array((self.line_from, self.line_to)).T.ravel())
+
+    @cached_property
+    def laplacian_index(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Where the weights of the lines enter a Laplacian.
+
+        A line from a to b has the entries (a, a), (b, b), (a, b), (b, a),
+        weighted +w, +w, -w, -w.  Listed line by line, each entry's line,
+        sign and flat position in the n-by-n matrix are three arrays; the
+        same three arrays of the entries off node 1's row and column, with
+        their positions in the (n-1)-by-(n-1) matrix without them (the power
+        flow's Jacobian), are the grounded index.  Returns ``(full,
+        grounded)``, two such read-only triples.
+        """
+        n = self.n
+        rows = np.array((self.line_from, self.line_to, self.line_from, self.line_to)).T.ravel()
+        cols = np.array((self.line_from, self.line_to, self.line_to, self.line_from)).T.ravel()
+        lines = np.arange(self.m).repeat(4)
+        signs = np.tile([1.0, 1.0, -1.0, -1.0], self.m)
+        kept = (rows > 0) & (cols > 0)
+        full = (lines, signs, rows * n + cols)
+        grounded = (lines[kept], signs[kept], (rows[kept] - 1) * (n - 1) + cols[kept] - 1)
+        return tuple(map(_frozen, full)), tuple(map(_frozen, grounded))
 
     # -- derived networks -----------------------------------------------------
 
@@ -243,6 +266,13 @@ def _validate(net: Network) -> None:
         raise NetworkValidationError("graph is not connected")
 
 
+def shared_rows(row: np.ndarray, count: int) -> np.ndarray:
+    """``count`` rows that all view ``row``, a read-only contiguous 1-D array
+    such as a network's: ``np.broadcast_to(row, (count, row.size))``, built
+    without its iterator."""
+    return np.ndarray((count, row.size), row.dtype, row, 0, (0, row.itemsize))
+
+
 def check_rows(net: Network, name: str, rows: np.ndarray) -> None:
     """Raise what ``net.with_arrays(**{name: row})`` raises for the first row it rejects.
 
@@ -253,6 +283,9 @@ def check_rows(net: Network, name: str, rows: np.ndarray) -> None:
     (the others).  Each row that fails them, in order, is passed to
     :meth:`Network.with_arrays`, which raises the first one's error.
     """
+    if (name != "power" and 0.0 < np.minimum.reduce(rows, axis=None, initial=math.inf)
+            and np.maximum.reduce(rows, axis=None, initial=0.0) < math.inf):
+        return  # every entry finite and > 0; a NaN fails both comparisons
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows fail anyway
         bad = ~np.isfinite(rows).all(axis=1)
         if name == "power":
@@ -276,7 +309,7 @@ def balance_tolerance(power: np.ndarray) -> np.ndarray:
     stopping tolerance, and the most :func:`imbalance` a network may carry, as
     the Newton system leaves out node 1, whose mismatch tends to the imbalance.
     TOL_SCALE eps is a power of 2: scaling each term first is exact and finite."""
-    return np.maximum(TOL, np.abs(power * (TOL_SCALE * _EPS)).sum(axis=-1))
+    return np.maximum(TOL, np.add.reduce(np.abs(power * (TOL_SCALE * _EPS)), axis=-1))
 
 
 def _require_number(value, where: str) -> float:

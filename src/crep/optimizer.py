@@ -32,7 +32,7 @@ from .errors import (
     require_int,
 )
 from .escape import DEFAULT_EPS, Analysis, stage_arrays
-from .network import Network, balance_tolerance, check_rows, imbalance
+from .network import Network, balance_tolerance, check_rows, imbalance, shared_rows
 
 BUDGET_TOL = 1e-9
 
@@ -155,7 +155,7 @@ def validate_spec(net: Network, spec: DecisionSpec) -> None:
         raise InfeasibleSpecError(f"{spec.variable} lower bounds must be > 0")
 
 
-@np.errstate(over="ignore")  # a sum beyond the float range is inf, handled below
+@np.errstate(over="ignore", invalid="ignore")  # sums beyond the float range: see below
 def project_to_budget_box(
     x: np.ndarray, lower: np.ndarray, upper: np.ndarray, budget: float
 ) -> np.ndarray:
@@ -170,35 +170,52 @@ def project_to_budget_box(
     and there tau has a closed form; O(k log k) time and O(k) memory per
     point.  A budget at or beyond sum(lower) (sum(upper)), within
     BUDGET_TOL, returns lower (upper) exactly.
+
+    Raises :class:`ConfigError` for bounds of different shapes, for an ``x``
+    whose points do not have one entry per bound and for one that holds NaN,
+    and :class:`InfeasibleSpecError` for a lower bound above its upper bound
+    and for a budget outside the box sum range.
     """
     x, lower, upper = (np.asarray(a, dtype=float) for a in (x, lower, upper))
-    total_low, total_high = float(lower.sum()), float(upper.sum())
+    if not (lower.ndim == 1 and upper.shape == lower.shape and x.shape[-1:] == lower.shape
+            and 1 <= x.ndim <= 2):
+        raise ConfigError(
+            "x must be a point or a stack of points with one entry per bound, got shape "
+            f"{x.shape} for lower and upper bounds of shapes {lower.shape} and {upper.shape}")
+    total = float(np.add.reduce(x, axis=None))  # NaN if x holds NaN, or overflows to +inf and -inf
+    if total != total and np.count_nonzero(np.isnan(x)):
+        raise ConfigError("x must not contain NaN")
+    if np.count_nonzero(lower > upper):
+        raise InfeasibleSpecError("lower bound exceeds upper bound")
+    total_low, total_high = float(np.add.reduce(lower)), float(np.add.reduce(upper))
     if not total_low - BUDGET_TOL <= budget <= total_high + BUDGET_TOL:
         raise InfeasibleSpecError("budget outside the box sum range")
     if budget <= total_low:
         return np.array(np.broadcast_to(lower, x.shape))
     if budget >= total_high:
         return np.array(np.broadcast_to(upper, x.shape))
-    points = np.atleast_2d(x)
+    points = x.reshape(-1, x.shape[-1])
     rows = np.arange(len(points))
     enter, leave = points - upper, points - lower
     kinks = np.sort(np.concatenate((enter, leave), axis=1), axis=1)
     # S(kinks[:, 0]) = total_high > budget > total_low = S(kinks[:, -1]); keep
     # S(kinks[lo]) > budget >= S(kinks[hi]) while halving each row's range
     lo = np.zeros(len(points), dtype=np.intp)
-    hi = np.full(len(points), kinks.shape[1] - 1)
-    s_lo, s_hi = np.full(len(points), total_high), np.full(len(points), total_low)
-    while (active := hi - lo > 1).any():
-        mid = (lo + hi) // 2
-        s = np.minimum(np.maximum(points - kinks[rows, mid][:, None], lower), upper).sum(axis=1)
-        up, down = active & (s > budget), active & ~(s > budget)
+    hi = lo + (kinks.shape[1] - 1)
+    s_lo, s_hi = np.zeros(len(points)) + total_high, np.zeros(len(points)) + total_low
+    while np.count_nonzero(active := hi - lo > 1):
+        mid = (lo + hi) >> 1
+        s = np.add.reduce(np.minimum(np.maximum(points - kinks[rows, mid][:, None], lower), upper),
+                          axis=1)
+        above = s > budget
+        up, down = active & above, active & ~above
         lo[up], s_lo[up] = mid[up], s[up]
         hi[down], s_hi[down] = mid[down], s[down]
     # no kink lies between kinks[lo] and kinks[hi]: S falls there with slope
     # -n_free, or is flat where roundoff brackets a budget with n_free = 0;
     # tau is measured from kinks[hi] only where S(kinks[lo]) overflowed
     kink_lo, kink_hi = kinks[rows, lo], kinks[rows, hi]
-    n_free = np.count_nonzero((enter <= kink_lo[:, None]) & (leave >= kink_hi[:, None]), axis=1)
+    n_free = np.add.reduce((enter <= kink_lo[:, None]) & (leave >= kink_hi[:, None]), axis=1)
     tau = kink_lo.copy()
     below = (n_free > 0) & (s_lo < math.inf)
     tau[below] = kink_lo[below] + (s_lo[below] - budget) / n_free[below]
@@ -275,9 +292,8 @@ def _candidate_rows(net: Network, spec: DecisionSpec, thetas) -> dict[str, np.nd
     rejects.
     """
     field = _DECISION_FIELDS[spec.variable]
-    rows = {name: np.broadcast_to(getattr(net, name), (len(thetas), getattr(net, name).size))
-            for name in _PARAMETERS}
-    written = rows[field].copy()
+    rows = {name: shared_rows(getattr(net, name), len(thetas)) for name in _PARAMETERS}
+    written = getattr(net, field)[None].repeat(len(thetas), axis=0)
     written[:, index_positions(net, spec.variable, spec.indices)] = thetas
     check_rows(net, field, written)
     rows[field] = written

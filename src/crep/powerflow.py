@@ -19,9 +19,11 @@ at once instead of spending its remaining iterations on vanishing steps.
 network's lines, as in an optimizer generation, and
 :func:`solve_synchronous_state` is its stack of one.  The Newton systems of
 all running rows are one batched solve, and the halvings of every row whose
-full step failed are one tensor of trial phases.  Arrays are node- (or
-line-) major with the stack on the trailing axis, and every row keeps its
-own iteration, stopping rule and verdict, with the arithmetic of a network
+full step failed are one tensor of trial phases; an iteration whose full
+steps all lowered their mismatch tries no halving.  Arrays hold one row of
+nodes (or lines) per network, the Jacobians are assembled in the
+(B, n-1, n-1) layout the solve reads, and every row keeps its own
+iteration, stopping rule and verdict, with the arithmetic of a network
 solved alone: a row's state and error are the same bits at any stack size.
 """
 from __future__ import annotations
@@ -52,36 +54,77 @@ class SynchronousState:
     residual: float                # max-norm power mismatch
 
 
-def _mismatch(net: Network, power: np.ndarray, capacity: np.ndarray,
-              phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+#: signs of a line's flow at its from and to end (``Network.line_ends``)
+_END_SIGNS = np.array([1.0, -1.0])
+
+
+def row_positions(positions: np.ndarray, count: int, size: int) -> np.ndarray:
+    """Flat positions in a (count, size) array of ``positions`` in every row.
+
+    The positions of the first R rows are the first ``R * positions.size``
+    entries, so an index built for ``count`` rows serves any smaller stack.
+    """
+    return (np.arange(count)[:, None] * size + positions).ravel()
+
+
+def add_at(terms: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+    """(R, size) sums of the (R, k) ``terms``, row j's at ``positions`` of
+    :func:`row_positions` (``index``, built for R or more rows).
+
+    Each entry adds its terms in their order, starting from 0, as
+    ``np.add.at`` and a product with a sparse incidence do: the line-to-node
+    sums of the package add each node's lines in line order.
+    """
+    count = len(terms)
+    return np.bincount(index[:terms.size], terms.ravel(), count * size).reshape(count, size)
+
+
+def _mismatch(net: Network, power: np.ndarray, end_capacity: np.ndarray,
+              phase: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Injections less line flows at ``phase``, and the line gaps there.
 
-    ``net`` gives the line ends; arrays are node- (line-) major with
-    trailing stack axes.  The flows reach the nodes through one product with
-    ``net.incidence``, as in the trajectory kernel: each node adds its lines'
-    signed flows in line order, starting from 0, and the sum is subtracted
+    ``net`` gives the line ends; arrays are rows of nodes (or lines) with
+    leading stack axes, and ``end_capacity`` holds each line's capacity at
+    its from end and, negated, at its to end (``net.line_ends``' order), so
+    that its product with the sine of the line's gap is the signed flow
+    there, bit for bit.  Each node adds its lines' signed flows in line
+    order, starting from 0 (:func:`add_at`, ``index`` the
+    :func:`row_positions` of ``net.line_ends``), and the sum is subtracted
     from its injection, so a row rounds as it would alone.
     """
-    gaps = phase.take(net.line_from, axis=0) - phase.take(net.line_to, axis=0)
-    flow = capacity * np.sin(gaps)
-    # the stack axes fold into columns; reshape(m, -1) fails for m = 0
-    columns = flow.reshape(net.m, math.prod(flow.shape[1:]))
-    return power - (net.incidence @ columns).reshape(phase.shape), gaps
+    gaps = phase.take(net.line_from, axis=-1) - phase.take(net.line_to, axis=-1)
+    terms = end_capacity * np.sin(gaps).repeat(2, axis=-1)
+    sums = np.bincount(index[:terms.size], terms.ravel(), phase.size)
+    return power - sums.reshape(phase.shape), gaps
 
 
-def _laplacian(weights: np.ndarray, net: Network) -> np.ndarray:
-    """Laplacian of ``net``'s lines with weight ``weights[k]`` on line k.
+def laplacians(weights: np.ndarray, net: Network) -> np.ndarray:
+    """(R, n, n) Laplacians of ``net``'s lines with weight ``weights[j, k]`` on
+    line k of row j.
 
-    Trailing axes of ``weights`` are a stack.  Off-diagonal entries are
-    assigned (lines are unique); each diagonal entry sums its lines' weights
-    in line order.
+    Each off-diagonal entry is its one line's negated weight; each diagonal
+    entry adds its lines' weights in line order, starting from 0.
     """
-    lap = np.zeros((net.n, net.n) + weights.shape[1:])
-    negated = -weights
-    lap[net.line_from, net.line_to] = negated
-    lap[net.line_to, net.line_from] = negated
-    np.add.at(lap, (net.line_ends, net.line_ends), weights.repeat(2, axis=0))
-    return lap
+    count, n = len(weights), net.n
+    lines, signs, positions = net.laplacian_index[0]
+    terms = weights.take(lines, axis=1) * signs
+    return add_at(terms, row_positions(positions, count, n * n), n * n).reshape(count, n, n)
+
+
+def _jacobians(net: Network, entry_capacity: np.ndarray, gaps: np.ndarray,
+               index: np.ndarray) -> np.ndarray:
+    """The Newton Jacobians (R, n-1, n-1) at a stack's line ``gaps``: the
+    Laplacians of :func:`laplacians` with weights capacity * cos(gap), without
+    node 1's row and column, assembled in that layout.
+
+    ``entry_capacity`` (R, k) holds each row's capacity times the sign of
+    each of the k entries of the grounded ``net.laplacian_index``; a sign is
+    +-1, so its product with the cosine is the entry's signed weight, bit for
+    bit.  ``index`` is the entries' :func:`row_positions`, for R or more rows.
+    """
+    count, size = len(gaps), net.n - 1
+    terms = entry_capacity * np.cos(gaps).take(net.laplacian_index[1][0], axis=1)
+    return add_at(terms, index, size * size).reshape(count, size, size)
 
 
 def _singular_rows(jac: np.ndarray, rhs: np.ndarray):
@@ -91,10 +134,10 @@ def _singular_rows(jac: np.ndarray, rhs: np.ndarray):
     :class:`NoConvergence` of its singular Jacobian.
     """
     steps = np.zeros_like(rhs)
-    errors: list = [None] * rhs.shape[1]
-    for j in range(rhs.shape[1]):
+    errors: list = [None] * len(rhs)
+    for j in range(len(rhs)):
         try:
-            steps[:, j] = np.linalg.solve(jac[..., j], rhs[:, j])
+            steps[j] = np.linalg.solve(jac[j], rhs[j])
         except np.linalg.LinAlgError as exc:
             errors[j] = NoConvergence("singular Jacobian during Newton iteration")
             errors[j].__cause__ = exc
@@ -102,18 +145,20 @@ def _singular_rows(jac: np.ndarray, rhs: np.ndarray):
 
 
 def _domain_errors(gaps: np.ndarray) -> list:
-    """Per converged column of line ``gaps``, None or its :class:`OutOfDomain` error.
+    """Per converged row of line ``gaps``, None or its :class:`OutOfDomain` error.
 
-    A column with a line gap outside the security domain gets the error.
+    A row with a line gap outside the security domain gets the error.
     """
     diffs = np.abs(gaps)
-    outside = np.max(diffs, axis=0, initial=0.0) >= HALF_PI - DOMAIN_MARGIN
-    errors: list = [None] * gaps.shape[1]
+    errors: list = [None] * len(gaps)
+    if np.maximum.reduce(diffs, axis=None, initial=0.0) < HALF_PI - DOMAIN_MARGIN:
+        return errors
+    outside = diffs.max(axis=1, initial=0.0) >= HALF_PI - DOMAIN_MARGIN
     for j in np.flatnonzero(outside):
-        worst = int(np.argmax(diffs[:, j]))
+        worst = int(np.argmax(diffs[j]))
         errors[j] = OutOfDomain(
             f"converged state leaves the security domain on line {worst + 1} "
-            f"(|gap| = {diffs[worst, j]:.6f} >= pi/2)"
+            f"(|gap| = {diffs[j, worst]:.6f} >= pi/2)"
         )
     return errors
 
@@ -131,38 +176,52 @@ def solve_state_stack(
     that :func:`solve_synchronous_state` raises for that network alone, with
     the same bits and message; the arrays of a failed row are not defined.
     """
-    count = len(power)
-    out_phase, out_gaps = np.zeros((count, topology.n)), np.zeros((count, topology.m))
+    count, n, m = len(power), topology.n, topology.m
+    out_phase, out_gaps = np.zeros((count, n)), np.zeros((count, m))
     out_residual = np.zeros(count)
     errors: list = [None] * count
     rows = np.arange(count)
     tol = balance_tolerance(power)  # each row sums alone, as in a stack of one
-    power, capacity = power.T, capacity.T
-    phase = np.zeros(power.shape)
-    mism, gaps = _mismatch(topology, power, capacity, phase)
-    norm = np.abs(mism).max(axis=0)
+    end_capacity = (capacity[..., None] * _END_SIGNS).reshape(count, 2 * m)
+    lines, signs, positions = topology.laplacian_index[1]
+    entry_capacity = capacity.take(lines, axis=1) * signs
+    # the flat positions of the stack's node sums and Jacobian entries; those
+    # of a stack of halvings are built when a row first needs them
+    node_index = row_positions(topology.line_ends, count, n)
+    jac_index = row_positions(positions, count, (n - 1) ** 2)
+    # at phase 0 every flow is capacity * sin(+0.0) = +0.0 and every node sum
+    # 0.0 + ... = +0.0, so the mismatch is the injections, bit for bit
+    phase, gaps, mism = np.zeros((count, n)), np.zeros((count, m)), power
+    norm = np.maximum.reduce(np.abs(mism), axis=1)
 
     def retire(leaving, verdicts):
         """Record the errors of the rows in the mask ``leaving``; drop them."""
-        nonlocal rows, power, capacity, phase, mism, gaps, norm, tol
+        nonlocal rows, power, end_capacity, entry_capacity, phase, mism, gaps, norm, tol
         for row, verdict in zip(rows[leaving].tolist(), verdicts):
             errors[row] = verdict
         keep = (~leaving).nonzero()[0]  # take is faster than a boolean mask here
-        rows, norm, tol = rows[keep], norm[keep], tol[keep]
-        power, capacity, phase, mism, gaps = (
-            a.take(keep, axis=1) for a in (power, capacity, phase, mism, gaps)
-        )
+        rows = rows[keep]
+        if rows.size:  # an emptied stack ends the iteration, so its arrays are not read
+            norm, tol = norm[keep], tol[keep]
+            power, end_capacity, entry_capacity, phase, mism, gaps = (
+                a.take(keep, axis=0)
+                for a in (power, end_capacity, entry_capacity, phase, mism, gaps))
 
-    # every pass retires its converged rows; the pass after the last
-    # iteration also fails the rest
+    # every pass retires its converged rows, and the pass after the last
+    # iteration fails the rest; a pass that empties the stack ends the loop
     for iteration in range(1, MAX_ITER + 2):
         done = norm <= tol
-        if done.any():
+        landing = np.count_nonzero(done)
+        if landing == count:  # the whole stack converged on this pass: its state is the result
+            return phase, gaps, norm, _domain_errors(gaps)
+        if landing:
             # no step moves node 1, so its phase is the 0 it starts at
             landed = rows[done]
-            out_phase[landed], out_gaps[landed] = phase[:, done].T, gaps[:, done].T
+            out_phase[landed], out_gaps[landed] = phase[done], gaps[done]
             out_residual[landed] = norm[done]
-            retire(done, _domain_errors(gaps[:, done]))
+            retire(done, _domain_errors(gaps[done]))
+            if not rows.size:
+                break
         if iteration > MAX_ITER:
             retire(np.ones(rows.size, dtype=bool), [
                 NoConvergence(
@@ -171,46 +230,50 @@ def solve_state_stack(
                 )
                 for residual, row_tol in zip(norm, tol)
             ])
-        if not rows.size:
             break
-        jac = _laplacian(capacity * np.cos(gaps), topology)[1:, 1:]
+        jac = _jacobians(topology, entry_capacity, gaps, jac_index)
         try:
-            step = np.linalg.solve(jac.transpose(2, 0, 1), mism[1:].T[..., None])[..., 0].T
+            step = np.linalg.solve(jac, mism[:, 1:, None])[..., 0]
         except np.linalg.LinAlgError:
-            # should every row fail, the rest of the pass runs on no columns
-            step, singular = _singular_rows(jac, mism[1:])
+            step, singular = _singular_rows(jac, mism[:, 1:])
             failed = np.array([error is not None for error in singular])
-            step = step[:, ~failed]
+            step = step[~failed]
             retire(failed, [error for error in singular if error is not None])
+            if not rows.size:
+                break
 
         # damp: the full step, then for rows it did not improve every halving
         # at once; each row takes its first trial that lowers its mismatch
         trial = phase.copy()
-        trial[1:] += step
-        trial_mism, trial_gaps = _mismatch(topology, power, capacity, trial)
-        trial_norm = np.abs(trial_mism).max(axis=0)
-        retry = (~(trial_norm < norm)).nonzero()[0]
-        stalled = np.zeros(rows.size, dtype=bool)
-        if retry.size:
-            tried = np.repeat(phase[:, None, retry], _HALVINGS.size, axis=1)
-            tried[1:] += _HALVINGS[:, None] * step[:, None, retry]
-            tried_mism, tried_gaps = _mismatch(
-                topology, power[:, None, retry], capacity[:, None, retry], tried
-            )
-            tried_norm = np.abs(tried_mism).max(axis=0)
-            lower = tried_norm < norm[retry]
-            found = lower.any(axis=0)
-            cols = np.flatnonzero(found)
-            halving = np.argmax(lower[:, cols], axis=0)
-            take = retry[cols]
-            trial[:, take] = tried[:, halving, cols]
-            trial_mism[:, take] = tried_mism[:, halving, cols]
-            trial_gaps[:, take] = tried_gaps[:, halving, cols]
-            trial_norm[take] = tried_norm[halving, cols]
-            stalled[retry[~found]] = True
+        trial[:, 1:] += step
+        trial_mism, trial_gaps = _mismatch(topology, power, end_capacity, trial, node_index)
+        trial_norm = np.maximum.reduce(np.abs(trial_mism), axis=1)
+        lowered = trial_norm < norm
         before = norm  # a stalled row reports its residual before the step
+        stalled = None
+        if np.count_nonzero(lowered) < lowered.size:
+            retry = (~lowered).nonzero()[0]
+            # rows are gathered only when some of them lowered their mismatch
+            pick = slice(None) if retry.size == rows.size else retry
+            tried = phase[pick, None].repeat(_HALVINGS.size, axis=1)
+            tried[..., 1:] += _HALVINGS[:, None] * step[pick, None]
+            if node_index.size < retry.size * _HALVINGS.size * 2 * m:
+                node_index = row_positions(topology.line_ends, count * _HALVINGS.size, n)
+            tried_mism, tried_gaps = _mismatch(
+                topology, power[pick, None], end_capacity[pick, None], tried, node_index)
+            tried_norm = np.maximum.reduce(np.abs(tried_mism), axis=-1)
+            lower = tried_norm < norm[pick, None]
+            found = np.logical_or.reduce(lower, axis=1)
+            # a row's first trial that lowers its mismatch; a row without one
+            # takes its first, and is retired below
+            at = np.arange(retry.size), lower.argmax(axis=1)
+            trial[pick], trial_mism[pick] = tried[at], tried_mism[at]
+            trial_gaps[pick], trial_norm[pick] = tried_gaps[at], tried_norm[at]
+            if np.count_nonzero(found) < retry.size:
+                stalled = np.zeros(rows.size, dtype=bool)
+                stalled[retry[~found]] = True
         phase, mism, gaps, norm = trial, trial_mism, trial_gaps, trial_norm
-        if stalled.any():
+        if stalled is not None:
             retire(stalled, [
                 NoConvergence(
                     f"no damped Newton step reduced the mismatch at iteration {iteration} "
@@ -218,6 +281,8 @@ def solve_state_stack(
                 )
                 for residual, row_tol in zip(before[stalled], tol[stalled])
             ])
+            if not rows.size:
+                break
     return out_phase, out_gaps, out_residual, errors
 
 

@@ -519,8 +519,9 @@ def test_derived_network_shares_only_its_fields_and_line_end_caches():
     net = random_connected_network(np.random.default_rng(13))
     derived = net.with_arrays(capacity=2.0 * net.capacity)
     fields = {"power", "inertia", "damping", "noise", "line_from", "line_to", "capacity"}
-    assert set(derived.__dict__) == fields | {"incidence", "line_ends"}
-    assert derived.incidence is net.incidence and derived.line_ends is net.line_ends
+    caches = {"incidence", "line_ends", "laplacian_index"}
+    assert set(derived.__dict__) == fields | caches
+    assert all(derived.__dict__[name] is getattr(net, name) for name in caches)
 
 
 def test_balance_is_the_sequential_float_sum():

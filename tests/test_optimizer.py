@@ -182,6 +182,31 @@ def test_projection_rejects_a_budget_outside_the_box(budget):
         project_to_budget_box([0.5, 1.0], [0.0, 0.5], [1.0, 2.0], budget)
 
 
+def test_projection_rejects_a_nan_point():
+    # it used to return [nan, 0.5, 0.5], whose sum is not the budget
+    for x in ([math.nan, 0.0, 0.0], [[0.0, 1.0, 2.0], [1.0, math.nan, 0.0]]):
+        with pytest.raises(crep.ConfigError, match="^x must not contain NaN$"):
+            project_to_budget_box(x, np.zeros(3), np.full(3, 2.0), 3.0)
+    # infinite entries are points at a bound's end, as before
+    assert project_to_budget_box([math.inf, 0.0, 0.0], np.zeros(3), np.full(3, 2.0),
+                                 3.0).tolist() == [2.0, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("x", [[0.5, 1.0, 2.0], [1.0], [[0.5, 1.0, 2.0]], 1.0, [[[0.5, 1.0]]]],
+                         ids=["long", "short", "long-row", "scalar", "3-d"])
+def test_projection_rejects_a_point_of_the_wrong_shape(x):
+    # a point longer than the bounds raised numpy's bare broadcast ValueError
+    with pytest.raises(crep.ConfigError, match="^x must be a point or a stack of points"):
+        project_to_budget_box(x, [0.0, 0.0], [2.0, 2.0], 1.0)
+
+
+@pytest.mark.parametrize("budget", [3.0, 2.5])
+def test_projection_rejects_crossed_bounds(budget):
+    # budget 3 returned [0, 3], outside the box, and 2.5 named the budget
+    with pytest.raises(InfeasibleSpecError, match="^lower bound exceeds upper bound$"):
+        project_to_budget_box([1.0, 1.0], [0.0, 3.0], [2.0, 1.0], budget)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 40, 200])
 def test_projection_of_a_stack_is_the_projection_of_each_row(d):
     rng = np.random.default_rng(54 + d)
@@ -958,6 +983,30 @@ def test_no_feasible_point_names_the_first_failure_past_the_state():
         optimize(net, DecisionSpec("line_capacity", tuple(range(1, 6)), 0.5,
                                    np.full(5, 0.05), np.full(5, 0.2)),
                  ObjectiveKind.trace_q_delta, search=SearchConfig(max_evals=40))
+
+
+def test_a_damping_search_without_a_state_runs_no_variance_stage(monkeypatch):
+    # ring5 with every capacity x 0.01 has no synchronous state, so every
+    # damping candidate inherits the base's error: the search fails as before,
+    # and no stack runs the variance or escape stage on its 0 live rows
+    weak = ring5_net(caps=(0.01,) * 5)
+    budget = float(weak.damping.sum())
+    spec = DecisionSpec("damping", tuple(range(1, 6)), budget,
+                        np.full(5, 0.01 * budget / 5), np.full(5, budget))
+    search = SearchConfig(max_evals=40)
+    with pytest.raises(NoFeasiblePointError) as before:
+        optimize(weak, spec, ObjectiveKind.crep_phi_delta, search=search)
+
+    def forbidden(*args):
+        raise AssertionError("a stage ran on a stack without a live row")
+
+    for module in (crep.linearize, crep.escape):
+        monkeypatch.setattr(module, "variance_stack", forbidden)
+    monkeypatch.setattr(crep.escape, "escape_probabilities", forbidden)
+    for kind in (ObjectiveKind.crep_phi_delta, ObjectiveKind.trace_q_omega):
+        with pytest.raises(NoFeasiblePointError) as after:
+            optimize(weak, spec, kind, search=search)
+        assert str(after.value) == str(before.value)
 
 
 @pytest.mark.parametrize("scale", [3e6, 1e7, 3e7, 1e8])

@@ -175,15 +175,15 @@ def test_a_singular_jacobian_fails_only_its_own_row(monkeypatch):
     # run; it fails with the single-network error, the others keep their bits
     nets = [ring5_net(caps=(c,) * 5) for c in (1.0, 1.2, 0.9)]
     alone = [solve_synchronous_state(net) for net in nets]
-    laplacian = crep.powerflow._laplacian
+    jacobians = crep.powerflow._jacobians
 
-    def singular_middle(weights, net):
-        if weights.ndim == 2 and weights.shape[1] == 3:
-            weights = weights.copy()
-            weights[:, 1] = 0.0
-        return laplacian(weights, net)
+    def singular_middle(*args):
+        jac = jacobians(*args)
+        if len(jac) == 3:
+            jac[1] = 0.0
+        return jac
 
-    monkeypatch.setattr(crep.powerflow, "_laplacian", singular_middle)
+    monkeypatch.setattr(crep.powerflow, "_jacobians", singular_middle)
     phase, _, residual, errors = solve_stack(nets)
     assert isinstance(errors[1], NoConvergence)
     assert str(errors[1]) == "singular Jacobian during Newton iteration"
@@ -193,8 +193,7 @@ def test_a_singular_jacobian_fails_only_its_own_row(monkeypatch):
         assert np.array_equal(phase[j], alone[j].phase)
         assert residual[j] == alone[j].residual
 
-    monkeypatch.setattr(crep.powerflow, "_laplacian",
-                        lambda weights, net: laplacian(0.0 * weights, net))
+    monkeypatch.setattr(crep.powerflow, "_jacobians", lambda *args: 0.0 * jacobians(*args))
     with pytest.raises(NoConvergence, match="singular Jacobian"):
         solve_synchronous_state(nets[0])
 

@@ -259,7 +259,8 @@ def stage_arrays(
     :func:`~crep.linearize.variance_stack` and
     :func:`escape_probabilities` run once each per slice of at most
     ``_STACK_CELLS`` cells (see there) on the rows that still hold no
-    error, so memory stays bounded at any B.  ``state``, if given, is the
+    error, and not at all when no row is left, so memory stays bounded at
+    any B.  ``state``, if given, is the
     power flow's outcome for every row (a state, or its error), taken
     without solving: it must be that of the rows' injections and
     capacities, since the state does not depend on inertia or damping.

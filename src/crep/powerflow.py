@@ -20,7 +20,8 @@ network's lines, as in an optimizer generation, and
 :func:`solve_synchronous_state` is its stack of one.  The Newton systems of
 all running rows are one batched solve, and the halvings of every row whose
 full step failed are one tensor of trial phases; an iteration whose full
-steps all lowered their mismatch tries no halving.  Arrays hold one row of
+steps all lowered their mismatch tries no halving, and one that follows a
+pass on which no full step did tries the full steps with the halvings.  Arrays hold one row of
 nodes (or lines) per network, the Jacobians are assembled in the
 (B, n-1, n-1) layout the solve reads, and every row keeps its own
 iteration, stopping rule and verdict, with the arithmetic of a network
@@ -41,8 +42,9 @@ MAX_ITER = 50
 DOMAIN_MARGIN = 1e-12
 HALF_PI = math.pi / 2.0
 _MAX_HALVINGS = 30
-#: step scales of the halvings after a failed full step: 2**-1 .. 2**-29
-_HALVINGS = 0.5 ** np.arange(1, _MAX_HALVINGS)
+#: step scales of the full step and its halvings: 1, 2**-1 .. 2**-29
+_SCALES = 0.5 ** np.arange(_MAX_HALVINGS)
+_HALVINGS = _SCALES[1:]
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class SynchronousState:
 _END_SIGNS = np.array([1.0, -1.0])
 
 
-def row_positions(positions: np.ndarray, count: int, size: int) -> np.ndarray:
+def _row_positions(positions: np.ndarray, count: int, size: int) -> np.ndarray:
     """Flat positions in a (count, size) array of ``positions`` in every row.
 
     The positions of the first R rows are the first ``R * positions.size``
@@ -67,13 +69,13 @@ def row_positions(positions: np.ndarray, count: int, size: int) -> np.ndarray:
     return (np.arange(count)[:, None] * size + positions).ravel()
 
 
-def add_at(terms: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
-    """(R, size) sums of the (R, k) ``terms``, row j's at ``positions`` of
-    :func:`row_positions` (``index``, built for R or more rows).
+def _add_at(terms: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+    """(R, size) sums of the (R, k) ``terms``, each at its position in its row.
 
-    Each entry adds its terms in their order, starting from 0, as
-    ``np.add.at`` and a product with a sparse incidence do: the line-to-node
-    sums of the package add each node's lines in line order.
+    ``index`` is the :func:`_row_positions` of the terms' positions, built
+    for R or more rows.  Each entry adds its terms in their order, starting
+    from 0, as ``np.add.at`` and a product with a sparse incidence do: the
+    line-to-node sums of the package add each node's lines in line order.
     """
     count = len(terms)
     return np.bincount(index[:terms.size], terms.ravel(), count * size).reshape(count, size)
@@ -88,8 +90,8 @@ def _mismatch(net: Network, power: np.ndarray, end_capacity: np.ndarray,
     its from end and, negated, at its to end (``net.line_ends``' order), so
     that its product with the sine of the line's gap is the signed flow
     there, bit for bit.  Each node adds its lines' signed flows in line
-    order, starting from 0 (:func:`add_at`, ``index`` the
-    :func:`row_positions` of ``net.line_ends``), and the sum is subtracted
+    order, starting from 0 (:func:`_add_at`, ``index`` the
+    :func:`_row_positions` of ``net.line_ends``), and the sum is subtracted
     from its injection, so a row rounds as it would alone.
     """
     gaps = phase.take(net.line_from, axis=-1) - phase.take(net.line_to, axis=-1)
@@ -108,7 +110,7 @@ def laplacians(weights: np.ndarray, net: Network) -> np.ndarray:
     count, n = len(weights), net.n
     lines, signs, positions = net.laplacian_index[0]
     terms = weights.take(lines, axis=1) * signs
-    return add_at(terms, row_positions(positions, count, n * n), n * n).reshape(count, n, n)
+    return _add_at(terms, _row_positions(positions, count, n * n), n * n).reshape(count, n, n)
 
 
 def _jacobians(net: Network, entry_capacity: np.ndarray, gaps: np.ndarray,
@@ -120,11 +122,11 @@ def _jacobians(net: Network, entry_capacity: np.ndarray, gaps: np.ndarray,
     ``entry_capacity`` (R, k) holds each row's capacity times the sign of
     each of the k entries of the grounded ``net.laplacian_index``; a sign is
     +-1, so its product with the cosine is the entry's signed weight, bit for
-    bit.  ``index`` is the entries' :func:`row_positions`, for R or more rows.
+    bit.  ``index`` is the entries' :func:`_row_positions`, for R or more rows.
     """
     count, size = len(gaps), net.n - 1
     terms = entry_capacity * np.cos(gaps).take(net.laplacian_index[1][0], axis=1)
-    return add_at(terms, index, size * size).reshape(count, size, size)
+    return _add_at(terms, index, size * size).reshape(count, size, size)
 
 
 def _singular_rows(jac: np.ndarray, rhs: np.ndarray):
@@ -186,9 +188,9 @@ def solve_state_stack(
     lines, signs, positions = topology.laplacian_index[1]
     entry_capacity = capacity.take(lines, axis=1) * signs
     # the flat positions of the stack's node sums and Jacobian entries; those
-    # of a stack of halvings are built when a row first needs them
-    node_index = row_positions(topology.line_ends, count, n)
-    jac_index = row_positions(positions, count, (n - 1) ** 2)
+    # of a larger stack of trials are built when it first occurs
+    node_index = _row_positions(topology.line_ends, count, n)
+    jac_index = _row_positions(positions, count, (n - 1) ** 2)
     # at phase 0 every flow is capacity * sin(+0.0) = +0.0 and every node sum
     # 0.0 + ... = +0.0, so the mismatch is the injections, bit for bit
     phase, gaps, mism = np.zeros((count, n)), np.zeros((count, m)), power
@@ -207,8 +209,26 @@ def solve_state_stack(
                 a.take(keep, axis=0)
                 for a in (power, end_capacity, entry_capacity, phase, mism, gaps))
 
+    def trials(pick, scales):
+        """The trial states phase + scale * step of the rows ``pick``, every
+        scale at once: per row the first that lowers its mismatch (the first
+        trial if none does) with its scale's index, and whether one does."""
+        nonlocal node_index
+        tried = phase[pick, None].repeat(scales.size, axis=1)
+        tried[..., 1:] += scales[:, None] * step[pick, None]
+        if node_index.size < tried.size // n * 2 * m:
+            node_index = _row_positions(topology.line_ends, tried.size // n, n)
+        tried_mism, tried_gaps = _mismatch(
+            topology, power[pick, None], end_capacity[pick, None], tried, node_index)
+        tried_norm = np.maximum.reduce(np.abs(tried_mism), axis=-1)
+        lower = tried_norm < norm[pick, None]
+        at = np.arange(len(lower)), lower.argmax(axis=1)
+        return (tried[at], tried_mism[at], tried_gaps[at], tried_norm[at], at[1],
+                np.logical_or.reduce(lower, axis=1))
+
     # every pass retires its converged rows, and the pass after the last
     # iteration fails the rest; a pass that empties the stack ends the loop
+    joint = False
     for iteration in range(1, MAX_ITER + 2):
         done = norm <= tol
         landing = np.count_nonzero(done)
@@ -242,44 +262,41 @@ def solve_state_stack(
             if not rows.size:
                 break
 
-        # damp: the full step, then for rows it did not improve every halving
-        # at once; each row takes its first trial that lowers its mismatch
-        trial = phase.copy()
-        trial[:, 1:] += step
-        trial_mism, trial_gaps = _mismatch(topology, power, end_capacity, trial, node_index)
-        trial_norm = np.maximum.reduce(np.abs(trial_mism), axis=1)
-        lowered = trial_norm < norm
+        # damp: each row takes its first trial that lowers its mismatch, the
+        # full step before the halvings.  The halvings are tried at once, for
+        # the rows whose full step did not lower it; when no row's full step
+        # did on the last pass, the full step and the halvings together
         before = norm  # a stalled row reports its residual before the step
-        stalled = None
-        if np.count_nonzero(lowered) < lowered.size:
-            retry = (~lowered).nonzero()[0]
-            # rows are gathered only when some of them lowered their mismatch
-            pick = slice(None) if retry.size == rows.size else retry
-            tried = phase[pick, None].repeat(_HALVINGS.size, axis=1)
-            tried[..., 1:] += _HALVINGS[:, None] * step[pick, None]
-            if node_index.size < retry.size * _HALVINGS.size * 2 * m:
-                node_index = row_positions(topology.line_ends, count * _HALVINGS.size, n)
-            tried_mism, tried_gaps = _mismatch(
-                topology, power[pick, None], end_capacity[pick, None], tried, node_index)
-            tried_norm = np.maximum.reduce(np.abs(tried_mism), axis=-1)
-            lower = tried_norm < norm[pick, None]
-            found = np.logical_or.reduce(lower, axis=1)
-            # a row's first trial that lowers its mismatch; a row without one
-            # takes its first, and is retired below
-            at = np.arange(retry.size), lower.argmax(axis=1)
-            trial[pick], trial_mism[pick] = tried[at], tried_mism[at]
-            trial_gaps[pick], trial_norm[pick] = tried_gaps[at], tried_norm[at]
-            if np.count_nonzero(found) < retry.size:
-                stalled = np.zeros(rows.size, dtype=bool)
-                stalled[retry[~found]] = True
-        phase, mism, gaps, norm = trial, trial_mism, trial_gaps, trial_norm
-        if stalled is not None:
-            retire(stalled, [
+        failed = None  # the rows that no trial improved
+        if joint:
+            phase, mism, gaps, norm, scale, found = trials(slice(None), _SCALES)
+            joint = not np.count_nonzero(found & (scale == 0))
+            if np.count_nonzero(found) < found.size:
+                failed = ~found
+        else:
+            trial = phase.copy()
+            trial[:, 1:] += step
+            trial_mism, trial_gaps = _mismatch(topology, power, end_capacity, trial, node_index)
+            trial_norm = np.maximum.reduce(np.abs(trial_mism), axis=1)
+            lowered = trial_norm < norm
+            kept = np.count_nonzero(lowered)
+            if kept < lowered.size:
+                retry = (~lowered).nonzero()[0]
+                pick = slice(None) if not kept else retry  # no gathers when every row retries
+                (trial[pick], trial_mism[pick], trial_gaps[pick], trial_norm[pick],
+                 _, found) = trials(pick, _HALVINGS)
+                if np.count_nonzero(found) < retry.size:
+                    failed = np.zeros(rows.size, dtype=bool)
+                    failed[retry[~found]] = True
+            joint = not kept
+            phase, mism, gaps, norm = trial, trial_mism, trial_gaps, trial_norm
+        if failed is not None:
+            retire(failed, [
                 NoConvergence(
                     f"no damped Newton step reduced the mismatch at iteration {iteration} "
                     f"(residual {residual:.3e} > tol {row_tol:.3e})"
                 )
-                for residual, row_tol in zip(before[stalled], tol[stalled])
+                for residual, row_tol in zip(before[failed], tol[failed])
             ])
             if not rows.size:
                 break

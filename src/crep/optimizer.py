@@ -155,7 +155,7 @@ def validate_spec(net: Network, spec: DecisionSpec) -> None:
         raise InfeasibleSpecError(f"{spec.variable} lower bounds must be > 0")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # sums beyond the float range: see below
+@np.errstate(over="ignore", invalid="ignore")  # sums beyond the float range are handled below
 def project_to_budget_box(
     x: np.ndarray, lower: np.ndarray, upper: np.ndarray, budget: float
 ) -> np.ndarray:
@@ -197,7 +197,8 @@ def project_to_budget_box(
     points = x.reshape(-1, x.shape[-1])
     rows = np.arange(len(points))
     enter, leave = points - upper, points - lower
-    kinks = np.sort(np.concatenate((enter, leave), axis=1), axis=1)
+    kinks = np.concatenate((enter, leave), axis=1)
+    kinks.sort(axis=1)
     # S(kinks[:, 0]) = total_high > budget > total_low = S(kinks[:, -1]); keep
     # S(kinks[lo]) > budget >= S(kinks[hi]) while halving each row's range
     lo = np.zeros(len(points), dtype=np.intp)
@@ -208,19 +209,19 @@ def project_to_budget_box(
         s = np.add.reduce(np.minimum(np.maximum(points - kinks[rows, mid][:, None], lower), upper),
                           axis=1)
         above = s > budget
-        up, down = active & above, active & ~above
-        lo[up], s_lo[up] = mid[up], s[up]
-        hi[down], s_hi[down] = mid[down], s[down]
+        up, down = active & above, active > above
+        np.copyto(lo, mid, where=up)
+        np.copyto(s_lo, s, where=up)
+        np.copyto(hi, mid, where=down)
+        np.copyto(s_hi, s, where=down)
     # no kink lies between kinks[lo] and kinks[hi]: S falls there with slope
     # -n_free, or is flat where roundoff brackets a budget with n_free = 0;
     # tau is measured from kinks[hi] only where S(kinks[lo]) overflowed
     kink_lo, kink_hi = kinks[rows, lo], kinks[rows, hi]
     n_free = np.add.reduce((enter <= kink_lo[:, None]) & (leave >= kink_hi[:, None]), axis=1)
-    tau = kink_lo.copy()
-    below = (n_free > 0) & (s_lo < math.inf)
-    tau[below] = kink_lo[below] + (s_lo[below] - budget) / n_free[below]
-    beyond = (n_free > 0) & ~(s_lo < math.inf)
-    tau[beyond] = kink_hi[beyond] - (budget - s_hi[beyond]) / n_free[beyond]
+    divisor = np.maximum(n_free, 1)  # n_free where it divides
+    tau = np.where(n_free > 0, np.where(s_lo < math.inf, kink_lo + (s_lo - budget) / divisor,
+                                        kink_hi - (budget - s_hi) / divisor), kink_lo)
     return np.clip(points - tau[:, None], lower, upper).reshape(x.shape)
 
 

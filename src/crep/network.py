@@ -122,25 +122,17 @@ class Network:
 
     @cached_property
     def laplacian_index(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """Where the weights of the lines enter a Laplacian.
-
-        A line from a to b has the entries (a, a), (b, b), (a, b), (b, a),
-        weighted +w, +w, -w, -w.  Listed line by line, each entry's line,
-        sign and flat position in the n-by-n matrix are three arrays; the
-        same three arrays of the entries off node 1's row and column, with
-        their positions in the (n-1)-by-(n-1) matrix without them (the power
-        flow's Jacobian), are the grounded index.  Returns ``(full,
-        grounded)``, two such read-only triples.
-        """
-        n = self.n
-        rows = np.array((self.line_from, self.line_to, self.line_from, self.line_to)).T.ravel()
-        cols = np.array((self.line_from, self.line_to, self.line_to, self.line_from)).T.ravel()
-        lines = np.arange(self.m).repeat(4)
-        signs = np.tile([1.0, 1.0, -1.0, -1.0], self.m)
+        """(line, sign, flat position) of every Laplacian entry, line by line:
+        (a, a), (b, b), (a, b), (b, a) of a line from a to b, weighted +w, +w,
+        -w, -w.  Returns ``(full, grounded)``: for the n-by-n matrix, and for
+        the entries off node 1's row and column in the (n-1)-by-(n-1) matrix
+        without them (the power flow's Jacobian).  Read-only."""
+        n, ends = self.n, (self.line_from, self.line_to)
+        rows, cols = np.array(ends * 2).T.ravel(), np.array(ends + ends[::-1]).T.ravel()
+        lines, signs = np.arange(self.m).repeat(4), np.tile([1.0, 1.0, -1.0, -1.0], self.m)
         kept = (rows > 0) & (cols > 0)
-        full = (lines, signs, rows * n + cols)
         grounded = (lines[kept], signs[kept], (rows[kept] - 1) * (n - 1) + cols[kept] - 1)
-        return tuple(map(_frozen, full)), tuple(map(_frozen, grounded))
+        return tuple(map(_frozen, (lines, signs, rows * n + cols))), tuple(map(_frozen, grounded))
 
     # -- derived networks -----------------------------------------------------
 

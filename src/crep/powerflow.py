@@ -61,22 +61,15 @@ _END_SIGNS = np.array([1.0, -1.0])
 
 
 def _row_positions(positions: np.ndarray, count: int, size: int) -> np.ndarray:
-    """Flat positions in a (count, size) array of ``positions`` in every row.
-
-    The positions of the first R rows are the first ``R * positions.size``
-    entries, so an index built for ``count`` rows serves any smaller stack.
-    """
+    """Flat positions of ``positions`` in each row of a (count, size) array;
+    those of the first R rows lead, so they serve any smaller stack."""
     return (np.arange(count)[:, None] * size + positions).ravel()
 
 
 def _add_at(terms: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
-    """(R, size) sums of the (R, k) ``terms``, each at its position in its row.
-
-    ``index`` is the :func:`_row_positions` of the terms' positions, built
-    for R or more rows.  Each entry adds its terms in their order, starting
-    from 0, as ``np.add.at`` and a product with a sparse incidence do: the
-    line-to-node sums of the package add each node's lines in line order.
-    """
+    """(R, size) sums of the (R, k) ``terms`` at their :func:`_row_positions`
+    ``index``: each entry adds its terms in order, starting from 0, as a
+    product with a sparse incidence does."""
     count = len(terms)
     return np.bincount(index[:terms.size], terms.ravel(), count * size).reshape(count, size)
 
@@ -85,14 +78,12 @@ def _mismatch(net: Network, power: np.ndarray, end_capacity: np.ndarray,
               phase: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Injections less line flows at ``phase``, and the line gaps there.
 
-    ``net`` gives the line ends; arrays are rows of nodes (or lines) with
-    leading stack axes, and ``end_capacity`` holds each line's capacity at
-    its from end and, negated, at its to end (``net.line_ends``' order), so
-    that its product with the sine of the line's gap is the signed flow
-    there, bit for bit.  Each node adds its lines' signed flows in line
-    order, starting from 0 (:func:`_add_at`, ``index`` the
-    :func:`_row_positions` of ``net.line_ends``), and the sum is subtracted
-    from its injection, so a row rounds as it would alone.
+    Arrays are rows of nodes (or lines) with leading stack axes;
+    ``end_capacity`` holds each line's capacity at its from end and, negated,
+    at its to end, so its product with the gap's sine is the signed flow
+    there, bit for bit.  Each node adds its lines' signed flows in line order
+    (``index``: the :func:`_row_positions` of ``net.line_ends``), and the
+    sum is subtracted from its injection, so a row rounds as it would alone.
     """
     gaps = phase.take(net.line_from, axis=-1) - phase.take(net.line_to, axis=-1)
     terms = end_capacity * np.sin(gaps).repeat(2, axis=-1)
@@ -102,11 +93,7 @@ def _mismatch(net: Network, power: np.ndarray, end_capacity: np.ndarray,
 
 def laplacians(weights: np.ndarray, net: Network) -> np.ndarray:
     """(R, n, n) Laplacians of ``net``'s lines with weight ``weights[j, k]`` on
-    line k of row j.
-
-    Each off-diagonal entry is its one line's negated weight; each diagonal
-    entry adds its lines' weights in line order, starting from 0.
-    """
+    line k of row j; each diagonal entry adds its lines' weights in line order."""
     count, n = len(weights), net.n
     lines, signs, positions = net.laplacian_index[0]
     terms = weights.take(lines, axis=1) * signs
@@ -115,15 +102,10 @@ def laplacians(weights: np.ndarray, net: Network) -> np.ndarray:
 
 def _jacobians(net: Network, entry_capacity: np.ndarray, gaps: np.ndarray,
                index: np.ndarray) -> np.ndarray:
-    """The Newton Jacobians (R, n-1, n-1) at a stack's line ``gaps``: the
-    Laplacians of :func:`laplacians` with weights capacity * cos(gap), without
-    node 1's row and column, assembled in that layout.
-
-    ``entry_capacity`` (R, k) holds each row's capacity times the sign of
-    each of the k entries of the grounded ``net.laplacian_index``; a sign is
-    +-1, so its product with the cosine is the entry's signed weight, bit for
-    bit.  ``index`` is the entries' :func:`_row_positions`, for R or more rows.
-    """
+    """Newton Jacobians (R, n-1, n-1) at line ``gaps``: :func:`laplacians` of
+    the weights capacity * cos(gap) without node 1's row and column, built in
+    that layout from ``entry_capacity``, each row's capacity times the sign
+    of each grounded entry of ``net.laplacian_index`` (at ``index``)."""
     count, size = len(gaps), net.n - 1
     terms = entry_capacity * np.cos(gaps).take(net.laplacian_index[1][0], axis=1)
     return _add_at(terms, index, size * size).reshape(count, size, size)
@@ -210,9 +192,8 @@ def solve_state_stack(
                 for a in (power, end_capacity, entry_capacity, phase, mism, gaps))
 
     def trials(pick, scales):
-        """The trial states phase + scale * step of the rows ``pick``, every
-        scale at once: per row the first that lowers its mismatch (the first
-        trial if none does) with its scale's index, and whether one does."""
+        """Per row of ``pick`` the first of its trials phase + scale * step that
+        lowers its mismatch (else the first), its scale's index and whether one does."""
         nonlocal node_index
         tried = phase[pick, None].repeat(scales.size, axis=1)
         tried[..., 1:] += scales[:, None] * step[pick, None]
@@ -262,10 +243,9 @@ def solve_state_stack(
             if not rows.size:
                 break
 
-        # damp: each row takes its first trial that lowers its mismatch, the
-        # full step before the halvings.  The halvings are tried at once, for
-        # the rows whose full step did not lower it; when no row's full step
-        # did on the last pass, the full step and the halvings together
+        # damp: each row takes its first trial that lowers its mismatch; the
+        # halvings follow a failed full step, or join it after a pass on which
+        # no full step helped
         before = norm  # a stalled row reports its residual before the step
         failed = None  # the rows that no trial improved
         if joint:
